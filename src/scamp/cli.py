@@ -4,7 +4,7 @@ Physics parameters come from a flat INI-style config file (sections
 ``amplifier``, ``detector.d0`` .. ``detector.db``, ``sweep``, ``output``)
 plus command-line overrides; unknown keys or sections are errors, since a
 silently ignored typo in a physics parameter is the costliest failure mode.
-The only environment variable honored is SCAMP_WORKERS (worker count).
+The only environment variable honored is SCAMP_WORKERS (default for --workers).
 
 Exit codes: 0 success, 2 configuration error, 3 runtime error,
 4 selfcheck threshold failure.
@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import os
 import sys
 
@@ -71,6 +72,8 @@ def _parse_alpha_grid(text: str) -> tuple[float, ...]:
         start, stop, count = float(pieces[0]), float(pieces[1]), int(pieces[2])
         if count < 1:
             raise ConfigError("alpha_sq range count must be >= 1")
+        if not (math.isfinite(start) and math.isfinite(stop)):
+            raise ConfigError(f"alpha_sq range bounds must be finite, got {text!r}")
         return tuple(float(a) for a in np.linspace(start, stop, count))
     return tuple(float(piece) for piece in text.split(","))
 
@@ -90,7 +93,10 @@ def load_sweep_config(path: str | None) -> dict:
     """Read and validate the config file into keyword arguments for SweepSpec."""
     parser = configparser.ConfigParser()
     if path is not None:
-        read = parser.read(path)
+        try:
+            read = parser.read(path)
+        except configparser.Error as exc:
+            raise ConfigError(f"malformed config file {path!r}: {exc}") from exc
         if not read:
             raise ConfigError(f"cannot read config file {path!r}")
     for section in parser.sections():
@@ -146,17 +152,18 @@ def load_sweep_config(path: str | None) -> dict:
 
 def _workers(args) -> int:
     if args.workers is not None:
-        return args.workers
-    env = os.environ.get("SCAMP_WORKERS")
-    if env is not None:
+        source, value = "--workers", args.workers
+    else:
+        env = os.environ.get("SCAMP_WORKERS")
+        if env is None:
+            return 1
         try:
-            value = int(env)
+            source, value = "SCAMP_WORKERS", int(env)
         except ValueError:
             raise ConfigError(f"SCAMP_WORKERS must be an integer, got {env!r}")
-        if value < 1:
-            raise ConfigError(f"SCAMP_WORKERS must be >= 1, got {value}")
-        return value
-    return 1
+    if value < 1:
+        raise ConfigError(f"{source} must be >= 1, got {value}")
+    return value
 
 
 def _emit(dataset: Dataset, path: str | None, output_format: str) -> None:
@@ -274,7 +281,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--seed", type=int)
     p_sweep.add_argument("--output", help="output path (default: stdout)")
     p_sweep.add_argument("--format", choices=["csv", "json"])
-    p_sweep.add_argument("--workers", type=int, help="worker threads (default: SCAMP_WORKERS or 1)")
+    p_sweep.add_argument(
+        "--workers",
+        type=int,
+        help="Monte Carlo worker count, checked but without effect on output or speed"
+        " (default: SCAMP_WORKERS or 1)",
+    )
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_est = sub.add_parser("estimate", help="estimate output fidelity from a count table")

@@ -1,20 +1,29 @@
-"""Pulse-by-pulse stochastic simulation of the full experiment.
+"""Stochastic simulation of the full experiment, tallied per cell.
 
-Each pulse draws an input state and a guess state, samples clicks at the
-heralding detectors D0/D1 from the branch amplitudes, propagates the branch
-output through the analysis interferometer (test state phase-locked to the
-input, plus the scheduled scan phase) and samples clicks at DA/DB.  Counts
-are tallied per (phase bin, input, guess, 4-bit click pattern).
+Each pulse draws an input state and a guess state, clicks at the heralding
+detectors D0/D1 from the branch amplitudes, and clicks at DA/DB after the
+branch output meets the analysis interferometer (test state phase-locked to
+the input, plus the scheduled scan phase).  Counts are tallied per (phase
+bin, input, guess, 4-bit click pattern).
 
-Pulses are simulated in fixed-size chunks; chunk c owns an independent
-random stream derived from (master_seed, c), so a run is bit-identical for
-a given master seed regardless of how many workers execute the chunks.
+Pulse i falls in phase bin i mod P, and within a bin the pulses are i.i.d.
+over the N*N*16 cells, so the tally of each bin is exactly multinomial.
+``simulate_run`` therefore draws the whole tally in one
+``Generator.multinomial`` call over the (P, N, N, 16) cell probabilities,
+seeded from the master seed alone: its cost does not depend on the number
+of pulses, and the result is bit-identical for a given master seed whatever
+worker count is asked for (the count is checked, but changes neither the
+output nor the speed).
+
+``simulate_chunk`` is the pulse-by-pulse sampler the tally stands for: chunk
+c of a fixed chunk size draws from its own stream derived from
+(master_seed, c), and chunk tallies merge by addition.  Tests compare the
+multinomial draw against it.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -203,33 +212,54 @@ def simulate_chunk(
     return TallyTable(counts, spec.phase_schedule, n)
 
 
-def simulate_run(
-    spec: RunSpec,
-    workers: int = 1,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-) -> TallyTable:
+def cell_probabilities(spec: RunSpec) -> np.ndarray:
+    """Probability of each (input, guess, click pattern) cell, per phase bin.
+
+    The prior (1/N)*q_k of an (input m, guess k) pair times the independent
+    D0/D1/DA/DB click factors of each pattern, shape (P, N, N, 16), with
+    every bin normalised to sum to one.
+    """
+    tables = branch_tables(spec)
+    n = spec.amplifier.n_states()
+    q = np.asarray(spec.amplifier.guess_distribution, dtype=float)
+    prior = np.broadcast_to(q / n, (n, n))
+
+    def fire(p):
+        # last axis: (silent, fired), matching the pattern bit value
+        return np.stack([1.0 - p, p], axis=-1)
+
+    f0, f1, fa, fb = fire(tables.p0), fire(tables.p1), fire(tables.pa), fire(tables.pb)
+    heralds = prior[:, :, None, None] * f0[:, :, :, None] * f1[:, :, None, :]
+    analyzer = fa[..., :, None] * fb[..., None, :]
+    cells = heralds[None, :, :, :, :, None, None] * analyzer[:, :, :, None, None, :, :]
+    cells = cells.reshape(len(spec.phase_schedule), n, n, _N_PATTERNS)
+    cells /= cells.sum(axis=(1, 2, 3), keepdims=True)
+    return cells
+
+
+def _pulses_per_bin(n_pulses: int, n_phases: int) -> np.ndarray:
+    """Pulses falling in each phase bin when pulse i goes to bin i mod P."""
+    per_bin = np.full(n_phases, n_pulses // n_phases, dtype=np.int64)
+    per_bin[: n_pulses % n_phases] += 1
+    return per_bin
+
+
+def simulate_run(spec: RunSpec, workers: int = 1) -> TallyTable:
     """Simulate the full run; deterministic for a fixed master seed.
 
-    The chunk decomposition and per-chunk seeds depend only on
-    (master_seed, chunk_size), never on the worker count, so any degree of
-    parallelism produces a bit-identical tally.
+    Draws each phase bin's tally as one multinomial sample over its cells,
+    from a stream seeded by the master seed alone.  ``workers`` is checked
+    and kept for callers; the draw is a single call, so any worker count
+    gives the same tally in the same time.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    tables = branch_tables(spec)
-    n_chunks = (spec.n_pulses + chunk_size - 1) // chunk_size
-    total = TallyTable.empty(spec.phase_schedule, spec.amplifier.n_states())
-    if workers == 1:
-        for c in range(n_chunks):
-            total = total.merged(simulate_chunk(spec, c, chunk_size, tables))
-        return total
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = pool.map(
-            lambda c: simulate_chunk(spec, c, chunk_size, tables), range(n_chunks)
-        )
-        for tally in results:
-            total = total.merged(tally)
-    return total
+    n = spec.amplifier.n_states()
+    pvals = cell_probabilities(spec).reshape(len(spec.phase_schedule), -1)
+    per_bin = _pulses_per_bin(spec.n_pulses, len(spec.phase_schedule))
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(spec.master_seed)))
+    counts = rng.multinomial(per_bin, pvals).astype(np.int64, copy=False)
+    return TallyTable(counts.reshape(-1, n, n, _N_PATTERNS), spec.phase_schedule, n)
 
 
 def _condition_mask(condition) -> np.ndarray:

@@ -17,6 +17,7 @@ from .amplifier import AmplifierConfig, StateSet, figures_of_merit
 from .analysis import AnalysisConfig
 from .coherent import CoherentAmplitude
 from .detectors import DetectorModel
+from .errors import InvalidEpsilonError
 from .montecarlo import DetectorBank
 
 DETECTION_EFFICIENCY = 0.405
@@ -115,6 +116,11 @@ def default_analysis(
         epsilon = epsilon_from_visibility(
             reference.mean_photon_number(), det.eta_l(), OUTER_VISIBILITY
         )
+        if epsilon >= 1.0:
+            raise InvalidEpsilonError(
+                f"epsilon derived from visibility {OUTER_VISIBILITY} at reference mean "
+                f"photon number {reference.mean_photon_number():.6g} rounds to 1"
+            )
     return AnalysisConfig(
         reference_amplitude=reference,
         epsilon=epsilon,

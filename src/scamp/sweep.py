@@ -19,7 +19,6 @@ import numpy as np
 from . import params
 from .amplifier import Conditioning, figures_of_merit, output_mixture
 from .analysis import (
-    AnalysisConfig,
     CountTable,
     estimate_fidelity,
     estimate_pulse_numbers,
@@ -29,7 +28,6 @@ from .errors import ConfigError, InsufficientSignalError
 from .montecarlo import (
     DetectorBank,
     RunSpec,
-    TallyTable,
     conditioned_class_totals,
     conditioned_counts,
     simulate_run,
@@ -61,6 +59,8 @@ MC_COLUMNS = (
     "mc_seed",
 )
 INT_COLUMNS = {"n_states", "mc_n_pulses", "mc_seed"}
+# tallies are int64 counts
+_MAX_PULSES = int(np.iinfo(np.int64).max)
 
 FIGURE_COLUMNS = {
     "fig3a": ("alpha_sq", "visibility_unconditioned", "visibility_d0_silent", "visibility_conditioned"),
@@ -95,8 +95,8 @@ class SweepSpec:
         object.__setattr__(self, "n_states_list", tuple(int(n) for n in self.n_states_list))
         if len(self.alpha_sq_grid) == 0:
             raise ConfigError("alpha_sq_grid must be non-empty")
-        if any(a < 0.0 for a in self.alpha_sq_grid):
-            raise ConfigError("alpha_sq values must be >= 0")
+        if not all(math.isfinite(a) and a >= 0.0 for a in self.alpha_sq_grid):
+            raise ConfigError("alpha_sq values must be finite and >= 0")
         if list(self.alpha_sq_grid) != sorted(set(self.alpha_sq_grid)):
             raise ConfigError("alpha_sq values must be distinct and sorted")
         if len(self.n_states_list) == 0:
@@ -107,10 +107,24 @@ class SweepSpec:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.output_format not in FORMATS:
             raise ConfigError(f"output_format must be one of {FORMATS}, got {self.output_format!r}")
-        if self.mode != "analytic" and self.n_pulses < 1:
-            raise ConfigError("n_pulses must be >= 1 for a montecarlo sweep")
-        if self.prf <= 0.0:
-            raise ConfigError("prf must be > 0")
+        if self.mode != "analytic" and not (1 <= self.n_pulses <= _MAX_PULSES):
+            raise ConfigError(f"n_pulses must lie in [1, {_MAX_PULSES}] for a montecarlo sweep")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if not (0.0 < self.comparison_reflectivity < 1.0):
+            raise ConfigError(
+                f"comparison_reflectivity must lie in (0, 1), got {self.comparison_reflectivity}"
+            )
+        if not (0.0 < self.subtraction_transmission <= 1.0):
+            raise ConfigError(
+                f"subtraction_transmission must lie in (0, 1], got {self.subtraction_transmission}"
+            )
+        if self.epsilon is not None and not (0.0 <= self.epsilon < 1.0):
+            raise ConfigError(f"epsilon must be auto or lie in [0, 1), got {self.epsilon}")
+        if self.phase_points < 8:
+            raise ConfigError(f"phase_points must be >= 8, got {self.phase_points}")
+        if not (math.isfinite(self.prf) and self.prf > 0.0):
+            raise ConfigError(f"prf must be finite and > 0, got {self.prf}")
 
     def wants_montecarlo(self) -> bool:
         return self.mode in ("montecarlo", "both")
@@ -138,22 +152,6 @@ def _point_seed(master_seed: int, point_index: int) -> int:
     return int(state.generate_state(1, np.uint64)[0])
 
 
-def _analysis_for(spec: SweepSpec, cfg) -> AnalysisConfig:
-    det = spec.detectors.da
-    reference = cfg.target_amplitude(0)
-    eps = spec.epsilon
-    if eps is None:
-        eps = params.epsilon_from_visibility(
-            reference.mean_photon_number(), det.eta_l(), params.OUTER_VISIBILITY
-        )
-    return AnalysisConfig(
-        reference_amplitude=reference,
-        epsilon=eps,
-        detector=det,
-        phase_points=spec.phase_points,
-    )
-
-
 def _analytic_row(spec: SweepSpec, n_states: int, alpha_sq: float) -> dict:
     cfg = params.default_amplifier(
         alpha_sq,
@@ -163,7 +161,9 @@ def _analytic_row(spec: SweepSpec, n_states: int, alpha_sq: float) -> dict:
     )
     d0, d1 = spec.detectors.d0, spec.detectors.d1
     fom = figures_of_merit(cfg, d0, d1)
-    analysis_cfg = _analysis_for(spec, cfg)
+    analysis_cfg = params.default_analysis(
+        cfg, detector=spec.detectors.da, epsilon=spec.epsilon, phase_points=spec.phase_points
+    )
     row = {
         "n_states": n_states,
         "alpha_sq": alpha_sq,
@@ -189,7 +189,9 @@ def _montecarlo_columns(spec: SweepSpec, n_states: int, alpha_sq: float, seed: i
         comparison_reflectivity=spec.comparison_reflectivity,
         subtraction_transmission=spec.subtraction_transmission,
     )
-    analysis_cfg = _analysis_for(spec, cfg)
+    analysis_cfg = params.default_analysis(
+        cfg, detector=spec.detectors.da, epsilon=spec.epsilon, phase_points=spec.phase_points
+    )
     run = RunSpec(
         amplifier=cfg,
         detectors=spec.detectors,
@@ -399,18 +401,3 @@ def read_count_table(path: str) -> CountTable:
         raise ValueError(f"count table CSV in {path!r} has mismatched header and row")
     return CountTable.from_dict(dict(zip(header, values)))
 
-
-def tally_to_dict(t: TallyTable) -> dict:
-    return {
-        "phases": list(t.phases),
-        "n_states": t.n_states,
-        "counts": t.counts.tolist(),
-    }
-
-
-def tally_from_dict(d: dict) -> TallyTable:
-    return TallyTable(
-        counts=np.asarray(d["counts"], dtype=np.int64),
-        phases=tuple(d["phases"]),
-        n_states=int(d["n_states"]),
-    )

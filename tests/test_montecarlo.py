@@ -1,4 +1,6 @@
 import math
+import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from scamp.analysis import (
 from scamp.coherent import CoherentAmplitude
 from scamp.detectors import DetectorModel, click_probability
 from scamp.montecarlo import (
+    DEFAULT_CHUNK_SIZE,
     DetectorBank,
     RunSpec,
     TallyTable,
@@ -28,6 +31,19 @@ from scamp.montecarlo import (
 from scamp import params
 
 IDEAL = DetectorModel.ideal()
+
+
+def pulse_oracle(spec, chunk_size=DEFAULT_CHUNK_SIZE):
+    """Pulse-by-pulse tally: every chunk of simulate_chunk, merged in order."""
+    total = TallyTable.empty(spec.phase_schedule, spec.amplifier.n_states())
+    for c in range((spec.n_pulses + chunk_size - 1) // chunk_size):
+        total = total.merged(simulate_chunk(spec, c, chunk_size))
+    return total
+
+
+def cyclic_split(n_pulses, n_phases):
+    """Pulses per phase bin when pulse i goes to bin i mod n_phases."""
+    return np.bincount(np.arange(n_pulses) % n_phases, minlength=n_phases)
 
 
 def make_spec(alpha_sq, n_states, n_pulses, seed, detector=None, phase_schedule=(0.0,), epsilon=0.0):
@@ -78,18 +94,70 @@ class TestDeterminism:
         assert np.array_equal(single.counts, quad.counts)
 
     def test_chunked_merge_matches_one_shot(self):
+        # the pulse-level oracle: chunk tallies merge to the same table in any order
         spec = make_spec(0.3, 4, 150_000, 7)
         chunk_size = 1 << 14
         total = TallyTable.empty(spec.phase_schedule, spec.amplifier.n_states())
         n_chunks = (spec.n_pulses + chunk_size - 1) // chunk_size
-        for c in range(n_chunks):
+        for c in reversed(range(n_chunks)):
             total = total.merged(simulate_chunk(spec, c, chunk_size))
-        one_shot = simulate_run(spec, chunk_size=chunk_size)
+        one_shot = pulse_oracle(spec, chunk_size)
         assert np.array_equal(total.counts, one_shot.counts)
+        assert one_shot.n_pulses == spec.n_pulses
 
     def test_counts_sum_to_pulses(self):
         spec = make_spec(0.5, 8, 123_457, 3)
         assert simulate_run(spec).n_pulses == 123_457
+
+    def test_billion_pulse_run_is_exact_and_fast(self):
+        # the draw costs O(cells), not O(pulses); pulse by pulse this is minutes
+        spec = make_spec(0.5, 8, 1_000_000_000, 11, phase_schedule=phase_scan(256))
+        started = time.perf_counter()
+        tally = simulate_run(spec)
+        elapsed = time.perf_counter() - started
+        assert tally.n_pulses == 1_000_000_000
+        assert np.array_equal(tally.counts.sum(axis=(1, 2, 3)), np.full(256, 3_906_250))
+        assert elapsed < 5.0
+
+
+class TestSamplerAgreement:
+    """The per-bin multinomial draw against the pulse-by-pulse oracle."""
+
+    @pytest.mark.parametrize(
+        "n_states, alpha_sq, seed, guesses",
+        [(2, 0.94, 101, None), (4, 0.5, 202, None), (4, 0.5, 303, (0.4, 0.3, 0.2, 0.1))],
+    )
+    def test_chi_square_cell_by_cell(self, n_states, alpha_sq, seed, guesses):
+        phases = (0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi)
+        spec = make_spec(alpha_sq, n_states, 400_000, seed, phase_schedule=phases)
+        if guesses is not None:
+            spec = replace(spec, amplifier=replace(spec.amplifier, guess_distribution=guesses))
+        fast = simulate_run(spec).counts.reshape(len(phases), -1)
+        slow = pulse_oracle(spec).counts.reshape(len(phases), -1)
+        # two-sample homogeneity test; both tallies have the same per-bin
+        # totals, so each bin loses one degree of freedom
+        stat = 0.0
+        dof = 0
+        for a, b in zip(fast, slow):
+            expected = 0.5 * (a + b)
+            big = expected >= 5.0
+            groups = [(int(x), int(y)) for x, y in zip(a[big], b[big])]
+            pooled = (int(a[~big].sum()), int(b[~big].sum()))
+            if sum(pooled) > 0:
+                groups.append(pooled)
+            stat += sum((x - y) ** 2 / (x + y) for x, y in groups)
+            dof += len(groups) - 1
+        assert dof >= 8
+        # five standard deviations of a chi-square with dof degrees of freedom
+        assert stat < dof + 5.0 * math.sqrt(2.0 * dof), f"chi2 = {stat:.1f} on {dof} dof"
+
+    def test_per_bin_totals_follow_the_cyclic_split(self):
+        for n_pulses, n_phases in ((3, 4), (100_001, 4), (1_000, 7), (65_537, 16)):
+            phases = tuple(float(j) for j in range(n_phases))
+            tally = simulate_run(make_spec(0.5, 2, n_pulses, 9, phase_schedule=phases))
+            assert np.array_equal(tally.counts.sum(axis=(1, 2, 3)), cyclic_split(n_pulses, n_phases))
+            oracle = pulse_oracle(make_spec(0.5, 2, n_pulses, 9, phase_schedule=phases))
+            assert np.array_equal(oracle.counts.sum(axis=(1, 2, 3)), cyclic_split(n_pulses, n_phases))
 
 
 class TestConditionedProjections:

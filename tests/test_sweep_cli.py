@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import scamp.cli as cli
 from scamp.analysis import CountTable
@@ -55,6 +56,32 @@ class TestSweepSpecValidation:
 
     def test_analytic_mode_ignores_n_pulses(self):
         SweepSpec(alpha_sq_grid=(0.1,), n_states_list=(2,), mode="analytic", n_pulses=0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.5])
+    def test_rejects_non_finite_or_negative_alpha_sq(self, bad):
+        with pytest.raises(ConfigError):
+            SweepSpec(alpha_sq_grid=(bad,), n_states_list=(2,))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_bad_prf(self, bad):
+        with pytest.raises(ConfigError):
+            SweepSpec(alpha_sq_grid=(0.5,), n_states_list=(2,), prf=bad)
+
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            ("seed", -1),
+            ("epsilon", math.nan),
+            ("epsilon", 1.0),
+            ("phase_points", 7),
+            ("comparison_reflectivity", 1.0),
+            ("subtraction_transmission", math.nan),
+            ("n_pulses", 1 << 63),
+        ],
+    )
+    def test_rejects_out_of_range_fields(self, field, bad):
+        with pytest.raises(ConfigError):
+            SweepSpec(alpha_sq_grid=(0.5,), n_states_list=(2,), mode="both", **{field: bad})
 
 
 class TestRunSweep:
@@ -111,6 +138,39 @@ class TestRunSweep:
             alpha_sq_grid=(0.5,), n_states_list=(2,), mode="montecarlo", n_pulses=150_000, seed=5
         )
         assert run_sweep(spec, workers=1).rows == run_sweep(spec, workers=3).rows
+
+
+class TestMonteCarloErrorBars:
+    """Reported standard errors against the scatter over an ensemble of seeds."""
+
+    N_SEEDS = 200
+
+    @pytest.mark.parametrize("n_states, alpha_sq", [(2, 0.94), (4, 0.5)])
+    def test_seed_scatter_matches_reported_se(self, n_states, alpha_sq):
+        rows = [
+            run_sweep(
+                SweepSpec(
+                    alpha_sq_grid=(alpha_sq,),
+                    n_states_list=(n_states,),
+                    mode="montecarlo",
+                    n_pulses=1_000_000,
+                    seed=seed,
+                )
+            ).rows[0]
+            for seed in range(self.N_SEEDS)
+        ]
+        # (k-1) s^2 / se^2 is chi-square with k-1 degrees of freedom; bound it
+        # at four standard normal deviates by the Wilson-Hilferty approximation
+        k = self.N_SEEDS - 1
+        lo, hi = (
+            math.sqrt((1.0 - 2.0 / (9 * k) + z * math.sqrt(2.0 / (9 * k))) ** 3)
+            for z in (-4.0, 4.0)
+        )
+        for column in ("mc_success_probability", "mc_correct_state_fraction"):
+            values = np.array([r[column] for r in rows])
+            se = np.mean([r[column + "_se"] for r in rows])
+            ratio = values.std(ddof=1) / se
+            assert lo < ratio < hi, f"{column}: scatter / SE = {ratio:.3f}, band ({lo:.3f}, {hi:.3f})"
 
 
 class TestSerialization:
@@ -230,6 +290,13 @@ class TestCli:
         config.write_text("[detector.dx]\nefficiency = 0.4\n")
         assert run_cli(["sweep", "--config", str(config)]) == 2
 
+    @pytest.mark.parametrize("text", ["[sweep]\nseed = 1\nseed = 2\n", "seed = 1\n", "[sweep\n"])
+    def test_sweep_rejects_malformed_config_file(self, tmp_path, capsys, text):
+        config = tmp_path / "bad.ini"
+        config.write_text(text)
+        assert run_cli(["sweep", "--config", str(config)]) == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_sweep_rejects_missing_config_file(self, capsys):
         assert run_cli(["sweep", "--config", "/no/such/file.ini"]) == 2
 
@@ -238,6 +305,19 @@ class TestCli:
         assert run_cli(["sweep", "--mode", "analytic"]) == 2
         monkeypatch.setenv("SCAMP_WORKERS", "2")
         assert run_cli(["sweep", "--mode", "analytic"]) == 0
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_sweep_worker_flag_validated(self, workers, capsys):
+        args = ["sweep", "--mode", "montecarlo", "--workers", workers]
+        assert run_cli(args) == 2
+        assert "--workers must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lines", ["alpha_sq = nan", "alpha_sq = 0.5\nprf = nan"])
+    def test_sweep_rejects_nan_config_values(self, tmp_path, capsys, lines):
+        config = tmp_path / "nan.ini"
+        config.write_text(f"[sweep]\nn_states = 2\n{lines}\n")
+        assert run_cli(["sweep", "--config", str(config)]) == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_figure_writes_parseable_csv(self, tmp_path):
         out = str(tmp_path / "fig.csv")
@@ -318,3 +398,66 @@ class TestCli:
         path = tmp_path / "garbage.json"
         path.write_text("{not json")
         assert run_cli(["estimate", "--counts", str(path), "--g2a2", "0.9"]) == 2
+
+
+_floats = st.floats(allow_nan=True, allow_infinity=True).map(repr)
+_ints = st.integers(min_value=-3, max_value=1 << 64).map(str)
+_junk = st.sampled_from(["", "abc", "1e", "0x10", "auto"])
+_grid_sizes = st.integers(-1, 3)
+# a valid base config; each example overrides up to three of its values.
+# Sizes stay bounded: the grid, n_states and phase_points set a point's work.
+_BASE_CONFIG = {
+    ("sweep", "alpha_sq"): "0.5",
+    ("sweep", "n_states"): "2",
+    ("sweep", "n_pulses"): "1000",
+}
+_FUZZ_VALUES = {
+    ("sweep", "alpha_sq"): st.one_of(
+        st.lists(_floats, min_size=1, max_size=3).map(",".join),
+        st.tuples(_floats, _floats, _grid_sizes).map(lambda t: f"{t[0]}:{t[1]}:{t[2]}"),
+        _junk,
+    ),
+    ("sweep", "n_states"): st.one_of(st.integers(-1, 8).map(str), _junk),
+    ("sweep", "mode"): st.sampled_from(["analytic", "montecarlo", "both", "exact"]),
+    ("sweep", "n_pulses"): st.one_of(_ints, _floats, _junk),
+    ("sweep", "seed"): st.one_of(_ints, _junk),
+    ("sweep", "prf"): st.one_of(_floats, _junk),
+    ("sweep", "epsilon"): st.one_of(_floats, _junk),
+    ("sweep", "phase_points"): st.one_of(st.integers(-2, 64).map(str), _junk),
+    ("amplifier", "comparison_reflectivity"): st.one_of(_floats, _junk),
+    ("amplifier", "subtraction_transmission"): st.one_of(_floats, _junk),
+}
+_overrides = st.lists(st.sampled_from(sorted(_FUZZ_VALUES)), max_size=3, unique=True).flatmap(
+    lambda keys: st.fixed_dictionaries({k: _FUZZ_VALUES[k] for k in keys})
+)
+
+
+@settings(
+    max_examples=150,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    overrides=_overrides,
+    mode=st.sampled_from([None, "montecarlo", "both"]),
+    workers=st.one_of(st.none(), st.integers(-3, 4)),
+)
+@example(overrides={("sweep", "alpha_sq"): "nan"}, mode=None, workers=None)
+@example(overrides={("sweep", "prf"): "nan"}, mode=None, workers=None)
+@example(overrides={}, mode="montecarlo", workers=0)
+def test_sweep_exit_code_is_documented(tmp_path, capsys, overrides, mode, workers):
+    values = {**_BASE_CONFIG, **overrides}
+    text = ""
+    for section in ("sweep", "amplifier"):
+        text += f"[{section}]\n"
+        text += "".join(f"{k} = {v}\n" for (s, k), v in values.items() if s == section)
+    config = tmp_path / "fuzz.ini"
+    config.write_text(text)
+    args = ["sweep", "--config", str(config)]
+    if mode is not None:
+        args += ["--mode", mode]
+    if workers is not None:
+        args += ["--workers", str(workers)]
+    assert run_cli(args) in (0, 2, 3)
+    capsys.readouterr()
