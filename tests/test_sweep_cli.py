@@ -403,7 +403,6 @@ class TestCli:
 _floats = st.floats(allow_nan=True, allow_infinity=True).map(repr)
 _ints = st.integers(min_value=-3, max_value=1 << 64).map(str)
 _junk = st.sampled_from(["", "abc", "1e", "0x10", "auto"])
-_grid_sizes = st.integers(-1, 3)
 # a valid base config; each example overrides up to three of its values.
 # Sizes stay bounded: the grid, n_states and phase_points set a point's work.
 _BASE_CONFIG = {
@@ -414,7 +413,7 @@ _BASE_CONFIG = {
 _FUZZ_VALUES = {
     ("sweep", "alpha_sq"): st.one_of(
         st.lists(_floats, min_size=1, max_size=3).map(",".join),
-        st.tuples(_floats, _floats, _grid_sizes).map(lambda t: f"{t[0]}:{t[1]}:{t[2]}"),
+        st.tuples(_floats, _floats, st.integers(-1, 3)).map(lambda t: f"{t[0]}:{t[1]}:{t[2]}"),
         _junk,
     ),
     ("sweep", "n_states"): st.one_of(st.integers(-1, 8).map(str), _junk),
