@@ -2,16 +2,15 @@
 """Walk through the amplifier branch by branch.
 
 Builds the 50/50-comparison, 90:10-subtraction device for the four-state
-input set, prints every (input, guess) branch with its detector amplitudes
-and acceptance weight, and shows how heralding on "comparison detector
+input set, prints every (input, guess) branch of its branch table with the
+detector mean photon numbers and acceptance weight, and shows how heralding on "comparison detector
 silent AND subtraction detector fires" cleans the output state.
 """
 
 from scamp import (
     Conditioning,
     DetectorModel,
-    acceptance_weight,
-    enumerate_branches,
+    branch_table,
     figures_of_merit,
     mixture_fidelity,
     output_mixture,
@@ -34,14 +33,15 @@ def main():
 
     print("branches for input state m = 0 (realistic detectors):")
     print(f"{'guess':>5} {'|d0|^2':>9} {'|d1|^2':>9} {'|out|^2':>9} {'accept w':>12}")
-    for b in enumerate_branches(cfg, 0):
-        w = acceptance_weight(b, det, det)
+    table = branch_table(cfg, det, det)
+    accepted = table.weights[Conditioning.D0_SILENT_D1_FIRES][0]
+    for k in range(N_STATES):
         print(
-            f"{b.guess_index:>5}"
-            f" {b.d0_amplitude.mean_photon_number():>9.4f}"
-            f" {b.d1_amplitude.mean_photon_number():>9.4f}"
-            f" {b.output_amplitude.mean_photon_number():>9.4f}"
-            f" {w:>12.6f}"
+            f"{k:>5}"
+            f" {table.d0_mean[0][k]:>9.4f}"
+            f" {table.d1_mean[0][k]:>9.4f}"
+            f" {abs(table.output[0][k]) ** 2:>9.4f}"
+            f" {accepted[k]:>12.6f}"
         )
     print("(a correct guess sends nothing to the comparison port;"
           " the opposite guess sends nothing onward)")

@@ -18,17 +18,15 @@ from .coherent import (
     mixture_fidelity,
     overlap_sq,
 )
-from .detectors import DetectorModel, click_probability, dark_prob_from_rate, sample_click
+from .detectors import DetectorModel, click_probability, dark_prob_from_rate
 from .amplifier import (
     AmplifierConfig,
-    BranchOutcome,
+    BranchTable,
     Conditioning,
     FiguresOfMerit,
     StateSet,
-    acceptance_weight,
-    enumerate_branches,
+    branch_table,
     figures_of_merit,
-    nominal_gain,
     output_mixture,
     success_probability,
     success_rate,
@@ -72,7 +70,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AmplifierConfig",
     "AnalysisConfig",
-    "BranchOutcome",
+    "BranchTable",
     "CoherentAmplitude",
     "ConfigError",
     "Conditioning",
@@ -91,8 +89,8 @@ __all__ = [
     "SweepSpec",
     "TallyTable",
     "VACUUM",
-    "acceptance_weight",
     "beamsplitter",
+    "branch_table",
     "click_probability",
     "conditioned_class_totals",
     "conditioned_counts",
@@ -100,7 +98,6 @@ __all__ = [
     "counts_by_offset",
     "dark_prob_from_rate",
     "detector_marginals",
-    "enumerate_branches",
     "estimate_class_pulse_numbers",
     "estimate_fidelity",
     "estimate_pulse_numbers",
@@ -108,7 +105,6 @@ __all__ = [
     "figures_of_merit",
     "mc_visibility",
     "mixture_fidelity",
-    "nominal_gain",
     "output_mixture",
     "overlap_sq",
     "params",
@@ -117,7 +113,6 @@ __all__ = [
     "reproduce_figure",
     "run_estimator",
     "run_sweep",
-    "sample_click",
     "simulate_run",
     "standard_error",
     "success_probability",

@@ -9,6 +9,10 @@ transmitting beamsplitter (t2, r2) taps a small fraction to detector D1
 fires; acceptance both vetoes wrong guesses (via D0) and favors the
 brighter retained field of correct guesses (via D1).  The nominal amplitude
 gain of an accepted pulse is t2/r1.
+
+Every figure below, and the Monte Carlo, reads one :class:`BranchTable` of
+the N^2 (input, guess) branches.  It is built with scalar Python arithmetic
+(math.exp, math.fsum), so its numbers do not depend on vectorized math paths.
 """
 
 from __future__ import annotations
@@ -17,8 +21,8 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .coherent import CoherentAmplitude, Mixture, mixture_fidelity
-from .detectors import DetectorModel, click_probability
+from .coherent import CoherentAmplitude, Mixture
+from .detectors import DetectorModel, click_probabilities
 from .errors import NeverHeraldedError
 
 UNITARITY_TOL = 1e-12
@@ -118,85 +122,113 @@ class AmplifierConfig:
     def nominal_gain(self) -> float:
         return self.subtraction_t2 / self.comparison_r1
 
-    def guess_amplitude(self, k: int) -> CoherentAmplitude:
-        return self.input_set.state(k).scaled(self.comparison_t1 / self.comparison_r1)
-
     def target_amplitude(self, m: int) -> CoherentAmplitude:
         """Ideal amplified output for input m."""
         return self.input_set.state(m).scaled(self.nominal_gain())
 
 
 @dataclass(frozen=True)
-class BranchOutcome:
-    """Amplitudes and prior of one (input, guess) branch of the device."""
-
-    input_index: int
-    guess_index: int
-    d0_amplitude: CoherentAmplitude
-    d1_amplitude: CoherentAmplitude
-    output_amplitude: CoherentAmplitude
-    prior_probability: float
+class FiguresOfMerit:
+    fidelity: float
+    correct_state_fraction: float
+    success_probability: float
 
 
-def nominal_gain(cfg: AmplifierConfig) -> float:
-    """Nominal amplitude gain t2/r1 of an accepted pulse."""
-    return cfg.nominal_gain()
+@dataclass(frozen=True)
+class BranchTable:
+    """Every (input m, guess k) branch of one device behind detectors D0/D1.
+
+    Branch fields are lists indexed [m][k]: D0/D1 mean photon numbers and
+    click probabilities, complex output amplitudes, and per conditioning the
+    probability that guess k is drawn and passes, given input m.
+    """
+
+    prior: tuple[float, ...]
+    target: list[complex]  # ideal output t2/r1 * input m
+    output: list[list[complex]]
+    d0_mean: list[list[float]]
+    d1_mean: list[list[float]]
+    d0_click: list[list[float]]
+    d1_click: list[list[float]]
+    weights: dict[Conditioning, list[list[float]]]
+
+    def accepted(
+        self, m: int, conditioning: Conditioning = Conditioning.D0_SILENT_D1_FIRES
+    ) -> tuple[float, list[float]]:
+        """Acceptance probability of input m and the normalized weights of its outputs."""
+        weights = self.weights[conditioning][m]
+        total = math.fsum(weights)
+        if total <= 0.0:
+            raise NeverHeraldedError(
+                f"no branch of input {m} can pass conditioning {conditioning.value}"
+            )
+        return total, [w / total for w in weights]
+
+    def figures_of_merit(
+        self, conditioning: Conditioning = Conditioning.D0_SILENT_D1_FIRES
+    ) -> FiguresOfMerit:
+        """See :func:`figures_of_merit`."""
+        fidelity_sum = fraction_sum = success_sum = 0.0
+        for m, (outputs, target) in enumerate(zip(self.output, self.target)):
+            total, weights = self.accepted(m, conditioning)
+            fidelity_sum += math.fsum(w * _overlap_sq(z, target) for w, z in zip(weights, outputs))
+            fraction_sum += weights[m]
+            success_sum += total
+        n = len(self.target)
+        return FiguresOfMerit(fidelity_sum / n, fraction_sum / n, success_sum / n)
 
 
-def enumerate_branches(cfg: AmplifierConfig, input_index: int) -> list[BranchOutcome]:
-    """All N guess branches for one input state.
+def _overlap_sq(a: complex, b: complex) -> float:
+    """coherent.overlap_sq of two complex amplitudes."""
+    dr = a.real - b.real
+    di = a.imag - b.imag
+    return math.exp(-(dr * dr + di * di))
 
-    The comparison-port amplitudes follow the fixed beamsplitter convention
-    (monitor = t1*input - r1*guess, retained = r1*input + t1*guess) with the
-    guess scaled so a correct guess nulls the monitor port; that branch is
-    evaluated in closed form to keep the null and the gain law exact.
+
+def branch_table(cfg: AmplifierConfig, det0: DetectorModel, det1: DetectorModel) -> BranchTable:
+    """All N^2 (input, guess) branches of the device, each derived once.
+
+    Monitor = t1*input - r1*guess and retained = r1*input + t1*guess, with the
+    guess scaled by t1/r1 so a correct guess nulls the monitor port; that
+    branch is evaluated in closed form to keep the null and the gain law exact.
     """
     n = cfg.n_states()
-    if not (0 <= input_index < n):
-        raise IndexError(f"input index {input_index} out of range for {n} states")
     r1, t1 = cfg.comparison_r1, cfg.comparison_t1
     r2, t2 = cfg.subtraction_r2, cfg.subtraction_t2
-    z_in = cfg.input_set.state(input_index).to_complex()
-    branches = []
-    for k in range(n):
-        if k == input_index:
-            d0 = CoherentAmplitude(0.0, 0.0)
-            retained = CoherentAmplitude.from_complex(z_in / r1)
-            output = cfg.target_amplitude(input_index)
-        else:
-            # guess amplitude is (t1/r1) * member, so the splitter output
-            # simplifies to d0 = t1*(in - member), retained = r1*in + (t1^2/r1)*member
-            z_member = cfg.input_set.state(k).to_complex()
-            d0 = CoherentAmplitude.from_complex(t1 * (z_in - z_member))
-            retained = CoherentAmplitude.from_complex(r1 * z_in + (t1 * t1 / r1) * z_member)
-            output = retained.scaled(t2)
-        branches.append(
-            BranchOutcome(
-                input_index=input_index,
-                guess_index=k,
-                d0_amplitude=d0,
-                d1_amplitude=retained.scaled(r2),
-                output_amplitude=output,
-                prior_probability=cfg.guess_distribution[k],
-            )
-        )
-    return branches
-
-
-def acceptance_weight(
-    b: BranchOutcome,
-    det0: DetectorModel,
-    det1: DetectorModel,
-    conditioning: Conditioning = Conditioning.D0_SILENT_D1_FIRES,
-) -> float:
-    """Joint probability that this branch occurs and passes the conditioning."""
-    w = b.prior_probability
-    if conditioning is Conditioning.NONE:
-        return w
-    w *= 1.0 - click_probability(b.d0_amplitude.mean_photon_number(), det0)
-    if conditioning is Conditioning.D0_SILENT:
-        return w
-    return w * click_probability(b.d1_amplitude.mean_photon_number(), det1)
+    states = [cfg.input_set.state(m) for m in range(n)]
+    gain = cfg.nominal_gain()
+    target = [complex(gain * s.re, gain * s.im) for s in states]
+    members = [s.to_complex() for s in states]
+    # guess = (t1/r1)*member: d0 = t1*(in - member), retained = r1*in + (t1^2/r1)*member
+    input_part = [r1 * z for z in members]
+    guess_part = [(t1 * t1 / r1) * z for z in members]
+    output, d0_mean, d1_mean = ([[0.0] * n for _ in range(n)] for _ in range(3))
+    for m, z_in in enumerate(members):
+        for k, z_member in enumerate(members):
+            if k == m:
+                n0 = 0.0
+                retained = z_in / r1
+                out = target[m]
+            else:
+                d0 = t1 * (z_in - z_member)
+                n0 = d0.real * d0.real + d0.imag * d0.imag
+                retained = input_part[m] + guess_part[k]
+                out = complex(t2 * retained.real, t2 * retained.imag)
+            tap_re, tap_im = r2 * retained.real, r2 * retained.imag
+            output[m][k] = out
+            d0_mean[m][k] = n0
+            d1_mean[m][k] = tap_re * tap_re + tap_im * tap_im
+    d0_click = [click_probabilities(row, det0) for row in d0_mean]
+    d1_click = [click_probabilities(row, det1) for row in d1_mean]
+    prior = cfg.guess_distribution
+    silent = [[q * (1.0 - p0) for q, p0 in zip(prior, row)] for row in d0_click]
+    return BranchTable(prior, target, output, d0_mean, d1_mean, d0_click, d1_click, {
+        Conditioning.NONE: [list(prior) for _ in range(n)],
+        Conditioning.D0_SILENT: silent,
+        Conditioning.D0_SILENT_D1_FIRES: [
+            [w * p1 for w, p1 in zip(ws, row)] for ws, row in zip(silent, d1_click)
+        ],
+    })
 
 
 def output_mixture(
@@ -211,24 +243,14 @@ def output_mixture(
     Components with exactly zero acceptance weight are dropped (e.g. the dead
     wrong branch of the two-state set under ideal detectors).
     """
-    branches = enumerate_branches(cfg, input_index)
-    weights = [acceptance_weight(b, det0, det1, conditioning) for b in branches]
-    total = math.fsum(weights)
-    if total <= 0.0:
-        raise NeverHeraldedError(
-            f"no branch of input {input_index} can pass conditioning {conditioning.value}"
-        )
-    components = tuple(
-        (w / total, b.output_amplitude) for w, b in zip(weights, branches) if w > 0.0
+    if not (0 <= input_index < cfg.n_states()):
+        raise IndexError(f"input index {input_index} out of range for {cfg.n_states()} states")
+    table = branch_table(cfg, det0, det1)
+    _, weights = table.accepted(input_index, conditioning)
+    outputs = table.output[input_index]
+    return Mixture(
+        tuple((w, CoherentAmplitude(z.real, z.imag)) for w, z in zip(weights, outputs) if w > 0.0)
     )
-    return Mixture(components)
-
-
-@dataclass(frozen=True)
-class FiguresOfMerit:
-    fidelity: float
-    correct_state_fraction: float
-    success_probability: float
 
 
 def figures_of_merit(
@@ -245,28 +267,7 @@ def figures_of_merit(
     guess == input branch.  success_probability: total acceptance
     probability per pulse (before normalization).
     """
-    n = cfg.n_states()
-    fidelity_sum = 0.0
-    fraction_sum = 0.0
-    success_sum = 0.0
-    for m in range(n):
-        branches = enumerate_branches(cfg, m)
-        weights = [acceptance_weight(b, det0, det1, conditioning) for b in branches]
-        total = math.fsum(weights)
-        if total <= 0.0:
-            raise NeverHeraldedError(
-                f"no branch of input {m} can pass conditioning {conditioning.value}"
-            )
-        target = cfg.target_amplitude(m)
-        mixture = Mixture(tuple((w / total, b.output_amplitude) for w, b in zip(weights, branches)))
-        fidelity_sum += mixture_fidelity(mixture, target)
-        fraction_sum += weights[m] / total
-        success_sum += total
-    return FiguresOfMerit(
-        fidelity=fidelity_sum / n,
-        correct_state_fraction=fraction_sum / n,
-        success_probability=success_sum / n,
-    )
+    return branch_table(cfg, det0, det1).figures_of_merit(conditioning)
 
 
 def success_probability(
@@ -280,12 +281,11 @@ def success_probability(
     Well defined even when no branch can herald (returns 0), unlike the
     conditioned output state itself.
     """
-    n = cfg.n_states()
     total = 0.0
-    for m in range(n):
-        for b in enumerate_branches(cfg, m):
-            total += acceptance_weight(b, det0, det1, conditioning)
-    return total / n
+    for row in branch_table(cfg, det0, det1).weights[conditioning]:
+        for w in row:
+            total += w
+    return total / cfg.n_states()
 
 
 def success_rate(

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coherent import CoherentAmplitude, Mixture
-from .detectors import DetectorModel
+from .detectors import DetectorModel, click_curve, click_probability
 from .errors import InsufficientSignalError, InvalidEpsilonError
 
 EXPONENT_GUARD = 1e-12
@@ -111,7 +111,7 @@ def count_probabilities(output: CoherentAmplitude, cfg: AnalysisConfig) -> Count
     imperfection epsilon: the B-click marginal equals epsilon and the
     A-click marginal is 1 - (1 + eps)*exp(-2*eta*l*g2a2).  Any other output
     (including vacuum) is treated physically: the two ports see independent
-    coherent fields (output +/- reference)/sqrt(2).
+    coherent fields (output +/- reference)/sqrt(2), clicking by the detector law.
     """
     eta_l = cfg.detector.eta_l()
     z_out = output.to_complex()
@@ -128,8 +128,8 @@ def count_probabilities(output: CoherentAmplitude, cfg: AnalysisConfig) -> Count
     else:
         n_a = 0.5 * abs(z_out + z_ref) ** 2
         n_b = 0.5 * abs(z_out - z_ref) ** 2
-        pa = 1.0 - math.exp(-eta_l * n_a)
-        pb = 1.0 - math.exp(-eta_l * n_b)
+        pa = click_probability(n_a, cfg.detector)
+        pb = click_probability(n_b, cfg.detector)
         p10 = pa * (1.0 - pb)
         p01 = pb * (1.0 - pa)
         p11 = pa * pb
@@ -147,19 +147,41 @@ def visibility(m: Mixture, cfg: AnalysisConfig) -> float:
     """
     if not m.is_normalized():
         raise ValueError("mixture must be normalized")
-    phases = np.linspace(0.0, 2.0 * np.pi, cfg.phase_points, endpoint=False)
-    z_ref = cfg.reference_amplitude.to_complex() * np.exp(1j * phases)
-    p_a = np.zeros_like(phases)
-    eta_l = cfg.detector.eta_l()
-    dark = cfg.detector.dark_prob_per_gate
-    for w, a in m.components:
-        n_a = 0.5 * np.abs(a.to_complex() + z_ref) ** 2
-        p_a += w * (1.0 - (1.0 - dark) * np.exp(-eta_l * n_a))
-    hi = float(p_a.max())
-    lo = float(p_a.min())
-    if hi <= 0.0:
-        return 0.0
-    return (hi - lo) / (hi + lo)
+    return visibilities([a.to_complex() for a in m.amplitudes()], [m.weights()], cfg)[0]
+
+
+_scan: tuple[int, np.ndarray | None] = (0, None)
+
+
+def _unit_scan(phase_points: int) -> np.ndarray:
+    """exp(i*phase) on the uniform scan grid, kept for the last size asked for."""
+    global _scan
+    points, scan = _scan
+    if points != phase_points:
+        scan = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, phase_points, endpoint=False))
+        scan.flags.writeable = False
+        _scan = (phase_points, scan)
+    return scan
+
+
+def visibilities(
+    amplitudes: list[complex], weight_sets: list[list[float]], cfg: AnalysisConfig
+) -> list[float]:
+    """:func:`visibility` of several normalized mixtures of the same components.
+
+    ``weight_sets[j][i]`` is the weight of ``amplitudes[i]`` in mixture j.  All
+    mixtures share one reference scan, and each component's click curve is
+    computed once, so memory stays O(phase_points).
+    """
+    z_ref = cfg.reference_amplitude.to_complex() * _unit_scan(cfg.phase_points)
+    p_a = [np.zeros(cfg.phase_points) for _ in weight_sets]
+    for a, weights in zip(amplitudes, zip(*weight_sets)):
+        click = click_curve(0.5 * np.abs(a + z_ref) ** 2, cfg.detector)
+        for acc, w in zip(p_a, weights):
+            if w > 0.0:
+                acc += w * click
+    extrema = [(float(acc.max()), float(acc.min())) for acc in p_a]
+    return [0.0 if hi <= 0.0 else (hi - lo) / (hi + lo) for hi, lo in extrema]
 
 
 def expected_counts(

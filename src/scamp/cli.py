@@ -109,10 +109,9 @@ def load_sweep_config(path: str | None) -> dict:
     kwargs: dict = {}
     if parser.has_section("amplifier"):
         amp = parser["amplifier"]
-        if "comparison_reflectivity" in amp:
-            kwargs["comparison_reflectivity"] = amp.getfloat("comparison_reflectivity")
-        if "subtraction_transmission" in amp:
-            kwargs["subtraction_transmission"] = amp.getfloat("subtraction_transmission")
+        for key in ("comparison_reflectivity", "subtraction_transmission"):
+            if key in amp:
+                kwargs[key] = amp.getfloat(key)
     if any(parser.has_section(section) for section in _DETECTOR_SECTIONS):
         dets = {}
         for section in _DETECTOR_SECTIONS:
@@ -130,17 +129,12 @@ def load_sweep_config(path: str | None) -> dict:
             kwargs["n_states_list"] = tuple(int(n) for n in sweep["n_states"].split(","))
         if "mode" in sweep:
             kwargs["mode"] = sweep["mode"].strip()
-        if "n_pulses" in sweep:
-            kwargs["n_pulses"] = sweep.getint("n_pulses")
-        if "seed" in sweep:
-            kwargs["seed"] = sweep.getint("seed")
-        if "prf" in sweep:
-            kwargs["prf"] = sweep.getfloat("prf")
+        for key, parse in (("n_pulses", int), ("seed", int), ("prf", float), ("phase_points", int)):
+            if key in sweep:
+                kwargs[key] = parse(sweep[key])
         if "epsilon" in sweep:
             raw = sweep["epsilon"].strip()
             kwargs["epsilon"] = None if raw == "auto" else float(raw)
-        if "phase_points" in sweep:
-            kwargs["phase_points"] = sweep.getint("phase_points")
     if parser.has_section("output"):
         out = parser["output"]
         if "path" in out:
@@ -178,18 +172,11 @@ def _emit(dataset: Dataset, path: str | None, output_format: str) -> None:
 def _cmd_sweep(args) -> int:
     try:
         kwargs = load_sweep_config(args.config)
-        if args.mode is not None:
-            kwargs["mode"] = args.mode
-        if args.seed is not None:
-            kwargs["seed"] = args.seed
-        if args.output is not None:
-            kwargs["output_path"] = args.output
-        if args.format is not None:
-            kwargs["output_format"] = args.format
-        if "alpha_sq_grid" not in kwargs:
-            kwargs["alpha_sq_grid"] = params.FIG3_ALPHA_SQ_GRID
-        if "n_states_list" not in kwargs:
-            kwargs["n_states_list"] = (2, 4, 8)
+        overrides = {"mode": args.mode, "seed": args.seed, "output_path": args.output,
+                     "output_format": args.format}
+        kwargs.update((key, value) for key, value in overrides.items() if value is not None)
+        kwargs.setdefault("alpha_sq_grid", params.FIG3_ALPHA_SQ_GRID)
+        kwargs.setdefault("n_states_list", (2, 4, 8))
         spec = SweepSpec(**kwargs)
         workers = _workers(args)
     except (ConfigError, ValueError) as exc:

@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class DetectorModel:
@@ -55,7 +57,19 @@ def click_probability(mean_photons: float, det: DetectorModel) -> float:
     """
     if mean_photons < 0.0:
         raise ValueError(f"mean photon number must be >= 0, got {mean_photons}")
-    return 1.0 - (1.0 - det.dark_prob_per_gate) * math.exp(-det.eta_l() * mean_photons)
+    return click_probabilities([mean_photons], det)[0]
+
+
+def click_probabilities(mean_photons: list[float], det: DetectorModel) -> list[float]:
+    """:func:`click_probability` for many gates, without the range check."""
+    keep = 1.0 - det.dark_prob_per_gate
+    eta_l = det.eta_l()
+    return [1.0 - keep * math.exp(-eta_l * n) for n in mean_photons]
+
+
+def click_curve(mean_photons: np.ndarray, det: DetectorModel) -> np.ndarray:
+    """:func:`click_probability` elementwise, with numpy's exp in place of math.exp."""
+    return 1.0 - (1.0 - det.dark_prob_per_gate) * np.exp(-det.eta_l() * mean_photons)
 
 
 def dark_prob_from_rate(
@@ -81,14 +95,3 @@ def dark_prob_from_rate(
     if not (0.0 <= gate_retention <= 1.0):
         raise ValueError(f"gate retention must lie in [0, 1], got {gate_retention}")
     return min(1.0, background_rate * gate_width * gate_retention)
-
-
-def sample_click(p: float, rng) -> bool:
-    """Draw one Bernoulli click with probability p from a numpy Generator.
-
-    Streams must not be shared between concurrent tasks; give each worker its
-    own Generator derived from the master seed.
-    """
-    if not (0.0 <= p <= 1.0):
-        raise ValueError(f"click probability must lie in [0, 1], got {p}")
-    return bool(rng.random() < p)

@@ -28,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplifier import AmplifierConfig, Conditioning, enumerate_branches
+from .amplifier import AmplifierConfig, Conditioning, branch_table
 from .analysis import AnalysisConfig, CountTable
-from .detectors import DetectorModel
+from .detectors import DetectorModel, click_curve
 
 DEFAULT_CHUNK_SIZE = 1 << 16
 
@@ -132,27 +132,18 @@ class _BranchTables:
     guess_cdf: np.ndarray  # (N,) cumulative guess distribution
 
 
-def _click_array(mean_photons: np.ndarray, det: DetectorModel) -> np.ndarray:
-    return 1.0 - (1.0 - det.dark_prob_per_gate) * np.exp(-det.eta_l() * mean_photons)
-
-
 def branch_tables(spec: RunSpec) -> _BranchTables:
     """Precompute all per-branch click probabilities for a run.
 
-    The analyzer reference for input m is the configured reference rotated
-    by the input phase 2*pi*m/N (the test state is a copy of that pulse's
-    expected amplified state) and by each scheduled scan phase.
+    D0/D1 clicks and outputs come from the amplifier's branch table.  The
+    analyzer reference for input m is the configured reference rotated by the
+    input phase 2*pi*m/N (the test state is a copy of that pulse's expected
+    amplified state) and by each scheduled scan phase.
     """
     cfg = spec.amplifier
     n = cfg.n_states()
-    n_d0 = np.zeros((n, n))
-    n_d1 = np.zeros((n, n))
-    out = np.zeros((n, n), dtype=complex)
-    for m in range(n):
-        for b in enumerate_branches(cfg, m):
-            n_d0[m, b.guess_index] = b.d0_amplitude.mean_photon_number()
-            n_d1[m, b.guess_index] = b.d1_amplitude.mean_photon_number()
-            out[m, b.guess_index] = b.output_amplitude.to_complex()
+    table = branch_table(cfg, spec.detectors.d0, spec.detectors.d1)
+    out = np.array(table.output, dtype=complex)
     z_ref = spec.analysis.reference_amplitude.to_complex()
     input_phases = np.exp(2j * np.pi * np.arange(n) / n)
     scan = np.exp(1j * np.asarray(spec.phase_schedule))
@@ -163,10 +154,10 @@ def branch_tables(spec: RunSpec) -> _BranchTables:
     cdf = np.cumsum(np.asarray(cfg.guess_distribution))
     cdf[-1] = 1.0
     return _BranchTables(
-        p0=_click_array(n_d0, spec.detectors.d0),
-        p1=_click_array(n_d1, spec.detectors.d1),
-        pa=_click_array(n_da, spec.detectors.da),
-        pb=_click_array(n_db, spec.detectors.db),
+        p0=np.array(table.d0_click),
+        p1=np.array(table.d1_click),
+        pa=click_curve(n_da, spec.detectors.da),
+        pb=click_curve(n_db, spec.detectors.db),
         guess_cdf=cdf,
     )
 
@@ -281,6 +272,15 @@ def _class_masks(n: int) -> tuple[np.ndarray, np.ndarray]:
     return correct, ~correct
 
 
+def _analyzer_counts(t: TallyTable, condition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Accepted pulses, and accepted pulses with DA / DB fired, per (input, guess)."""
+    mask = _condition_mask(condition)
+    patterns = np.arange(_N_PATTERNS)
+    a_fired = ((patterns & _BIT_DA) != 0) & mask
+    b_fired = ((patterns & _BIT_DB) != 0) & mask
+    return tuple(t.counts[:, :, :, sel].sum(axis=(0, 3)) for sel in (mask, a_fired, b_fired))
+
+
 def conditioned_counts(t: TallyTable, condition) -> CountTable:
     """Project a tally onto a count table under the requested conditioning.
 
@@ -289,13 +289,8 @@ def conditioned_counts(t: TallyTable, condition) -> CountTable:
     exactly vacuum; for larger sets this is the binary attribution the
     two-class estimator assumes).
     """
-    mask = _condition_mask(condition)
-    patterns = np.arange(_N_PATTERNS)
-    a_fired = ((patterns & _BIT_DA) != 0) & mask
-    b_fired = ((patterns & _BIT_DB) != 0) & mask
+    _, by_branch_a, by_branch_b = _analyzer_counts(t, condition)
     correct, wrong = _class_masks(t.n_states)
-    by_branch_a = t.counts[:, :, :, a_fired].sum(axis=(0, 3))
-    by_branch_b = t.counts[:, :, :, b_fired].sum(axis=(0, 3))
     return CountTable(
         n_A_sig=float(by_branch_a[correct].sum()),
         n_B_sig=float(by_branch_b[correct].sum()),
@@ -318,27 +313,13 @@ def counts_by_offset(t: TallyTable, condition) -> list[tuple[int, int, int]]:
     Offset d = (guess - input) mod N indexes the N possible output classes
     of the symmetric set; feed these to the multi-class pulse estimator.
     """
-    mask = _condition_mask(condition)
-    patterns = np.arange(_N_PATTERNS)
-    a_fired = ((patterns & _BIT_DA) != 0) & mask
-    b_fired = ((patterns & _BIT_DB) != 0) & mask
-    n = t.n_states
-    by_branch_a = t.counts[:, :, :, a_fired].sum(axis=(0, 3))
-    by_branch_b = t.counts[:, :, :, b_fired].sum(axis=(0, 3))
-    by_branch_n = t.counts[:, :, :, mask].sum(axis=(0, 3))
-    records = []
-    m_idx, k_idx = np.indices((n, n))
-    offsets = (k_idx - m_idx) % n
-    for d in range(n):
-        sel = offsets == d
-        records.append(
-            (
-                int(by_branch_a[sel].sum()),
-                int(by_branch_b[sel].sum()),
-                int(by_branch_n[sel].sum()),
-            )
-        )
-    return records
+    by_branch_n, by_branch_a, by_branch_b = _analyzer_counts(t, condition)
+    m_idx, k_idx = np.indices((t.n_states, t.n_states))
+    offsets = (k_idx - m_idx) % t.n_states
+    return [
+        (int(by_branch_a[sel].sum()), int(by_branch_b[sel].sum()), int(by_branch_n[sel].sum()))
+        for sel in (offsets == d for d in range(t.n_states))
+    ]
 
 
 def detector_marginals(t: TallyTable) -> dict[str, float]:

@@ -2,9 +2,11 @@
 
 A sweep evaluates the analytic model (and optionally the Monte Carlo) on a
 grid of (state-set size, input mean photon number) points and emits one row
-per point with fixed, documented columns.  Figure datasets are column
-projections of the same rows; they are model curves only, never measured
-points.  CSV carries the rows; JSON carries {"spec": ..., "rows": ...}.
+per point with fixed, documented columns.  An analytic row reads one
+branch table, and its three visibilities share one reference scan.  Figure
+datasets are column projections of the same rows; they are model curves
+only, never measured points.  CSV carries the rows; JSON carries
+{"spec": ..., "rows": ...}.
 """
 
 from __future__ import annotations
@@ -17,12 +19,12 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import params
-from .amplifier import Conditioning, figures_of_merit, output_mixture
+from .amplifier import Conditioning, branch_table
 from .analysis import (
     CountTable,
     estimate_fidelity,
     estimate_pulse_numbers,
-    visibility,
+    visibilities,
 )
 from .errors import ConfigError, InsufficientSignalError
 from .montecarlo import (
@@ -61,6 +63,11 @@ MC_COLUMNS = (
 INT_COLUMNS = {"n_states", "mc_n_pulses", "mc_seed"}
 # tallies are int64 counts
 _MAX_PULSES = int(np.iinfo(np.int64).max)
+# Checked before anything is allocated, these keep every array of a point under
+# 8 MiB: the Monte Carlo tally (one phase bin, N*N*16 int64 cells) is 8 MiB at
+# N = 256, the reference scan 1 MiB (complex128) at 65536 phase points.
+MAX_N_STATES = 256
+MAX_PHASE_POINTS = 1 << 16
 
 FIGURE_COLUMNS = {
     "fig3a": ("alpha_sq", "visibility_unconditioned", "visibility_d0_silent", "visibility_conditioned"),
@@ -101,14 +108,19 @@ class SweepSpec:
             raise ConfigError("alpha_sq values must be distinct and sorted")
         if len(self.n_states_list) == 0:
             raise ConfigError("n_states_list must be non-empty")
-        if any(n < 1 for n in self.n_states_list):
-            raise ConfigError("n_states values must be >= 1")
+        if not all(1 <= n <= MAX_N_STATES for n in self.n_states_list):
+            raise ConfigError(f"n_states values must lie in [1, {MAX_N_STATES}]")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.output_format not in FORMATS:
             raise ConfigError(f"output_format must be one of {FORMATS}, got {self.output_format!r}")
-        if self.mode != "analytic" and not (1 <= self.n_pulses <= _MAX_PULSES):
-            raise ConfigError(f"n_pulses must lie in [1, {_MAX_PULSES}] for a montecarlo sweep")
+        if self.wants_montecarlo():
+            if not (1 <= self.n_pulses <= _MAX_PULSES):
+                raise ConfigError(f"n_pulses must lie in [1, {_MAX_PULSES}] for a montecarlo sweep")
+            for name in ("da", "db"):
+                if getattr(self.detectors, name).eta_l() == 0.0:
+                    raise ConfigError(f"detector.{name} has zero efficiency x loss: the montecarlo"
+                                      " estimator needs analyzer detectors that can see light")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not (0.0 < self.comparison_reflectivity < 1.0):
@@ -121,8 +133,10 @@ class SweepSpec:
             )
         if self.epsilon is not None and not (0.0 <= self.epsilon < 1.0):
             raise ConfigError(f"epsilon must be auto or lie in [0, 1), got {self.epsilon}")
-        if self.phase_points < 8:
-            raise ConfigError(f"phase_points must be >= 8, got {self.phase_points}")
+        if not (8 <= self.phase_points <= MAX_PHASE_POINTS):
+            raise ConfigError(
+                f"phase_points must lie in [8, {MAX_PHASE_POINTS}], got {self.phase_points}"
+            )
         if not (math.isfinite(self.prf) and self.prf > 0.0):
             raise ConfigError(f"prf must be finite and > 0, got {self.prf}")
 
@@ -159,8 +173,8 @@ def _analytic_row(spec: SweepSpec, n_states: int, alpha_sq: float) -> dict:
         comparison_reflectivity=spec.comparison_reflectivity,
         subtraction_transmission=spec.subtraction_transmission,
     )
-    d0, d1 = spec.detectors.d0, spec.detectors.d1
-    fom = figures_of_merit(cfg, d0, d1)
+    table = branch_table(cfg, spec.detectors.d0, spec.detectors.d1)
+    fom = table.figures_of_merit()
     analysis_cfg = params.default_analysis(
         cfg, detector=spec.detectors.da, epsilon=spec.epsilon, phase_points=spec.phase_points
     )
@@ -172,13 +186,10 @@ def _analytic_row(spec: SweepSpec, n_states: int, alpha_sq: float) -> dict:
         "success_probability": fom.success_probability,
         "success_rate_per_s": fom.success_probability * spec.prf,
     }
-    for cond, name in (
-        (Conditioning.NONE, "visibility_unconditioned"),
-        (Conditioning.D0_SILENT, "visibility_d0_silent"),
-        (Conditioning.D0_SILENT_D1_FIRES, "visibility_conditioned"),
-    ):
-        mixture = output_mixture(cfg, d0, d1, 0, cond)
-        row[name] = visibility(mixture, analysis_cfg)
+    # the analyzer sees input 0; its three conditioned mixtures share components
+    weight_sets = [table.accepted(0, cond)[1] for cond in Conditioning]
+    names = ("visibility_unconditioned", "visibility_d0_silent", "visibility_conditioned")
+    row.update(zip(names, visibilities(table.output[0], weight_sets, analysis_cfg)))
     return row
 
 
@@ -222,9 +233,8 @@ def _montecarlo_columns(spec: SweepSpec, n_states: int, alpha_sq: float, seed: i
         fid = estimate_fidelity(n_sig, n_vac, g2a2, vacuum_overlap="standard")
         # F is affine in the class split, so its error is the binomial error
         # of that split scaled by (1 - vacuum overlap)
-        se_frac = standard_error(n_correct, accepted) if accepted > 0 else math.nan
         out["mc_fidelity"] = fid
-        out["mc_fidelity_se"] = (1.0 - math.exp(-g2a2)) * se_frac
+        out["mc_fidelity_se"] = (1.0 - math.exp(-g2a2)) * out["mc_correct_state_fraction_se"]
     except InsufficientSignalError:
         out["mc_fidelity"] = math.nan
         out["mc_fidelity_se"] = math.nan

@@ -13,7 +13,7 @@ import pytest
 
 from scamp.amplifier import (
     Conditioning,
-    enumerate_branches,
+    branch_table,
     figures_of_merit,
     output_mixture,
     success_rate,
@@ -179,22 +179,25 @@ def _analytic_predictions(spec: RunSpec):
         spec.detectors.d0, spec.detectors.d1, spec.detectors.da, spec.detectors.db,
     )
     z_ref = spec.analysis.reference_amplitude.to_complex()
+    # only the branch geometry is read from the table; every click and
+    # weight is composed here from the detector law
+    table = branch_table(cfg, det0, det1)
     p = {"d0": 0.0, "d1": 0.0, "cond": 0.0, "cond_correct": 0.0,
          "a_sig": 0.0, "b_sig": 0.0, "a_vac": 0.0, "b_vac": 0.0}
     for m in range(n):
         ref_m = z_ref * np.exp(2j * np.pi * m / n)
-        for b in enumerate_branches(cfg, m):
-            w = b.prior_probability / n
-            p0 = click_probability(b.d0_amplitude.mean_photon_number(), det0)
-            p1 = click_probability(b.d1_amplitude.mean_photon_number(), det1)
-            z_out = b.output_amplitude.to_complex()
+        for k in range(n):
+            w = table.prior[k] / n
+            p0 = click_probability(table.d0_mean[m][k], det0)
+            p1 = click_probability(table.d1_mean[m][k], det1)
+            z_out = table.output[m][k]
             pa = click_probability(0.5 * abs(z_out + ref_m) ** 2, deta)
             pb = click_probability(0.5 * abs(z_out - ref_m) ** 2, detb)
             p["d0"] += w * p0
             p["d1"] += w * p1
             accept = w * (1.0 - p0) * p1
             p["cond"] += accept
-            key = "sig" if b.guess_index == m else "vac"
+            key = "sig" if k == m else "vac"
             if key == "sig":
                 p["cond_correct"] += accept
             p[f"a_{key}"] += accept * pa

@@ -8,10 +8,8 @@ from scamp.amplifier import (
     AmplifierConfig,
     Conditioning,
     StateSet,
-    acceptance_weight,
-    enumerate_branches,
+    branch_table,
     figures_of_merit,
-    nominal_gain,
     output_mixture,
     success_probability,
     success_rate,
@@ -36,7 +34,8 @@ def make_config(alpha_sq, n_states, r1_sq=0.5, t2_sq=0.9):
 # independent oracle: raw complex arithmetic over all N^2 (input, guess) pairs
 
 
-def oracle_figures(n, alpha_sq, r1_sq, t2_sq, det0, det1, conditioning):
+def oracle_figures(n, alpha_sq, r1_sq, t2_sq, det0, det1, conditioning, prior=None):
+    prior = prior or [1.0 / n] * n
     r1, t1 = math.sqrt(r1_sq), math.sqrt(1.0 - r1_sq)
     t2, r2 = math.sqrt(t2_sq), math.sqrt(1.0 - t2_sq)
     alpha = math.sqrt(alpha_sq)
@@ -55,7 +54,7 @@ def oracle_figures(n, alpha_sq, r1_sq, t2_sq, det0, det1, conditioning):
             z_guess = (t1 / r1) * alpha * cmath.exp(2j * math.pi * k / n)
             z_d0 = t1 * z_in - r1 * z_guess
             z_ret = r1 * z_in + t1 * z_guess
-            w = 1.0 / n
+            w = prior[k]
             if conditioning in (Conditioning.D0_SILENT, Conditioning.D0_SILENT_D1_FIRES):
                 w *= 1.0 - click(abs(z_d0) ** 2, det0)
             if conditioning is Conditioning.D0_SILENT_D1_FIRES:
@@ -73,7 +72,6 @@ class TestGainLaw:
     def test_published_operating_point(self):
         cfg = make_config(0.5, 2)
         assert abs(cfg.nominal_gain() ** 2 - 1.8) < 1e-12
-        assert nominal_gain(cfg) == cfg.nominal_gain()
 
     def test_unit_gain_device(self):
         cfg = make_config(0.5, 2, r1_sq=0.5, t2_sq=0.5)
@@ -126,98 +124,103 @@ class TestConfigValidation:
             AmplifierConfig(h, h, 0.0, 1.0, s)
 
 
+def photons(z):
+    return z.real * z.real + z.imag * z.imag
+
+
 class TestEnumerateBranches:
+    """The (input, guess) branches as the branch table lays them out."""
+
     def test_correct_guess_two_states(self):
         cfg = make_config(0.5, 2)
-        b = enumerate_branches(cfg, 0)[0]
-        assert b.d0_amplitude.mean_photon_number() == 0.0
-        assert b.output_amplitude == cfg.target_amplitude(0)
+        table = branch_table(cfg, IDEAL, IDEAL)
+        assert table.d0_mean[0][0] == 0.0
+        assert table.output[0][0] == cfg.target_amplitude(0).to_complex()
         # retained carries both pulses: r2^2 * 2 alpha^2 at the tap
-        assert b.d1_amplitude.mean_photon_number() == pytest.approx(0.1 * 2 * 0.5, rel=1e-12)
+        assert table.d1_mean[0][0] == pytest.approx(0.1 * 2 * 0.5, rel=1e-12)
 
     def test_wrong_guess_two_states(self):
-        cfg = make_config(0.5, 2)
-        b = enumerate_branches(cfg, 0)[1]
-        assert b.d0_amplitude.mean_photon_number() == pytest.approx(2 * 0.5, rel=1e-12)
-        assert abs(b.output_amplitude.to_complex()) < 1e-15
+        table = branch_table(make_config(0.5, 2), IDEAL, IDEAL)
+        assert table.d0_mean[0][1] == pytest.approx(2 * 0.5, rel=1e-12)
+        assert abs(table.output[0][1]) < 1e-15
 
     def test_neighbor_guess_four_states(self):
-        cfg = make_config(0.5, 4)
-        b = enumerate_branches(cfg, 0)[1]
-        assert b.d0_amplitude.mean_photon_number() == pytest.approx(0.5, rel=1e-12)
-        assert b.output_amplitude.mean_photon_number() == pytest.approx(0.9 * 0.5, rel=1e-12)
+        table = branch_table(make_config(0.5, 4), IDEAL, IDEAL)
+        assert table.d0_mean[0][1] == pytest.approx(0.5, rel=1e-12)
+        assert photons(table.output[0][1]) == pytest.approx(0.9 * 0.5, rel=1e-12)
 
     def test_correct_branch_exact_for_uneven_splitter(self):
         # the destructive-interference null and the gain law must be exact
         cfg = make_config(0.37, 4, r1_sq=0.21)
+        table = branch_table(cfg, IDEAL, IDEAL)
         for m in range(4):
-            b = enumerate_branches(cfg, m)[m]
-            assert b.d0_amplitude == CoherentAmplitude(0.0, 0.0)
-            assert b.output_amplitude == cfg.target_amplitude(m)
+            assert table.d0_mean[m][m] == 0.0
+            assert table.output[m][m] == cfg.target_amplitude(m).to_complex()
+            assert table.target[m] == cfg.target_amplitude(m).to_complex()
 
     def test_branch_count_and_priors(self):
-        cfg = make_config(0.5, 8)
-        branches = enumerate_branches(cfg, 3)
-        assert len(branches) == 8
-        assert [b.guess_index for b in branches] == list(range(8))
-        assert all(b.prior_probability == 0.125 for b in branches)
+        table = branch_table(make_config(0.5, 8), IDEAL, IDEAL)
+        assert len(table.target) == 8
+        assert table.prior == (0.125,) * 8
+        for field in (table.output, table.d0_mean, table.d1_mean, table.d0_click, table.d1_click):
+            assert [len(row) for row in field] == [8] * 8
+        for cond in Conditioning:
+            assert [len(row) for row in table.weights[cond]] == [8] * 8
+        assert table.weights[Conditioning.NONE] == [[0.125] * 8] * 8
 
     def test_rejects_out_of_range_input(self):
         with pytest.raises(IndexError):
-            enumerate_branches(make_config(0.5, 2), 2)
+            output_mixture(make_config(0.5, 2), IDEAL, IDEAL, 2)
 
     def test_branch_amplitudes_match_beamsplitter_op(self):
         from scamp.coherent import beamsplitter
 
         cfg = make_config(0.41, 4, r1_sq=0.33)
+        table = branch_table(cfg, IDEAL, IDEAL)
         for m in range(4):
-            for b in enumerate_branches(cfg, m):
+            for k in range(4):
                 retained, monitor = beamsplitter(
                     cfg.input_set.state(m),
-                    cfg.guess_amplitude(b.guess_index),
+                    cfg.input_set.state(k).scaled(cfg.comparison_t1 / cfg.comparison_r1),
                     cfg.comparison_t1,
                     cfg.comparison_r1,
                 )
-                assert b.d0_amplitude.to_complex() == pytest.approx(
-                    monitor.to_complex(), abs=1e-12
+                assert table.d0_mean[m][k] == pytest.approx(
+                    monitor.mean_photon_number(), abs=1e-12
                 )
-                assert b.d1_amplitude.to_complex() == pytest.approx(
-                    retained.scaled(cfg.subtraction_r2).to_complex(), abs=1e-12
+                assert table.d1_mean[m][k] == pytest.approx(
+                    retained.scaled(cfg.subtraction_r2).mean_photon_number(), abs=1e-12
                 )
-                assert b.output_amplitude.to_complex() == pytest.approx(
+                assert table.output[m][k] == pytest.approx(
                     retained.scaled(cfg.subtraction_t2).to_complex(), abs=1e-12
                 )
 
 
 class TestAcceptanceWeight:
+    """Per-branch acceptance weights of the table at each conditioning level."""
+
     def test_ideal_correct_branch(self):
-        cfg = make_config(0.5, 2)
-        b = enumerate_branches(cfg, 0)[0]
-        w = acceptance_weight(b, IDEAL, IDEAL)
+        table = branch_table(make_config(0.5, 2), IDEAL, IDEAL)
+        w = table.weights[Conditioning.D0_SILENT_D1_FIRES][0][0]
         assert w == pytest.approx(0.04758129098202024, abs=1e-15)
 
     def test_ideal_wrong_branch_is_dead(self):
-        cfg = make_config(0.5, 2)
-        b = enumerate_branches(cfg, 0)[1]
-        assert acceptance_weight(b, IDEAL, IDEAL) == 0.0
+        table = branch_table(make_config(0.5, 2), IDEAL, IDEAL)
+        assert table.weights[Conditioning.D0_SILENT_D1_FIRES][0][1] == 0.0
 
     def test_dark_counts_resurrect_the_dead_branch(self):
-        cfg = make_config(0.5, 2)
-        b = enumerate_branches(cfg, 0)[1]
         eta, dark = 0.405, 1e-3
         det0 = DetectorModel(efficiency=eta)
         det1 = DetectorModel(efficiency=eta, dark_prob_per_gate=dark)
-        w = acceptance_weight(b, det0, det1)
+        table = branch_table(make_config(0.5, 2), det0, det1)
+        w = table.weights[Conditioning.D0_SILENT_D1_FIRES][0][1]
         assert w == pytest.approx(0.5 * math.exp(-eta * 1.0) * dark, rel=1e-12)
 
     def test_conditioning_levels(self):
-        cfg = make_config(0.5, 2)
-        b = enumerate_branches(cfg, 0)[1]
-        assert acceptance_weight(b, IDEAL, IDEAL, Conditioning.NONE) == 0.5
+        table = branch_table(make_config(0.5, 2), IDEAL, IDEAL)
+        assert table.weights[Conditioning.NONE][0][1] == 0.5
         expected = 0.5 * math.exp(-1.0)
-        assert acceptance_weight(b, IDEAL, IDEAL, Conditioning.D0_SILENT) == pytest.approx(
-            expected, rel=1e-12
-        )
+        assert table.weights[Conditioning.D0_SILENT][0][1] == pytest.approx(expected, rel=1e-12)
 
 
 class TestOutputMixture:
@@ -291,6 +294,24 @@ class TestFiguresOfMerit:
             assert fom.fidelity == pytest.approx(fid, abs=1e-12)
             assert fom.correct_state_fraction == pytest.approx(frac, abs=1e-12)
             assert fom.success_probability == pytest.approx(succ, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_brute_force_non_uniform_prior(self, n):
+        det0 = DetectorModel(efficiency=0.405, loss_transmission=0.8, dark_prob_per_gate=1e-5)
+        det1 = DetectorModel(efficiency=0.31, loss_transmission=0.9, dark_prob_per_gate=3e-6)
+        prior = [0.5] + [0.5 / (n - 1)] * (n - 1)
+        cfg = AmplifierConfig.from_intensities(
+            0.3, 0.9, StateSet(CoherentAmplitude.from_mean_photons(0.8), n), tuple(prior)
+        )
+        table = branch_table(cfg, det0, det1)
+        for cond in Conditioning:
+            fom = figures_of_merit(cfg, det0, det1, cond)
+            assert fom == table.figures_of_merit(cond)
+            fid, frac, succ = oracle_figures(n, 0.8, 0.3, 0.9, det0, det1, cond, prior)
+            assert fom.fidelity == pytest.approx(fid, abs=1e-12)
+            assert fom.correct_state_fraction == pytest.approx(frac, abs=1e-12)
+            assert fom.success_probability == pytest.approx(succ, abs=1e-12)
+            assert success_probability(cfg, det0, det1, cond) == pytest.approx(succ, abs=1e-12)
 
     def test_phase_covariance(self):
         det = params.default_detector()

@@ -12,11 +12,12 @@ from scamp.analysis import (
     estimate_pulse_numbers,
     expected_counts,
     reconstruct_density,
+    visibilities,
     visibility,
 )
 from scamp.amplifier import Conditioning, output_mixture
 from scamp.coherent import CoherentAmplitude, Mixture, VACUUM, mixture_fidelity
-from scamp.detectors import DetectorModel
+from scamp.detectors import DetectorModel, click_probability
 from scamp.errors import InsufficientSignalError, InvalidEpsilonError
 from scamp import params
 
@@ -65,6 +66,14 @@ class TestCountProbabilities:
         half = 1.0 - math.exp(-0.3645)
         assert p.p11 == pytest.approx(half * half, abs=1e-15)
 
+    def test_vacuum_marginals_include_dark_counts(self):
+        cfg = analyzer(1.8, dark=0.02)
+        p = count_probabilities(VACUUM, cfg)
+        expected = click_probability(cfg.ref_mean_photons() / 2.0, cfg.detector)
+        assert p.p10 + p.p11 == pytest.approx(expected, abs=1e-15)
+        assert p.p01 + p.p11 == pytest.approx(expected, abs=1e-15)
+        assert expected > 0.02 + 1e-3 > click_probability(0.0, cfg.detector)
+
     def test_rows_are_probability_tables(self):
         cfg = analyzer(1.3, epsilon=0.08)
         for out in (cfg.reference_amplitude, VACUUM, CoherentAmplitude(0.4, 0.2)):
@@ -85,7 +94,37 @@ class TestCountProbabilities:
             count_probabilities(analyzer(0.01, epsilon=0.5).reference_amplitude, analyzer(0.01, epsilon=0.5))
 
 
+def dense_scan_visibility(m, cfg):
+    """The visibility scan written out in full: fresh phase grid, one pass."""
+    phases = np.linspace(0.0, 2.0 * np.pi, cfg.phase_points, endpoint=False)
+    z_ref = cfg.reference_amplitude.to_complex() * np.exp(1j * phases)
+    p_a = np.zeros_like(phases)
+    eta_l = cfg.detector.eta_l()
+    dark = cfg.detector.dark_prob_per_gate
+    for w, a in m.components:
+        n_a = 0.5 * np.abs(a.to_complex() + z_ref) ** 2
+        p_a += w * (1.0 - (1.0 - dark) * np.exp(-eta_l * n_a))
+    hi, lo = float(p_a.max()), float(p_a.min())
+    return 0.0 if hi <= 0.0 else (hi - lo) / (hi + lo)
+
+
 class TestVisibility:
+    def test_shared_scan_is_bit_identical_to_dense_scan(self):
+        rng = np.random.default_rng(17)
+        for phase_points in (256, 9, 256, 64):
+            cfg = analyzer(float(rng.uniform(0.1, 2.0)), phase_points=phase_points, dark=1e-3)
+            amplitudes = [complex(*rng.normal(size=2)) for _ in range(5)]
+            weight_sets = []
+            for _ in range(3):
+                raw = rng.uniform(size=5) * (rng.uniform(size=5) > 0.3)
+                raw[0] = 0.5
+                weight_sets.append([float(w) for w in raw / raw.sum()])
+            shared = visibilities(amplitudes, weight_sets, cfg)
+            for ws, value in zip(weight_sets, shared):
+                m = Mixture(tuple((w, CoherentAmplitude(z.real, z.imag))
+                                  for w, z in zip(ws, amplitudes)))
+                assert value == dense_scan_visibility(m, cfg) == visibility(m, cfg)
+
     def test_pure_matched_output(self):
         cfg = analyzer(0.9, eta=1.0)
         assert visibility(Mixture.single(cfg.reference_amplitude), cfg) == 1.0

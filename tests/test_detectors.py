@@ -6,7 +6,12 @@ from hypothesis import given, strategies as st
 
 from scamp.analysis import AnalysisConfig, count_probabilities
 from scamp.coherent import CoherentAmplitude
-from scamp.detectors import DetectorModel, click_probability, dark_prob_from_rate, sample_click
+from scamp.detectors import (
+    DetectorModel,
+    click_probabilities,
+    click_probability,
+    dark_prob_from_rate,
+)
 
 probs = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -23,6 +28,13 @@ class TestClickProbability:
     def test_methods_efficiency_one_photon(self):
         det = DetectorModel(efficiency=0.405)
         assert click_probability(1.0, det) == pytest.approx(0.3330231891415256, abs=1e-15)
+
+    def test_list_form_is_the_same_law(self):
+        det = DetectorModel(efficiency=0.405, loss_transmission=0.9, dark_prob_per_gate=1e-4)
+        means = [0.0, 1e-9, 0.37, 2.5, 40.0]
+        direct = [1.0 - (1.0 - 1e-4) * math.exp(-(0.405 * 0.9) * n) for n in means]
+        assert click_probabilities(means, det) == direct
+        assert [click_probability(n, det) for n in means] == direct
 
     def test_rejects_negative_mean(self):
         with pytest.raises(ValueError):
@@ -99,25 +111,3 @@ class TestDarkProbFromRate:
             dark_prob_from_rate(296.0, 0.0)
         with pytest.raises(ValueError):
             dark_prob_from_rate(296.0, 1e-9, 1.5)
-
-
-class TestSampleClick:
-    def test_degenerate_probabilities(self):
-        rng = np.random.default_rng(0)
-        assert not any(sample_click(0.0, rng) for _ in range(100))
-        assert all(sample_click(1.0, rng) for _ in range(100))
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            sample_click(1.5, np.random.default_rng(0))
-
-    def test_reproducible_for_fixed_seed(self):
-        draws = lambda: [sample_click(0.3, np.random.default_rng(123)) for _ in range(50)]
-        assert draws() == draws()
-
-    def test_empirical_mean_within_five_sigma(self):
-        rng = np.random.default_rng(2024)
-        n = 1_000_000
-        hits = sum(sample_click(0.5, rng) for _ in range(n))
-        sigma = math.sqrt(0.25 / n)
-        assert abs(hits / n - 0.5) < 5.0 * sigma

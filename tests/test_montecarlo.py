@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from scamp.amplifier import Conditioning, enumerate_branches, figures_of_merit
+from scamp.amplifier import Conditioning, branch_table, figures_of_merit
 from scamp.analysis import (
     AnalysisConfig,
     estimate_class_pulse_numbers,
@@ -218,12 +218,13 @@ class TestAgainstAnalyticModel:
         marg = detector_marginals(tally)
         det = params.default_detector()
         cfg = spec.amplifier
+        table = branch_table(cfg, det, det)
         p0 = p1 = 0.0
         for m in range(4):
-            for b in enumerate_branches(cfg, m):
-                w = b.prior_probability / 4
-                p0 += w * click_probability(b.d0_amplitude.mean_photon_number(), det)
-                p1 += w * click_probability(b.d1_amplitude.mean_photon_number(), det)
+            for k in range(4):
+                w = table.prior[k] / 4
+                p0 += w * click_probability(table.d0_mean[m][k], det)
+                p1 += w * click_probability(table.d1_mean[m][k], det)
         for name, p in (("d0", p0), ("d1", p1)):
             sigma = math.sqrt(p * (1.0 - p) / spec.n_pulses)
             assert abs(marg[name] - p) < 5.0 * sigma
@@ -255,7 +256,10 @@ class TestEstimatorOracle:
         records = counts_by_offset(tally, Conditioning.NONE)
         cfg = spec.amplifier
         # output amplitude of offset d in the frame of input 0
-        amps = [b.output_amplitude for b in enumerate_branches(cfg, 0)]
+        amps = [
+            CoherentAmplitude(z.real, z.imag)
+            for z in branch_table(cfg, IDEAL, IDEAL).output[0]
+        ]
         estimated = estimate_class_pulse_numbers(
             [(n_a, n_b) for n_a, n_b, _ in records],
             amps,

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from scamp.montecarlo import (
 from scamp.amplifier import Conditioning, output_mixture
 from scamp.detectors import DetectorModel
 from scamp.sweep import (
+    MAX_N_STATES,
+    MAX_PHASE_POINTS,
     Dataset,
     SweepSpec,
     dataset_to_csv,
@@ -82,6 +85,29 @@ class TestSweepSpecValidation:
     def test_rejects_out_of_range_fields(self, field, bad):
         with pytest.raises(ConfigError):
             SweepSpec(alpha_sq_grid=(0.5,), n_states_list=(2,), mode="both", **{field: bad})
+
+    @pytest.mark.parametrize(
+        "field, bound",
+        [("n_states_list", MAX_N_STATES), ("phase_points", MAX_PHASE_POINTS)],
+    )
+    def test_size_bounds(self, field, bound):
+        def spec(value):
+            value = (value,) if field == "n_states_list" else value
+            fields = {"alpha_sq_grid": (0.5,), "n_states_list": (2,), field: value}
+            return SweepSpec(mode="both", **fields)
+
+        spec(bound)  # construction only: the bound itself is accepted
+        for bad in (bound + 1, 99999999999999999999):
+            with pytest.raises(ConfigError, match="must lie in"):
+                spec(bad)
+
+    @pytest.mark.parametrize("name", ["da", "db"])
+    def test_rejects_blind_analyzer_for_montecarlo(self, name):
+        bank = replace(params.default_detector_bank(), **{name: DetectorModel(efficiency=0.0)})
+        for mode in ("montecarlo", "both"):
+            with pytest.raises(ConfigError, match=f"detector.{name}"):
+                SweepSpec(alpha_sq_grid=(0.5,), n_states_list=(2,), mode=mode, detectors=bank)
+        SweepSpec(alpha_sq_grid=(0.5,), n_states_list=(2,), mode="analytic", detectors=bank)
 
 
 class TestRunSweep:
@@ -319,6 +345,33 @@ class TestCli:
         assert run_cli(["sweep", "--config", str(config)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @staticmethod
+    def assert_one_line_config_error(capsys):
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("section, key", [("detector.da", "efficiency"), ("detector.db", "loss")])
+    def test_sweep_rejects_blind_analyzer_in_montecarlo_mode(self, tmp_path, capsys, section, key):
+        config = tmp_path / "blind.ini"
+        config.write_text(
+            f"[sweep]\nalpha_sq = 0.5\nn_states = 2\nn_pulses = 1000\n[{section}]\n{key} = 0\n"
+        )
+        assert run_cli(["sweep", "--config", str(config), "--mode", "both"]) == 2
+        self.assert_one_line_config_error(capsys)
+        assert run_cli(["sweep", "--config", str(config), "--mode", "analytic"]) == 0
+
+    @pytest.mark.parametrize("key", ["n_states", "phase_points"])
+    def test_sweep_rejects_huge_sizes(self, tmp_path, capsys, key):
+        config = tmp_path / "huge.ini"
+        config.write_text(f"[sweep]\nalpha_sq = 0.5\n{key} = 99999999999999999999\n")
+        assert run_cli(["sweep", "--config", str(config)]) == 2
+        self.assert_one_line_config_error(capsys)
+
+    def test_figure_rejects_huge_phase_points(self, capsys):
+        assert run_cli(["figure", "--id", "fig3a", "--phase-points", "99999999999999999999"]) == 2
+        self.assert_one_line_config_error(capsys)
+
     def test_figure_writes_parseable_csv(self, tmp_path):
         out = str(tmp_path / "fig.csv")
         code = run_cli(["figure", "--id", "fig3b", "--alpha-sq", "0.3,0.5", "--output", out])
@@ -403,6 +456,9 @@ class TestCli:
 _floats = st.floats(allow_nan=True, allow_infinity=True).map(repr)
 _ints = st.integers(min_value=-3, max_value=1 << 64).map(str)
 _junk = st.sampled_from(["", "abc", "1e", "0x10", "auto"])
+# above the size bounds, so rejected before anything is allocated
+_oversized = st.sampled_from(["257", "65537", "99999999999999999999"])
+_unit_interval = st.one_of(st.just("0"), st.floats(min_value=0.0, max_value=1.0).map(repr))
 # a valid base config; each example overrides up to three of its values.
 # Sizes stay bounded: the grid, n_states and phase_points set a point's work.
 _BASE_CONFIG = {
@@ -416,15 +472,20 @@ _FUZZ_VALUES = {
         st.tuples(_floats, _floats, st.integers(-1, 3)).map(lambda t: f"{t[0]}:{t[1]}:{t[2]}"),
         _junk,
     ),
-    ("sweep", "n_states"): st.one_of(st.integers(-1, 8).map(str), _junk),
+    ("sweep", "n_states"): st.one_of(st.integers(-1, 8).map(str), _oversized, _junk),
     ("sweep", "mode"): st.sampled_from(["analytic", "montecarlo", "both", "exact"]),
     ("sweep", "n_pulses"): st.one_of(_ints, _floats, _junk),
     ("sweep", "seed"): st.one_of(_ints, _junk),
     ("sweep", "prf"): st.one_of(_floats, _junk),
     ("sweep", "epsilon"): st.one_of(_floats, _junk),
-    ("sweep", "phase_points"): st.one_of(st.integers(-2, 64).map(str), _junk),
+    ("sweep", "phase_points"): st.one_of(st.integers(-2, 64).map(str), _oversized, _junk),
     ("amplifier", "comparison_reflectivity"): st.one_of(_floats, _junk),
     ("amplifier", "subtraction_transmission"): st.one_of(_floats, _junk),
+    **{
+        (section, key): _unit_interval
+        for section in ("detector.da", "detector.db")
+        for key in ("efficiency", "loss")
+    },
 }
 _overrides = st.lists(st.sampled_from(sorted(_FUZZ_VALUES)), max_size=3, unique=True).flatmap(
     lambda keys: st.fixed_dictionaries({k: _FUZZ_VALUES[k] for k in keys})
@@ -445,10 +506,12 @@ _overrides = st.lists(st.sampled_from(sorted(_FUZZ_VALUES)), max_size=3, unique=
 @example(overrides={("sweep", "alpha_sq"): "nan"}, mode=None, workers=None)
 @example(overrides={("sweep", "prf"): "nan"}, mode=None, workers=None)
 @example(overrides={}, mode="montecarlo", workers=0)
+@example(overrides={("detector.da", "efficiency"): "0"}, mode="both", workers=None)
+@example(overrides={("sweep", "phase_points"): "99999999999999999999"}, mode=None, workers=None)
 def test_sweep_exit_code_is_documented(tmp_path, capsys, overrides, mode, workers):
     values = {**_BASE_CONFIG, **overrides}
     text = ""
-    for section in ("sweep", "amplifier"):
+    for section in ("sweep", "amplifier", "detector.da", "detector.db"):
         text += f"[{section}]\n"
         text += "".join(f"{k} = {v}\n" for (s, k), v in values.items() if s == section)
     config = tmp_path / "fuzz.ini"
