@@ -168,14 +168,22 @@ class BranchTable:
         self, conditioning: Conditioning = Conditioning.D0_SILENT_D1_FIRES
     ) -> FiguresOfMerit:
         """See :func:`figures_of_merit`."""
-        fidelity_sum = fraction_sum = success_sum = 0.0
+        fidelity_sum = fraction_sum = 0.0
         for m, (outputs, target) in enumerate(zip(self.output, self.target)):
-            total, weights = self.accepted(m, conditioning)
+            _, weights = self.accepted(m, conditioning)
             fidelity_sum += math.fsum(w * _overlap_sq(z, target) for w, z in zip(weights, outputs))
             fraction_sum += weights[m]
-            success_sum += total
         n = len(self.target)
-        return FiguresOfMerit(fidelity_sum / n, fraction_sum / n, success_sum / n)
+        return FiguresOfMerit(fidelity_sum / n, fraction_sum / n, self.success_probability(conditioning))
+
+    def success_probability(
+        self, conditioning: Conditioning = Conditioning.D0_SILENT_D1_FIRES
+    ) -> float:
+        """See :func:`success_probability`."""
+        total = 0.0
+        for row in self.weights[conditioning]:
+            total += math.fsum(row)
+        return total / len(self.target)
 
 
 def _overlap_sq(a: complex, b: complex) -> float:
@@ -281,11 +289,7 @@ def success_probability(
     Well defined even when no branch can herald (returns 0), unlike the
     conditioned output state itself.
     """
-    total = 0.0
-    for row in branch_table(cfg, det0, det1).weights[conditioning]:
-        for w in row:
-            total += w
-    return total / cfg.n_states()
+    return branch_table(cfg, det0, det1).success_probability(conditioning)
 
 
 def success_rate(

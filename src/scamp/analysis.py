@@ -2,11 +2,15 @@
 
 The amplifier output is mixed with a phase-adjustable test copy of the
 expected amplified state at a 50/50 beamsplitter feeding detectors A and B.
+Port A sees |out + ref|^2/2 photons and port B |out - ref|^2/2; that one
+port law (:func:`port_click`) gives the visibility scan, the Monte Carlo's
+DA/DB clicks, the class-pulse estimator and the click patterns of every output
+but the reference itself, which is modelled with the imperfection epsilon.
 At the analysis phase all light from a perfect output exits at A; a vacuum
 output splits evenly.  Counting clicks at A and B over many pulses lets the
 pulse numbers behind each output class, and from them the output density
-operator and its fidelity, be estimated without knowing the interferometer
-imperfection epsilon (it cancels in the signal-class inversion).
+operator and its fidelity, be estimated without knowing epsilon (it cancels
+in the signal-class inversion).
 
 Two bookkeeping conventions circulate for the estimator's exponents, and
 they are mutually inconsistent, so both are kept as explicit switches
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coherent import CoherentAmplitude, Mixture
-from .detectors import DetectorModel, click_curve, click_probability
+from .detectors import DetectorModel, click_curve
 from .errors import InsufficientSignalError, InvalidEpsilonError
 
 EXPONENT_GUARD = 1e-12
@@ -104,6 +108,18 @@ class CountProbabilities:
     p00: float
 
 
+def port_click(out, ref, det: DetectorModel, port: str) -> np.ndarray:
+    """Click probability of analyzer port ``port`` ("A" or "B"), elementwise.
+
+    Port A sees the coherent field (out + ref)/sqrt(2), port B (out - ref)/sqrt(2);
+    ``out`` and ``ref`` are complex amplitudes that broadcast against each other.
+    """
+    if port not in ("A", "B"):
+        raise ValueError(f"analyzer port must be 'A' or 'B', got {port!r}")
+    field = out + ref if port == "A" else out - ref
+    return click_curve(0.5 * np.abs(field) ** 2, det)
+
+
 def count_probabilities(output: CoherentAmplitude, cfg: AnalysisConfig) -> CountProbabilities:
     """Click pattern probabilities for one output state behind the analyzer.
 
@@ -111,7 +127,7 @@ def count_probabilities(output: CoherentAmplitude, cfg: AnalysisConfig) -> Count
     imperfection epsilon: the B-click marginal equals epsilon and the
     A-click marginal is 1 - (1 + eps)*exp(-2*eta*l*g2a2).  Any other output
     (including vacuum) is treated physically: the two ports see independent
-    coherent fields (output +/- reference)/sqrt(2), clicking by the detector law.
+    coherent fields (output +/- reference)/sqrt(2), clicking by :func:`port_click`.
     """
     eta_l = cfg.detector.eta_l()
     z_out = output.to_complex()
@@ -126,10 +142,8 @@ def count_probabilities(output: CoherentAmplitude, cfg: AnalysisConfig) -> Count
         p01 = cfg.epsilon * e2
         p11 = cfg.epsilon * (1.0 - e2)
     else:
-        n_a = 0.5 * abs(z_out + z_ref) ** 2
-        n_b = 0.5 * abs(z_out - z_ref) ** 2
-        pa = click_probability(n_a, cfg.detector)
-        pb = click_probability(n_b, cfg.detector)
+        pa = float(port_click(z_out, z_ref, cfg.detector, "A"))
+        pb = float(port_click(z_out, z_ref, cfg.detector, "B"))
         p10 = pa * (1.0 - pb)
         p01 = pb * (1.0 - pa)
         p11 = pa * pb
@@ -176,12 +190,17 @@ def visibilities(
     z_ref = cfg.reference_amplitude.to_complex() * _unit_scan(cfg.phase_points)
     p_a = [np.zeros(cfg.phase_points) for _ in weight_sets]
     for a, weights in zip(amplitudes, zip(*weight_sets)):
-        click = click_curve(0.5 * np.abs(a + z_ref) ** 2, cfg.detector)
+        click = port_click(a, z_ref, cfg.detector, "A")
         for acc, w in zip(p_a, weights):
             if w > 0.0:
                 acc += w * click
-    extrema = [(float(acc.max()), float(acc.min())) for acc in p_a]
-    return [0.0 if hi <= 0.0 else (hi - lo) / (hi + lo) for hi, lo in extrema]
+    return [fringe_visibility(acc) for acc in p_a]
+
+
+def fringe_visibility(rate: np.ndarray) -> float:
+    """(max - min) / (max + min) of a click-rate curve; 0 for one that never clicks."""
+    hi, lo = float(rate.max()), float(rate.min())
+    return 0.0 if hi <= 0.0 else (hi - lo) / (hi + lo)
 
 
 def expected_counts(
@@ -302,31 +321,24 @@ def reconstruct_density(
 def estimate_class_pulse_numbers(
     class_counts: list[tuple[float, float]],
     class_amplitudes: list[CoherentAmplitude],
-    reference: CoherentAmplitude,
-    eta_l: float,
+    cfg: AnalysisConfig,
 ) -> list[float]:
     """Pulse numbers for an arbitrary set of known output classes.
 
     Generalization of the two-class estimator to state sets with more than
-    two possible outputs: each class j with known amplitude a_j sees port
-    mean photons |a_j +/- ref|^2 / 2, so with counts (n_A, n_B) the class
-    pulse number is (n_A + n_B) / (p_A + p_B).  Assumes the output is
-    confined to the listed amplitudes; validated against the Monte Carlo
-    oracle only.
+    two possible outputs: class j with known amplitude a_j clicks at ports A
+    and B with the port law (:func:`port_click`, dark counts included), so
+    with counts (n_A, n_B) its pulse number is (n_A + n_B) / (p_A + p_B);
+    ``cfg.epsilon`` is not used.  Assumes the output is confined to the listed
+    amplitudes; validated against the Monte Carlo oracle only.
     """
     if len(class_counts) != len(class_amplitudes):
         raise ValueError("class_counts and class_amplitudes must have equal length")
-    if not (0.0 < eta_l <= 1.0):
-        raise ValueError(f"eta_l must lie in (0, 1], got {eta_l}")
-    z_ref = reference.to_complex()
-    numbers = []
-    for (n_a, n_b), amp in zip(class_counts, class_amplitudes):
-        z = amp.to_complex()
-        p_a = 1.0 - math.exp(-eta_l * 0.5 * abs(z + z_ref) ** 2)
-        p_b = 1.0 - math.exp(-eta_l * 0.5 * abs(z - z_ref) ** 2)
-        if p_a + p_b < EXPONENT_GUARD:
-            raise InsufficientSignalError(
-                "class amplitude and reference both vanish: pulse number unobservable"
-            )
-        numbers.append((n_a + n_b) / (p_a + p_b))
-    return numbers
+    z = np.array([amp.to_complex() for amp in class_amplitudes], dtype=complex)
+    z_ref = cfg.reference_amplitude.to_complex()
+    seen = port_click(z, z_ref, cfg.detector, "A") + port_click(z, z_ref, cfg.detector, "B")
+    if np.any(seen < EXPONENT_GUARD):
+        raise InsufficientSignalError(
+            "a class never clicks at A or B: its pulse number is unobservable"
+        )
+    return [(n_a + n_b) / float(p) for (n_a, n_b), p in zip(class_counts, seen)]

@@ -60,6 +60,9 @@ _SCHEMA = {
 }
 for _section in _DETECTOR_SECTIONS:
     _SCHEMA[_section] = {"efficiency", "loss", "dark_prob", "gate_halfwidth_ns"}
+# Most alpha_sq points one grid may hold, checked before the grid is built: the
+# figure grids have 29, and every point costs a full analytic row.
+MAX_ALPHA_SQ_POINTS = 4096
 
 
 def _parse_alpha_grid(text: str) -> tuple[float, ...]:
@@ -70,12 +73,15 @@ def _parse_alpha_grid(text: str) -> tuple[float, ...]:
         if len(pieces) != 3:
             raise ConfigError(f"alpha_sq range must be start:stop:count, got {text!r}")
         start, stop, count = float(pieces[0]), float(pieces[1]), int(pieces[2])
-        if count < 1:
-            raise ConfigError("alpha_sq range count must be >= 1")
+        if not (1 <= count <= MAX_ALPHA_SQ_POINTS):
+            raise ConfigError(f"alpha_sq count must lie in [1, {MAX_ALPHA_SQ_POINTS}], got {count}")
         if not (math.isfinite(start) and math.isfinite(stop)):
             raise ConfigError(f"alpha_sq range bounds must be finite, got {text!r}")
         return tuple(float(a) for a in np.linspace(start, stop, count))
-    return tuple(float(piece) for piece in text.split(","))
+    pieces = text.split(",")
+    if len(pieces) > MAX_ALPHA_SQ_POINTS:
+        raise ConfigError(f"alpha_sq list has more than {MAX_ALPHA_SQ_POINTS} values")
+    return tuple(float(piece) for piece in pieces)
 
 
 def _detector_from_section(section) -> DetectorModel:
@@ -194,8 +200,10 @@ def _cmd_sweep(args) -> int:
 def _cmd_estimate(args) -> int:
     try:
         counts = read_count_table(args.counts)
-        if args.g2a2 <= 0.0:
-            raise ConfigError("--g2a2 must be > 0")
+        if not (math.isfinite(args.g2a2) and args.g2a2 > 0.0):
+            raise ConfigError(f"--g2a2 must be finite and > 0, got {args.g2a2}")
+        if not (0.0 < args.eta_l <= 1.0):
+            raise ConfigError(f"--eta-l must lie in (0, 1], got {args.eta_l}")
     except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

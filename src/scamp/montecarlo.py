@@ -29,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .amplifier import AmplifierConfig, Conditioning, branch_table
-from .analysis import AnalysisConfig, CountTable
-from .detectors import DetectorModel, click_curve
+from .analysis import AnalysisConfig, CountTable, fringe_visibility, port_click
+from .detectors import DetectorModel
 
 DEFAULT_CHUNK_SIZE = 1 << 16
 
@@ -40,6 +40,16 @@ _BIT_D1 = 4
 _BIT_DA = 2
 _BIT_DB = 1
 _N_PATTERNS = 16
+# "detector X fired" over the 16 patterns, and the patterns each conditioning accepts
+_FIRED = {
+    name: (np.arange(_N_PATTERNS) & bit) != 0
+    for name, bit in (("d0", _BIT_D0), ("d1", _BIT_D1), ("da", _BIT_DA), ("db", _BIT_DB))
+}
+_ACCEPTED = {
+    Conditioning.NONE: np.ones(_N_PATTERNS, dtype=bool),
+    Conditioning.D0_SILENT: ~_FIRED["d0"],
+    Conditioning.D0_SILENT_D1_FIRES: ~_FIRED["d0"] & _FIRED["d1"],
+}
 
 
 @dataclass(frozen=True)
@@ -143,21 +153,19 @@ def branch_tables(spec: RunSpec) -> _BranchTables:
     cfg = spec.amplifier
     n = cfg.n_states()
     table = branch_table(cfg, spec.detectors.d0, spec.detectors.d1)
-    out = np.array(table.output, dtype=complex)
+    out = np.array(table.output, dtype=complex)[None, :, :]
     z_ref = spec.analysis.reference_amplitude.to_complex()
     input_phases = np.exp(2j * np.pi * np.arange(n) / n)
     scan = np.exp(1j * np.asarray(spec.phase_schedule))
     # reference per (phase bin, input): outer product of the two phase factors
-    ref = z_ref * scan[:, None] * input_phases[None, :]
-    n_da = 0.5 * np.abs(out[None, :, :] + ref[:, :, None]) ** 2
-    n_db = 0.5 * np.abs(out[None, :, :] - ref[:, :, None]) ** 2
+    ref = (z_ref * scan[:, None] * input_phases[None, :])[:, :, None]
     cdf = np.cumsum(np.asarray(cfg.guess_distribution))
     cdf[-1] = 1.0
     return _BranchTables(
         p0=np.array(table.d0_click),
         p1=np.array(table.d1_click),
-        pa=click_curve(n_da, spec.detectors.da),
-        pb=click_curve(n_db, spec.detectors.db),
+        pa=port_click(out, ref, spec.detectors.da, "A"),
+        pb=port_click(out, ref, spec.detectors.db, "B"),
         guess_cdf=cdf,
     )
 
@@ -253,32 +261,18 @@ def simulate_run(spec: RunSpec, workers: int = 1) -> TallyTable:
     return TallyTable(counts.reshape(-1, n, n, _N_PATTERNS), spec.phase_schedule, n)
 
 
-def _condition_mask(condition) -> np.ndarray:
-    """Boolean mask over the 16 click patterns selecting accepted events."""
-    if isinstance(condition, str):
-        condition = Conditioning(condition)
-    patterns = np.arange(_N_PATTERNS)
-    d0_fired = (patterns & _BIT_D0) != 0
-    d1_fired = (patterns & _BIT_D1) != 0
-    if condition is Conditioning.NONE:
-        return np.ones(_N_PATTERNS, dtype=bool)
-    if condition is Conditioning.D0_SILENT:
-        return ~d0_fired
-    return ~d0_fired & d1_fired
-
-
 def _class_masks(n: int) -> tuple[np.ndarray, np.ndarray]:
     correct = np.eye(n, dtype=bool)
     return correct, ~correct
 
 
 def _analyzer_counts(t: TallyTable, condition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Accepted pulses, and accepted pulses with DA / DB fired, per (input, guess)."""
-    mask = _condition_mask(condition)
-    patterns = np.arange(_N_PATTERNS)
-    a_fired = ((patterns & _BIT_DA) != 0) & mask
-    b_fired = ((patterns & _BIT_DB) != 0) & mask
-    return tuple(t.counts[:, :, :, sel].sum(axis=(0, 3)) for sel in (mask, a_fired, b_fired))
+    """Accepted pulses, and accepted pulses with DA / DB fired, per (phase bin, input, guess)."""
+    mask = _ACCEPTED[Conditioning(condition)]
+    return tuple(
+        t.counts[:, :, :, sel].sum(axis=3)
+        for sel in (mask, mask & _FIRED["da"], mask & _FIRED["db"])
+    )
 
 
 def conditioned_counts(t: TallyTable, condition) -> CountTable:
@@ -289,22 +283,21 @@ def conditioned_counts(t: TallyTable, condition) -> CountTable:
     exactly vacuum; for larger sets this is the binary attribution the
     two-class estimator assumes).
     """
-    _, by_branch_a, by_branch_b = _analyzer_counts(t, condition)
+    _, n_a, n_b = _analyzer_counts(t, condition)
     correct, wrong = _class_masks(t.n_states)
     return CountTable(
-        n_A_sig=float(by_branch_a[correct].sum()),
-        n_B_sig=float(by_branch_b[correct].sum()),
-        n_A_vac=float(by_branch_a[wrong].sum()),
-        n_B_vac=float(by_branch_b[wrong].sum()),
+        n_A_sig=float(n_a[:, correct].sum()),
+        n_B_sig=float(n_b[:, correct].sum()),
+        n_A_vac=float(n_a[:, wrong].sum()),
+        n_B_vac=float(n_b[:, wrong].sum()),
     )
 
 
 def conditioned_class_totals(t: TallyTable, condition) -> tuple[int, int]:
     """Accepted pulse counts in the (correct, wrong) guess classes."""
-    mask = _condition_mask(condition)
-    by_branch = t.counts[:, :, :, mask].sum(axis=(0, 3))
+    accepted, _, _ = _analyzer_counts(t, condition)
     correct, wrong = _class_masks(t.n_states)
-    return int(by_branch[correct].sum()), int(by_branch[wrong].sum())
+    return int(accepted[:, correct].sum()), int(accepted[:, wrong].sum())
 
 
 def counts_by_offset(t: TallyTable, condition) -> list[tuple[int, int, int]]:
@@ -313,40 +306,28 @@ def counts_by_offset(t: TallyTable, condition) -> list[tuple[int, int, int]]:
     Offset d = (guess - input) mod N indexes the N possible output classes
     of the symmetric set; feed these to the multi-class pulse estimator.
     """
-    by_branch_n, by_branch_a, by_branch_b = _analyzer_counts(t, condition)
+    accepted, n_a, n_b = _analyzer_counts(t, condition)
     m_idx, k_idx = np.indices((t.n_states, t.n_states))
     offsets = (k_idx - m_idx) % t.n_states
     return [
-        (int(by_branch_a[sel].sum()), int(by_branch_b[sel].sum()), int(by_branch_n[sel].sum()))
+        (int(n_a[:, sel].sum()), int(n_b[:, sel].sum()), int(accepted[:, sel].sum()))
         for sel in (offsets == d for d in range(t.n_states))
     ]
 
 
 def detector_marginals(t: TallyTable) -> dict[str, float]:
     """Fraction of pulses on which each detector fired."""
-    patterns = np.arange(_N_PATTERNS)
-    total = t.n_pulses
     by_pattern = t.counts.sum(axis=(0, 1, 2))
-    out = {}
-    for name, bit in (("d0", _BIT_D0), ("d1", _BIT_D1), ("da", _BIT_DA), ("db", _BIT_DB)):
-        out[name] = float(by_pattern[(patterns & bit) != 0].sum()) / total
-    return out
+    return {name: float(by_pattern[fired].sum()) / t.n_pulses for name, fired in _FIRED.items()}
 
 
 def mc_visibility(t: TallyTable, condition) -> float:
     """Visibility of the conditioned DA count rate across the phase schedule."""
-    mask = _condition_mask(condition)
-    patterns = np.arange(_N_PATTERNS)
-    a_fired = ((patterns & _BIT_DA) != 0) & mask
     per_phase_pulses = t.counts.sum(axis=(1, 2, 3)).astype(float)
     if np.any(per_phase_pulses == 0):
         raise ValueError("phase schedule has empty bins; run more pulses")
-    rate = t.counts[:, :, :, a_fired].sum(axis=(1, 2, 3)) / per_phase_pulses
-    hi = float(rate.max())
-    lo = float(rate.min())
-    if hi <= 0.0:
-        return 0.0
-    return (hi - lo) / (hi + lo)
+    _, n_a, _ = _analyzer_counts(t, condition)
+    return fringe_visibility(n_a.sum(axis=(1, 2)) / per_phase_pulses)
 
 
 def standard_error(k: int, n: int) -> float:

@@ -19,8 +19,9 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import params
-from .amplifier import Conditioning, branch_table
+from .amplifier import AmplifierConfig, Conditioning, branch_table
 from .analysis import (
+    AnalysisConfig,
     CountTable,
     estimate_fidelity,
     estimate_pulse_numbers,
@@ -166,21 +167,10 @@ def _point_seed(master_seed: int, point_index: int) -> int:
     return int(state.generate_state(1, np.uint64)[0])
 
 
-def _analytic_row(spec: SweepSpec, n_states: int, alpha_sq: float) -> dict:
-    cfg = params.default_amplifier(
-        alpha_sq,
-        n_states,
-        comparison_reflectivity=spec.comparison_reflectivity,
-        subtraction_transmission=spec.subtraction_transmission,
-    )
+def _analytic_columns(spec: SweepSpec, cfg: AmplifierConfig, analysis_cfg: AnalysisConfig) -> dict:
     table = branch_table(cfg, spec.detectors.d0, spec.detectors.d1)
     fom = table.figures_of_merit()
-    analysis_cfg = params.default_analysis(
-        cfg, detector=spec.detectors.da, epsilon=spec.epsilon, phase_points=spec.phase_points
-    )
     row = {
-        "n_states": n_states,
-        "alpha_sq": alpha_sq,
         "fidelity": fom.fidelity,
         "correct_state_fraction": fom.correct_state_fraction,
         "success_probability": fom.success_probability,
@@ -193,16 +183,9 @@ def _analytic_row(spec: SweepSpec, n_states: int, alpha_sq: float) -> dict:
     return row
 
 
-def _montecarlo_columns(spec: SweepSpec, n_states: int, alpha_sq: float, seed: int, workers: int) -> dict:
-    cfg = params.default_amplifier(
-        alpha_sq,
-        n_states,
-        comparison_reflectivity=spec.comparison_reflectivity,
-        subtraction_transmission=spec.subtraction_transmission,
-    )
-    analysis_cfg = params.default_analysis(
-        cfg, detector=spec.detectors.da, epsilon=spec.epsilon, phase_points=spec.phase_points
-    )
+def _montecarlo_columns(
+    spec: SweepSpec, cfg: AmplifierConfig, analysis_cfg: AnalysisConfig, seed: int, workers: int
+) -> dict:
     run = RunSpec(
         amplifier=cfg,
         detectors=spec.detectors,
@@ -247,10 +230,20 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> Dataset:
     point_index = 0
     for n_states in spec.n_states_list:
         for alpha_sq in spec.alpha_sq_grid:
-            row = _analytic_row(spec, n_states, alpha_sq)
+            cfg = params.default_amplifier(
+                alpha_sq,
+                n_states,
+                comparison_reflectivity=spec.comparison_reflectivity,
+                subtraction_transmission=spec.subtraction_transmission,
+            )
+            analysis_cfg = params.default_analysis(
+                cfg, detector=spec.detectors.da, epsilon=spec.epsilon, phase_points=spec.phase_points
+            )
+            row = {"n_states": n_states, "alpha_sq": alpha_sq}
+            row.update(_analytic_columns(spec, cfg, analysis_cfg))
             if spec.wants_montecarlo():
                 seed = _point_seed(spec.seed, point_index)
-                row.update(_montecarlo_columns(spec, n_states, alpha_sq, seed, workers))
+                row.update(_montecarlo_columns(spec, cfg, analysis_cfg, seed, workers))
             rows.append({c: row[c] for c in spec.columns()})
             point_index += 1
     return Dataset(spec=spec.echo(), rows=rows)

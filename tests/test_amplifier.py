@@ -364,6 +364,16 @@ class TestSuccessRate:
         # probability 0.026 at 1 MHz is 26k accepted pulses per second
         assert 0.026 * 1e6 == 26_000.0
 
+    def test_success_probability_is_the_figures_of_merit_value(self):
+        # both read one per-row fsum; a plain running sum differs in the last bit
+        det = params.default_detector()
+        for n in (2, 3, 4, 5, 8, 16, 33):
+            for alpha_sq in np.linspace(0.05, 2.9, 40):
+                cfg = params.default_amplifier(float(alpha_sq), n)
+                for cond in Conditioning:
+                    fom = figures_of_merit(cfg, det, det, cond)
+                    assert success_probability(cfg, det, det, cond) == fom.success_probability
+
     def test_dead_device_rate_is_zero(self):
         cfg = make_config(0.0, 2)
         assert success_rate(cfg, IDEAL, IDEAL, 1e6) == 0.0

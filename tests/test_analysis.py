@@ -11,6 +11,7 @@ from scamp.analysis import (
     estimate_fidelity,
     estimate_pulse_numbers,
     expected_counts,
+    port_click,
     reconstruct_density,
     visibilities,
     visibility,
@@ -92,6 +93,17 @@ class TestCountProbabilities:
     def test_epsilon_too_large_flagged(self):
         with pytest.raises(InvalidEpsilonError):
             count_probabilities(analyzer(0.01, epsilon=0.5).reference_amplitude, analyzer(0.01, epsilon=0.5))
+
+
+class TestPortClick:
+    def test_ports_follow_the_click_law(self):
+        det = DetectorModel(efficiency=0.6, loss_transmission=0.9, dark_prob_per_gate=0.01)
+        out, ref = 0.3 + 0.4j, np.array([1.0, -0.5j, 0.0])
+        for port, field in (("A", out + ref), ("B", out - ref)):
+            expected = 1.0 - 0.99 * np.exp(-det.eta_l() * 0.5 * np.abs(field) ** 2)
+            np.testing.assert_allclose(port_click(out, ref, det, port), expected, rtol=1e-15)
+        with pytest.raises(ValueError, match="port"):
+            port_click(out, ref, det, "a")
 
 
 def dense_scan_visibility(m, cfg):
@@ -270,25 +282,32 @@ class TestReconstructDensity:
 
 
 class TestClassPulseEstimator:
-    def test_recovers_synthetic_class_counts(self):
+    @staticmethod
+    def recover(dark):
         # four known output amplitudes, counts generated from the click law
-        ref = CoherentAmplitude.from_mean_photons(0.9)
-        eta_l = 0.39
+        cfg = analyzer(0.9, eta=0.39, dark=dark)
+        ref = cfg.reference_amplitude
         amps = [ref, ref.scaled(0.5), ref.rotated(math.pi / 2), VACUUM]
         true_numbers = [4000.0, 300.0, 20.0, 700.0]
         counts = []
         for n_j, amp in zip(true_numbers, amps):
             z, zr = amp.to_complex(), ref.to_complex()
-            p_a = 1.0 - math.exp(-eta_l * 0.5 * abs(z + zr) ** 2)
-            p_b = 1.0 - math.exp(-eta_l * 0.5 * abs(z - zr) ** 2)
+            p_a = 1.0 - (1.0 - dark) * math.exp(-0.39 * 0.5 * abs(z + zr) ** 2)
+            p_b = 1.0 - (1.0 - dark) * math.exp(-0.39 * 0.5 * abs(z - zr) ** 2)
             counts.append((n_j * p_a, n_j * p_b))
-        estimated = estimate_class_pulse_numbers(counts, amps, ref, eta_l)
+        estimated = estimate_class_pulse_numbers(counts, amps, cfg)
         assert estimated == pytest.approx(true_numbers, rel=1e-12)
+
+    def test_recovers_synthetic_class_counts(self):
+        self.recover(dark=0.0)
+
+    def test_recovers_class_counts_with_dark_counts(self):
+        self.recover(dark=0.02)
 
     def test_rejects_unobservable_class(self):
         with pytest.raises(InsufficientSignalError):
-            estimate_class_pulse_numbers([(1.0, 1.0)], [VACUUM], VACUUM, 0.4)
+            estimate_class_pulse_numbers([(1.0, 1.0)], [VACUUM], analyzer(0.0, eta=0.4))
 
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(ValueError):
-            estimate_class_pulse_numbers([(1.0, 1.0)], [], VACUUM, 0.4)
+            estimate_class_pulse_numbers([(1.0, 1.0)], [], analyzer(0.0, eta=0.4))

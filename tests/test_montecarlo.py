@@ -261,10 +261,7 @@ class TestEstimatorOracle:
             for z in branch_table(cfg, IDEAL, IDEAL).output[0]
         ]
         estimated = estimate_class_pulse_numbers(
-            [(n_a, n_b) for n_a, n_b, _ in records],
-            amps,
-            spec.analysis.reference_amplitude,
-            spec.analysis.detector.eta_l(),
+            [(n_a, n_b) for n_a, n_b, _ in records], amps, spec.analysis
         )
         for est, (n_a, n_b, true_n) in zip(estimated, records):
             # crude but conservative error bound:

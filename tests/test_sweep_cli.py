@@ -447,6 +447,31 @@ class TestCli:
         assert run_cli(["estimate", "--counts", path, "--g2a2", "0.9"]) == 3
         assert "runtime error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--g2a2", "nan"), ("--g2a2", "inf"), ("--g2a2", "0"), ("--g2a2", "-1"),
+        ("--eta-l", "nan"), ("--eta-l", "0"), ("--eta-l", "-0.5"), ("--eta-l", "1.5"),
+    ])
+    def test_estimate_rejects_bad_arguments(self, tmp_path, capsys, flag, value):
+        path = str(tmp_path / "counts.json")
+        write_count_table(CountTable(900.0, 10.0, 40.0, 40.0), path)
+        # the last occurrence of a flag wins
+        args = ["estimate", "--counts", path, "--g2a2", "0.9", "--eta-l", "0.39", flag, value]
+        assert run_cli(args) == 2
+        self.assert_one_line_config_error(capsys)
+
+    @pytest.mark.parametrize("grid", [
+        f"0.1:2.9:{cli.MAX_ALPHA_SQ_POINTS + 1}",
+        "0.1:2.9:99999999999999999999",
+        ",".join(["0.5"] * (cli.MAX_ALPHA_SQ_POINTS + 1)),
+    ])
+    def test_rejects_oversized_alpha_sq_grid(self, tmp_path, capsys, grid):
+        config = tmp_path / "huge.ini"
+        config.write_text(f"[sweep]\nalpha_sq = {grid}\n")
+        assert run_cli(["sweep", "--config", str(config)]) == 2
+        self.assert_one_line_config_error(capsys)
+        assert run_cli(["figure", "--id", "fig3a", "--alpha-sq", grid]) == 2
+        self.assert_one_line_config_error(capsys)
+
     def test_estimate_malformed_file(self, tmp_path, capsys):
         path = tmp_path / "garbage.json"
         path.write_text("{not json")
@@ -458,6 +483,7 @@ _ints = st.integers(min_value=-3, max_value=1 << 64).map(str)
 _junk = st.sampled_from(["", "abc", "1e", "0x10", "auto"])
 # above the size bounds, so rejected before anything is allocated
 _oversized = st.sampled_from(["257", "65537", "99999999999999999999"])
+_oversized_count = st.sampled_from([cli.MAX_ALPHA_SQ_POINTS + 1, 1_000_000, 10**20])
 _unit_interval = st.one_of(st.just("0"), st.floats(min_value=0.0, max_value=1.0).map(repr))
 # a valid base config; each example overrides up to three of its values.
 # Sizes stay bounded: the grid, n_states and phase_points set a point's work.
@@ -469,7 +495,9 @@ _BASE_CONFIG = {
 _FUZZ_VALUES = {
     ("sweep", "alpha_sq"): st.one_of(
         st.lists(_floats, min_size=1, max_size=3).map(",".join),
-        st.tuples(_floats, _floats, st.integers(-1, 3)).map(lambda t: f"{t[0]}:{t[1]}:{t[2]}"),
+        st.tuples(_floats, _floats, st.one_of(st.integers(-1, 3), _oversized_count)).map(
+            lambda t: f"{t[0]}:{t[1]}:{t[2]}"
+        ),
         _junk,
     ),
     ("sweep", "n_states"): st.one_of(st.integers(-1, 8).map(str), _oversized, _junk),
@@ -508,6 +536,7 @@ _overrides = st.lists(st.sampled_from(sorted(_FUZZ_VALUES)), max_size=3, unique=
 @example(overrides={}, mode="montecarlo", workers=0)
 @example(overrides={("detector.da", "efficiency"): "0"}, mode="both", workers=None)
 @example(overrides={("sweep", "phase_points"): "99999999999999999999"}, mode=None, workers=None)
+@example(overrides={("sweep", "alpha_sq"): "0.1:2.9:1000000"}, mode=None, workers=None)
 def test_sweep_exit_code_is_documented(tmp_path, capsys, overrides, mode, workers):
     values = {**_BASE_CONFIG, **overrides}
     text = ""
