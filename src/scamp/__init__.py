@@ -10,14 +10,7 @@ count-based estimator that reconstructs the output fidelity from
 interferometric click records.
 """
 
-from .coherent import (
-    VACUUM,
-    CoherentAmplitude,
-    Mixture,
-    beamsplitter,
-    mixture_fidelity,
-    overlap_sq,
-)
+from .coherent import Mixture, beamsplitter, mean_photons, mixture_fidelity, overlap_sq
 from .detectors import DetectorModel, click_probability, dark_prob_from_rate
 from .amplifier import (
     AmplifierConfig,
@@ -71,7 +64,6 @@ __all__ = [
     "AmplifierConfig",
     "AnalysisConfig",
     "BranchTable",
-    "CoherentAmplitude",
     "ConfigError",
     "Conditioning",
     "CountProbabilities",
@@ -88,7 +80,6 @@ __all__ = [
     "StateSet",
     "SweepSpec",
     "TallyTable",
-    "VACUUM",
     "beamsplitter",
     "branch_table",
     "click_probability",
@@ -104,6 +95,7 @@ __all__ = [
     "expected_counts",
     "figures_of_merit",
     "mc_visibility",
+    "mean_photons",
     "mixture_fidelity",
     "output_mixture",
     "overlap_sq",

@@ -17,11 +17,13 @@ the N^2 (input, guess) branches.  It is built with scalar Python arithmetic
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .coherent import CoherentAmplitude, Mixture
+from .coherent import Mixture, mean_photons, overlap_sq
 from .detectors import DetectorModel, click_probabilities
 from .errors import NeverHeraldedError
 
@@ -33,22 +35,24 @@ DISTRIBUTION_TOL = 1e-12
 class StateSet:
     """N coherent states alpha * exp(2*pi*i*m/N), m = 0..N-1, on a circle."""
 
-    base_amplitude: CoherentAmplitude
+    base_amplitude: complex
     n_states: int
 
     def __post_init__(self):
+        object.__setattr__(self, "base_amplitude", complex(self.base_amplitude))
         if self.n_states < 1:
             raise ValueError(f"n_states must be >= 1, got {self.n_states}")
 
-    def state(self, m: int) -> CoherentAmplitude:
+    def state(self, m: int) -> complex:
         # reduce the index first so state(m + N) == state(m) exactly
         m = m % self.n_states
         if m == 0:
             return self.base_amplitude
-        return self.base_amplitude.rotated(2.0 * math.pi * m / self.n_states)
+        theta = 2.0 * math.pi * m / self.n_states
+        return self.base_amplitude * cmath.exp(1j * theta)
 
     def mean_photon_number(self) -> float:
-        return self.base_amplitude.mean_photon_number()
+        return mean_photons(self.base_amplitude)
 
 
 class Conditioning(enum.Enum):
@@ -122,9 +126,10 @@ class AmplifierConfig:
     def nominal_gain(self) -> float:
         return self.subtraction_t2 / self.comparison_r1
 
-    def target_amplitude(self, m: int) -> CoherentAmplitude:
+    def target_amplitude(self, m: int) -> complex:
         """Ideal amplified output for input m."""
-        return self.input_set.state(m).scaled(self.nominal_gain())
+        z, gain = self.input_set.state(m), self.nominal_gain()
+        return complex(gain * z.real, gain * z.imag)
 
 
 @dataclass(frozen=True)
@@ -156,13 +161,7 @@ class BranchTable:
         self, m: int, conditioning: Conditioning = Conditioning.D0_SILENT_D1_FIRES
     ) -> tuple[float, list[float]]:
         """Acceptance probability of input m and the normalized weights of its outputs."""
-        weights = self.weights[conditioning][m]
-        total = math.fsum(weights)
-        if total <= 0.0:
-            raise NeverHeraldedError(
-                f"no branch of input {m} can pass conditioning {conditioning.value}"
-            )
-        return total, [w / total for w in weights]
+        return _accepted(self.weights[conditioning][m], m, conditioning)
 
     def figures_of_merit(
         self, conditioning: Conditioning = Conditioning.D0_SILENT_D1_FIRES
@@ -171,7 +170,7 @@ class BranchTable:
         fidelity_sum = fraction_sum = 0.0
         for m, (outputs, target) in enumerate(zip(self.output, self.target)):
             _, weights = self.accepted(m, conditioning)
-            fidelity_sum += math.fsum(w * _overlap_sq(z, target) for w, z in zip(weights, outputs))
+            fidelity_sum += math.fsum(w * overlap_sq(z, target) for w, z in zip(weights, outputs))
             fraction_sum += weights[m]
         n = len(self.target)
         return FiguresOfMerit(fidelity_sum / n, fraction_sum / n, self.success_probability(conditioning))
@@ -186,57 +185,95 @@ class BranchTable:
         return total / len(self.target)
 
 
-def _overlap_sq(a: complex, b: complex) -> float:
-    """coherent.overlap_sq of two complex amplitudes."""
-    dr = a.real - b.real
-    di = a.imag - b.imag
-    return math.exp(-(dr * dr + di * di))
+def _accepted(
+    weights: list[float], m: int, conditioning: Conditioning
+) -> tuple[float, list[float]]:
+    """Total and normalized acceptance weights of input m's branches."""
+    total = math.fsum(weights)
+    if total <= 0.0:
+        raise NeverHeraldedError(
+            f"no branch of input {m} can pass conditioning {conditioning.value}"
+        )
+    return total, [w / total for w in weights]
 
 
-def branch_table(cfg: AmplifierConfig, det0: DetectorModel, det1: DetectorModel) -> BranchTable:
-    """All N^2 (input, guess) branches of the device, each derived once.
+# Conditioning levels in the order a branch row lists its weights.  Rows hold a
+# tuple, not a dict, because hashing an Enum member runs Python code.
+_LEVELS = tuple(Conditioning)
+
+
+class _BranchRow(NamedTuple):
+    """Row m of a :class:`BranchTable`: input m against every guess k."""
+
+    target: complex
+    output: list[complex]
+    d0_mean: list[float]
+    d1_mean: list[float]
+    d0_click: list[float]
+    d1_click: list[float]
+    weights: tuple[list[float], ...]  # one list per level of _LEVELS
+
+
+def _guess_parts(cfg: AmplifierConfig) -> tuple[list[complex], list[complex]]:
+    """The input states, and each one's guess contribution (t1^2/r1)*state to the retained port."""
+    members = [cfg.input_set.state(m) for m in range(cfg.n_states())]
+    r1, t1 = cfg.comparison_r1, cfg.comparison_t1
+    return members, [(t1 * t1 / r1) * z for z in members]
+
+
+def _branch_row(
+    cfg: AmplifierConfig,
+    det0: DetectorModel,
+    det1: DetectorModel,
+    members: list[complex],
+    guess_part: list[complex],
+    m: int,
+) -> _BranchRow:
+    """Every branch of input m, the one derivation behind :func:`branch_table`.
 
     Monitor = t1*input - r1*guess and retained = r1*input + t1*guess, with the
     guess scaled by t1/r1 so a correct guess nulls the monitor port; that
     branch is evaluated in closed form to keep the null and the gain law exact.
     """
-    n = cfg.n_states()
     r1, t1 = cfg.comparison_r1, cfg.comparison_t1
     r2, t2 = cfg.subtraction_r2, cfg.subtraction_t2
-    states = [cfg.input_set.state(m) for m in range(n)]
-    gain = cfg.nominal_gain()
-    target = [complex(gain * s.re, gain * s.im) for s in states]
-    members = [s.to_complex() for s in states]
+    target = cfg.target_amplitude(m)
+    z_in = members[m]
     # guess = (t1/r1)*member: d0 = t1*(in - member), retained = r1*in + (t1^2/r1)*member
-    input_part = [r1 * z for z in members]
-    guess_part = [(t1 * t1 / r1) * z for z in members]
-    output, d0_mean, d1_mean = ([[0.0] * n for _ in range(n)] for _ in range(3))
-    for m, z_in in enumerate(members):
-        for k, z_member in enumerate(members):
-            if k == m:
-                n0 = 0.0
-                retained = z_in / r1
-                out = target[m]
-            else:
-                d0 = t1 * (z_in - z_member)
-                n0 = d0.real * d0.real + d0.imag * d0.imag
-                retained = input_part[m] + guess_part[k]
-                out = complex(t2 * retained.real, t2 * retained.imag)
-            tap_re, tap_im = r2 * retained.real, r2 * retained.imag
-            output[m][k] = out
-            d0_mean[m][k] = n0
-            d1_mean[m][k] = tap_re * tap_re + tap_im * tap_im
-    d0_click = [click_probabilities(row, det0) for row in d0_mean]
-    d1_click = [click_probabilities(row, det1) for row in d1_mean]
+    input_part = r1 * z_in
+    output, d0_mean, d1_mean = [], [], []
+    for k, z_member in enumerate(members):
+        if k == m:
+            n0 = 0.0
+            retained = z_in / r1
+            out = target
+        else:
+            d0 = t1 * (z_in - z_member)
+            n0 = d0.real * d0.real + d0.imag * d0.imag
+            retained = input_part + guess_part[k]
+            out = complex(t2 * retained.real, t2 * retained.imag)
+        tap_re, tap_im = r2 * retained.real, r2 * retained.imag
+        output.append(out)
+        d0_mean.append(n0)
+        d1_mean.append(tap_re * tap_re + tap_im * tap_im)
+    d0_click = click_probabilities(d0_mean, det0)
+    d1_click = click_probabilities(d1_mean, det1)
     prior = cfg.guess_distribution
-    silent = [[q * (1.0 - p0) for q, p0 in zip(prior, row)] for row in d0_click]
-    return BranchTable(prior, target, output, d0_mean, d1_mean, d0_click, d1_click, {
-        Conditioning.NONE: [list(prior) for _ in range(n)],
-        Conditioning.D0_SILENT: silent,
-        Conditioning.D0_SILENT_D1_FIRES: [
-            [w * p1 for w, p1 in zip(ws, row)] for ws, row in zip(silent, d1_click)
-        ],
-    })
+    silent = [q * (1.0 - p0) for q, p0 in zip(prior, d0_click)]
+    heralded = [w * p1 for w, p1 in zip(silent, d1_click)]
+    weights = (list(prior), silent, heralded)
+    return _BranchRow(target, output, d0_mean, d1_mean, d0_click, d1_click, weights)
+
+
+def branch_table(cfg: AmplifierConfig, det0: DetectorModel, det1: DetectorModel) -> BranchTable:
+    """All N^2 (input, guess) branches of the device, each derived once."""
+    members, guess_part = _guess_parts(cfg)
+    rows = [_branch_row(cfg, det0, det1, members, guess_part, m) for m in range(len(members))]
+    target, output, d0_mean, d1_mean, d0_click, d1_click, weights = map(list, zip(*rows))
+    return BranchTable(
+        cfg.guess_distribution, target, output, d0_mean, d1_mean, d0_click, d1_click,
+        {c: list(level) for c, level in zip(_LEVELS, zip(*weights))},
+    )
 
 
 def output_mixture(
@@ -248,17 +285,15 @@ def output_mixture(
 ) -> Mixture:
     """Conditioned output state for one input, as a normalized coherent mixture.
 
-    Components with exactly zero acceptance weight are dropped (e.g. the dead
-    wrong branch of the two-state set under ideal detectors).
+    Only row ``input_index`` of the branch table is derived.  Components with
+    exactly zero acceptance weight are dropped (e.g. the dead wrong branch of
+    the two-state set under ideal detectors).
     """
     if not (0 <= input_index < cfg.n_states()):
         raise IndexError(f"input index {input_index} out of range for {cfg.n_states()} states")
-    table = branch_table(cfg, det0, det1)
-    _, weights = table.accepted(input_index, conditioning)
-    outputs = table.output[input_index]
-    return Mixture(
-        tuple((w, CoherentAmplitude(z.real, z.imag)) for w, z in zip(weights, outputs) if w > 0.0)
-    )
+    row = _branch_row(cfg, det0, det1, *_guess_parts(cfg), input_index)
+    _, weights = _accepted(row.weights[_LEVELS.index(conditioning)], input_index, conditioning)
+    return Mixture(tuple((w, z) for w, z in zip(weights, row.output) if w > 0.0))
 
 
 def figures_of_merit(

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherent import CoherentAmplitude, Mixture
+from .coherent import Mixture, mean_photons
 from .detectors import DetectorModel, click_curve
 from .errors import InsufficientSignalError, InvalidEpsilonError
 
@@ -41,7 +41,7 @@ AMPLITUDE_MATCH_TOL = 1e-9
 class AnalysisConfig:
     """Reference (test) state, imperfection epsilon, detector and phase grid."""
 
-    reference_amplitude: CoherentAmplitude
+    reference_amplitude: complex
     epsilon: float = 0.0
     detector: DetectorModel = DetectorModel.ideal()
     phase_points: int = 256
@@ -53,7 +53,7 @@ class AnalysisConfig:
             raise ValueError(f"phase_points must be >= 8, got {self.phase_points}")
 
     def ref_mean_photons(self) -> float:
-        return self.reference_amplitude.mean_photon_number()
+        return mean_photons(self.reference_amplitude)
 
 
 @dataclass(frozen=True)
@@ -120,7 +120,7 @@ def port_click(out, ref, det: DetectorModel, port: str) -> np.ndarray:
     return click_curve(0.5 * np.abs(field) ** 2, det)
 
 
-def count_probabilities(output: CoherentAmplitude, cfg: AnalysisConfig) -> CountProbabilities:
+def count_probabilities(output: complex, cfg: AnalysisConfig) -> CountProbabilities:
     """Click pattern probabilities for one output state behind the analyzer.
 
     An output matching the reference is handled with the phenomenological
@@ -130,9 +130,8 @@ def count_probabilities(output: CoherentAmplitude, cfg: AnalysisConfig) -> Count
     coherent fields (output +/- reference)/sqrt(2), clicking by :func:`port_click`.
     """
     eta_l = cfg.detector.eta_l()
-    z_out = output.to_complex()
-    z_ref = cfg.reference_amplitude.to_complex()
-    if abs(z_out - z_ref) <= AMPLITUDE_MATCH_TOL:
+    z_ref = cfg.reference_amplitude
+    if abs(output - z_ref) <= AMPLITUDE_MATCH_TOL:
         e2 = math.exp(-2.0 * eta_l * cfg.ref_mean_photons())
         p10 = 1.0 - e2 - cfg.epsilon
         if p10 < 0.0:
@@ -142,8 +141,8 @@ def count_probabilities(output: CoherentAmplitude, cfg: AnalysisConfig) -> Count
         p01 = cfg.epsilon * e2
         p11 = cfg.epsilon * (1.0 - e2)
     else:
-        pa = float(port_click(z_out, z_ref, cfg.detector, "A"))
-        pb = float(port_click(z_out, z_ref, cfg.detector, "B"))
+        pa = float(port_click(output, z_ref, cfg.detector, "A"))
+        pb = float(port_click(output, z_ref, cfg.detector, "B"))
         p10 = pa * (1.0 - pb)
         p01 = pb * (1.0 - pa)
         p11 = pa * pb
@@ -161,7 +160,7 @@ def visibility(m: Mixture, cfg: AnalysisConfig) -> float:
     """
     if not m.is_normalized():
         raise ValueError("mixture must be normalized")
-    return visibilities([a.to_complex() for a in m.amplitudes()], [m.weights()], cfg)[0]
+    return visibilities(m.amplitudes(), [m.weights()], cfg)[0]
 
 
 _scan: tuple[int, np.ndarray | None] = (0, None)
@@ -187,7 +186,7 @@ def visibilities(
     mixtures share one reference scan, and each component's click curve is
     computed once, so memory stays O(phase_points).
     """
-    z_ref = cfg.reference_amplitude.to_complex() * _unit_scan(cfg.phase_points)
+    z_ref = cfg.reference_amplitude * _unit_scan(cfg.phase_points)
     p_a = [np.zeros(cfg.phase_points) for _ in weight_sets]
     for a, weights in zip(amplitudes, zip(*weight_sets)):
         click = port_click(a, z_ref, cfg.detector, "A")
@@ -304,23 +303,18 @@ def estimate_fidelity(
 def reconstruct_density(
     n_sig: float,
     n_vac: float,
-    reference: CoherentAmplitude,
+    reference: complex,
 ) -> Mixture:
     """Two-component density operator from estimated class pulse numbers."""
     total = n_sig + n_vac
     if total <= 0.0:
         raise InsufficientSignalError("no pulses attributed to either class")
-    return Mixture(
-        (
-            (n_sig / total, reference),
-            (n_vac / total, CoherentAmplitude(0.0, 0.0)),
-        )
-    )
+    return Mixture(((n_sig / total, reference), (n_vac / total, 0j)))
 
 
 def estimate_class_pulse_numbers(
     class_counts: list[tuple[float, float]],
-    class_amplitudes: list[CoherentAmplitude],
+    class_amplitudes: list[complex],
     cfg: AnalysisConfig,
 ) -> list[float]:
     """Pulse numbers for an arbitrary set of known output classes.
@@ -334,8 +328,8 @@ def estimate_class_pulse_numbers(
     """
     if len(class_counts) != len(class_amplitudes):
         raise ValueError("class_counts and class_amplitudes must have equal length")
-    z = np.array([amp.to_complex() for amp in class_amplitudes], dtype=complex)
-    z_ref = cfg.reference_amplitude.to_complex()
+    z = np.array(class_amplitudes, dtype=complex)
+    z_ref = cfg.reference_amplitude
     seen = port_click(z, z_ref, cfg.detector, "A") + port_click(z, z_ref, cfg.detector, "B")
     if np.any(seen < EXPONENT_GUARD):
         raise InsufficientSignalError(

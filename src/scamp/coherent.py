@@ -1,14 +1,16 @@
 """Coherent-amplitude algebra: overlaps, beamsplitters, and coherent mixtures.
 
 Every state handled by the simulator is a coherent state or a classical
-mixture of coherent states, so a complex amplitude (plus weights) is a
-complete description.  Beamsplitters map coherent inputs to coherent
-outputs, which keeps the whole forward model in closed form.
+mixture of coherent states, so a Python ``complex`` amplitude (plus weights)
+is a complete description; the vacuum is ``0j``.  Mean photon numbers are
+computed from the components as re*re + im*im (:func:`mean_photons`), never
+as abs(z)**2, which rounds differently, so every printed value stays
+bit-stable.  Beamsplitters map coherent inputs to coherent outputs, which
+keeps the whole forward model in closed form.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -16,59 +18,22 @@ UNITARITY_TOL = 1e-12
 NORMALIZATION_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class CoherentAmplitude:
-    """Complex amplitude of a coherent state; mean photon number is |amplitude|^2."""
-
-    re: float
-    im: float = 0.0
-
-    @classmethod
-    def from_complex(cls, z: complex) -> "CoherentAmplitude":
-        return cls(float(z.real), float(z.imag))
-
-    @classmethod
-    def from_polar(cls, magnitude: float, phase: float) -> "CoherentAmplitude":
-        return cls(magnitude * math.cos(phase), magnitude * math.sin(phase))
-
-    @classmethod
-    def from_mean_photons(cls, mean_photons: float, phase: float = 0.0) -> "CoherentAmplitude":
-        if mean_photons < 0:
-            raise ValueError(f"mean photon number must be >= 0, got {mean_photons}")
-        return cls.from_polar(math.sqrt(mean_photons), phase)
-
-    def to_complex(self) -> complex:
-        return complex(self.re, self.im)
-
-    def mean_photon_number(self) -> float:
-        return self.re * self.re + self.im * self.im
-
-    def rotated(self, theta: float) -> "CoherentAmplitude":
-        return CoherentAmplitude.from_complex(self.to_complex() * cmath.exp(1j * theta))
-
-    def scaled(self, factor: float) -> "CoherentAmplitude":
-        return CoherentAmplitude(factor * self.re, factor * self.im)
+def mean_photons(z: complex) -> float:
+    """Mean photon number |z|^2 of the coherent state with amplitude z."""
+    return z.real * z.real + z.imag * z.imag
 
 
-VACUUM = CoherentAmplitude(0.0, 0.0)
-
-
-def overlap_sq(a: CoherentAmplitude, b: CoherentAmplitude) -> float:
+def overlap_sq(a: complex, b: complex) -> float:
     """Squared overlap |<a|b>|^2 = exp(-|a-b|^2) of two coherent states.
 
     Symmetric, in (0, 1], and equal to 1 iff a == b.
     """
-    dr = a.re - b.re
-    di = a.im - b.im
+    dr = a.real - b.real
+    di = a.imag - b.imag
     return math.exp(-(dr * dr + di * di))
 
 
-def beamsplitter(
-    a: CoherentAmplitude,
-    b: CoherentAmplitude,
-    t: float,
-    r: float,
-) -> tuple[CoherentAmplitude, CoherentAmplitude]:
+def beamsplitter(a: complex, b: complex, t: float, r: float) -> tuple[complex, complex]:
     """Two-port beamsplitter with real amplitude transmission t and reflection r.
 
     Convention (fixed across the package):
@@ -83,22 +48,18 @@ def beamsplitter(
         raise ValueError(f"beamsplitter amplitudes must lie in [0, 1], got t={t}, r={r}")
     if abs(t * t + r * r - 1.0) > UNITARITY_TOL:
         raise ValueError(f"non-unitary beamsplitter: t^2 + r^2 = {t * t + r * r!r}")
-    za = a.to_complex()
-    zb = b.to_complex()
-    retained = CoherentAmplitude.from_complex(r * za + t * zb)
-    monitor = CoherentAmplitude.from_complex(t * za - r * zb)
-    return retained, monitor
+    return r * a + t * b, t * a - r * b
 
 
 @dataclass(frozen=True)
 class Mixture:
-    """Weighted mixture of coherent components (weight, amplitude).
+    """Weighted mixture of coherent components (weight, complex amplitude).
 
     Weights are nonnegative; a mixture must contain at least one component.
     Most operations require a normalized mixture (weights summing to 1).
     """
 
-    components: tuple[tuple[float, CoherentAmplitude], ...]
+    components: tuple[tuple[float, complex], ...]
 
     def __post_init__(self):
         if len(self.components) == 0:
@@ -108,7 +69,7 @@ class Mixture:
                 raise ValueError(f"mixture weights must be finite and >= 0, got {w}")
 
     @classmethod
-    def single(cls, amplitude: CoherentAmplitude) -> "Mixture":
+    def single(cls, amplitude: complex) -> "Mixture":
         return cls(((1.0, amplitude),))
 
     def total_weight(self) -> float:
@@ -126,11 +87,11 @@ class Mixture:
     def weights(self) -> tuple[float, ...]:
         return tuple(w for w, _ in self.components)
 
-    def amplitudes(self) -> tuple[CoherentAmplitude, ...]:
+    def amplitudes(self) -> tuple[complex, ...]:
         return tuple(a for _, a in self.components)
 
 
-def mixture_fidelity(m: Mixture, target: CoherentAmplitude) -> float:
+def mixture_fidelity(m: Mixture, target: complex) -> float:
     """Fidelity <target| rho |target> of a normalized coherent mixture.
 
     Sum of weight * overlap_sq(component, target); lies in [0, 1] and equals 1

@@ -154,7 +154,7 @@ def branch_tables(spec: RunSpec) -> _BranchTables:
     n = cfg.n_states()
     table = branch_table(cfg, spec.detectors.d0, spec.detectors.d1)
     out = np.array(table.output, dtype=complex)[None, :, :]
-    z_ref = spec.analysis.reference_amplitude.to_complex()
+    z_ref = spec.analysis.reference_amplitude
     input_phases = np.exp(2j * np.pi * np.arange(n) / n)
     scan = np.exp(1j * np.asarray(spec.phase_schedule))
     # reference per (phase bin, input): outer product of the two phase factors

@@ -15,7 +15,7 @@ import numpy as np
 
 from .amplifier import AmplifierConfig, StateSet, figures_of_merit
 from .analysis import AnalysisConfig
-from .coherent import CoherentAmplitude
+from .coherent import mean_photons
 from .detectors import DetectorModel
 from .errors import InvalidEpsilonError
 from .montecarlo import DetectorBank
@@ -83,11 +83,12 @@ def default_amplifier(
     comparison_reflectivity: float = COMPARISON_REFLECTIVITY,
     subtraction_transmission: float = SUBTRACTION_TRANSMISSION,
 ) -> AmplifierConfig:
-    alpha = CoherentAmplitude.from_mean_photons(alpha_sq)
+    if alpha_sq < 0:
+        raise ValueError(f"mean photon number must be >= 0, got {alpha_sq}")
     return AmplifierConfig.from_intensities(
         comparison_reflectivity=comparison_reflectivity,
         subtraction_transmission=subtraction_transmission,
-        input_set=StateSet(alpha, n_states),
+        input_set=StateSet(complex(math.sqrt(alpha_sq)), n_states),
     )
 
 
@@ -113,13 +114,12 @@ def default_analysis(
     det = default_detector() if detector is None else detector
     reference = cfg.target_amplitude(0)
     if epsilon is None:
-        epsilon = epsilon_from_visibility(
-            reference.mean_photon_number(), det.eta_l(), OUTER_VISIBILITY
-        )
+        ref_mean_photons = mean_photons(reference)
+        epsilon = epsilon_from_visibility(ref_mean_photons, det.eta_l(), OUTER_VISIBILITY)
         if epsilon >= 1.0:
             raise InvalidEpsilonError(
                 f"epsilon derived from visibility {OUTER_VISIBILITY} at reference mean "
-                f"photon number {reference.mean_photon_number():.6g} rounds to 1"
+                f"photon number {ref_mean_photons:.6g} rounds to 1"
             )
     return AnalysisConfig(
         reference_amplitude=reference,

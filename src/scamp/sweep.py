@@ -111,6 +111,8 @@ class SweepSpec:
             raise ConfigError("n_states_list must be non-empty")
         if not all(1 <= n <= MAX_N_STATES for n in self.n_states_list):
             raise ConfigError(f"n_states values must lie in [1, {MAX_N_STATES}]")
+        if len(set(self.n_states_list)) != len(self.n_states_list):
+            raise ConfigError("n_states values must be distinct")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.output_format not in FORMATS:

@@ -14,7 +14,7 @@ from scamp.amplifier import (
     success_probability,
     success_rate,
 )
-from scamp.coherent import CoherentAmplitude, VACUUM, mixture_fidelity
+from scamp.coherent import mean_photons, mixture_fidelity
 from scamp.detectors import DetectorModel
 from scamp.errors import NeverHeraldedError
 from scamp import params
@@ -26,7 +26,7 @@ def make_config(alpha_sq, n_states, r1_sq=0.5, t2_sq=0.9):
     return AmplifierConfig.from_intensities(
         comparison_reflectivity=r1_sq,
         subtraction_transmission=t2_sq,
-        input_set=StateSet(CoherentAmplitude.from_mean_photons(alpha_sq), n_states),
+        input_set=StateSet(complex(math.sqrt(alpha_sq)), n_states),
     )
 
 
@@ -84,28 +84,28 @@ class TestGainLaw:
 
 class TestStateSet:
     def test_exact_periodicity(self):
-        s = StateSet(CoherentAmplitude(0.7, 0.3), 8)
+        s = StateSet(complex(0.7, 0.3), 8)
         for m in range(8):
             assert s.state(m + 8) == s.state(m)
 
     def test_members_share_mean_photon_number(self):
-        s = StateSet(CoherentAmplitude.from_mean_photons(0.37), 8)
+        s = StateSet(complex(math.sqrt(0.37)), 8)
         for m in range(8):
-            assert s.state(m).mean_photon_number() == pytest.approx(0.37, rel=1e-12)
+            assert mean_photons(s.state(m)) == pytest.approx(0.37, rel=1e-12)
 
     def test_rejects_empty_set(self):
         with pytest.raises(ValueError):
-            StateSet(VACUUM, 0)
+            StateSet(0j, 0)
 
 
 class TestConfigValidation:
     def test_rejects_non_unitary_splitters(self):
-        s = StateSet(CoherentAmplitude(1.0), 2)
+        s = StateSet(complex(1.0), 2)
         with pytest.raises(ValueError):
             AmplifierConfig(0.9, 0.9, 0.9, 0.1, s)
 
     def test_rejects_bad_guess_distribution(self):
-        s = StateSet(CoherentAmplitude(1.0), 2)
+        s = StateSet(complex(1.0), 2)
         h = math.sqrt(0.5)
         t2, r2 = math.sqrt(0.9), math.sqrt(0.1)
         with pytest.raises(ValueError):
@@ -118,14 +118,10 @@ class TestConfigValidation:
         assert cfg.guess_distribution == (0.25, 0.25, 0.25, 0.25)
 
     def test_rejects_zero_gain_device(self):
-        s = StateSet(CoherentAmplitude(1.0), 2)
+        s = StateSet(complex(1.0), 2)
         h = math.sqrt(0.5)
         with pytest.raises(ValueError):
             AmplifierConfig(h, h, 0.0, 1.0, s)
-
-
-def photons(z):
-    return z.real * z.real + z.imag * z.imag
 
 
 class TestEnumerateBranches:
@@ -135,7 +131,7 @@ class TestEnumerateBranches:
         cfg = make_config(0.5, 2)
         table = branch_table(cfg, IDEAL, IDEAL)
         assert table.d0_mean[0][0] == 0.0
-        assert table.output[0][0] == cfg.target_amplitude(0).to_complex()
+        assert table.output[0][0] == cfg.target_amplitude(0)
         # retained carries both pulses: r2^2 * 2 alpha^2 at the tap
         assert table.d1_mean[0][0] == pytest.approx(0.1 * 2 * 0.5, rel=1e-12)
 
@@ -147,7 +143,7 @@ class TestEnumerateBranches:
     def test_neighbor_guess_four_states(self):
         table = branch_table(make_config(0.5, 4), IDEAL, IDEAL)
         assert table.d0_mean[0][1] == pytest.approx(0.5, rel=1e-12)
-        assert photons(table.output[0][1]) == pytest.approx(0.9 * 0.5, rel=1e-12)
+        assert mean_photons(table.output[0][1]) == pytest.approx(0.9 * 0.5, rel=1e-12)
 
     def test_correct_branch_exact_for_uneven_splitter(self):
         # the destructive-interference null and the gain law must be exact
@@ -155,8 +151,8 @@ class TestEnumerateBranches:
         table = branch_table(cfg, IDEAL, IDEAL)
         for m in range(4):
             assert table.d0_mean[m][m] == 0.0
-            assert table.output[m][m] == cfg.target_amplitude(m).to_complex()
-            assert table.target[m] == cfg.target_amplitude(m).to_complex()
+            assert table.output[m][m] == cfg.target_amplitude(m)
+            assert table.target[m] == cfg.target_amplitude(m)
 
     def test_branch_count_and_priors(self):
         table = branch_table(make_config(0.5, 8), IDEAL, IDEAL)
@@ -181,19 +177,15 @@ class TestEnumerateBranches:
             for k in range(4):
                 retained, monitor = beamsplitter(
                     cfg.input_set.state(m),
-                    cfg.input_set.state(k).scaled(cfg.comparison_t1 / cfg.comparison_r1),
+                    (cfg.comparison_t1 / cfg.comparison_r1) * cfg.input_set.state(k),
                     cfg.comparison_t1,
                     cfg.comparison_r1,
                 )
-                assert table.d0_mean[m][k] == pytest.approx(
-                    monitor.mean_photon_number(), abs=1e-12
-                )
+                assert table.d0_mean[m][k] == pytest.approx(mean_photons(monitor), abs=1e-12)
                 assert table.d1_mean[m][k] == pytest.approx(
-                    retained.scaled(cfg.subtraction_r2).mean_photon_number(), abs=1e-12
+                    mean_photons(cfg.subtraction_r2 * retained), abs=1e-12
                 )
-                assert table.output[m][k] == pytest.approx(
-                    retained.scaled(cfg.subtraction_t2).to_complex(), abs=1e-12
-                )
+                assert table.output[m][k] == pytest.approx(cfg.subtraction_t2 * retained, abs=1e-12)
 
 
 class TestAcceptanceWeight:
@@ -238,8 +230,23 @@ class TestOutputMixture:
         cfg = make_config(0.0, 4)
         det = DetectorModel(efficiency=0.405, dark_prob_per_gate=1e-4)
         m = output_mixture(cfg, det, det, 0)
-        assert all(a.mean_photon_number() == 0.0 for a in m.amplitudes())
+        assert all(mean_photons(a) == 0.0 for a in m.amplitudes())
         assert mixture_fidelity(m, cfg.target_amplitude(0)) == 1.0
+
+    @pytest.mark.parametrize("n", [2, 5, 64])
+    def test_is_row_of_branch_table(self, n):
+        det0 = DetectorModel(efficiency=0.405, loss_transmission=0.8, dark_prob_per_gate=1e-5)
+        det1 = DetectorModel(efficiency=0.31, loss_transmission=0.9, dark_prob_per_gate=3e-6)
+        prior = tuple(np.random.default_rng(n).dirichlet(np.ones(n)))
+        cfg = AmplifierConfig.from_intensities(0.3, 0.9, StateSet(complex(math.sqrt(0.6)), n), prior)
+        table = branch_table(cfg, det0, det1)
+        for cond in Conditioning:
+            for m in range(n):
+                _, weights = table.accepted(m, cond)
+                row = tuple((w, z) for w, z in zip(weights, table.output[m]) if w > 0.0)
+                # repr is exact for floats and also tells 0.0 from -0.0
+                mixture = output_mixture(cfg, det0, det1, m, cond)
+                assert repr(mixture.components) == repr(row)
 
     def test_four_state_mixture_against_brute_force(self):
         cfg = make_config(0.5, 4)
@@ -259,7 +266,7 @@ class TestOutputMixture:
         assert len(m.components) == len(expected) == 3  # opposite guess is dead
         for (w, a), (we, ze) in zip(m.components, expected):
             assert w == pytest.approx(we, rel=1e-12)
-            assert a.to_complex() == pytest.approx(ze, rel=1e-12)
+            assert a == pytest.approx(ze, rel=1e-12)
         assert m.components[0][0] > 0.5  # dominated by the amplified target
 
 
@@ -301,7 +308,7 @@ class TestFiguresOfMerit:
         det1 = DetectorModel(efficiency=0.31, loss_transmission=0.9, dark_prob_per_gate=3e-6)
         prior = [0.5] + [0.5 / (n - 1)] * (n - 1)
         cfg = AmplifierConfig.from_intensities(
-            0.3, 0.9, StateSet(CoherentAmplitude.from_mean_photons(0.8), n), tuple(prior)
+            0.3, 0.9, StateSet(complex(math.sqrt(0.8)), n), tuple(prior)
         )
         table = branch_table(cfg, det0, det1)
         for cond in Conditioning:
@@ -319,7 +326,7 @@ class TestFiguresOfMerit:
         for n in (2, 4, 8):
             base = figures_of_merit(make_config(0.4, n), det, det)
             for theta in rng.uniform(0.0, 2.0 * math.pi, size=4):
-                alpha = CoherentAmplitude.from_polar(math.sqrt(0.4), theta)
+                alpha = cmath.rect(math.sqrt(0.4), theta)
                 cfg = AmplifierConfig.from_intensities(0.5, 0.9, StateSet(alpha, n))
                 rot = figures_of_merit(cfg, det, det)
                 assert rot.fidelity == pytest.approx(base.fidelity, abs=1e-12)

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -17,7 +18,7 @@ from scamp.analysis import (
     visibility,
 )
 from scamp.amplifier import Conditioning, output_mixture
-from scamp.coherent import CoherentAmplitude, Mixture, VACUUM, mixture_fidelity
+from scamp.coherent import Mixture, mixture_fidelity
 from scamp.detectors import DetectorModel, click_probability
 from scamp.errors import InsufficientSignalError, InvalidEpsilonError
 from scamp import params
@@ -25,7 +26,7 @@ from scamp import params
 
 def analyzer(g2a2, eta=0.405, loss=1.0, epsilon=0.0, phase_points=256, dark=0.0):
     return AnalysisConfig(
-        reference_amplitude=CoherentAmplitude.from_mean_photons(g2a2),
+        reference_amplitude=complex(math.sqrt(g2a2)),
         epsilon=epsilon,
         detector=DetectorModel(efficiency=eta, loss_transmission=loss, dark_prob_per_gate=dark),
         phase_points=phase_points,
@@ -60,7 +61,7 @@ class TestCountProbabilities:
 
     def test_vacuum_row(self):
         cfg = analyzer(1.8)  # eta*l*g2a2 = 0.729, per-port exponent 0.3645
-        p = count_probabilities(VACUUM, cfg)
+        p = count_probabilities(0j, cfg)
         expected = 0.2121526958773375
         assert p.p10 == pytest.approx(expected, abs=1e-15)
         assert p.p01 == pytest.approx(expected, abs=1e-15)
@@ -69,7 +70,7 @@ class TestCountProbabilities:
 
     def test_vacuum_marginals_include_dark_counts(self):
         cfg = analyzer(1.8, dark=0.02)
-        p = count_probabilities(VACUUM, cfg)
+        p = count_probabilities(0j, cfg)
         expected = click_probability(cfg.ref_mean_photons() / 2.0, cfg.detector)
         assert p.p10 + p.p11 == pytest.approx(expected, abs=1e-15)
         assert p.p01 + p.p11 == pytest.approx(expected, abs=1e-15)
@@ -77,7 +78,7 @@ class TestCountProbabilities:
 
     def test_rows_are_probability_tables(self):
         cfg = analyzer(1.3, epsilon=0.08)
-        for out in (cfg.reference_amplitude, VACUUM, CoherentAmplitude(0.4, 0.2)):
+        for out in (cfg.reference_amplitude, 0j, complex(0.4, 0.2)):
             p = count_probabilities(out, cfg)
             for value in (p.p10, p.p01, p.p11, p.p00):
                 assert 0.0 <= value <= 1.0
@@ -85,10 +86,10 @@ class TestCountProbabilities:
 
     def test_degenerate_reference(self):
         cfg = analyzer(0.0, epsilon=0.0)
-        p = count_probabilities(VACUUM, cfg)
+        p = count_probabilities(0j, cfg)
         assert (p.p10, p.p01, p.p11, p.p00) == (0.0, 0.0, 0.0, 1.0)
         with pytest.raises(InvalidEpsilonError):
-            count_probabilities(VACUUM, analyzer(0.0, epsilon=0.01))
+            count_probabilities(0j, analyzer(0.0, epsilon=0.01))
 
     def test_epsilon_too_large_flagged(self):
         with pytest.raises(InvalidEpsilonError):
@@ -109,12 +110,12 @@ class TestPortClick:
 def dense_scan_visibility(m, cfg):
     """The visibility scan written out in full: fresh phase grid, one pass."""
     phases = np.linspace(0.0, 2.0 * np.pi, cfg.phase_points, endpoint=False)
-    z_ref = cfg.reference_amplitude.to_complex() * np.exp(1j * phases)
+    z_ref = cfg.reference_amplitude * np.exp(1j * phases)
     p_a = np.zeros_like(phases)
     eta_l = cfg.detector.eta_l()
     dark = cfg.detector.dark_prob_per_gate
     for w, a in m.components:
-        n_a = 0.5 * np.abs(a.to_complex() + z_ref) ** 2
+        n_a = 0.5 * np.abs(a + z_ref) ** 2
         p_a += w * (1.0 - (1.0 - dark) * np.exp(-eta_l * n_a))
     hi, lo = float(p_a.max()), float(p_a.min())
     return 0.0 if hi <= 0.0 else (hi - lo) / (hi + lo)
@@ -133,8 +134,7 @@ class TestVisibility:
                 weight_sets.append([float(w) for w in raw / raw.sum()])
             shared = visibilities(amplitudes, weight_sets, cfg)
             for ws, value in zip(weight_sets, shared):
-                m = Mixture(tuple((w, CoherentAmplitude(z.real, z.imag))
-                                  for w, z in zip(ws, amplitudes)))
+                m = Mixture(tuple(zip(ws, amplitudes)))
                 assert value == dense_scan_visibility(m, cfg) == visibility(m, cfg)
 
     def test_pure_matched_output(self):
@@ -143,11 +143,11 @@ class TestVisibility:
 
     def test_vacuum_output_is_phase_blind(self):
         cfg = analyzer(0.9)
-        assert visibility(Mixture.single(VACUUM), cfg) == pytest.approx(0.0, abs=1e-12)
+        assert visibility(Mixture.single(0j), cfg) == pytest.approx(0.0, abs=1e-12)
 
     def test_dark_device_returns_zero(self):
         cfg = analyzer(0.0)
-        assert visibility(Mixture.single(VACUUM), cfg) == 0.0
+        assert visibility(Mixture.single(0j), cfg) == 0.0
 
     def test_ideal_conditioned_two_state_output(self):
         ideal = DetectorModel.ideal()
@@ -161,25 +161,25 @@ class TestVisibility:
         cfg = analyzer(0.9)
         values = []
         for w_vac in np.linspace(0.0, 0.9, 10):
-            m = Mixture(((1.0 - w_vac, cfg.reference_amplitude), (w_vac, VACUUM)))
+            m = Mixture(((1.0 - w_vac, cfg.reference_amplitude), (w_vac, 0j)))
             values.append(visibility(m, cfg))
         assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
 
     def test_invariant_under_common_rotation(self):
-        ref = CoherentAmplitude.from_mean_photons(0.9)
-        m = Mixture(((0.8, ref), (0.2, ref.scaled(0.3))))
+        ref = complex(math.sqrt(0.9))
+        m = Mixture(((0.8, ref), (0.2, 0.3 * ref)))
         base = visibility(m, analyzer(0.9))
         theta = 1.234
-        m_rot = Mixture(tuple((w, a.rotated(theta)) for w, a in m.components))
+        m_rot = Mixture(tuple((w, a * cmath.exp(1j * theta)) for w, a in m.components))
         cfg_rot = AnalysisConfig(
-            reference_amplitude=ref.rotated(theta),
+            reference_amplitude=ref * cmath.exp(1j * theta),
             detector=DetectorModel(efficiency=0.405),
         )
         assert visibility(m_rot, cfg_rot) == pytest.approx(base, abs=1e-9)
 
     def test_requires_normalized_mixture(self):
         with pytest.raises(ValueError):
-            visibility(Mixture(((0.5, VACUUM),)), analyzer(0.9))
+            visibility(Mixture(((0.5, 0j),)), analyzer(0.9))
 
 
 class TestPulseNumberEstimation:
@@ -249,7 +249,7 @@ class TestFidelityEstimate:
         assert f == pytest.approx(0.9406569659740599, abs=1e-15)
 
     def test_matches_mixture_fidelity_of_reconstruction(self):
-        ref = CoherentAmplitude.from_mean_photons(0.9)
+        ref = complex(math.sqrt(0.9))
         m = reconstruct_density(900.0, 100.0, ref)
         assert estimate_fidelity(900.0, 100.0, g2a2=0.9) == pytest.approx(
             mixture_fidelity(m, ref), abs=1e-14
@@ -266,19 +266,19 @@ class TestFidelityEstimate:
 
 class TestReconstructDensity:
     def test_weights(self):
-        ref = CoherentAmplitude.from_mean_photons(0.9)
+        ref = complex(math.sqrt(0.9))
         assert reconstruct_density(900.0, 100.0, ref).weights() == (0.9, 0.1)
         assert reconstruct_density(0.0, 100.0, ref).weights() == (0.0, 1.0)
         assert reconstruct_density(250.0, 250.0, ref).weights() == (0.5, 0.5)
 
     def test_components(self):
-        ref = CoherentAmplitude.from_mean_photons(0.9)
+        ref = complex(math.sqrt(0.9))
         m = reconstruct_density(900.0, 100.0, ref)
-        assert m.amplitudes() == (ref, VACUUM)
+        assert m.amplitudes() == (ref, 0j)
 
     def test_insufficient_signal(self):
         with pytest.raises(InsufficientSignalError):
-            reconstruct_density(0.0, 0.0, VACUUM)
+            reconstruct_density(0.0, 0.0, 0j)
 
 
 class TestClassPulseEstimator:
@@ -287,13 +287,12 @@ class TestClassPulseEstimator:
         # four known output amplitudes, counts generated from the click law
         cfg = analyzer(0.9, eta=0.39, dark=dark)
         ref = cfg.reference_amplitude
-        amps = [ref, ref.scaled(0.5), ref.rotated(math.pi / 2), VACUUM]
+        amps = [ref, 0.5 * ref, ref * cmath.exp(1j * math.pi / 2), 0j]
         true_numbers = [4000.0, 300.0, 20.0, 700.0]
         counts = []
         for n_j, amp in zip(true_numbers, amps):
-            z, zr = amp.to_complex(), ref.to_complex()
-            p_a = 1.0 - (1.0 - dark) * math.exp(-0.39 * 0.5 * abs(z + zr) ** 2)
-            p_b = 1.0 - (1.0 - dark) * math.exp(-0.39 * 0.5 * abs(z - zr) ** 2)
+            p_a = 1.0 - (1.0 - dark) * math.exp(-0.39 * 0.5 * abs(amp + ref) ** 2)
+            p_b = 1.0 - (1.0 - dark) * math.exp(-0.39 * 0.5 * abs(amp - ref) ** 2)
             counts.append((n_j * p_a, n_j * p_b))
         estimated = estimate_class_pulse_numbers(counts, amps, cfg)
         assert estimated == pytest.approx(true_numbers, rel=1e-12)
@@ -306,7 +305,7 @@ class TestClassPulseEstimator:
 
     def test_rejects_unobservable_class(self):
         with pytest.raises(InsufficientSignalError):
-            estimate_class_pulse_numbers([(1.0, 1.0)], [VACUUM], analyzer(0.0, eta=0.4))
+            estimate_class_pulse_numbers([(1.0, 1.0)], [0j], analyzer(0.0, eta=0.4))
 
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from scamp.analysis import AnalysisConfig, count_probabilities
-from scamp.coherent import CoherentAmplitude
 from scamp.detectors import (
     DetectorModel,
     click_probabilities,
@@ -72,7 +71,7 @@ class TestClickProbability:
     def test_reduces_to_analyzer_bright_port_term(self):
         # d = 0, l = 1: identical, term for term, to the analyzer's signal row
         det = DetectorModel(efficiency=0.405)
-        ref = CoherentAmplitude.from_mean_photons(0.9)
+        ref = complex(math.sqrt(0.9))
         cfg = AnalysisConfig(reference_amplitude=ref, epsilon=0.0, detector=det)
         assert count_probabilities(ref, cfg).p10 == click_probability(2.0 * 0.9, det)
 

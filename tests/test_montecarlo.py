@@ -11,7 +11,6 @@ from scamp.analysis import (
     estimate_class_pulse_numbers,
     estimate_pulse_numbers,
 )
-from scamp.coherent import CoherentAmplitude
 from scamp.detectors import DetectorModel, click_probability
 from scamp.montecarlo import (
     DEFAULT_CHUNK_SIZE,
@@ -256,10 +255,7 @@ class TestEstimatorOracle:
         records = counts_by_offset(tally, Conditioning.NONE)
         cfg = spec.amplifier
         # output amplitude of offset d in the frame of input 0
-        amps = [
-            CoherentAmplitude(z.real, z.imag)
-            for z in branch_table(cfg, IDEAL, IDEAL).output[0]
-        ]
+        amps = branch_table(cfg, IDEAL, IDEAL).output[0]
         estimated = estimate_class_pulse_numbers(
             [(n_a, n_b) for n_a, n_b, _ in records], amps, spec.analysis
         )

@@ -47,6 +47,10 @@ class TestSweepSpecValidation:
         with pytest.raises(ConfigError):
             SweepSpec(alpha_sq_grid=(0.1, 0.1), n_states_list=(2,))
 
+    def test_rejects_duplicate_n_states(self):
+        with pytest.raises(ConfigError, match="distinct"):
+            SweepSpec(alpha_sq_grid=(0.1,), n_states_list=(2, 4, 2))
+
     def test_rejects_bad_mode_and_format(self):
         with pytest.raises(ConfigError):
             SweepSpec(alpha_sq_grid=(0.1,), n_states_list=(2,), mode="exact")
@@ -368,6 +372,12 @@ class TestCli:
         assert run_cli(["sweep", "--config", str(config)]) == 2
         self.assert_one_line_config_error(capsys)
 
+    def test_sweep_rejects_duplicate_n_states(self, tmp_path, capsys):
+        config = tmp_path / "dup.ini"
+        config.write_text("[sweep]\nalpha_sq = 0.5\nn_states = 2,2,2\n")
+        assert run_cli(["sweep", "--config", str(config)]) == 2
+        self.assert_one_line_config_error(capsys)
+
     def test_figure_rejects_huge_phase_points(self, capsys):
         assert run_cli(["figure", "--id", "fig3a", "--phase-points", "99999999999999999999"]) == 2
         self.assert_one_line_config_error(capsys)
@@ -500,7 +510,11 @@ _FUZZ_VALUES = {
         ),
         _junk,
     ),
-    ("sweep", "n_states"): st.one_of(st.integers(-1, 8).map(str), _oversized, _junk),
+    ("sweep", "n_states"): st.one_of(
+        st.lists(st.integers(-1, 8), min_size=1, max_size=3).map(lambda ns: ",".join(map(str, ns))),
+        _oversized,
+        _junk,
+    ),
     ("sweep", "mode"): st.sampled_from(["analytic", "montecarlo", "both", "exact"]),
     ("sweep", "n_pulses"): st.one_of(_ints, _floats, _junk),
     ("sweep", "seed"): st.one_of(_ints, _junk),
@@ -537,6 +551,7 @@ _overrides = st.lists(st.sampled_from(sorted(_FUZZ_VALUES)), max_size=3, unique=
 @example(overrides={("detector.da", "efficiency"): "0"}, mode="both", workers=None)
 @example(overrides={("sweep", "phase_points"): "99999999999999999999"}, mode=None, workers=None)
 @example(overrides={("sweep", "alpha_sq"): "0.1:2.9:1000000"}, mode=None, workers=None)
+@example(overrides={("sweep", "n_states"): "2,2,2"}, mode="both", workers=None)
 def test_sweep_exit_code_is_documented(tmp_path, capsys, overrides, mode, workers):
     values = {**_BASE_CONFIG, **overrides}
     text = ""
