@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .coherent import Mixture, mean_photons, overlap_sq
+from .coherent import Mixture, overlap_sq
 from .detectors import DetectorModel, click_probabilities
 from .errors import NeverHeraldedError
 
@@ -50,9 +50,6 @@ class StateSet:
             return self.base_amplitude
         theta = 2.0 * math.pi * m / self.n_states
         return self.base_amplitude * cmath.exp(1j * theta)
-
-    def mean_photon_number(self) -> float:
-        return mean_photons(self.base_amplitude)
 
 
 class Conditioning(enum.Enum):

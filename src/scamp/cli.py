@@ -4,7 +4,10 @@ Physics parameters come from a flat INI-style config file (sections
 ``amplifier``, ``detector.d0`` .. ``detector.db``, ``sweep``, ``output``)
 plus command-line overrides; unknown keys or sections are errors, since a
 silently ignored typo in a physics parameter is the costliest failure mode.
-The only environment variable honored is SCAMP_WORKERS (default for --workers).
+``sweep`` and ``figure`` read the config the same way, and every key reaches
+the model; a figure is an analytic sweep of one state-set size, so it
+rejects ``n_states`` and any non-analytic ``mode``.  No environment
+variable is read.
 
 Exit codes: 0 success, 2 configuration error, 3 runtime error,
 4 selfcheck threshold failure.
@@ -16,7 +19,6 @@ import argparse
 import configparser
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -27,6 +29,7 @@ from .detectors import DetectorModel
 from .montecarlo import DetectorBank
 from .selfcheck import run_selfcheck
 from .sweep import (
+    FORMATS,
     Dataset,
     SweepSpec,
     dataset_to_csv,
@@ -59,7 +62,7 @@ _SCHEMA = {
     "output": {"path", "format"},
 }
 for _section in _DETECTOR_SECTIONS:
-    _SCHEMA[_section] = {"efficiency", "loss", "dark_prob", "gate_halfwidth_ns"}
+    _SCHEMA[_section] = {"efficiency", "loss", "dark_prob"}
 # Most alpha_sq points one grid may hold, checked before the grid is built: the
 # figure grids have 29, and every point costs a full analytic row.
 MAX_ALPHA_SQ_POINTS = 4096
@@ -91,7 +94,6 @@ def _detector_from_section(section) -> DetectorModel:
             "loss", params.FROZEN_OPTICAL_LOSS * params.SIGNAL_GATE_RETENTION
         ),
         dark_prob_per_gate=section.getfloat("dark_prob", params.DARK_PROB_PER_GATE),
-        gate_halfwidth=section.getfloat("gate_halfwidth_ns", 2.0) * 1e-9,
     )
 
 
@@ -151,19 +153,11 @@ def load_sweep_config(path: str | None) -> dict:
 
 
 def _workers(args) -> int:
-    if args.workers is not None:
-        source, value = "--workers", args.workers
-    else:
-        env = os.environ.get("SCAMP_WORKERS")
-        if env is None:
-            return 1
-        try:
-            source, value = "SCAMP_WORKERS", int(env)
-        except ValueError:
-            raise ConfigError(f"SCAMP_WORKERS must be an integer, got {env!r}")
-    if value < 1:
-        raise ConfigError(f"{source} must be >= 1, got {value}")
-    return value
+    if args.workers is None:
+        return 1
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
+    return args.workers
 
 
 def _emit(dataset: Dataset, path: str | None, output_format: str) -> None:
@@ -237,22 +231,27 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_figure(args) -> int:
     try:
-        grid = _parse_alpha_grid(args.alpha_sq) if args.alpha_sq else None
-        detectors = None
-        if args.config is not None:
-            detectors = load_sweep_config(args.config).get("detectors")
-        dataset = reproduce_figure(
-            args.id,
-            optical_loss=args.loss,
-            alpha_sq_grid=grid,
-            detectors=detectors,
-            phase_points=args.phase_points,
-        )
+        kwargs = load_sweep_config(args.config)
+        # where the rows go is not part of the figure, so it stays out of its spec
+        config_path = kwargs.pop("output_path", None)
+        config_format = kwargs.pop("output_format", "csv")
+        path = config_path if args.output is None else args.output
+        output_format = config_format if args.format is None else args.format
+        if output_format not in FORMATS:
+            raise ConfigError(f"output format must be one of {FORMATS}, got {output_format!r}")
+        if args.alpha_sq is not None:
+            kwargs["alpha_sq_grid"] = _parse_alpha_grid(args.alpha_sq)
+        if args.loss is not None:
+            if "detectors" in kwargs:
+                raise ConfigError("--loss builds the default detectors; it cannot be combined"
+                                  " with [detector.*] sections in the config")
+            kwargs["detectors"] = params.default_detector_bank(args.loss)
+        dataset = reproduce_figure(args.id, **kwargs)
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        _emit(dataset, args.output, args.format)
+        _emit(dataset, path, output_format)
     except OSError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
@@ -279,8 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--workers",
         type=int,
-        help="Monte Carlo worker count, checked but without effect on output or speed"
-        " (default: SCAMP_WORKERS or 1)",
+        help="Monte Carlo worker count >= 1, checked but without effect on output or speed"
+        " (default: 1)",
     )
     p_sweep.set_defaults(func=_cmd_sweep)
 
@@ -304,12 +303,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fig = sub.add_parser("figure", help="emit a model-curve dataset for a known figure layout")
     p_fig.add_argument("--id", required=True, help="fig3a | fig3b | fig3c | fig3d | fig4")
-    p_fig.add_argument("--config", help="INI config file (detector blocks are honored)")
-    p_fig.add_argument("--loss", type=float, default=params.FROZEN_OPTICAL_LOSS)
+    p_fig.add_argument("--config", help="INI config file, read as by sweep (no n_states or mode)")
+    p_fig.add_argument(
+        "--loss",
+        type=float,
+        help="optical loss of the default detectors; only without [detector.*] sections",
+    )
     p_fig.add_argument("--alpha-sq", help="grid override: comma list or start:stop:count")
-    p_fig.add_argument("--phase-points", type=int, default=256)
     p_fig.add_argument("--output", help="output path (default: stdout)")
-    p_fig.add_argument("--format", choices=["csv", "json"], default="csv")
+    p_fig.add_argument("--format", choices=["csv", "json"])
     p_fig.set_defaults(func=_cmd_figure)
 
     p_check = sub.add_parser("selfcheck", help="run the built-in sanity thresholds")

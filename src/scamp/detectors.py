@@ -26,21 +26,17 @@ class DetectorModel:
     efficiency         quantum efficiency eta
     loss_transmission  transmission l of optics in front of the detector
     dark_prob_per_gate probability d of a background count within one gate
-    gate_halfwidth     accepted timing window half-width, seconds (bookkeeping)
     """
 
     efficiency: float
     loss_transmission: float = 1.0
     dark_prob_per_gate: float = 0.0
-    gate_halfwidth: float = 2e-9
 
     def __post_init__(self):
         for name in ("efficiency", "loss_transmission", "dark_prob_per_gate"):
             value = getattr(self, name)
             if not (0.0 <= value <= 1.0):
                 raise ValueError(f"{name} must lie in [0, 1], got {value}")
-        if self.gate_halfwidth <= 0.0:
-            raise ValueError(f"gate_halfwidth must be > 0, got {self.gate_halfwidth}")
 
     @classmethod
     def ideal(cls) -> "DetectorModel":

@@ -22,11 +22,9 @@ from .montecarlo import DetectorBank
 
 DETECTION_EFFICIENCY = 0.405
 BACKGROUND_RATE_CPS = 296.0
-GATE_HALFWIDTH_S = 2e-9
 PULSE_REPETITION_HZ = 1.0e6
 SIGNAL_GATE_RETENTION = 0.965
 BACKGROUND_GATE_RETENTION = 0.03  # 97% of background discarded by gating
-INNER_VISIBILITY = 0.9241
 OUTER_VISIBILITY = 0.9224
 COMPARISON_REFLECTIVITY = 0.5
 SUBTRACTION_TRANSMISSION = 0.9
@@ -69,7 +67,6 @@ def default_detector(optical_loss: float = FROZEN_OPTICAL_LOSS) -> DetectorModel
         efficiency=DETECTION_EFFICIENCY,
         loss_transmission=optical_loss * SIGNAL_GATE_RETENTION,
         dark_prob_per_gate=DARK_PROB_PER_GATE,
-        gate_halfwidth=GATE_HALFWIDTH_S,
     )
 
 

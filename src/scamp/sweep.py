@@ -251,38 +251,31 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> Dataset:
     return Dataset(spec=spec.echo(), rows=rows)
 
 
-def reproduce_figure(
-    figure_id: str,
-    optical_loss: float = params.FROZEN_OPTICAL_LOSS,
-    alpha_sq_grid: tuple[float, ...] | None = None,
-    detectors: DetectorBank | None = None,
-    phase_points: int = 256,
-    prf: float = params.PULSE_REPETITION_HZ,
-) -> Dataset:
+def reproduce_figure(figure_id: str, **fields) -> Dataset:
     """Model-curve dataset for one of the known figure layouts.
 
-    The rows are the model evaluated on the requested grid with the given
-    parameters; no measured points are produced or implied.
+    A figure is an analytic sweep of one state-set size, projected onto the
+    figure's columns.  ``fields`` are further SweepSpec fields (splitters,
+    detectors, prf, epsilon, phase_points, ...).  The figure fixes
+    ``n_states_list`` and the analytic mode, so setting ``n_states_list``, or
+    a ``mode`` other than "analytic", raises ConfigError.  Without
+    ``alpha_sq_grid`` the figure's own grid is used.  The rows are model
+    curves; no measured points are produced or implied.
     """
     if figure_id not in FIGURE_COLUMNS:
         raise ConfigError(
             f"unknown figure id {figure_id!r}; expected one of {sorted(FIGURE_COLUMNS)}"
         )
-    if alpha_sq_grid is not None:
-        grid = tuple(alpha_sq_grid)
-    elif figure_id == "fig4":
-        grid = params.FIG4_ALPHA_SQ_GRID
-    else:
-        grid = params.FIG3_ALPHA_SQ_GRID
-    bank = params.default_detector_bank(optical_loss) if detectors is None else detectors
-    spec = SweepSpec(
-        alpha_sq_grid=grid,
-        n_states_list=(FIGURE_N_STATES[figure_id],),
-        mode="analytic",
-        detectors=bank,
-        phase_points=phase_points,
-        prf=prf,
+    if "n_states_list" in fields:
+        raise ConfigError(f"{figure_id} fixes n_states = {FIGURE_N_STATES[figure_id]}; do not set it")
+    mode = fields.pop("mode", "analytic")
+    if mode != "analytic":
+        raise ConfigError(f"figures are analytic model curves; mode must be analytic, got {mode!r}")
+    fields.setdefault(
+        "alpha_sq_grid",
+        params.FIG4_ALPHA_SQ_GRID if figure_id == "fig4" else params.FIG3_ALPHA_SQ_GRID,
     )
+    spec = SweepSpec(n_states_list=(FIGURE_N_STATES[figure_id],), **fields)
     dataset = run_sweep(spec)
     columns = FIGURE_COLUMNS[figure_id]
     rows = [{c: row[c] for c in columns} for row in dataset.rows]

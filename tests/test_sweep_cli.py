@@ -1,6 +1,7 @@
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from scamp.montecarlo import (
 from scamp.amplifier import Conditioning, output_mixture
 from scamp.detectors import DetectorModel
 from scamp.sweep import (
+    FIGURE_COLUMNS,
     MAX_N_STATES,
     MAX_PHASE_POINTS,
     Dataset,
@@ -245,6 +247,18 @@ class TestReproduceFigure:
         with pytest.raises(ConfigError):
             reproduce_figure("fig5")
 
+    @pytest.mark.parametrize("fields", [{"n_states_list": (2,)}, {"mode": "both"},
+                                        {"mode": "montecarlo"}])
+    def test_rejects_fields_the_figure_fixes(self, fields):
+        with pytest.raises(ConfigError):
+            reproduce_figure("fig3b", alpha_sq_grid=(0.5,), **fields)
+
+    def test_takes_sweep_fields(self):
+        base = reproduce_figure("fig4", alpha_sq_grid=(0.94,))
+        ds = reproduce_figure("fig4", alpha_sq_grid=(0.94,), mode="analytic", prf=2e6)
+        assert ds.rows[0]["success_rate_per_s"] == 2.0 * base.rows[0]["success_rate_per_s"]
+        assert ds.spec["prf"] == 2e6
+
     def test_fig3a_ideal_conditioned_curve_is_unity(self):
         ideal = DetectorBank.uniform(DetectorModel.ideal())
         ds = reproduce_figure("fig3a", detectors=ideal, alpha_sq_grid=(0.1, 0.5, 1.0, 2.0))
@@ -330,12 +344,6 @@ class TestCli:
     def test_sweep_rejects_missing_config_file(self, capsys):
         assert run_cli(["sweep", "--config", "/no/such/file.ini"]) == 2
 
-    def test_sweep_env_worker_override_validated(self, monkeypatch, capsys):
-        monkeypatch.setenv("SCAMP_WORKERS", "zero")
-        assert run_cli(["sweep", "--mode", "analytic"]) == 2
-        monkeypatch.setenv("SCAMP_WORKERS", "2")
-        assert run_cli(["sweep", "--mode", "analytic"]) == 0
-
     @pytest.mark.parametrize("workers", ["0", "-2"])
     def test_sweep_worker_flag_validated(self, workers, capsys):
         args = ["sweep", "--mode", "montecarlo", "--workers", workers]
@@ -378,9 +386,34 @@ class TestCli:
         assert run_cli(["sweep", "--config", str(config)]) == 2
         self.assert_one_line_config_error(capsys)
 
-    def test_figure_rejects_huge_phase_points(self, capsys):
-        assert run_cli(["figure", "--id", "fig3a", "--phase-points", "99999999999999999999"]) == 2
+    def test_figure_rejects_huge_phase_points(self, tmp_path, capsys):
+        config = tmp_path / "huge.ini"
+        config.write_text("[sweep]\nphase_points = 99999999999999999999\n")
+        assert run_cli(["figure", "--id", "fig3a", "--config", str(config)]) == 2
         self.assert_one_line_config_error(capsys)
+
+    def test_figure_loss_conflicts_with_detector_blocks(self, tmp_path, capsys):
+        config = tmp_path / "det.ini"
+        config.write_text("[detector.da]\ndark_prob = 0.01\n")
+        args = ["figure", "--id", "fig4", "--alpha-sq", "0.94", "--loss", "0.5"]
+        assert run_cli(args + ["--config", str(config)]) == 2
+        self.assert_one_line_config_error(capsys)
+        assert run_cli(args) == 0
+        assert capsys.readouterr().out != ""
+
+    def test_figure_flags_override_config_grid_and_output(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "fig.ini"
+        config.write_text("[sweep]\nalpha_sq = 0.3,0.5\n[output]\npath = cfg.csv\nformat = csv\n")
+        assert run_cli(["figure", "--id", "fig3b", "--config", str(config)]) == 0
+        assert [r["alpha_sq"] for r in read_csv_rows("cfg.csv")] == [0.3, 0.5]
+        assert run_cli(["figure", "--id", "fig3b", "--config", str(config), "--alpha-sq", "0.7",
+                        "--output", "flag.json", "--format", "json"]) == 0
+        assert [r["alpha_sq"] for r in read_json_dataset("flag.json").rows] == [0.7]
+        config.write_text("[output]\nformat = xml\n")
+        assert run_cli(["figure", "--id", "fig3b", "--config", str(config)]) == 2
+        # an empty grid is an error, not a request for the default grid
+        assert run_cli(["figure", "--id", "fig3b", "--alpha-sq", ""]) == 2
 
     def test_figure_writes_parseable_csv(self, tmp_path):
         out = str(tmp_path / "fig.csv")
@@ -567,3 +600,105 @@ def test_sweep_exit_code_is_documented(tmp_path, capsys, overrides, mode, worker
         args += ["--workers", str(workers)]
     assert run_cli(args) in (0, 2, 3)
     capsys.readouterr()
+
+
+# Every config key must reach an output.  _LIVE_BASE is a valid sweep config;
+# _LIVE_VALUES holds another valid value for each key, and setting any one of
+# them must change the sweep CSV.  The table must cover cli._SCHEMA exactly,
+# so a key added without a visible effect fails here.
+_LIVE_BASE = {
+    ("amplifier", "comparison_reflectivity"): "0.3",
+    ("sweep", "mode"): "both",
+    ("sweep", "n_pulses"): "4096",
+    ("sweep", "alpha_sq"): "0.5,1.0",
+    ("sweep", "n_states"): "2,4",
+}
+_LIVE_VALUES = {
+    ("amplifier", "comparison_reflectivity"): "0.4",
+    ("amplifier", "subtraction_transmission"): "0.8",
+    ("sweep", "alpha_sq"): "0.5,1.5",
+    ("sweep", "n_states"): "2,3",
+    ("sweep", "mode"): "analytic",
+    ("sweep", "n_pulses"): "8192",
+    ("sweep", "seed"): "7",
+    ("sweep", "prf"): "2e6",
+    ("sweep", "phase_points"): "8",
+    **{
+        (section, key): value
+        for section in cli._DETECTOR_SECTIONS
+        for key, value in (("efficiency", "0.6"), ("loss", "0.7"), ("dark_prob", "0.01"))
+    },
+}
+_LIVE_EXEMPT = {
+    # epsilon enters no column yet: the analyzer's reference imperfection only
+    # has its range checked, and the Monte Carlo does not model it
+    ("sweep", "epsilon"),
+    # where and how the rows are written, checked by the output tests
+    ("output", "path"),
+    ("output", "format"),
+}
+# a figure fixes its state-set size and the analytic mode
+_FIGURE_REJECTS = {("sweep", "n_states"), ("sweep", "mode")}
+
+
+def _write_config(path, values):
+    sections: dict = {}
+    for (section, key), value in values.items():
+        sections.setdefault(section, []).append(f"{key} = {value}\n")
+    path.write_text("".join(f"[{s}]\n" + "".join(lines) for s, lines in sections.items()))
+    return str(path)
+
+
+def _cli_text(tmp_path, args, values):
+    config = _write_config(tmp_path / "live.ini", values)
+    out = tmp_path / "live.out"
+    code = run_cli(args + ["--config", config, "--output", str(out)])
+    return code, out.read_text() if code == 0 else None
+
+
+def test_every_config_key_is_live(tmp_path, capsys):
+    schema = {(section, key) for section, keys in cli._SCHEMA.items() for key in keys}
+    assert set(_LIVE_VALUES) | _LIVE_EXEMPT == schema
+
+    figure_base = {k: v for k, v in _LIVE_BASE.items() if k not in _FIGURE_REJECTS}
+    figure_ids = sorted(FIGURE_COLUMNS)
+
+    def figures(values):
+        return [_cli_text(tmp_path, ["figure", "--id", fig], values) for fig in figure_ids]
+
+    sweep = ["sweep"]
+    analytic = ["sweep", "--mode", "analytic"]
+    base = {"sweep": _cli_text(tmp_path, sweep, _LIVE_BASE),
+            "analytic": _cli_text(tmp_path, analytic, _LIVE_BASE),
+            "figures": figures(figure_base)}
+    assert [code for code, _ in [base["sweep"], base["analytic"], *base["figures"]]] == [0] * 7
+    dead = []
+    for item, value in sorted(_LIVE_VALUES.items()):
+        changed = {**_LIVE_BASE, item: value}
+        code, text = _cli_text(tmp_path, sweep, changed)
+        if code != 0 or text == base["sweep"][1]:
+            dead.append(("sweep", item, code))
+        if item in _FIGURE_REJECTS:
+            # the baseline value is valid for a sweep, but a figure fixes it
+            codes = [code for code, _ in figures({**figure_base, item: _LIVE_BASE[item]})]
+            if codes != [2] * len(figure_ids):
+                dead.append(("figure", item, codes))
+            continue
+        # a figure reacts to a key exactly when the analytic sweep does
+        analytic_moved = _cli_text(tmp_path, analytic, changed) != base["analytic"]
+        figure_results = figures({**figure_base, item: value})
+        if any(code != 0 for code, _ in figure_results):
+            dead.append(("figure", item, [code for code, _ in figure_results]))
+        elif (figure_results != base["figures"]) != analytic_moved:
+            dead.append(("figure", item, f"analytic sweep moved: {analytic_moved}"))
+    capsys.readouterr()
+    assert dead == []
+
+
+def test_readme_config_example_runs(tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    (tmp_path / "run.ini").write_text(block)
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(["sweep", "--config", "run.ini"]) == 0
+    assert len(read_csv_rows("sweep.csv")) == 87
