@@ -87,15 +87,27 @@ class CountTable:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CountTable":
+        """Read the four counts from numbers or numeric strings (JSON or CSV cells).
+
+        A missing field, or a value of any other type (null, bool, list,
+        object, a non-numeric string, an integer too large for a float),
+        raises ValueError.
+        """
         try:
-            return cls(
-                n_A_sig=float(d["n_A_sig"]),
-                n_B_sig=float(d["n_B_sig"]),
-                n_A_vac=float(d["n_A_vac"]),
-                n_B_vac=float(d["n_B_vac"]),
-            )
+            values = {name: d[name] for name in ("n_A_sig", "n_B_sig", "n_A_vac", "n_B_vac")}
         except KeyError as exc:
             raise ValueError(f"count table is missing field {exc.args[0]!r}") from exc
+        return cls(**{name: _count_value(name, value) for name, value in values.items()})
+
+
+def _count_value(name: str, value) -> float:
+    # bool is an int subclass, but true/false are not counts
+    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except (ValueError, OverflowError):
+            pass
+    raise ValueError(f"{name} must be a number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -177,29 +189,57 @@ def _unit_scan(phase_points: int) -> np.ndarray:
     return scan
 
 
+# A block of the visibility scan is up to _SCAN_BLOCK_CELLS (component, phase)
+# cells, so its arrays take at most 1 MiB per scanned mixture whatever N and
+# phase_points are.  A long scan is cut into phase ranges so that a block still
+# spans at least _MIN_BLOCK_COMPONENTS components: each block copies the running
+# sums once, and that copy costs about as much as adding one component.
+_SCAN_BLOCK_CELLS = 1 << 16
+_MIN_BLOCK_COMPONENTS = 8
+
+
 def visibilities(
     amplitudes: list[complex], weight_sets: list[list[float]], cfg: AnalysisConfig
 ) -> list[float]:
     """:func:`visibility` of several normalized mixtures of the same components.
 
     ``weight_sets[j][i]`` is the weight of ``amplitudes[i]`` in mixture j.  All
-    mixtures share one reference scan, and each component's click curve is
-    computed once, so memory stays O(phase_points).
+    mixtures share one reference scan.  The (component, phase) plane is taken
+    in blocks of at most 2^16 cells, with one :func:`port_click` call per block
+    and one reduction whose row 0 carries the running sums, so every curve adds
+    its components in list order.  Besides the curves themselves (one float
+    per mixture and phase), memory is O(block): it does not grow with the
+    number of components or with components x phase_points.
     """
-    z_ref = cfg.reference_amplitude * _unit_scan(cfg.phase_points)
-    p_a = [np.zeros(cfg.phase_points) for _ in weight_sets]
-    for a, weights in zip(amplitudes, zip(*weight_sets)):
-        click = port_click(a, z_ref, cfg.detector, "A")
-        for acc, w in zip(p_a, weights):
-            if w > 0.0:
-                acc += w * click
-    return [fringe_visibility(acc) for acc in p_a]
+    n_phases = cfg.phase_points
+    z_ref = cfg.reference_amplitude * _unit_scan(n_phases)
+    amplitudes = np.asarray(amplitudes, dtype=complex)
+    weights = np.asarray(weight_sets, dtype=float)
+    rows = min(len(amplitudes), max(_MIN_BLOCK_COMPONENTS, _SCAN_BLOCK_CELLS // n_phases))
+    rows = max(rows, 1)
+    width = min(n_phases, _SCAN_BLOCK_CELLS // rows)
+    curves = np.zeros((len(weights), n_phases))
+    for start in range(0, n_phases, width):
+        ref = z_ref[start:start + width]
+        acc = curves[:, start:start + width]
+        for lo in range(0, len(amplitudes), rows):
+            click = port_click(amplitudes[lo:lo + rows, None], ref, cfg.detector, "A")
+            terms = np.empty((len(weights), 1 + len(click), len(ref)))
+            terms[:, 0] = acc
+            np.multiply(weights[:, lo:lo + rows, None], click, out=terms[:, 1:])
+            # reducing over a non-contiguous axis adds the rows one after another,
+            # as the old per-component loop did (pinned bit for bit by a test)
+            np.add.reduce(terms, axis=1, out=acc)
+    return fringe_visibility(curves)
 
 
-def fringe_visibility(rate: np.ndarray) -> float:
-    """(max - min) / (max + min) of a click-rate curve; 0 for one that never clicks."""
-    hi, lo = float(rate.max()), float(rate.min())
-    return 0.0 if hi <= 0.0 else (hi - lo) / (hi + lo)
+def fringe_visibility(rates: np.ndarray) -> list[float]:
+    """(max - min) / (max + min) of each click-rate curve along the last axis.
+
+    A curve that never clicks has visibility 0.
+    """
+    his, los = rates.max(axis=-1).tolist(), rates.min(axis=-1).tolist()
+    return [0.0 if hi <= 0.0 else (hi - lo) / (hi + lo) for hi, lo in zip(his, los)]
 
 
 def expected_counts(

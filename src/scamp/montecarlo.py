@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplifier import AmplifierConfig, Conditioning, branch_table
+from .amplifier import AmplifierConfig, BranchTable, Conditioning, branch_table
 from .analysis import AnalysisConfig, CountTable, fringe_visibility, port_click
 from .detectors import DetectorModel
 
@@ -150,9 +150,13 @@ def branch_tables(spec: RunSpec) -> _BranchTables:
     input phase 2*pi*m/N (the test state is a copy of that pulse's expected
     amplified state) and by each scheduled scan phase.
     """
+    return _tables_of(spec, branch_table(spec.amplifier, spec.detectors.d0, spec.detectors.d1))
+
+
+def _tables_of(spec: RunSpec, table: BranchTable) -> _BranchTables:
+    """:func:`branch_tables` from the branch table of ``spec``'s device."""
     cfg = spec.amplifier
     n = cfg.n_states()
-    table = branch_table(cfg, spec.detectors.d0, spec.detectors.d1)
     out = np.array(table.output, dtype=complex)[None, :, :]
     z_ref = spec.analysis.reference_amplitude
     input_phases = np.exp(2j * np.pi * np.arange(n) / n)
@@ -211,14 +215,13 @@ def simulate_chunk(
     return TallyTable(counts, spec.phase_schedule, n)
 
 
-def cell_probabilities(spec: RunSpec) -> np.ndarray:
+def _cell_probabilities(spec: RunSpec, tables: _BranchTables) -> np.ndarray:
     """Probability of each (input, guess, click pattern) cell, per phase bin.
 
     The prior (1/N)*q_k of an (input m, guess k) pair times the independent
     D0/D1/DA/DB click factors of each pattern, shape (P, N, N, 16), with
     every bin normalised to sum to one.
     """
-    tables = branch_tables(spec)
     n = spec.amplifier.n_states()
     q = np.asarray(spec.amplifier.guess_distribution, dtype=float)
     prior = np.broadcast_to(q / n, (n, n))
@@ -251,19 +254,21 @@ def simulate_run(spec: RunSpec, workers: int = 1) -> TallyTable:
     and kept for callers; the draw is a single call, so any worker count
     gives the same tally in the same time.
     """
+    table = branch_table(spec.amplifier, spec.detectors.d0, spec.detectors.d1)
+    return _simulate_run(spec, table, workers)
+
+
+def _simulate_run(spec: RunSpec, table: BranchTable, workers: int) -> TallyTable:
+    """:func:`simulate_run` from the branch table of ``spec``'s device."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     n = spec.amplifier.n_states()
-    pvals = cell_probabilities(spec).reshape(len(spec.phase_schedule), -1)
+    cells = _cell_probabilities(spec, _tables_of(spec, table))
+    pvals = cells.reshape(len(spec.phase_schedule), -1)
     per_bin = _pulses_per_bin(spec.n_pulses, len(spec.phase_schedule))
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(spec.master_seed)))
     counts = rng.multinomial(per_bin, pvals).astype(np.int64, copy=False)
     return TallyTable(counts.reshape(-1, n, n, _N_PATTERNS), spec.phase_schedule, n)
-
-
-def _class_masks(n: int) -> tuple[np.ndarray, np.ndarray]:
-    correct = np.eye(n, dtype=bool)
-    return correct, ~correct
 
 
 def _analyzer_counts(t: TallyTable, condition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -283,21 +288,26 @@ def conditioned_counts(t: TallyTable, condition) -> CountTable:
     exactly vacuum; for larger sets this is the binary attribution the
     two-class estimator assumes).
     """
-    _, n_a, n_b = _analyzer_counts(t, condition)
-    correct, wrong = _class_masks(t.n_states)
-    return CountTable(
-        n_A_sig=float(n_a[:, correct].sum()),
-        n_B_sig=float(n_b[:, correct].sum()),
-        n_A_vac=float(n_a[:, wrong].sum()),
-        n_B_vac=float(n_b[:, wrong].sum()),
-    )
+    return _class_projection(t, condition)[1]
 
 
 def conditioned_class_totals(t: TallyTable, condition) -> tuple[int, int]:
     """Accepted pulse counts in the (correct, wrong) guess classes."""
-    accepted, _, _ = _analyzer_counts(t, condition)
-    correct, wrong = _class_masks(t.n_states)
-    return int(accepted[:, correct].sum()), int(accepted[:, wrong].sum())
+    return _class_projection(t, condition)[0]
+
+
+def _class_projection(t: TallyTable, condition) -> tuple[tuple[int, int], CountTable]:
+    """:func:`conditioned_class_totals` and :func:`conditioned_counts`, projected once."""
+    (acc_c, acc_w), (a_c, a_w), (b_c, b_w) = map(_class_split, _analyzer_counts(t, condition))
+    counts = CountTable(n_A_sig=float(a_c), n_B_sig=float(b_c), n_A_vac=float(a_w), n_B_vac=float(b_w))
+    return (acc_c, acc_w), counts
+
+
+def _class_split(counts: np.ndarray) -> tuple[int, int]:
+    """(correct-guess, wrong-guess) totals of counts per (phase bin, input, guess)."""
+    per_pair = counts.sum(axis=0)
+    correct = int(np.trace(per_pair))
+    return correct, int(per_pair.sum()) - correct
 
 
 def counts_by_offset(t: TallyTable, condition) -> list[tuple[int, int, int]]:
@@ -327,7 +337,7 @@ def mc_visibility(t: TallyTable, condition) -> float:
     if np.any(per_phase_pulses == 0):
         raise ValueError("phase schedule has empty bins; run more pulses")
     _, n_a, _ = _analyzer_counts(t, condition)
-    return fringe_visibility(n_a.sum(axis=(1, 2)) / per_phase_pulses)
+    return fringe_visibility((n_a.sum(axis=(1, 2)) / per_phase_pulses)[None])[0]
 
 
 def standard_error(k: int, n: int) -> float:

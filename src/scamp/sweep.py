@@ -2,10 +2,11 @@
 
 A sweep evaluates the analytic model (and optionally the Monte Carlo) on a
 grid of (state-set size, input mean photon number) points and emits one row
-per point with fixed, documented columns.  An analytic row reads one
-branch table, and its three visibilities share one reference scan.  Figure
-datasets are column projections of the same rows; they are model curves
-only, never measured points.  CSV carries the rows; JSON carries
+per point with fixed, documented columns.  Each point builds one branch
+table: the analytic columns and, in a Monte Carlo mode, the tally's cell
+probabilities both read it, and its three visibilities share one reference
+scan.  Figure datasets are column projections of the same rows; they are
+model curves only, never measured points.  CSV carries the rows; JSON carries
 {"spec": ..., "rows": ...}.
 """
 
@@ -14,12 +15,12 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import params
-from .amplifier import AmplifierConfig, Conditioning, branch_table
+from .amplifier import AmplifierConfig, BranchTable, Conditioning, branch_table
 from .analysis import (
     AnalysisConfig,
     CountTable,
@@ -31,9 +32,8 @@ from .errors import ConfigError, InsufficientSignalError
 from .montecarlo import (
     DetectorBank,
     RunSpec,
-    conditioned_class_totals,
-    conditioned_counts,
-    simulate_run,
+    _class_projection,
+    _simulate_run,
     standard_error,
 )
 
@@ -150,10 +150,18 @@ class SweepSpec:
         return BASE_COLUMNS + MC_COLUMNS if self.wants_montecarlo() else BASE_COLUMNS
 
     def echo(self) -> dict:
-        d = asdict(self)
+        """The spec as JSON-ready plain values, laid out as ``dataclasses.asdict`` would."""
+        d = _field_values(self)
         d["alpha_sq_grid"] = list(self.alpha_sq_grid)
         d["n_states_list"] = list(self.n_states_list)
+        bank = _field_values(self.detectors)
+        d["detectors"] = {name: _field_values(det) for name, det in bank.items()}
         return d
+
+
+def _field_values(obj) -> dict:
+    """Field name -> value of one dataclass instance, without asdict's deep copy."""
+    return {name: getattr(obj, name) for name in obj.__dataclass_fields__}
 
 
 @dataclass(frozen=True)
@@ -169,8 +177,7 @@ def _point_seed(master_seed: int, point_index: int) -> int:
     return int(state.generate_state(1, np.uint64)[0])
 
 
-def _analytic_columns(spec: SweepSpec, cfg: AmplifierConfig, analysis_cfg: AnalysisConfig) -> dict:
-    table = branch_table(cfg, spec.detectors.d0, spec.detectors.d1)
+def _analytic_columns(spec: SweepSpec, table: BranchTable, analysis_cfg: AnalysisConfig) -> dict:
     fom = table.figures_of_merit()
     row = {
         "fidelity": fom.fidelity,
@@ -186,7 +193,12 @@ def _analytic_columns(spec: SweepSpec, cfg: AmplifierConfig, analysis_cfg: Analy
 
 
 def _montecarlo_columns(
-    spec: SweepSpec, cfg: AmplifierConfig, analysis_cfg: AnalysisConfig, seed: int, workers: int
+    spec: SweepSpec,
+    cfg: AmplifierConfig,
+    table: BranchTable,
+    analysis_cfg: AnalysisConfig,
+    seed: int,
+    workers: int,
 ) -> dict:
     run = RunSpec(
         amplifier=cfg,
@@ -195,8 +207,8 @@ def _montecarlo_columns(
         n_pulses=spec.n_pulses,
         master_seed=seed,
     )
-    tally = simulate_run(run, workers=workers)
-    n_correct, n_wrong = conditioned_class_totals(tally, Conditioning.D0_SILENT_D1_FIRES)
+    tally = _simulate_run(run, table, workers)
+    (n_correct, n_wrong), counts = _class_projection(tally, Conditioning.D0_SILENT_D1_FIRES)
     accepted = n_correct + n_wrong
     out = {
         "mc_success_probability": accepted / spec.n_pulses,
@@ -210,7 +222,6 @@ def _montecarlo_columns(
     else:
         out["mc_correct_state_fraction"] = math.nan
         out["mc_correct_state_fraction_se"] = math.nan
-    counts = conditioned_counts(tally, Conditioning.D0_SILENT_D1_FIRES)
     g2a2 = analysis_cfg.ref_mean_photons()
     eta_l = analysis_cfg.detector.eta_l()
     try:
@@ -241,11 +252,12 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> Dataset:
             analysis_cfg = params.default_analysis(
                 cfg, detector=spec.detectors.da, epsilon=spec.epsilon, phase_points=spec.phase_points
             )
+            table = branch_table(cfg, spec.detectors.d0, spec.detectors.d1)
             row = {"n_states": n_states, "alpha_sq": alpha_sq}
-            row.update(_analytic_columns(spec, cfg, analysis_cfg))
+            row.update(_analytic_columns(spec, table, analysis_cfg))
             if spec.wants_montecarlo():
                 seed = _point_seed(spec.seed, point_index)
-                row.update(_montecarlo_columns(spec, cfg, analysis_cfg, seed, workers))
+                row.update(_montecarlo_columns(spec, cfg, table, analysis_cfg, seed, workers))
             rows.append({c: row[c] for c in spec.columns()})
             point_index += 1
     return Dataset(spec=spec.echo(), rows=rows)

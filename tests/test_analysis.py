@@ -123,15 +123,20 @@ def dense_scan_visibility(m, cfg):
 
 class TestVisibility:
     def test_shared_scan_is_bit_identical_to_dense_scan(self):
+        # (components, phase_points): the scan takes 17 x 65536 in 8 phase
+        # ranges of 3 component blocks each, and 256 x 1024 in 4 component
+        # blocks, so the running sums must carry from block to block
+        cases = [(5, 256), (5, 9), (5, 256), (5, 64), (1, 256), (17, 65536), (256, 256), (256, 1024)]
         rng = np.random.default_rng(17)
-        for phase_points in (256, 9, 256, 64):
+        for k, phase_points in cases:
             cfg = analyzer(float(rng.uniform(0.1, 2.0)), phase_points=phase_points, dark=1e-3)
-            amplitudes = [complex(*rng.normal(size=2)) for _ in range(5)]
+            amplitudes = [complex(*rng.normal(size=2)) for _ in range(k)]
             weight_sets = []
             for _ in range(3):
-                raw = rng.uniform(size=5) * (rng.uniform(size=5) > 0.3)
+                raw = rng.uniform(size=k) * (rng.uniform(size=k) > 0.3)
                 raw[0] = 0.5
                 weight_sets.append([float(w) for w in raw / raw.sum()])
+            assert k < 5 or any(0.0 in ws for ws in weight_sets)
             shared = visibilities(amplitudes, weight_sets, cfg)
             for ws, value in zip(weight_sets, shared):
                 m = Mixture(tuple(zip(ws, amplitudes)))

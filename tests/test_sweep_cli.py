@@ -1,6 +1,7 @@
 import json
 import math
-from dataclasses import replace
+import tracemalloc
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -106,6 +107,20 @@ class TestSweepSpecValidation:
         for bad in (bound + 1, 99999999999999999999):
             with pytest.raises(ConfigError, match="must lie in"):
                 spec(bad)
+
+    def test_point_at_both_bounds_keeps_its_memory_budget(self):
+        # 8 MiB per array (tally, cell probabilities, scan blocks), plus the
+        # branch table of 65536 branches that the analytic columns and the
+        # Monte Carlo share, alive through the draw
+        spec = SweepSpec(alpha_sq_grid=(1.0,), n_states_list=(MAX_N_STATES,),
+                         phase_points=MAX_PHASE_POINTS, mode="both", n_pulses=1000)
+        tracemalloc.start()
+        try:
+            run_sweep(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 48 << 20, f"traced peak {peak / 2**20:.1f} MiB"
 
     @pytest.mark.parametrize("name", ["da", "db"])
     def test_rejects_blind_analyzer_for_montecarlo(self, name):
@@ -229,6 +244,31 @@ class TestSerialization:
         ds = run_sweep(SweepSpec(alpha_sq_grid=(0.1,), n_states_list=(2,)))
         with pytest.raises(OSError, match="no/such/dir"):
             write_dataset(ds, str(tmp_path / "no/such/dir/x.csv"), "csv")
+
+    @pytest.mark.parametrize("fields", [
+        {},
+        {
+            "detectors": DetectorBank(
+                d0=DetectorModel(0.5, dark_prob_per_gate=0.001),
+                d1=DetectorModel(0.6, dark_prob_per_gate=0.02),
+                da=DetectorModel(0.7, 0.9, 0.005),
+                db=DetectorModel(0.3, 0.8, 0.01),
+            ),
+            "epsilon": 0.01,
+            "mode": "both",
+        },
+    ])
+    def test_spec_echo_is_the_asdict_layout(self, fields):
+        spec = SweepSpec(alpha_sq_grid=(0.5, 1.0), n_states_list=(2, 4), **fields)
+        expected = asdict(spec)
+        expected["alpha_sq_grid"] = list(spec.alpha_sq_grid)
+        expected["n_states_list"] = list(spec.n_states_list)
+        echo = spec.echo()
+        assert echo == expected
+        assert json.dumps(echo, indent=2) == json.dumps(expected, indent=2)
+        # each echo is a fresh copy: editing one does not reach the next
+        echo["detectors"]["da"]["efficiency"] = -1.0
+        assert spec.echo() == expected
 
     def test_count_table_round_trip(self, tmp_path):
         from scamp.sweep import read_count_table
@@ -519,6 +559,18 @@ class TestCli:
         path = tmp_path / "garbage.json"
         path.write_text("{not json")
         assert run_cli(["estimate", "--counts", str(path), "--g2a2", "0.9"]) == 2
+
+    @pytest.mark.parametrize(
+        "value",
+        [None, True, False, [1], {"n": 1}, "abc", "", 10**400],
+        ids=["null", "true", "false", "list", "object", "word", "empty", "huge-int"],
+    )
+    def test_estimate_rejects_non_numeric_count(self, tmp_path, capsys, value):
+        path = tmp_path / "counts.json"
+        path.write_text(json.dumps({"n_A_sig": value, "n_B_sig": 1, "n_A_vac": 1, "n_B_vac": 1}))
+        assert run_cli(["estimate", "--counts", str(path), "--g2a2", "0.9"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: n_A_sig must be a number") and err.count("\n") == 1
 
 
 _floats = st.floats(allow_nan=True, allow_infinity=True).map(repr)
