@@ -191,9 +191,11 @@ def _unit_scan(phase_points: int) -> np.ndarray:
 
 # A block of the visibility scan is up to _SCAN_BLOCK_CELLS (component, phase)
 # cells, so its arrays take at most 1 MiB per scanned mixture whatever N and
-# phase_points are.  A long scan is cut into phase ranges so that a block still
-# spans at least _MIN_BLOCK_COMPONENTS components: each block copies the running
-# sums once, and that copy costs about as much as adding one component.
+# phase_points are.  A long scan is cut into near-equal phase ranges so that a
+# block still spans at least _MIN_BLOCK_COMPONENTS components: each block copies
+# the running sums once, and that copy costs about as much as adding one
+# component.  A range one phase wide would make the reduction add its
+# components pairwise, so no range is left that narrow.
 _SCAN_BLOCK_CELLS = 1 << 16
 _MIN_BLOCK_COMPONENTS = 8
 
@@ -207,9 +209,12 @@ def visibilities(
     mixtures share one reference scan.  The (component, phase) plane is taken
     in blocks of at most 2^16 cells, with one :func:`port_click` call per block
     and one reduction whose row 0 carries the running sums, so every curve adds
-    its components in list order.  Besides the curves themselves (one float
-    per mixture and phase), memory is O(block): it does not grow with the
-    number of components or with components x phase_points.
+    its components in list order.  A scan too long for one block is cut into
+    the fewest phase ranges that fit, of near-equal widths (they differ by at
+    most one phase), so every range holds thousands of phases.  Besides the
+    curves themselves (one float per mixture and phase), memory is O(block):
+    it does not grow with the number of components or with components x
+    phase_points.
     """
     n_phases = cfg.phase_points
     z_ref = cfg.reference_amplitude * _unit_scan(n_phases)
@@ -217,11 +222,12 @@ def visibilities(
     weights = np.asarray(weight_sets, dtype=float)
     rows = min(len(amplitudes), max(_MIN_BLOCK_COMPONENTS, _SCAN_BLOCK_CELLS // n_phases))
     rows = max(rows, 1)
-    width = min(n_phases, _SCAN_BLOCK_CELLS // rows)
+    ranges = -(-n_phases // (_SCAN_BLOCK_CELLS // rows))
+    edges = [n_phases * i // ranges for i in range(ranges + 1)]
     curves = np.zeros((len(weights), n_phases))
-    for start in range(0, n_phases, width):
-        ref = z_ref[start:start + width]
-        acc = curves[:, start:start + width]
+    for start, stop in zip(edges, edges[1:]):
+        ref = z_ref[start:stop]
+        acc = curves[:, start:stop]
         for lo in range(0, len(amplitudes), rows):
             click = port_click(amplitudes[lo:lo + rows, None], ref, cfg.detector, "A")
             terms = np.empty((len(weights), 1 + len(click), len(ref)))

@@ -6,11 +6,17 @@ plus command-line overrides; unknown keys or sections are errors, since a
 silently ignored typo in a physics parameter is the costliest failure mode.
 ``sweep`` and ``figure`` read the config the same way, and every key reaches
 the model; a figure is an analytic sweep of one state-set size, so it
-rejects ``n_states`` and any non-analytic ``mode``.  No environment
-variable is read.
+rejects ``n_states`` and any non-analytic ``mode``.  Each key is one
+``_SCHEMA`` row naming the field it sets and the parser of its text.  No
+environment variable is read.
 
 Exit codes: 0 success, 2 configuration error, 3 runtime error,
-4 selfcheck threshold failure.
+4 selfcheck threshold failure.  :func:`main` is the only place that turns
+an exception into an exit code, by one rule for every command: ConfigError
+(a bad config file, flag or count table) exits 2; NeverHeraldedError,
+InsufficientSignalError, InvalidEpsilonError and OSError exit 3.  Input
+errors are raised as ConfigError where the input is read.  Any other
+exception is a bug and keeps its traceback.
 """
 
 from __future__ import annotations
@@ -20,13 +26,12 @@ import configparser
 import json
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import params
 from .errors import ConfigError, InsufficientSignalError, InvalidEpsilonError, NeverHeraldedError
-from .detectors import DetectorModel
-from .montecarlo import DetectorBank
 from .selfcheck import run_selfcheck
 from .sweep import (
     FORMATS,
@@ -46,23 +51,6 @@ EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 EXIT_SELFCHECK = 4
 
-_DETECTOR_SECTIONS = ("detector.d0", "detector.d1", "detector.da", "detector.db")
-_SCHEMA = {
-    "amplifier": {"comparison_reflectivity", "subtraction_transmission"},
-    "sweep": {
-        "alpha_sq",
-        "n_states",
-        "mode",
-        "n_pulses",
-        "seed",
-        "prf",
-        "epsilon",
-        "phase_points",
-    },
-    "output": {"path", "format"},
-}
-for _section in _DETECTOR_SECTIONS:
-    _SCHEMA[_section] = {"efficiency", "loss", "dark_prob"}
 # Most alpha_sq points one grid may hold, checked before the grid is built: the
 # figure grids have 29, and every point costs a full analytic row.
 MAX_ALPHA_SQ_POINTS = 4096
@@ -87,14 +75,44 @@ def _parse_alpha_grid(text: str) -> tuple[float, ...]:
     return tuple(float(piece) for piece in pieces)
 
 
-def _detector_from_section(section) -> DetectorModel:
-    return DetectorModel(
-        efficiency=section.getfloat("efficiency", params.DETECTION_EFFICIENCY),
-        loss_transmission=section.getfloat(
-            "loss", params.FROZEN_OPTICAL_LOSS * params.SIGNAL_GATE_RETENTION
-        ),
-        dark_prob_per_gate=section.getfloat("dark_prob", params.DARK_PROB_PER_GATE),
-    )
+# section -> config key -> (the SweepSpec or DetectorModel field it sets, its parser)
+_DETECTOR_SECTIONS = ("detector.d0", "detector.d1", "detector.da", "detector.db")
+_DETECTOR_KEYS = {
+    "efficiency": ("efficiency", float),
+    "loss": ("loss_transmission", float),
+    "dark_prob": ("dark_prob_per_gate", float),
+}
+_SCHEMA = {
+    "amplifier": {
+        "comparison_reflectivity": ("comparison_reflectivity", float),
+        "subtraction_transmission": ("subtraction_transmission", float),
+    },
+    **{section: _DETECTOR_KEYS for section in _DETECTOR_SECTIONS},
+    "sweep": {
+        "alpha_sq": ("alpha_sq_grid", _parse_alpha_grid),
+        "n_states": ("n_states_list", lambda text: tuple(int(n) for n in text.split(","))),
+        "mode": ("mode", str),
+        "n_pulses": ("n_pulses", int),
+        "seed": ("seed", int),
+        "prf": ("prf", float),
+        "phase_points": ("phase_points", int),
+        "epsilon": ("epsilon", lambda text: None if text == "auto" else float(text)),
+    },
+    "output": {"path": ("output_path", str), "format": ("output_format", str)},
+}
+
+
+def _parsed(parse, *args, **kwargs):
+    """``parse(*args, **kwargs)``, with a value it rejects reported as a ConfigError."""
+    try:
+        return parse(*args, **kwargs)
+    except (ValueError, configparser.Error) as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _section_fields(section, keys: dict) -> dict:
+    """Field -> parsed value of each key set in one config section."""
+    return {field: parse(section[key]) for key, (field, parse) in keys.items() if key in section}
 
 
 def load_sweep_config(path: str | None) -> dict:
@@ -105,6 +123,8 @@ def load_sweep_config(path: str | None) -> dict:
             read = parser.read(path)
         except configparser.Error as exc:
             raise ConfigError(f"malformed config file {path!r}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(str(exc)) from exc
         if not read:
             raise ConfigError(f"cannot read config file {path!r}")
     for section in parser.sections():
@@ -115,40 +135,18 @@ def load_sweep_config(path: str | None) -> dict:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
 
     kwargs: dict = {}
-    if parser.has_section("amplifier"):
-        amp = parser["amplifier"]
-        for key in ("comparison_reflectivity", "subtraction_transmission"):
-            if key in amp:
-                kwargs[key] = amp.getfloat(key)
-    if any(parser.has_section(section) for section in _DETECTOR_SECTIONS):
-        dets = {}
-        for section in _DETECTOR_SECTIONS:
+    detectors = {}
+    for section, keys in _SCHEMA.items():
+        if not parser.has_section(section):
+            continue
+        values = _parsed(_section_fields, parser[section], keys)
+        if section in _DETECTOR_SECTIONS:
             name = section.split(".", 1)[1]
-            if parser.has_section(section):
-                dets[name] = _detector_from_section(parser[section])
-            else:
-                dets[name] = params.default_detector()
-        kwargs["detectors"] = DetectorBank(**dets)
-    if parser.has_section("sweep"):
-        sweep = parser["sweep"]
-        if "alpha_sq" in sweep:
-            kwargs["alpha_sq_grid"] = _parse_alpha_grid(sweep["alpha_sq"])
-        if "n_states" in sweep:
-            kwargs["n_states_list"] = tuple(int(n) for n in sweep["n_states"].split(","))
-        if "mode" in sweep:
-            kwargs["mode"] = sweep["mode"].strip()
-        for key, parse in (("n_pulses", int), ("seed", int), ("prf", float), ("phase_points", int)):
-            if key in sweep:
-                kwargs[key] = parse(sweep[key])
-        if "epsilon" in sweep:
-            raw = sweep["epsilon"].strip()
-            kwargs["epsilon"] = None if raw == "auto" else float(raw)
-    if parser.has_section("output"):
-        out = parser["output"]
-        if "path" in out:
-            kwargs["output_path"] = out["path"]
-        if "format" in out:
-            kwargs["output_format"] = out["format"].strip()
+            detectors[name] = _parsed(replace, params.default_detector(), **values)
+        else:
+            kwargs.update(values)
+    if detectors:
+        kwargs["detectors"] = replace(params.default_detector_bank(), **detectors)
     return kwargs
 
 
@@ -170,47 +168,30 @@ def _emit(dataset: Dataset, path: str | None, output_format: str) -> None:
 
 
 def _cmd_sweep(args) -> int:
-    try:
-        kwargs = load_sweep_config(args.config)
-        overrides = {"mode": args.mode, "seed": args.seed, "output_path": args.output,
-                     "output_format": args.format}
-        kwargs.update((key, value) for key, value in overrides.items() if value is not None)
-        kwargs.setdefault("alpha_sq_grid", params.FIG3_ALPHA_SQ_GRID)
-        kwargs.setdefault("n_states_list", (2, 4, 8))
-        spec = SweepSpec(**kwargs)
-        workers = _workers(args)
-    except (ConfigError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        dataset = run_sweep(spec, workers=workers)
-        _emit(dataset, spec.output_path, spec.output_format)
-    except (NeverHeraldedError, InsufficientSignalError, InvalidEpsilonError, OSError) as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    kwargs = load_sweep_config(args.config)
+    overrides = {"mode": args.mode, "seed": args.seed, "output_path": args.output,
+                 "output_format": args.format}
+    kwargs.update((key, value) for key, value in overrides.items() if value is not None)
+    kwargs.setdefault("alpha_sq_grid", params.FIG3_ALPHA_SQ_GRID)
+    kwargs.setdefault("n_states_list", (2, 4, 8))
+    spec = SweepSpec(**kwargs)
+    dataset = run_sweep(spec, workers=_workers(args))
+    _emit(dataset, spec.output_path, spec.output_format)
     return EXIT_OK
 
 
 def _cmd_estimate(args) -> int:
-    try:
-        counts = read_count_table(args.counts)
-        if not (math.isfinite(args.g2a2) and args.g2a2 > 0.0):
-            raise ConfigError(f"--g2a2 must be finite and > 0, got {args.g2a2}")
-        if not (0.0 < args.eta_l <= 1.0):
-            raise ConfigError(f"--eta-l must lie in (0, 1], got {args.eta_l}")
-    except (OSError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        report = run_estimator(
-            counts,
-            g2a2=args.g2a2,
-            eta_l=args.eta_l,
-            vacuum_denominator=args.vacuum_denominator,
-        )
-    except (InsufficientSignalError, ValueError) as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    counts = read_count_table(args.counts)
+    if not (math.isfinite(args.g2a2) and args.g2a2 > 0.0):
+        raise ConfigError(f"--g2a2 must be finite and > 0, got {args.g2a2}")
+    if not (0.0 < args.eta_l <= 1.0):
+        raise ConfigError(f"--eta-l must lie in (0, 1], got {args.eta_l}")
+    report = run_estimator(
+        counts,
+        g2a2=args.g2a2,
+        eta_l=args.eta_l,
+        vacuum_denominator=args.vacuum_denominator,
+    )
     print(f"signal pulses      N_sig = {report['n_sig']:.6f}")
     print(f"vacuum pulses      N_vac = {report['n_vac']:.6f}  ({args.vacuum_denominator} denominator)")
     print(f"signal weight      P(sig) = {report['p_sig']:.9f}")
@@ -223,38 +204,28 @@ def _cmd_estimate(args) -> int:
                 json.dump(report, fh, indent=2)
                 fh.write("\n")
         except OSError as exc:
-            print(f"runtime error: cannot write {args.output!r}: {exc}", file=sys.stderr)
-            return EXIT_RUNTIME
+            raise OSError(f"cannot write {args.output!r}: {exc}") from exc
         print(f"wrote report to {args.output}")
     return EXIT_OK
 
 
 def _cmd_figure(args) -> int:
-    try:
-        kwargs = load_sweep_config(args.config)
-        # where the rows go is not part of the figure, so it stays out of its spec
-        config_path = kwargs.pop("output_path", None)
-        config_format = kwargs.pop("output_format", "csv")
-        path = config_path if args.output is None else args.output
-        output_format = config_format if args.format is None else args.format
-        if output_format not in FORMATS:
-            raise ConfigError(f"output format must be one of {FORMATS}, got {output_format!r}")
-        if args.alpha_sq is not None:
-            kwargs["alpha_sq_grid"] = _parse_alpha_grid(args.alpha_sq)
-        if args.loss is not None:
-            if "detectors" in kwargs:
-                raise ConfigError("--loss builds the default detectors; it cannot be combined"
-                                  " with [detector.*] sections in the config")
-            kwargs["detectors"] = params.default_detector_bank(args.loss)
-        dataset = reproduce_figure(args.id, **kwargs)
-    except (ConfigError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        _emit(dataset, path, output_format)
-    except OSError as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    kwargs = load_sweep_config(args.config)
+    # where the rows go is not part of the figure, so it stays out of its spec
+    config_path = kwargs.pop("output_path", None)
+    config_format = kwargs.pop("output_format", "csv")
+    path = config_path if args.output is None else args.output
+    output_format = config_format if args.format is None else args.format
+    if output_format not in FORMATS:
+        raise ConfigError(f"output format must be one of {FORMATS}, got {output_format!r}")
+    if args.alpha_sq is not None:
+        kwargs["alpha_sq_grid"] = _parsed(_parse_alpha_grid, args.alpha_sq)
+    if args.loss is not None:
+        if "detectors" in kwargs:
+            raise ConfigError("--loss builds the default detectors; it cannot be combined"
+                              " with [detector.*] sections in the config")
+        kwargs["detectors"] = _parsed(params.default_detector_bank, args.loss)
+    _emit(reproduce_figure(args.id, **kwargs), path, output_format)
     return EXIT_OK
 
 
@@ -320,9 +291,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    # ConfigError and two of the runtime types are ValueErrors, but no other
+    # ValueError is caught: any other exception is a bug and keeps its traceback
+    except (NeverHeraldedError, InsufficientSignalError, InvalidEpsilonError, OSError) as exc:
+        print(f"runtime error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

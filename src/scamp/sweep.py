@@ -15,6 +15,8 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,8 +101,15 @@ class SweepSpec:
     seed: int = 12345
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha_sq_grid", tuple(float(a) for a in self.alpha_sq_grid))
-        object.__setattr__(self, "n_states_list", tuple(int(n) for n in self.n_states_list))
+        # numbers are stored as Python float and int, so the echo is plain JSON
+        for name in ("comparison_reflectivity", "subtraction_transmission", "prf"):
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
+        if self.epsilon is not None:
+            object.__setattr__(self, "epsilon", _real("epsilon", self.epsilon))
+        for name in ("phase_points", "n_pulses", "seed"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        object.__setattr__(self, "alpha_sq_grid", tuple(_real("alpha_sq", a) for a in self.alpha_sq_grid))
+        object.__setattr__(self, "n_states_list", tuple(_integer("n_states", n) for n in self.n_states_list))
         if len(self.alpha_sq_grid) == 0:
             raise ConfigError("alpha_sq_grid must be non-empty")
         if not all(math.isfinite(a) and a >= 0.0 for a in self.alpha_sq_grid):
@@ -157,6 +166,24 @@ class SweepSpec:
         bank = _field_values(self.detectors)
         d["detectors"] = {name: _field_values(det) for name, det in bank.items()}
         return d
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an int; a bool, or a value ``operator.index`` refuses, is a ConfigError."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
+def _real(name: str, value) -> float:
+    """``value`` as a float; a bool, or a value that is not a real number, is a ConfigError."""
+    # the float test first: it is the common case, and an ABC check is slower
+    if isinstance(value, float) or (isinstance(value, numbers.Real) and not isinstance(value, bool)):
+        return float(value)
+    raise ConfigError(f"{name} must be a real number, got {value!r}")
 
 
 def _field_values(obj) -> dict:
@@ -389,6 +416,18 @@ def write_count_table(counts: CountTable, path: str) -> None:
 
 
 def read_count_table(path: str) -> CountTable:
+    """Count table from a JSON object or a one-row CSV file.
+
+    An unreadable file, or content that is not a usable count table, raises
+    ConfigError.
+    """
+    try:
+        return _read_count_table(path)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _read_count_table(path: str) -> CountTable:
     try:
         with open(path) as fh:
             text = fh.read()
@@ -410,4 +449,3 @@ def read_count_table(path: str) -> CountTable:
     if len(header) != len(values):
         raise ValueError(f"count table CSV in {path!r} has mismatched header and row")
     return CountTable.from_dict(dict(zip(header, values)))
-

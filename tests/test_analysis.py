@@ -1,5 +1,6 @@
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -107,16 +108,25 @@ class TestPortClick:
             port_click(out, ref, det, "a")
 
 
-def dense_scan_visibility(m, cfg):
-    """The visibility scan written out in full: fresh phase grid, one pass."""
+def dense_scan_curve(m, cfg):
+    """The port-A curve of the visibility scan written out in full: fresh phase grid, one pass."""
     phases = np.linspace(0.0, 2.0 * np.pi, cfg.phase_points, endpoint=False)
-    z_ref = cfg.reference_amplitude * np.exp(1j * phases)
+    # named, so numpy cannot reuse a large temporary in place as unit * reference:
+    # its complex multiply is not bit-commutative, and the program multiplies
+    # reference * unit
+    unit = np.exp(1j * phases)
+    z_ref = cfg.reference_amplitude * unit
     p_a = np.zeros_like(phases)
     eta_l = cfg.detector.eta_l()
     dark = cfg.detector.dark_prob_per_gate
     for w, a in m.components:
         n_a = 0.5 * np.abs(a + z_ref) ** 2
         p_a += w * (1.0 - (1.0 - dark) * np.exp(-eta_l * n_a))
+    return p_a
+
+
+def dense_scan_visibility(m, cfg):
+    p_a = dense_scan_curve(m, cfg)
     hi, lo = float(p_a.max()), float(p_a.min())
     return 0.0 if hi <= 0.0 else (hi - lo) / (hi + lo)
 
@@ -125,8 +135,13 @@ class TestVisibility:
     def test_shared_scan_is_bit_identical_to_dense_scan(self):
         # (components, phase_points): the scan takes 17 x 65536 in 8 phase
         # ranges of 3 component blocks each, and 256 x 1024 in 4 component
-        # blocks, so the running sums must carry from block to block
-        cases = [(5, 256), (5, 9), (5, 256), (5, 64), (1, 256), (17, 65536), (256, 256), (256, 1024)]
+        # blocks, so the running sums must carry from block to block.  17 x 8193
+        # and 17 x 16385 take 2 and 3 near-equal phase ranges; cut 8192 wide,
+        # their one-phase tail range was summed pairwise, not in list order.
+        # Each reference is turned so that the first curve peaks on the last
+        # grid phase.
+        cases = [(5, 256), (5, 9), (5, 256), (5, 64), (1, 256), (17, 65536), (256, 256), (256, 1024),
+                 *[(17, 8193)] * 6, *[(17, 16385)] * 6]
         rng = np.random.default_rng(17)
         for k, phase_points in cases:
             cfg = analyzer(float(rng.uniform(0.1, 2.0)), phase_points=phase_points, dark=1e-3)
@@ -137,9 +152,13 @@ class TestVisibility:
                 raw[0] = 0.5
                 weight_sets.append([float(w) for w in raw / raw.sum()])
             assert k < 5 or any(0.0 in ws for ws in weight_sets)
+            mixtures = [Mixture(tuple(zip(ws, amplitudes))) for ws in weight_sets]
+            peak = int(np.argmax(dense_scan_curve(mixtures[0], cfg)))
+            turn = cmath.exp(2j * math.pi * (peak + 1) / phase_points)
+            cfg = replace(cfg, reference_amplitude=cfg.reference_amplitude * turn)
+            assert np.argmax(dense_scan_curve(mixtures[0], cfg)) == phase_points - 1
             shared = visibilities(amplitudes, weight_sets, cfg)
-            for ws, value in zip(weight_sets, shared):
-                m = Mixture(tuple(zip(ws, amplitudes)))
+            for m, value in zip(mixtures, shared):
                 assert value == dense_scan_visibility(m, cfg) == visibility(m, cfg)
 
     def test_pure_matched_output(self):

@@ -23,11 +23,13 @@ from scamp.amplifier import Conditioning, output_mixture
 from scamp.detectors import DetectorModel
 from scamp.sweep import (
     FIGURE_COLUMNS,
+    FIGURE_N_STATES,
     MAX_N_STATES,
     MAX_PHASE_POINTS,
     Dataset,
     SweepSpec,
     dataset_to_csv,
+    dataset_to_json,
     read_csv_rows,
     read_json_dataset,
     reproduce_figure,
@@ -92,6 +94,37 @@ class TestSweepSpecValidation:
     def test_rejects_out_of_range_fields(self, field, bad):
         with pytest.raises(ConfigError):
             SweepSpec(alpha_sq_grid=(0.5,), n_states_list=(2,), mode="both", **{field: bad})
+
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            ("phase_points", 8.5),
+            ("phase_points", 256.0),
+            ("n_pulses", 1e6),
+            ("seed", 1.5),
+            ("seed", True),
+            ("n_states_list", (2.7,)),
+            ("n_states_list", (True,)),
+            ("alpha_sq_grid", ("0.5",)),
+            ("prf", "1e6"),
+            ("comparison_reflectivity", "0.5"),
+            ("subtraction_transmission", "0.9"),
+            ("epsilon", "0.1"),
+        ],
+    )
+    def test_rejects_non_integer_or_non_real_fields(self, field, bad):
+        fields = {"alpha_sq_grid": (0.5,), "n_states_list": (2,), field: bad}
+        with pytest.raises(ConfigError, match="must be (an integer|a real number)"):
+            SweepSpec(mode="both", **fields)
+
+    def test_numpy_scalars_are_stored_as_python_numbers(self):
+        spec = SweepSpec(alpha_sq_grid=(np.float32(0.5),), n_states_list=(np.int64(2),),
+                         seed=np.uint32(7), phase_points=np.int16(64), prf=np.float32(2e6),
+                         epsilon=np.float16(0.25))
+        numbers = (spec.n_states_list[0], spec.seed, spec.phase_points,
+                   spec.alpha_sq_grid[0], spec.prf, spec.epsilon)
+        assert [type(v) for v in numbers] == [int] * 3 + [float] * 3
+        assert json.loads(dataset_to_json(run_sweep(spec)))["spec"]["prf"] == 2e6
 
     @pytest.mark.parametrize(
         "field, bound",
@@ -293,6 +326,10 @@ class TestReproduceFigure:
         with pytest.raises(ConfigError):
             reproduce_figure("fig3b", alpha_sq_grid=(0.5,), **fields)
 
+    def test_rejects_non_integer_phase_points(self):
+        with pytest.raises(ConfigError, match="phase_points must be an integer"):
+            reproduce_figure("fig3a", phase_points=8.5)
+
     def test_takes_sweep_fields(self):
         base = reproduce_figure("fig4", alpha_sq_grid=(0.94,))
         ds = reproduce_figure("fig4", alpha_sq_grid=(0.94,), mode="analytic", prf=2e6)
@@ -374,7 +411,9 @@ class TestCli:
         config.write_text("[detector.dx]\nefficiency = 0.4\n")
         assert run_cli(["sweep", "--config", str(config)]) == 2
 
-    @pytest.mark.parametrize("text", ["[sweep]\nseed = 1\nseed = 2\n", "seed = 1\n", "[sweep\n"])
+    @pytest.mark.parametrize(
+        "text", ["[sweep]\nseed = 1\nseed = 2\n", "seed = 1\n", "[sweep\n", "[output]\npath = 50%\n"]
+    )
     def test_sweep_rejects_malformed_config_file(self, tmp_path, capsys, text):
         config = tmp_path / "bad.ini"
         config.write_text(text)
@@ -469,6 +508,19 @@ class TestCli:
         ds = read_json_dataset(out)
         assert ds.spec["figure_id"] == "fig4"
 
+    @pytest.mark.parametrize(
+        "config, alpha_sq",
+        [("[detector.d1]\ndark_prob = 0\n", "0"), ("", "800")],
+        ids=["never-heralded", "auto-epsilon-rounds-to-1"],
+    )
+    def test_figure_runtime_failure_exits_3(self, tmp_path, capsys, config, alpha_sq):
+        path = tmp_path / "fig.ini"
+        path.write_text(config)
+        assert run_cli(["figure", "--id", "fig3b", "--config", str(path), "--alpha-sq", alpha_sq]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_figure_unknown_id(self, capsys):
         assert run_cli(["figure", "--id", "fig7"]) == 2
 
@@ -553,6 +605,11 @@ class TestCli:
         assert run_cli(["sweep", "--config", str(config)]) == 2
         self.assert_one_line_config_error(capsys)
         assert run_cli(["figure", "--id", "fig3a", "--alpha-sq", grid]) == 2
+        self.assert_one_line_config_error(capsys)
+
+    def test_estimate_missing_counts_file(self, tmp_path, capsys):
+        path = str(tmp_path / "no" / "such.json")
+        assert run_cli(["estimate", "--counts", path, "--g2a2", "0.9"]) == 2
         self.assert_one_line_config_error(capsys)
 
     def test_estimate_malformed_file(self, tmp_path, capsys):
@@ -745,6 +802,48 @@ def test_every_config_key_is_live(tmp_path, capsys):
             dead.append(("figure", item, f"analytic sweep moved: {analytic_moved}"))
     capsys.readouterr()
     assert dead == []
+
+
+# The figure twin of the sweep fuzz: the same draws, but the figure fixes
+# n_states and the mode, plus --alpha-sq and a D1 that may have no dark counts
+# (with alpha_sq = 0 it then never heralds).  A figure is an analytic sweep of
+# one state-set size, so it must end as that sweep ends.
+_FIGURE_FUZZ_VALUES = {
+    **{item: values for item, values in _FUZZ_VALUES.items() if item not in _FIGURE_REJECTS},
+    ("detector.d1", "dark_prob"): st.one_of(st.just("0"), _unit_interval),
+}
+_figure_overrides = st.lists(
+    st.sampled_from(sorted(_FIGURE_FUZZ_VALUES)), max_size=3, unique=True
+).flatmap(lambda keys: st.fixed_dictionaries({k: _FIGURE_FUZZ_VALUES[k] for k in keys}))
+
+
+@settings(
+    max_examples=100,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    figure_id=st.sampled_from(sorted(FIGURE_COLUMNS)),
+    overrides=_figure_overrides,
+    alpha_sq=st.one_of(st.none(), st.sampled_from(["0", "800"]), _FUZZ_VALUES[("sweep", "alpha_sq")]),
+)
+@example(figure_id="fig3b", overrides={("detector.d1", "dark_prob"): "0"}, alpha_sq="0")
+@example(figure_id="fig3b", overrides={}, alpha_sq="800")
+def test_figure_exit_code_matches_analytic_sweep(tmp_path, capsys, figure_id, overrides, alpha_sq):
+    values = {k: v for k, v in _BASE_CONFIG.items() if k not in _FIGURE_REJECTS}
+    values.update(overrides)
+    args = ["figure", "--id", figure_id, "--config", _write_config(tmp_path / "fig.ini", values)]
+    if alpha_sq is not None:
+        args.append(f"--alpha-sq={alpha_sq}")
+    code = run_cli(args)
+    assert code in (0, 2, 3)
+    values[("sweep", "n_states")] = str(FIGURE_N_STATES[figure_id])
+    if alpha_sq is not None:
+        values[("sweep", "alpha_sq")] = alpha_sq
+    sweep = ["sweep", "--mode", "analytic", "--config", _write_config(tmp_path / "sweep.ini", values)]
+    assert run_cli(sweep) == code
+    capsys.readouterr()
 
 
 def test_readme_config_example_runs(tmp_path, monkeypatch):
