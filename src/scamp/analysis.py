@@ -30,11 +30,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coherent import Mixture, mean_photons
-from .detectors import DetectorModel, click_curve
+from .detectors import DetectorModel
 from .errors import InsufficientSignalError, InvalidEpsilonError
 
 EXPONENT_GUARD = 1e-12
 AMPLITUDE_MATCH_TOL = 1e-9
+# every integer up to 2^53 is exact as a float; a count table holds no larger
+# count, so the estimators' pulse numbers, weights and fidelities stay finite
+MAX_COUNT = 1 << 53
 
 
 @dataclass(frozen=True)
@@ -61,8 +64,8 @@ class CountTable:
     """Click counts at detectors A and B, split by attributed output class.
 
     "sig" rows come from pulses whose output should be the amplified state,
-    "vac" rows from pulses attributed to the vacuum class.  Fields are
-    nonnegative; the Monte Carlo writes integers, analytic expectations may
+    "vac" rows from pulses attributed to the vacuum class.  Fields lie in
+    [0, MAX_COUNT]; the Monte Carlo writes integers, analytic expectations may
     be fractional.
     """
 
@@ -74,8 +77,8 @@ class CountTable:
     def __post_init__(self):
         for name in ("n_A_sig", "n_B_sig", "n_A_vac", "n_B_vac"):
             value = getattr(self, name)
-            if not math.isfinite(value) or value < 0.0:
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+            if not (0.0 <= value <= MAX_COUNT):
+                raise ValueError(f"{name} must lie in [0, 2^53], got {value}")
 
     def to_dict(self) -> dict:
         return {
@@ -104,9 +107,11 @@ def _count_value(name: str, value) -> float:
     # bool is an int subclass, but true/false are not counts
     if isinstance(value, (int, float, str)) and not isinstance(value, bool):
         try:
-            return float(value)
+            number = float(value)
         except (ValueError, OverflowError):
             pass
+        else:  # an integer above MAX_COUNT would round into range; CountTable rejects it as is
+            return value if isinstance(value, int) and value > MAX_COUNT else number
     raise ValueError(f"{name} must be a number, got {value!r}")
 
 
@@ -129,7 +134,14 @@ def port_click(out, ref, det: DetectorModel, port: str) -> np.ndarray:
     if port not in ("A", "B"):
         raise ValueError(f"analyzer port must be 'A' or 'B', got {port!r}")
     field = out + ref if port == "A" else out - ref
-    return click_curve(0.5 * np.abs(field) ** 2, det)
+    # 1 - (1 - d)*exp(-eta*l*(|field|^2/2)) in place in one buffer (0-d for scalars); halving
+    # eta*l is exact, so the folded scale rounds every element as that unfolded law does
+    p = np.abs(field, out=np.empty(np.shape(field)))
+    np.square(p, out=p)
+    np.multiply(p, -0.5 * det.eta_l(), out=p)
+    np.exp(p, out=p)
+    np.multiply(p, 1.0 - det.dark_prob_per_gate, out=p)
+    return np.subtract(1.0, p, out=p)
 
 
 def count_probabilities(output: complex, cfg: AnalysisConfig) -> CountProbabilities:
@@ -190,13 +202,15 @@ def _unit_scan(phase_points: int) -> np.ndarray:
 
 
 # A block of the visibility scan is up to _SCAN_BLOCK_CELLS (component, phase)
-# cells, so its arrays take at most 1 MiB per scanned mixture whatever N and
-# phase_points are.  A long scan is cut into near-equal phase ranges so that a
-# block still spans at least _MIN_BLOCK_COMPONENTS components: each block copies
-# the running sums once, and that copy costs about as much as adding one
-# component.  A range one phase wide would make the reduction add its
-# components pairwise, so no range is left that narrow.
-_SCAN_BLOCK_CELLS = 1 << 16
+# cells, so its arrays take at most 512 KiB per scanned mixture whatever N and
+# phase_points are, and a three-mixture block fits a 2 MiB L2 cache (2^16 cells
+# did not, and ran long scans up to twice as slow).  A long scan is cut into
+# near-equal phase ranges so that a block still spans at least
+# _MIN_BLOCK_COMPONENTS components: each later block of a range copies the
+# running sums once, which costs about as much as adding one component.  A
+# range one phase wide would make the reduction add its components pairwise,
+# so no range is left that narrow.
+_SCAN_BLOCK_CELLS = 1 << 15
 _MIN_BLOCK_COMPONENTS = 8
 
 
@@ -207,11 +221,12 @@ def visibilities(
 
     ``weight_sets[j][i]`` is the weight of ``amplitudes[i]`` in mixture j.  All
     mixtures share one reference scan.  The (component, phase) plane is taken
-    in blocks of at most 2^16 cells, with one :func:`port_click` call per block
-    and one reduction whose row 0 carries the running sums, so every curve adds
-    its components in list order.  A scan too long for one block is cut into
-    the fewest phase ranges that fit, of near-equal widths (they differ by at
-    most one phase), so every range holds thousands of phases.  Besides the
+    in blocks of at most 2^15 cells, with one :func:`port_click` call per block
+    and one reduction, whose row 0 carries the running sums in every block but
+    a phase range's first, so every curve adds its components in list order.
+    A scan too long for one block is cut into the fewest phase ranges that fit,
+    of near-equal widths (they differ by at most one phase), so every range
+    holds thousands of phases.  Besides the
     curves themselves (one float per mixture and phase), memory is O(block):
     it does not grow with the number of components or with components x
     phase_points.
@@ -230,9 +245,11 @@ def visibilities(
         acc = curves[:, start:stop]
         for lo in range(0, len(amplitudes), rows):
             click = port_click(amplitudes[lo:lo + rows, None], ref, cfg.detector, "A")
-            terms = np.empty((len(weights), 1 + len(click), len(ref)))
-            terms[:, 0] = acc
-            np.multiply(weights[:, lo:lo + rows, None], click, out=terms[:, 1:])
+            # row 0 carries the running sums, except in a range's first block
+            carry = 1 if lo else 0
+            terms = np.empty((len(weights), carry + len(click), len(ref)))
+            terms[:, :carry] = acc[:, None]
+            np.multiply(weights[:, lo:lo + rows, None], click, out=terms[:, carry:])
             # reducing over a non-contiguous axis adds the rows one after another,
             # as the old per-component loop did (pinned bit for bit by a test)
             np.add.reduce(terms, axis=1, out=acc)

@@ -16,8 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class DetectorModel:
@@ -61,11 +59,6 @@ def click_probabilities(mean_photons: list[float], det: DetectorModel) -> list[f
     keep = 1.0 - det.dark_prob_per_gate
     eta_l = det.eta_l()
     return [1.0 - keep * math.exp(-eta_l * n) for n in mean_photons]
-
-
-def click_curve(mean_photons: np.ndarray, det: DetectorModel) -> np.ndarray:
-    """:func:`click_probability` elementwise, with numpy's exp in place of math.exp."""
-    return 1.0 - (1.0 - det.dark_prob_per_gate) * np.exp(-det.eta_l() * mean_photons)
 
 
 def dark_prob_from_rate(

@@ -13,12 +13,14 @@ over the N*N*16 cells, so the tally of each bin is exactly multinomial.
 seeded from the master seed alone: its cost does not depend on the number
 of pulses, and the result is bit-identical for a given master seed whatever
 worker count is asked for (the count is checked, but changes neither the
-output nor the speed).
+output nor the speed).  The cell probabilities are a few whole-array
+products straight from the point's branch table, and a tally is projected
+by one integer matrix product.
 
 ``simulate_chunk`` is the pulse-by-pulse sampler the tally stands for: chunk
 c of a fixed chunk size draws from its own stream derived from
 (master_seed, c), and chunk tallies merge by addition.  Tests compare the
-multinomial draw against it.
+multinomial draw against it; only it reads the cumulative guess distribution.
 """
 
 from __future__ import annotations
@@ -40,15 +42,20 @@ _BIT_D1 = 4
 _BIT_DA = 2
 _BIT_DB = 1
 _N_PATTERNS = 16
-# "detector X fired" over the 16 patterns, and the patterns each conditioning accepts
+# "detector X fired" over the 16 patterns
 _FIRED = {
     name: (np.arange(_N_PATTERNS) & bit) != 0
     for name, bit in (("d0", _BIT_D0), ("d1", _BIT_D1), ("da", _BIT_DA), ("db", _BIT_DB))
 }
-_ACCEPTED = {
-    Conditioning.NONE: np.ones(_N_PATTERNS, dtype=bool),
-    Conditioning.D0_SILENT: ~_FIRED["d0"],
-    Conditioning.D0_SILENT_D1_FIRES: ~_FIRED["d0"] & _FIRED["d1"],
+# per conditioning, the (16, 3) 0/1 matrix that projects pattern counts onto
+# (accepted, accepted with DA fired, accepted with DB fired)
+_PROJECTION = {
+    c: np.stack([acc, acc & _FIRED["da"], acc & _FIRED["db"]], axis=1).astype(np.int64)
+    for c, acc in (
+        (Conditioning.NONE, np.ones(_N_PATTERNS, dtype=bool)),
+        (Conditioning.D0_SILENT, ~_FIRED["d0"]),
+        (Conditioning.D0_SILENT_D1_FIRES, ~_FIRED["d0"] & _FIRED["d1"]),
+    )
 }
 
 
@@ -139,7 +146,6 @@ class _BranchTables:
     p1: np.ndarray        # (N, N) D1 click probability
     pa: np.ndarray        # (P, N, N) DA click probability
     pb: np.ndarray        # (P, N, N) DB click probability
-    guess_cdf: np.ndarray  # (N,) cumulative guess distribution
 
 
 def branch_tables(spec: RunSpec) -> _BranchTables:
@@ -150,28 +156,29 @@ def branch_tables(spec: RunSpec) -> _BranchTables:
     input phase 2*pi*m/N (the test state is a copy of that pulse's expected
     amplified state) and by each scheduled scan phase.
     """
-    return _tables_of(spec, branch_table(spec.amplifier, spec.detectors.d0, spec.detectors.d1))
+    table = branch_table(spec.amplifier, spec.detectors.d0, spec.detectors.d1)
+    heralds, analyzer = _click_factors(spec, table)
+    return _BranchTables(*heralds[..., 1], *analyzer[..., 1])
 
 
-def _tables_of(spec: RunSpec, table: BranchTable) -> _BranchTables:
-    """:func:`branch_tables` from the branch table of ``spec``'s device."""
-    cfg = spec.amplifier
-    n = cfg.n_states()
+def _click_factors(spec: RunSpec, table: BranchTable) -> tuple[np.ndarray, np.ndarray]:
+    """(silent, fired) click factors of D0/D1, (2, N, N, 2), and DA/DB, (2, P, N, N, 2),
+    by pattern bit value along the last axis; see :func:`branch_tables`."""
+    n = len(table.target)
     out = np.array(table.output, dtype=complex)[None, :, :]
     z_ref = spec.analysis.reference_amplitude
     input_phases = np.exp(2j * np.pi * np.arange(n) / n)
     scan = np.exp(1j * np.asarray(spec.phase_schedule))
     # reference per (phase bin, input): outer product of the two phase factors
     ref = (z_ref * scan[:, None] * input_phases[None, :])[:, :, None]
-    cdf = np.cumsum(np.asarray(cfg.guess_distribution))
-    cdf[-1] = 1.0
-    return _BranchTables(
-        p0=np.array(table.d0_click),
-        p1=np.array(table.d1_click),
-        pa=port_click(out, ref, spec.detectors.da, "A"),
-        pb=port_click(out, ref, spec.detectors.db, "B"),
-        guess_cdf=cdf,
-    )
+    heralds = np.empty((2, n, n, 2))
+    heralds[..., 1] = table.d0_click, table.d1_click
+    analyzer = np.empty((2, len(scan), n, n, 2))
+    analyzer[0, ..., 1] = port_click(out, ref, spec.detectors.da, "A")
+    analyzer[1, ..., 1] = port_click(out, ref, spec.detectors.db, "B")
+    for factors in (heralds, analyzer):
+        np.subtract(1.0, factors[..., 1], out=factors[..., 0])
+    return heralds, analyzer
 
 
 def simulate_chunk(
@@ -192,7 +199,9 @@ def simulate_chunk(
     rng = chunk_rng(spec.master_seed, chunk_index)
 
     inputs = rng.integers(0, n, size=count)
-    guesses = np.searchsorted(tables.guess_cdf, rng.random(count), side="right")
+    guess_cdf = np.cumsum(np.asarray(spec.amplifier.guess_distribution))
+    guess_cdf[-1] = 1.0
+    guesses = np.searchsorted(guess_cdf, rng.random(count), side="right")
     u0 = rng.random(count)
     u1 = rng.random(count)
     ua = rng.random(count)
@@ -215,35 +224,24 @@ def simulate_chunk(
     return TallyTable(counts, spec.phase_schedule, n)
 
 
-def _cell_probabilities(spec: RunSpec, tables: _BranchTables) -> np.ndarray:
+def _cell_probabilities(spec: RunSpec, table: BranchTable) -> np.ndarray:
     """Probability of each (input, guess, click pattern) cell, per phase bin.
 
-    The prior (1/N)*q_k of an (input m, guess k) pair times the independent
-    D0/D1/DA/DB click factors of each pattern, shape (P, N, N, 16), with
-    every bin normalised to sum to one.
+    Built from the point's branch table: the prior (1/N)*q_k of an (input m,
+    guess k) pair times the independent D0/D1/DA/DB click factors of each
+    pattern, shape (P, N, N, 16), with every bin normalised to sum to one.
     """
-    n = spec.amplifier.n_states()
-    q = np.asarray(spec.amplifier.guess_distribution, dtype=float)
-    prior = np.broadcast_to(q / n, (n, n))
-
-    def fire(p):
-        # last axis: (silent, fired), matching the pattern bit value
-        return np.stack([1.0 - p, p], axis=-1)
-
-    f0, f1, fa, fb = fire(tables.p0), fire(tables.p1), fire(tables.pa), fire(tables.pb)
-    heralds = prior[:, :, None, None] * f0[:, :, :, None] * f1[:, :, None, :]
+    n = len(table.target)
+    (f0, f1), (fa, fb) = _click_factors(spec, table)
+    # q_k/N broadcasts over the inputs m
+    prior = np.asarray(table.prior, dtype=float) / n
+    heralds = prior[:, None, None] * f0[:, :, :, None] * f1[:, :, None, :]
     analyzer = fa[..., :, None] * fb[..., None, :]
-    cells = heralds[None, :, :, :, :, None, None] * analyzer[:, :, :, None, None, :, :]
-    cells = cells.reshape(len(spec.phase_schedule), n, n, _N_PATTERNS)
+    cells = np.empty((len(spec.phase_schedule), n, n, _N_PATTERNS))
+    np.multiply(heralds[:, :, :, :, None, None], analyzer[:, :, :, None, None, :, :],
+                out=cells.reshape(analyzer.shape[:3] + (2, 2, 2, 2)))
     cells /= cells.sum(axis=(1, 2, 3), keepdims=True)
     return cells
-
-
-def _pulses_per_bin(n_pulses: int, n_phases: int) -> np.ndarray:
-    """Pulses falling in each phase bin when pulse i goes to bin i mod P."""
-    per_bin = np.full(n_phases, n_pulses // n_phases, dtype=np.int64)
-    per_bin[: n_pulses % n_phases] += 1
-    return per_bin
 
 
 def simulate_run(spec: RunSpec, workers: int = 1) -> TallyTable:
@@ -259,25 +257,16 @@ def simulate_run(spec: RunSpec, workers: int = 1) -> TallyTable:
 
 
 def _simulate_run(spec: RunSpec, table: BranchTable, workers: int) -> TallyTable:
-    """:func:`simulate_run` from the branch table of ``spec``'s device."""
+    """:func:`simulate_run` with cell probabilities built from ``table`` alone (no guess CDF)."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    n = spec.amplifier.n_states()
-    cells = _cell_probabilities(spec, _tables_of(spec, table))
-    pvals = cells.reshape(len(spec.phase_schedule), -1)
-    per_bin = _pulses_per_bin(spec.n_pulses, len(spec.phase_schedule))
+    n, n_phases = spec.amplifier.n_states(), len(spec.phase_schedule)
+    pvals = _cell_probabilities(spec, table).reshape(n_phases, -1)
+    # pulse i falls in phase bin i mod P
+    per_bin = [spec.n_pulses // n_phases + (j < spec.n_pulses % n_phases) for j in range(n_phases)]
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(spec.master_seed)))
     counts = rng.multinomial(per_bin, pvals).astype(np.int64, copy=False)
     return TallyTable(counts.reshape(-1, n, n, _N_PATTERNS), spec.phase_schedule, n)
-
-
-def _analyzer_counts(t: TallyTable, condition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Accepted pulses, and accepted pulses with DA / DB fired, per (phase bin, input, guess)."""
-    mask = _ACCEPTED[Conditioning(condition)]
-    return tuple(
-        t.counts[:, :, :, sel].sum(axis=3)
-        for sel in (mask, mask & _FIRED["da"], mask & _FIRED["db"])
-    )
 
 
 def conditioned_counts(t: TallyTable, condition) -> CountTable:
@@ -298,16 +287,12 @@ def conditioned_class_totals(t: TallyTable, condition) -> tuple[int, int]:
 
 def _class_projection(t: TallyTable, condition) -> tuple[tuple[int, int], CountTable]:
     """:func:`conditioned_class_totals` and :func:`conditioned_counts`, projected once."""
-    (acc_c, acc_w), (a_c, a_w), (b_c, b_w) = map(_class_split, _analyzer_counts(t, condition))
+    per_pair = t.counts.sum(axis=0) @ _PROJECTION[Conditioning(condition)]
+    correct = per_pair.trace()  # guess == input
+    wrong = per_pair.sum(axis=(0, 1)) - correct
+    (acc_c, a_c, b_c), (acc_w, a_w, b_w) = correct.tolist(), wrong.tolist()
     counts = CountTable(n_A_sig=float(a_c), n_B_sig=float(b_c), n_A_vac=float(a_w), n_B_vac=float(b_w))
     return (acc_c, acc_w), counts
-
-
-def _class_split(counts: np.ndarray) -> tuple[int, int]:
-    """(correct-guess, wrong-guess) totals of counts per (phase bin, input, guess)."""
-    per_pair = counts.sum(axis=0)
-    correct = int(np.trace(per_pair))
-    return correct, int(per_pair.sum()) - correct
 
 
 def counts_by_offset(t: TallyTable, condition) -> list[tuple[int, int, int]]:
@@ -316,13 +301,12 @@ def counts_by_offset(t: TallyTable, condition) -> list[tuple[int, int, int]]:
     Offset d = (guess - input) mod N indexes the N possible output classes
     of the symmetric set; feed these to the multi-class pulse estimator.
     """
-    accepted, n_a, n_b = _analyzer_counts(t, condition)
-    m_idx, k_idx = np.indices((t.n_states, t.n_states))
-    offsets = (k_idx - m_idx) % t.n_states
-    return [
-        (int(n_a[:, sel].sum()), int(n_b[:, sel].sum()), int(accepted[:, sel].sum()))
-        for sel in (offsets == d for d in range(t.n_states))
-    ]
+    per_pair = t.counts.sum(axis=0) @ _PROJECTION[Conditioning(condition)]
+    n = t.n_states
+    m, d = np.arange(n)[:, None], np.arange(n)
+    # [m, d] picks input m's guess (m + d) mod N, so the sum over m groups by offset
+    by_offset = per_pair[m, (m + d) % n].sum(axis=0)
+    return [(n_a, n_b, accepted) for accepted, n_a, n_b in by_offset.tolist()]
 
 
 def detector_marginals(t: TallyTable) -> dict[str, float]:
@@ -333,11 +317,12 @@ def detector_marginals(t: TallyTable) -> dict[str, float]:
 
 def mc_visibility(t: TallyTable, condition) -> float:
     """Visibility of the conditioned DA count rate across the phase schedule."""
-    per_phase_pulses = t.counts.sum(axis=(1, 2, 3)).astype(float)
+    by_phase = t.counts.sum(axis=(1, 2))
+    per_phase_pulses = by_phase.sum(axis=1).astype(float)
     if np.any(per_phase_pulses == 0):
         raise ValueError("phase schedule has empty bins; run more pulses")
-    _, n_a, _ = _analyzer_counts(t, condition)
-    return fringe_visibility((n_a.sum(axis=(1, 2)) / per_phase_pulses)[None])[0]
+    n_a = (by_phase @ _PROJECTION[Conditioning(condition)])[:, 1]
+    return fringe_visibility((n_a / per_phase_pulses)[None])[0]
 
 
 def standard_error(k: int, n: int) -> float:

@@ -24,6 +24,7 @@ import numpy as np
 from . import params
 from .amplifier import AmplifierConfig, BranchTable, Conditioning, branch_table
 from .analysis import (
+    MAX_COUNT,
     AnalysisConfig,
     CountTable,
     estimate_fidelity,
@@ -64,8 +65,8 @@ MC_COLUMNS = (
     "mc_seed",
 )
 INT_COLUMNS = {"n_states", "mc_n_pulses", "mc_seed"}
-# tallies are int64 counts
-_MAX_PULSES = int(np.iinfo(np.int64).max)
+# so that every tally count, and so every CountTable field, is exact as a float
+_MAX_PULSES = MAX_COUNT
 # Checked before anything is allocated, these keep every array of a point under
 # 8 MiB: the Monte Carlo tally (one phase bin, N*N*16 int64 cells) is 8 MiB at
 # N = 256, the reference scan 1 MiB (complex128) at 65536 phase points.

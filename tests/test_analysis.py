@@ -99,13 +99,32 @@ class TestCountProbabilities:
 
 class TestPortClick:
     def test_ports_follow_the_click_law(self):
-        det = DetectorModel(efficiency=0.6, loss_transmission=0.9, dark_prob_per_gate=0.01)
-        out, ref = 0.3 + 0.4j, np.array([1.0, -0.5j, 0.0])
-        for port, field in (("A", out + ref), ("B", out - ref)):
-            expected = 1.0 - 0.99 * np.exp(-det.eta_l() * 0.5 * np.abs(field) ** 2)
-            np.testing.assert_allclose(port_click(out, ref, det, port), expected, rtol=1e-15)
+        # bit for bit against 1 - (1 - d)*exp(-eta*l*(|field|^2/2)), written out
+        rng = np.random.default_rng(3)
+        scales = 10.0 ** rng.uniform(-8, 1.5, size=64)
+        outs = scales * np.exp(2j * np.pi * rng.random(64))
+        refs = np.array([1.0, -0.5j, 0.0, 0.3 + 0.4j, 1e-160, 7.0 - 2.0j])
+        cases = [
+            (outs, refs[3]),                   # array against a scalar
+            (outs[:, None], refs[None, :]),    # broadcast to (64, 6)
+            (outs.reshape(1, 8, 8), refs[:, None, None]),
+            (0.3 + 0.4j, 1.0 - 0.5j),          # Python complex scalars
+            (complex(outs[5]), refs),
+        ]
+        for det in (
+            DetectorModel(efficiency=0.6, loss_transmission=0.9, dark_prob_per_gate=0.01),
+            DetectorModel(efficiency=0.405, loss_transmission=0.965),
+            DetectorModel.ideal(),
+        ):
+            keep, eta_l = 1.0 - det.dark_prob_per_gate, det.eta_l()
+            for out, ref in cases:
+                for port, field in (("A", out + ref), ("B", out - ref)):
+                    expected = 1.0 - keep * np.exp(-eta_l * (0.5 * np.abs(field) ** 2))
+                    got = port_click(out, ref, det, port)
+                    assert np.shape(got) == np.shape(expected)
+                    assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
         with pytest.raises(ValueError, match="port"):
-            port_click(out, ref, det, "a")
+            port_click(0.3 + 0.4j, refs, det, "a")
 
 
 def dense_scan_curve(m, cfg):
@@ -133,11 +152,11 @@ def dense_scan_visibility(m, cfg):
 
 class TestVisibility:
     def test_shared_scan_is_bit_identical_to_dense_scan(self):
-        # (components, phase_points): the scan takes 17 x 65536 in 8 phase
-        # ranges of 3 component blocks each, and 256 x 1024 in 4 component
+        # (components, phase_points): the scan takes 17 x 65536 in 16 phase
+        # ranges of 3 component blocks each, and 256 x 1024 in 8 component
         # blocks, so the running sums must carry from block to block.  17 x 8193
-        # and 17 x 16385 take 2 and 3 near-equal phase ranges; cut 8192 wide,
-        # their one-phase tail range was summed pairwise, not in list order.
+        # and 17 x 16385 take 3 and 5 near-equal phase ranges; cut 4096 wide,
+        # their one-phase tail range would be summed pairwise, not in list order.
         # Each reference is turned so that the first curve peaks on the last
         # grid phase.
         cases = [(5, 256), (5, 9), (5, 256), (5, 64), (1, 256), (17, 65536), (256, 256), (256, 1024),

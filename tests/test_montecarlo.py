@@ -4,12 +4,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from scamp.amplifier import Conditioning, branch_table, figures_of_merit
 from scamp.analysis import (
     AnalysisConfig,
     estimate_class_pulse_numbers,
     estimate_pulse_numbers,
+    fringe_visibility,
 )
 from scamp.detectors import DetectorModel, click_probability
 from scamp.montecarlo import (
@@ -30,6 +33,19 @@ from scamp.montecarlo import (
 from scamp import params
 
 IDEAL = DetectorModel.ideal()
+
+
+def mask_sums(counts, condition):
+    """Accepted pulses, and accepted with DA / DB fired, per (phase bin, input, guess),
+    summed over boolean pattern masks (bits: D0 = 8, D1 = 4, DA = 2, DB = 1)."""
+    pattern = np.arange(16)
+    d0, d1, da, db = ((pattern & bit) != 0 for bit in (8, 4, 2, 1))
+    accepted = {
+        Conditioning.NONE: np.ones(16, dtype=bool),
+        Conditioning.D0_SILENT: ~d0,
+        Conditioning.D0_SILENT_D1_FIRES: ~d0 & d1,
+    }[condition]
+    return tuple(counts[..., sel].sum(axis=3) for sel in (accepted, accepted & da, accepted & db))
 
 
 def pulse_oracle(spec, chunk_size=DEFAULT_CHUNK_SIZE):
@@ -179,6 +195,36 @@ class TestConditionedProjections:
         none_correct, none_wrong = conditioned_class_totals(t, Conditioning.NONE)
         assert none_correct == 5 + 3 + 2 + 11 + 13
         assert none_wrong == 7
+
+    @given(st.integers(1, 4), st.integers(1, 8), st.sampled_from(list(Conditioning)), st.data())
+    def test_projection_equals_per_mask_sums(self, n_phases, n_states, condition, data):
+        shape = (n_phases, n_states, n_states, 16)
+        counts = data.draw(hnp.arrays(np.int64, shape, elements=st.integers(0, 1 << 40)))
+        t = TallyTable(counts, phase_scan(8)[:n_phases], n_states)
+        accepted, n_a, n_b = mask_sums(counts, condition)
+        correct = np.eye(n_states, dtype=bool)
+
+        def split(x):  # (correct-guess, wrong-guess) totals
+            per_pair = x.sum(axis=0)
+            return int(per_pair[correct].sum()), int(per_pair[~correct].sum())
+
+        assert conditioned_class_totals(t, condition) == split(accepted)
+        (a_sig, a_vac), (b_sig, b_vac) = split(n_a), split(n_b)
+        ct = conditioned_counts(t, condition)
+        assert (ct.n_A_sig, ct.n_B_sig, ct.n_A_vac, ct.n_B_vac) == (a_sig, b_sig, a_vac, b_vac)
+        m_idx, k_idx = np.indices((n_states, n_states))
+        offsets = (k_idx - m_idx) % n_states
+        assert counts_by_offset(t, condition) == [
+            (int(n_a[:, sel].sum()), int(n_b[:, sel].sum()), int(accepted[:, sel].sum()))
+            for sel in (offsets == d for d in range(n_states))
+        ]
+        per_phase = counts.sum(axis=(1, 2, 3)).astype(float)
+        if np.any(per_phase == 0):
+            with pytest.raises(ValueError, match="empty bins"):
+                mc_visibility(t, condition)
+        else:
+            expected = fringe_visibility((n_a.sum(axis=(1, 2)) / per_phase)[None])[0]
+            assert mc_visibility(t, condition) == expected
 
     def test_condition_accepts_strings(self):
         t = TallyTable.empty((0.0,), 2)

@@ -26,6 +26,7 @@ from scamp.sweep import (
     FIGURE_N_STATES,
     MAX_N_STATES,
     MAX_PHASE_POINTS,
+    MC_COLUMNS,
     Dataset,
     SweepSpec,
     dataset_to_csv,
@@ -66,6 +67,13 @@ class TestSweepSpecValidation:
         with pytest.raises(ConfigError):
             SweepSpec(alpha_sq_grid=(0.1,), n_states_list=(2,), mode="montecarlo", n_pulses=0)
 
+    def test_pulse_bound_keeps_every_count_exact(self):
+        # 2^53 pulses: every tally count, and so every CountTable field, is an exact float
+        spec = SweepSpec(alpha_sq_grid=(0.5,), n_states_list=(2,), mode="both", n_pulses=1 << 53)
+        (row,) = run_sweep(spec).rows
+        assert row["mc_n_pulses"] == 1 << 53
+        assert all(math.isfinite(row[c]) for c in MC_COLUMNS)
+
     def test_analytic_mode_ignores_n_pulses(self):
         SweepSpec(alpha_sq_grid=(0.1,), n_states_list=(2,), mode="analytic", n_pulses=0)
 
@@ -89,6 +97,7 @@ class TestSweepSpecValidation:
             ("comparison_reflectivity", 1.0),
             ("subtraction_transmission", math.nan),
             ("n_pulses", 1 << 63),
+            ("n_pulses", (1 << 53) + 1),
         ],
     )
     def test_rejects_out_of_range_fields(self, field, bad):
@@ -628,6 +637,26 @@ class TestCli:
         assert run_cli(["estimate", "--counts", str(path), "--g2a2", "0.9"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: n_A_sig must be a number") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("value", [1e308, "1e308", 2**53 + 1, float(2**53 + 2), 10**300])
+    def test_estimate_rejects_counts_above_two_to_the_53(self, tmp_path, capsys, value):
+        # above 2^53 a float holds no exact count, and 1e308 drove the estimate to inf/nan
+        path = tmp_path / "counts.json"
+        path.write_text(json.dumps({name: value for name in ("n_A_sig", "n_B_sig", "n_A_vac", "n_B_vac")}))
+        assert run_cli(["estimate", "--counts", str(path), "--g2a2", "0.9", "--eta-l", "0.39"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: n_A_sig must lie in [0, 2^53]") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("g2a2, eta_l", [("0.9", "0.39"), ("1.0000001e-12", "1")])
+    def test_estimate_at_the_count_bound_is_finite(self, tmp_path, g2a2, eta_l):
+        path = str(tmp_path / "counts.json")
+        write_count_table(CountTable(2.0**53, 2.0**53, 2.0**53, 2.0**53), path)
+        report_path = tmp_path / "report.json"
+        for denominator in ("doubled", "per-port"):
+            assert run_cli(["estimate", "--counts", path, "--g2a2", g2a2, "--eta-l", eta_l,
+                            "--vacuum-denominator", denominator, "--output", str(report_path)]) == 0
+            report = json.loads(report_path.read_text())
+            assert all(math.isfinite(v) for v in report.values() if isinstance(v, float))
 
 
 _floats = st.floats(allow_nan=True, allow_infinity=True).map(repr)
