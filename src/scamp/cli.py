@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import json
 import math
 import sys
@@ -290,8 +291,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first :func:`main` call.
+
+    Reuse is safe: ``parse_args`` leaves the parser as it was and fills a
+    fresh namespace, and argparse looks up ``sys.stdout``, ``sys.stderr`` and
+    the terminal width only when it prints.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     # ConfigError and two of the runtime types are ValueErrors, but no other

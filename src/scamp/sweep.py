@@ -374,8 +374,15 @@ def dataset_to_csv(dataset: Dataset) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_cell(value):
+    """A non-finite float as None, so it is written as JSON ``null``."""
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def dataset_to_json(dataset: Dataset) -> str:
-    return json.dumps({"spec": dataset.spec, "rows": dataset.rows}, indent=2) + "\n"
+    """RFC 8259 JSON: a NaN or infinite cell is written as ``null``."""
+    rows = [{c: _json_cell(v) for c, v in row.items()} for row in dataset.rows]
+    return json.dumps({"spec": dataset.spec, "rows": rows}, indent=2, allow_nan=False) + "\n"
 
 
 def write_dataset(dataset: Dataset, path: str, output_format: str) -> None:
@@ -405,9 +412,14 @@ def read_csv_rows(path: str) -> list[dict]:
 
 
 def read_json_dataset(path: str) -> Dataset:
+    """The dataset a JSON file holds, with ``null`` in a float column read as NaN."""
     with open(path) as fh:
         payload = json.load(fh)
-    return Dataset(spec=payload["spec"], rows=payload["rows"])
+    rows = [
+        {c: math.nan if v is None and c not in INT_COLUMNS else v for c, v in row.items()}
+        for row in payload["rows"]
+    ]
+    return Dataset(spec=payload["spec"], rows=rows)
 
 
 def write_count_table(counts: CountTable, path: str) -> None:

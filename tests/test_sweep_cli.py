@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import re
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -22,6 +26,7 @@ from scamp.montecarlo import (
 from scamp.amplifier import Conditioning, output_mixture
 from scamp.detectors import DetectorModel
 from scamp.sweep import (
+    BASE_COLUMNS,
     FIGURE_COLUMNS,
     FIGURE_N_STATES,
     MAX_N_STATES,
@@ -281,6 +286,30 @@ class TestSerialization:
         back = read_json_dataset(path)
         assert back.rows == ds.rows
         assert back.spec["n_pulses"] == 20_000
+
+    def test_json_writes_non_finite_cells_as_null(self, tmp_path):
+        # ten pulses at alpha_sq = 0.01 herald none: no class split, no estimate
+        spec = SweepSpec(alpha_sq_grid=(0.01,), n_states_list=(2,), mode="both", n_pulses=10)
+        ds = run_sweep(spec)
+        nan_columns = [c for c, v in ds.rows[0].items() if isinstance(v, float) and math.isnan(v)]
+        assert nan_columns == ["mc_correct_state_fraction", "mc_correct_state_fraction_se",
+                               "mc_fidelity", "mc_fidelity_se"]
+
+        def reject(token):
+            raise AssertionError(f"{token} is not RFC 8259 JSON")
+
+        row = json.loads(dataset_to_json(ds), parse_constant=reject)["rows"][0]
+        assert [c for c, v in row.items() if v is None] == nan_columns
+        assert dataset_to_csv(ds).splitlines()[1].count(",nan") == 4
+        path = str(tmp_path / "rows.json")
+        write_dataset(ds, path, "json")
+        back = read_json_dataset(path).rows[0]
+        assert list(back) == list(ds.rows[0])
+        for column, value in ds.rows[0].items():
+            if column in nan_columns:
+                assert math.isnan(back[column])
+            else:
+                assert back[column] == value
 
     def test_write_failure_carries_path(self, tmp_path):
         ds = run_sweep(SweepSpec(alpha_sq_grid=(0.1,), n_states_list=(2,)))
@@ -657,6 +686,124 @@ class TestCli:
                             "--vacuum-denominator", denominator, "--output", str(report_path)]) == 0
             report = json.loads(report_path.read_text())
             assert all(math.isfinite(v) for v in report.values() if isinstance(v, float))
+
+
+def _outcome(capsys, args):
+    """How one cli.main call ends, with everything it printed.
+
+    A return and argparse's SystemExit stay apart, so a usage error (which
+    exits) is not mistaken for a ConfigError (which returns 2).
+    """
+    try:
+        end = ("return", cli.main(list(args)))
+    except SystemExit as exc:
+        end = ("exit", exc.code)
+    out, err = capsys.readouterr()
+    return end, out, err
+
+
+def _alone(capsys, args):
+    """The outcome of a call made with a newly built parser, as in a fresh process."""
+    cli._parser.cache_clear()
+    return _outcome(capsys, args)
+
+
+def _small_inputs(tmp_path):
+    """A four-point sweep config and a count table, for calls cheap enough to repeat."""
+    config = tmp_path / "small.ini"
+    config.write_text("[sweep]\nalpha_sq = 0.3,0.9\nn_states = 2,4\nn_pulses = 50000\n")
+    counts = str(tmp_path / "counts.json")
+    write_count_table(CountTable(900.0, 10.0, 40.0, 40.0), counts)
+    return str(config), counts
+
+
+def _subprocess_env() -> dict:
+    """This environment, with this scamp first on the path and UTF-8 output."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, "PYTHONIOENCODING": "utf-8"}
+
+
+class TestParserReuse:
+    """cli.main builds its parser once per process and reuses it for every call."""
+
+    def test_reuse_leaks_nothing_between_calls(self, tmp_path, capsys):
+        _, counts = _small_inputs(tmp_path)
+        calls = [
+            ["sweep", "--seed", "5", "--mode", "both", "--format", "json"],
+            ["sweep"],
+            ["sweep", "--mode", "bogus"],
+            ["estimate", "--counts", counts, "--g2a2", "0.9"],
+            ["sweep"],
+        ]
+        cli._parser.cache_clear()
+        in_sequence = [_outcome(capsys, args) for args in calls]
+        assert cli._parser.cache_info().misses == 1
+        assert in_sequence == [_alone(capsys, args) for args in calls]
+
+        end, out, err = in_sequence[1]
+        assert end == ("return", 0) and err == ""
+        assert out.splitlines()[0] == ",".join(BASE_COLUMNS)
+        end, out, err = in_sequence[2]
+        assert end == ("exit", 2) and out == ""
+        assert err.startswith("usage: scamp sweep") and "invalid choice: 'bogus'" in err
+        # the flags of one call are unset in the next
+        parser = cli._parser()
+        parser.parse_args(calls[0])
+        args = parser.parse_args(["sweep"])
+        assert (args.seed, args.mode, args.format) == (None, None, None)
+
+    def test_one_parser_per_process(self, tmp_path, monkeypatch, capsys):
+        config, counts = _small_inputs(tmp_path)
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        cli._parser.cache_clear()
+        assert cli.main(["sweep", "--config", config]) == 0
+        assert cli.main(["estimate", "--counts", counts, "--g2a2", "0.9"]) == 0
+        assert cli.main(["sweep", "--config", config, "--mode", "both", "--seed", "3"]) == 0
+        capsys.readouterr()
+        assert len(built) == 1
+        assert cli._parser() is cli._parser()
+        # build_parser() itself still returns a new parser each time
+        assert build() is not build()
+
+    def test_in_process_call_equals_fresh_process(self, tmp_path, capsys):
+        config, counts = _small_inputs(tmp_path)
+        calls = [
+            ["sweep", "--config", config],
+            ["sweep", "--config", config, "--format", "json"],
+            ["sweep", "--config", config, "--mode", "both", "--seed", "11"],
+            ["sweep", "--config", config, "--mode", "both", "--seed", "11", "--format", "json"],
+            ["figure", "--id", "fig3a"],
+            ["selfcheck"],
+            ["estimate", "--counts", counts, "--g2a2", "0.9"],
+        ]
+
+        def fresh(args):
+            proc = subprocess.run([sys.executable, "-m", "scamp.cli", *args],
+                                  capture_output=True, env=_subprocess_env(), check=False)
+            return ("return", proc.returncode), proc.stdout.decode(), proc.stderr.decode()
+
+        def timeless(outcome):
+            # selfcheck ends by printing its own wall time, the one part that may differ
+            end, out, err = outcome
+            return end, re.sub(r" in \d+\.\d\d s$", " in - s", out, flags=re.M), err
+
+        forward = [_outcome(capsys, args) for args in calls]
+        backward = [_outcome(capsys, args) for args in reversed(calls)][::-1]
+        assert [end for end, _, _ in forward] == [("return", 0)] * len(calls)
+        assert forward[5][1].splitlines()[-1].startswith("selfcheck passed in ")
+        for args, a, b in zip(calls, forward, backward):
+            expected = timeless(fresh(args))
+            assert timeless(a) == expected, args
+            assert timeless(b) == expected, args
+
+    def test_parser_is_not_built_at_import(self):
+        probe = "import scamp.cli as cli; print(cli._parser.cache_info().currsize)"
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              env=_subprocess_env(), check=True)
+        assert proc.stdout == "0\n"
 
 
 _floats = st.floats(allow_nan=True, allow_infinity=True).map(repr)
