@@ -8,10 +8,16 @@ fires.  This package computes the conditioned output state and its figures
 of merit both in closed form and by seeded Monte Carlo, and implements the
 count-based estimator that reconstructs the output fidelity from
 interferometric click records.
+
+The Monte Carlo names (``simulate_run``, ``RunSpec``, ...) are looked up
+through the module ``__getattr__``: the first one used imports
+``scamp.montecarlo`` and numpy with it, so ``import scamp`` alone does not.
 """
 
+import importlib
+
 from .coherent import Mixture, beamsplitter, mean_photons, mixture_fidelity, overlap_sq
-from .detectors import DetectorModel, click_probability, dark_prob_from_rate
+from .detectors import DetectorBank, DetectorModel, click_probability, dark_prob_from_rate
 from .amplifier import (
     AmplifierConfig,
     BranchTable,
@@ -35,19 +41,6 @@ from .analysis import (
     expected_counts,
     reconstruct_density,
     visibility,
-)
-from .montecarlo import (
-    DetectorBank,
-    RunSpec,
-    TallyTable,
-    conditioned_class_totals,
-    conditioned_counts,
-    counts_by_offset,
-    detector_marginals,
-    mc_visibility,
-    phase_scan,
-    simulate_run,
-    standard_error,
 )
 from .sweep import Dataset, SweepSpec, reproduce_figure, run_estimator, run_sweep
 from .errors import (
@@ -111,3 +104,27 @@ __all__ = [
     "success_rate",
     "visibility",
 ]
+
+_MONTECARLO_NAMES = frozenset({
+    "RunSpec",
+    "TallyTable",
+    "conditioned_class_totals",
+    "conditioned_counts",
+    "counts_by_offset",
+    "detector_marginals",
+    "mc_visibility",
+    "phase_scan",
+    "simulate_run",
+    "standard_error",
+})
+
+
+def __getattr__(name):
+    if name == "montecarlo" or name in _MONTECARLO_NAMES:
+        montecarlo = importlib.import_module(".montecarlo", __name__)
+        return montecarlo if name == "montecarlo" else getattr(montecarlo, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | _MONTECARLO_NAMES)

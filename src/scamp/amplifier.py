@@ -160,6 +160,14 @@ class BranchTable:
         """Acceptance probability of input m and the normalized weights of its outputs."""
         return _accepted(self.weights[conditioning][m], m, conditioning)
 
+    def heralded_totals(
+        self, conditioning: Conditioning = Conditioning.D0_SILENT_D1_FIRES
+    ) -> list[float]:
+        """Acceptance probability of each input; NeverHeraldedError names the
+        first input that no branch can pass."""
+        rows = self.weights[conditioning]
+        return [_heralded_total(row, m, conditioning) for m, row in enumerate(rows)]
+
     def figures_of_merit(
         self, conditioning: Conditioning = Conditioning.D0_SILENT_D1_FIRES
     ) -> FiguresOfMerit:
@@ -182,15 +190,21 @@ class BranchTable:
         return total / len(self.target)
 
 
-def _accepted(
-    weights: list[float], m: int, conditioning: Conditioning
-) -> tuple[float, list[float]]:
-    """Total and normalized acceptance weights of input m's branches."""
+def _heralded_total(weights: list[float], m: int, conditioning: Conditioning) -> float:
+    """Total acceptance weight of input m's branches, which must be > 0."""
     total = math.fsum(weights)
     if total <= 0.0:
         raise NeverHeraldedError(
             f"no branch of input {m} can pass conditioning {conditioning.value}"
         )
+    return total
+
+
+def _accepted(
+    weights: list[float], m: int, conditioning: Conditioning
+) -> tuple[float, list[float]]:
+    """Total and normalized acceptance weights of input m's branches."""
+    total = _heralded_total(weights, m, conditioning)
     return total, [w / total for w in weights]
 
 

@@ -20,18 +20,23 @@ signal-class exponent, "per-port" uses the per-port mean photon number the
 click law actually implies) and the vacuum-overlap exponent of the
 fidelity estimate (``vacuum_overlap``: "standard" is exp(-g2a2),
 "doubled" is exp(-2*g2a2)).
+
+numpy is imported by the functions that compute with arrays, on their first
+call, so the estimators and the configuration types load without it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .coherent import Mixture, mean_photons
 from .detectors import DetectorModel
 from .errors import InsufficientSignalError, InvalidEpsilonError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 EXPONENT_GUARD = 1e-12
 AMPLITUDE_MATCH_TOL = 1e-9
@@ -131,6 +136,8 @@ def port_click(out, ref, det: DetectorModel, port: str) -> np.ndarray:
     Port A sees the coherent field (out + ref)/sqrt(2), port B (out - ref)/sqrt(2);
     ``out`` and ``ref`` are complex amplitudes that broadcast against each other.
     """
+    import numpy as np
+
     if port not in ("A", "B"):
         raise ValueError(f"analyzer port must be 'A' or 'B', got {port!r}")
     field = out + ref if port == "A" else out - ref
@@ -195,6 +202,8 @@ def _unit_scan(phase_points: int) -> np.ndarray:
     global _scan
     points, scan = _scan
     if points != phase_points:
+        import numpy as np
+
         scan = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, phase_points, endpoint=False))
         scan.flags.writeable = False
         _scan = (phase_points, scan)
@@ -231,6 +240,8 @@ def visibilities(
     it does not grow with the number of components or with components x
     phase_points.
     """
+    import numpy as np
+
     n_phases = cfg.phase_points
     z_ref = cfg.reference_amplitude * _unit_scan(n_phases)
     amplitudes = np.asarray(amplitudes, dtype=complex)
@@ -389,6 +400,8 @@ def estimate_class_pulse_numbers(
     ``cfg.epsilon`` is not used.  Assumes the output is confined to the listed
     amplitudes; validated against the Monte Carlo oracle only.
     """
+    import numpy as np
+
     if len(class_counts) != len(class_amplitudes):
         raise ValueError("class_counts and class_amplitudes must have equal length")
     z = np.array(class_amplitudes, dtype=complex)

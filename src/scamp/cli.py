@@ -8,7 +8,9 @@ silently ignored typo in a physics parameter is the costliest failure mode.
 the model; a figure is an analytic sweep of one state-set size, so it
 rejects ``n_states`` and any non-analytic ``mode``.  Each key is one
 ``_SCHEMA`` row naming the field it sets and the parser of its text.  No
-environment variable is read.
+environment variable is read.  numpy is imported only by the commands that
+compute with arrays (an analytic visibility scan, the Monte Carlo, selfcheck),
+on first use.
 
 Exit codes: 0 success, 2 configuration error, 3 runtime error,
 4 selfcheck threshold failure.  :func:`main` is the only place that turns
@@ -29,11 +31,8 @@ import math
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from . import params
 from .errors import ConfigError, InsufficientSignalError, InvalidEpsilonError, NeverHeraldedError
-from .selfcheck import run_selfcheck
 from .sweep import (
     FORMATS,
     Dataset,
@@ -69,7 +68,7 @@ def _parse_alpha_grid(text: str) -> tuple[float, ...]:
             raise ConfigError(f"alpha_sq count must lie in [1, {MAX_ALPHA_SQ_POINTS}], got {count}")
         if not (math.isfinite(start) and math.isfinite(stop)):
             raise ConfigError(f"alpha_sq range bounds must be finite, got {text!r}")
-        return tuple(float(a) for a in np.linspace(start, stop, count))
+        return tuple(params.linspace(start, stop, count))
     pieces = text.split(",")
     if len(pieces) > MAX_ALPHA_SQ_POINTS:
         raise ConfigError(f"alpha_sq list has more than {MAX_ALPHA_SQ_POINTS} values")
@@ -231,6 +230,8 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_selfcheck(args) -> int:
+    from .selfcheck import run_selfcheck
+
     return EXIT_OK if run_selfcheck() else EXIT_SELFCHECK
 
 

@@ -44,6 +44,20 @@ class DetectorModel:
         return self.efficiency * self.loss_transmission
 
 
+@dataclass(frozen=True)
+class DetectorBank:
+    """One detector model per physical detector."""
+
+    d0: DetectorModel
+    d1: DetectorModel
+    da: DetectorModel
+    db: DetectorModel
+
+    @classmethod
+    def uniform(cls, det: DetectorModel) -> "DetectorBank":
+        return cls(d0=det, d1=det, da=det, db=det)
+
+
 def click_probability(mean_photons: float, det: DetectorModel) -> float:
     """Probability that the detector fires in a gate seeing `mean_photons`.
 

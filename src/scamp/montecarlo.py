@@ -32,7 +32,7 @@ import numpy as np
 
 from .amplifier import AmplifierConfig, BranchTable, Conditioning, branch_table
 from .analysis import AnalysisConfig, CountTable, fringe_visibility, port_click
-from .detectors import DetectorModel
+from .detectors import DetectorBank
 
 DEFAULT_CHUNK_SIZE = 1 << 16
 
@@ -57,20 +57,6 @@ _PROJECTION = {
         (Conditioning.D0_SILENT_D1_FIRES, ~_FIRED["d0"] & _FIRED["d1"]),
     )
 }
-
-
-@dataclass(frozen=True)
-class DetectorBank:
-    """One detector model per physical detector."""
-
-    d0: DetectorModel
-    d1: DetectorModel
-    da: DetectorModel
-    db: DetectorModel
-
-    @classmethod
-    def uniform(cls, det: DetectorModel) -> "DetectorBank":
-        return cls(d0=det, d1=det, da=det, db=det)
 
 
 @dataclass(frozen=True)

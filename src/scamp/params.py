@@ -11,14 +11,11 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .amplifier import AmplifierConfig, StateSet, figures_of_merit
 from .analysis import AnalysisConfig
 from .coherent import mean_photons
-from .detectors import DetectorModel
+from .detectors import DetectorBank, DetectorModel
 from .errors import InvalidEpsilonError
-from .montecarlo import DetectorBank
 
 DETECTION_EFFICIENCY = 0.405
 BACKGROUND_RATE_CPS = 296.0
@@ -55,6 +52,28 @@ FIG3_ALPHA_SQ_GRID = tuple(round(0.1 * i, 10) for i in range(1, 30))
 FIG3_MIDRANGE_ALPHA_SQ = 1.5
 FIG4_ALPHA_SQ = 0.94
 FIG4_ALPHA_SQ_GRID = tuple(round(0.02 * i, 10) for i in range(1, 146))
+
+
+def linspace(start: float, stop: float, count: int) -> list[float]:
+    """``count`` evenly spaced floats from ``start`` to ``stop``, both included.
+
+    The arithmetic of ``numpy.linspace``, so every value is the same bit for
+    bit: i*step + start with step = (stop - start)/(count - 1) and the last
+    point set to ``stop``; (i/(count - 1))*(stop - start) + start when the
+    step rounds to 0; 0*(stop - start) + start for a single point.
+    """
+    start, stop = float(start), float(stop)
+    delta = stop - start
+    div = count - 1
+    if div <= 0:
+        return [i * delta + start for i in range(count)]
+    step = delta / div
+    if step == 0.0:
+        grid = [i / div * delta + start for i in range(count)]
+    else:
+        grid = [i * step + start for i in range(count)]
+    grid[-1] = stop
+    return grid
 
 
 def default_detector(optical_loss: float = FROZEN_OPTICAL_LOSS) -> DetectorModel:
@@ -140,8 +159,8 @@ def fit_optical_loss(
     """
     best_key = None
     best_loss = lo
-    for loss in np.linspace(lo, hi, steps):
-        det = default_detector(float(loss))
+    for loss in linspace(lo, hi, steps):
+        det = default_detector(loss)
         violation = 0.0
         sse = 0.0
         for n_states, alpha_sq, f_lo, f_hi in FIDELITY_BENCHMARKS:
@@ -153,5 +172,5 @@ def fit_optical_loss(
         key = (violation, sse)
         if best_key is None or key < best_key:
             best_key = key
-            best_loss = float(loss)
+            best_loss = loss
     return best_loss

@@ -9,7 +9,6 @@ directory; this is the in-the-field smoke test.
 from __future__ import annotations
 
 import math
-import time
 
 import numpy as np
 
@@ -113,10 +112,9 @@ CHECKS = (
 def run_selfcheck(verbose_print=print) -> bool:
     """Run every check, print one line each, return overall pass."""
     all_ok = True
-    started = time.perf_counter()
     for name, fn in CHECKS:
         ok, detail = fn()
         all_ok &= ok
         verbose_print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
-    verbose_print(f"selfcheck {'passed' if all_ok else 'FAILED'} in {time.perf_counter() - started:.2f} s")
+    verbose_print(f"selfcheck {'passed' if all_ok else 'FAILED'}")
     return all_ok

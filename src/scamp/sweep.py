@@ -5,9 +5,10 @@ grid of (state-set size, input mean photon number) points and emits one row
 per point with fixed, documented columns.  Each point builds one branch
 table: the analytic columns and, in a Monte Carlo mode, the tally's cell
 probabilities both read it, and its three visibilities share one reference
-scan.  Figure datasets are column projections of the same rows; they are
-model curves only, never measured points.  CSV carries the rows; JSON carries
-{"spec": ..., "rows": ...}.
+scan.  Figure datasets hold a few columns of the same rows, and a point
+computes only the columns it emits; they are model curves only, never
+measured points.  CSV carries the rows; JSON carries {"spec": ..., "rows": ...}.
+The Monte Carlo, and numpy with it, is imported by the first Monte Carlo row.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ import numbers
 import operator
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import params
 from .amplifier import AmplifierConfig, BranchTable, Conditioning, branch_table
 from .analysis import (
@@ -31,18 +30,13 @@ from .analysis import (
     estimate_pulse_numbers,
     visibilities,
 )
+from .detectors import DetectorBank
 from .errors import ConfigError, InsufficientSignalError
-from .montecarlo import (
-    DetectorBank,
-    RunSpec,
-    _class_projection,
-    _simulate_run,
-    standard_error,
-)
 
 MODES = ("analytic", "montecarlo", "both")
 FORMATS = ("csv", "json")
 
+_VISIBILITY_COLUMNS = ("visibility_unconditioned", "visibility_d0_silent", "visibility_conditioned")
 BASE_COLUMNS = (
     "n_states",
     "alpha_sq",
@@ -50,10 +44,7 @@ BASE_COLUMNS = (
     "correct_state_fraction",
     "success_probability",
     "success_rate_per_s",
-    "visibility_unconditioned",
-    "visibility_d0_silent",
-    "visibility_conditioned",
-)
+) + _VISIBILITY_COLUMNS
 MC_COLUMNS = (
     "mc_success_probability",
     "mc_success_probability_se",
@@ -201,22 +192,32 @@ class Dataset:
 
 
 def _point_seed(master_seed: int, point_index: int) -> int:
+    import numpy as np
+
     state = np.random.SeedSequence(entropy=master_seed, spawn_key=(point_index,))
     return int(state.generate_state(1, np.uint64)[0])
 
 
-def _analytic_columns(spec: SweepSpec, table: BranchTable, analysis_cfg: AnalysisConfig) -> dict:
-    fom = table.figures_of_merit()
-    row = {
-        "fidelity": fom.fidelity,
-        "correct_state_fraction": fom.correct_state_fraction,
-        "success_probability": fom.success_probability,
-        "success_rate_per_s": fom.success_probability * spec.prf,
-    }
-    # the analyzer sees input 0; its three conditioned mixtures share components
-    weight_sets = [table.accepted(0, cond)[1] for cond in Conditioning]
-    names = ("visibility_unconditioned", "visibility_d0_silent", "visibility_conditioned")
-    row.update(zip(names, visibilities(table.output[0], weight_sets, analysis_cfg)))
+def _analytic_columns(
+    spec: SweepSpec, table: BranchTable, analysis_cfg: AnalysisConfig, columns: frozenset[str]
+) -> dict:
+    """The analytic values of a point, computing the fidelity loop and the
+    visibility scan only when ``columns`` holds one of their columns."""
+    if "fidelity" in columns or "correct_state_fraction" in columns:
+        fom = table.figures_of_merit()
+        row = {"fidelity": fom.fidelity, "correct_state_fraction": fom.correct_state_fraction}
+        p_success = fom.success_probability
+    else:
+        # a point that can never herald is an error whatever its columns are
+        table.heralded_totals()
+        row = {}
+        p_success = table.success_probability()
+    row["success_probability"] = p_success
+    row["success_rate_per_s"] = p_success * spec.prf
+    if not columns.isdisjoint(_VISIBILITY_COLUMNS):
+        # the analyzer sees input 0; its three conditioned mixtures share components
+        weight_sets = [table.accepted(0, cond)[1] for cond in Conditioning]
+        row.update(zip(_VISIBILITY_COLUMNS, visibilities(table.output[0], weight_sets, analysis_cfg)))
     return row
 
 
@@ -228,6 +229,8 @@ def _montecarlo_columns(
     seed: int,
     workers: int,
 ) -> dict:
+    from .montecarlo import RunSpec, _class_projection, _simulate_run, standard_error
+
     run = RunSpec(
         amplifier=cfg,
         detectors=spec.detectors,
@@ -266,7 +269,17 @@ def _montecarlo_columns(
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> Dataset:
-    """Evaluate the sweep grid; rows are ordered by grid position."""
+    """Evaluate the sweep grid; rows are ordered by grid position.
+
+    Each row holds ``spec.columns()``.  :func:`reproduce_figure` builds its
+    rows the same way with fewer columns, and computes only those.
+    """
+    return Dataset(spec=spec.echo(), rows=_rows(spec, spec.columns(), workers))
+
+
+def _rows(spec: SweepSpec, columns: tuple[str, ...], workers: int = 1) -> list[dict]:
+    """One row of ``columns`` per grid point, in grid order."""
+    wanted = frozenset(columns)
     rows = []
     point_index = 0
     for n_states in spec.n_states_list:
@@ -282,21 +295,23 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> Dataset:
             )
             table = branch_table(cfg, spec.detectors.d0, spec.detectors.d1)
             row = {"n_states": n_states, "alpha_sq": alpha_sq}
-            row.update(_analytic_columns(spec, table, analysis_cfg))
+            row.update(_analytic_columns(spec, table, analysis_cfg, wanted))
             if spec.wants_montecarlo():
                 seed = _point_seed(spec.seed, point_index)
                 row.update(_montecarlo_columns(spec, cfg, table, analysis_cfg, seed, workers))
-            rows.append({c: row[c] for c in spec.columns()})
+            rows.append({c: row[c] for c in columns})
             point_index += 1
-    return Dataset(spec=spec.echo(), rows=rows)
+    return rows
 
 
 def reproduce_figure(figure_id: str, **fields) -> Dataset:
     """Model-curve dataset for one of the known figure layouts.
 
-    A figure is an analytic sweep of one state-set size, projected onto the
-    figure's columns.  ``fields`` are further SweepSpec fields (splitters,
-    detectors, prf, epsilon, phase_points, ...).  The figure fixes
+    A figure is an analytic sweep of one state-set size that computes only
+    the figure's columns: fig3b-d skip the visibility scans, and fig4 also
+    skips the fidelity loop.  A point that can never herald still raises
+    NeverHeraldedError, as in a full sweep.  ``fields`` are further
+    SweepSpec fields (splitters, detectors, prf, epsilon, phase_points, ...).  The figure fixes
     ``n_states_list`` and the analytic mode, so setting ``n_states_list``, or
     a ``mode`` other than "analytic", raises ConfigError.  Without
     ``alpha_sq_grid`` the figure's own grid is used.  The rows are model
@@ -316,10 +331,8 @@ def reproduce_figure(figure_id: str, **fields) -> Dataset:
         params.FIG4_ALPHA_SQ_GRID if figure_id == "fig4" else params.FIG3_ALPHA_SQ_GRID,
     )
     spec = SweepSpec(n_states_list=(FIGURE_N_STATES[figure_id],), **fields)
-    dataset = run_sweep(spec)
-    columns = FIGURE_COLUMNS[figure_id]
-    rows = [{c: row[c] for c in columns} for row in dataset.rows]
-    spec_echo = dataset.spec
+    rows = _rows(spec, FIGURE_COLUMNS[figure_id])
+    spec_echo = spec.echo()
     spec_echo["figure_id"] = figure_id
     spec_echo["data"] = "model-curves"
     return Dataset(spec=spec_echo, rows=rows)
