@@ -16,8 +16,8 @@ through the module ``__getattr__``: the first one used imports
 
 import importlib
 
-from .coherent import Mixture, beamsplitter, mean_photons, mixture_fidelity, overlap_sq
-from .detectors import DetectorBank, DetectorModel, click_probability, dark_prob_from_rate
+from .coherent import Mixture, mean_photons, mixture_fidelity, overlap_sq
+from .detectors import DetectorBank, DetectorModel, click_probability
 from .amplifier import (
     AmplifierConfig,
     BranchTable,
@@ -39,7 +39,6 @@ from .analysis import (
     estimate_fidelity,
     estimate_pulse_numbers,
     expected_counts,
-    reconstruct_density,
     visibility,
 )
 from .sweep import Dataset, SweepSpec, reproduce_figure, run_estimator, run_sweep
@@ -73,15 +72,12 @@ __all__ = [
     "StateSet",
     "SweepSpec",
     "TallyTable",
-    "beamsplitter",
     "branch_table",
     "click_probability",
     "conditioned_class_totals",
     "conditioned_counts",
     "count_probabilities",
     "counts_by_offset",
-    "dark_prob_from_rate",
-    "detector_marginals",
     "estimate_class_pulse_numbers",
     "estimate_fidelity",
     "estimate_pulse_numbers",
@@ -94,7 +90,6 @@ __all__ = [
     "overlap_sq",
     "params",
     "phase_scan",
-    "reconstruct_density",
     "reproduce_figure",
     "run_estimator",
     "run_sweep",
@@ -111,7 +106,6 @@ _MONTECARLO_NAMES = frozenset({
     "conditioned_class_totals",
     "conditioned_counts",
     "counts_by_offset",
-    "detector_marginals",
     "mc_visibility",
     "phase_scan",
     "simulate_run",

@@ -374,18 +374,6 @@ def estimate_fidelity(
     return n_sig / total + c * n_vac / total
 
 
-def reconstruct_density(
-    n_sig: float,
-    n_vac: float,
-    reference: complex,
-) -> Mixture:
-    """Two-component density operator from estimated class pulse numbers."""
-    total = n_sig + n_vac
-    if total <= 0.0:
-        raise InsufficientSignalError("no pulses attributed to either class")
-    return Mixture(((n_sig / total, reference), (n_vac / total, 0j)))
-
-
 def estimate_class_pulse_numbers(
     class_counts: list[tuple[float, float]],
     class_amplitudes: list[complex],

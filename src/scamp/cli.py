@@ -3,7 +3,8 @@
 Physics parameters come from a flat INI-style config file (sections
 ``amplifier``, ``detector.d0`` .. ``detector.db``, ``sweep``, ``output``)
 plus command-line overrides; unknown keys or sections are errors, since a
-silently ignored typo in a physics parameter is the costliest failure mode.
+silently ignored typo in a physics parameter is the costliest failure mode;
+so is a ``[DEFAULT]`` section that holds a key.
 ``sweep`` and ``figure`` read the config the same way, and every key reaches
 the model; a figure is an analytic sweep of one state-set size, so it
 rejects ``n_states`` and any non-analytic ``mode``.  Each key is one
@@ -127,6 +128,9 @@ def load_sweep_config(path: str | None) -> dict:
             raise ConfigError(str(exc)) from exc
         if not read:
             raise ConfigError(f"cannot read config file {path!r}")
+    # configparser lists no [DEFAULT] section but copies its keys into every other one
+    if parser.defaults():
+        raise ConfigError(f"unknown config section [{parser.default_section}]")
     for section in parser.sections():
         if section not in _SCHEMA:
             raise ConfigError(f"unknown config section [{section}]")

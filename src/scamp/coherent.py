@@ -1,4 +1,4 @@
-"""Coherent-amplitude algebra: overlaps, beamsplitters, and coherent mixtures.
+"""Coherent-amplitude algebra: mean photon numbers, overlaps and coherent mixtures.
 
 Every state handled by the simulator is a coherent state or a classical
 mixture of coherent states, so a Python ``complex`` amplitude (plus weights)
@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-UNITARITY_TOL = 1e-12
 NORMALIZATION_TOL = 1e-12
 
 
@@ -31,24 +30,6 @@ def overlap_sq(a: complex, b: complex) -> float:
     dr = a.real - b.real
     di = a.imag - b.imag
     return math.exp(-(dr * dr + di * di))
-
-
-def beamsplitter(a: complex, b: complex, t: float, r: float) -> tuple[complex, complex]:
-    """Two-port beamsplitter with real amplitude transmission t and reflection r.
-
-    Convention (fixed across the package):
-
-        retained = r*a + t*b
-        monitor  = t*a - r*b
-
-    so a guess b = (t/r)*a interferes destructively into the monitor port and
-    the retained port carries a/r.  Returns (retained, monitor).
-    """
-    if not (0.0 <= t <= 1.0 and 0.0 <= r <= 1.0):
-        raise ValueError(f"beamsplitter amplitudes must lie in [0, 1], got t={t}, r={r}")
-    if abs(t * t + r * r - 1.0) > UNITARITY_TOL:
-        raise ValueError(f"non-unitary beamsplitter: t^2 + r^2 = {t * t + r * r!r}")
-    return r * a + t * b, t * a - r * b
 
 
 @dataclass(frozen=True)
@@ -77,12 +58,6 @@ class Mixture:
 
     def is_normalized(self, tol: float = NORMALIZATION_TOL) -> bool:
         return abs(self.total_weight() - 1.0) <= tol
-
-    def normalized(self) -> "Mixture":
-        total = self.total_weight()
-        if total <= 0.0:
-            raise ValueError("cannot normalize a mixture with zero total weight")
-        return Mixture(tuple((w / total, a) for w, a in self.components))
 
     def weights(self) -> tuple[float, ...]:
         return tuple(w for w, _ in self.components)

@@ -73,28 +73,3 @@ def click_probabilities(mean_photons: list[float], det: DetectorModel) -> list[f
     keep = 1.0 - det.dark_prob_per_gate
     eta_l = det.eta_l()
     return [1.0 - keep * math.exp(-eta_l * n) for n in mean_photons]
-
-
-def dark_prob_from_rate(
-    background_rate: float,
-    gate_width: float,
-    gate_retention: float = 1.0,
-) -> float:
-    """Per-gate dark probability from a background count rate.
-
-    Plain window arithmetic: rate * gate_width * gate_retention, clamped to
-    [0, 1].  Two usages cover the common bookkeeping conventions:
-
-      - gate_width = detector window (e.g. 4 ns), retention = 1: probability
-        of a raw background event inside one gate;
-      - gate_width = pulse period (e.g. 1 us at 1 MHz), retention = fraction
-        of background surviving software gating: effective per-pulse dark
-        probability after time filtering.
-    """
-    if background_rate < 0.0:
-        raise ValueError(f"background rate must be >= 0, got {background_rate}")
-    if gate_width <= 0.0:
-        raise ValueError(f"gate width must be > 0, got {gate_width}")
-    if not (0.0 <= gate_retention <= 1.0):
-        raise ValueError(f"gate retention must lie in [0, 1], got {gate_retention}")
-    return min(1.0, background_rate * gate_width * gate_retention)

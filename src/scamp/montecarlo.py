@@ -111,12 +111,6 @@ class TallyTable:
         return cls(np.zeros(shape, dtype=np.int64), phases, n_states)
 
 
-def chunk_rng(master_seed: int, chunk_index: int) -> np.random.Generator:
-    """Independent, reproducible random stream for one chunk."""
-    ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(chunk_index,))
-    return np.random.Generator(np.random.PCG64(ss))
-
-
 def phase_scan(n_points: int) -> tuple[float, ...]:
     """Uniform scan schedule over [0, 2*pi) for visibility runs."""
     if n_points < 2:
@@ -182,7 +176,8 @@ def simulate_chunk(
         tables = branch_tables(spec)
     n = spec.amplifier.n_states()
     n_phases = len(spec.phase_schedule)
-    rng = chunk_rng(spec.master_seed, chunk_index)
+    ss = np.random.SeedSequence(entropy=spec.master_seed, spawn_key=(chunk_index,))
+    rng = np.random.Generator(np.random.PCG64(ss))
 
     inputs = rng.integers(0, n, size=count)
     guess_cdf = np.cumsum(np.asarray(spec.amplifier.guess_distribution))
@@ -293,12 +288,6 @@ def counts_by_offset(t: TallyTable, condition) -> list[tuple[int, int, int]]:
     # [m, d] picks input m's guess (m + d) mod N, so the sum over m groups by offset
     by_offset = per_pair[m, (m + d) % n].sum(axis=0)
     return [(n_a, n_b, accepted) for accepted, n_a, n_b in by_offset.tolist()]
-
-
-def detector_marginals(t: TallyTable) -> dict[str, float]:
-    """Fraction of pulses on which each detector fired."""
-    by_pattern = t.counts.sum(axis=(0, 1, 2))
-    return {name: float(by_pattern[fired].sum()) / t.n_pulses for name, fired in _FIRED.items()}
 
 
 def mc_visibility(t: TallyTable, condition) -> float:

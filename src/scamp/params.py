@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from .amplifier import AmplifierConfig, StateSet, figures_of_merit
+from .amplifier import AmplifierConfig, StateSet
 from .analysis import AnalysisConfig
 from .coherent import mean_photons
 from .detectors import DetectorBank, DetectorModel
@@ -29,27 +29,15 @@ SUBTRACTION_TRANSMISSION = 0.9
 # measured post-gating background folded into a per-gate probability
 DARK_PROB_PER_GATE = BACKGROUND_RATE_CPS / PULSE_REPETITION_HZ * BACKGROUND_GATE_RETENTION
 
-# Optical loss in front of each detector, frozen once by fit_optical_loss()
-# against the reference fidelity benchmarks below; see that function.
+# Optical loss in front of each detector, frozen once by a grid fit against
+# reference fidelity benchmarks (tests/test_acceptance.py, criterion 5).
 FROZEN_OPTICAL_LOSS = 1.0
-
-# Reference operating benchmarks of the modeled device: (n_states, alpha_sq,
-# fidelity low, fidelity high).  Bands with high < 1 are two-sided targets.
-FIDELITY_BENCHMARKS = (
-    (2, 0.5, 0.98, 1.0),
-    (2, 0.3, 0.975, 1.0),
-    (4, 0.5, 0.80, 1.0),
-    (4, 0.3, 0.87, 0.93),
-    (4, 0.25, 0.87, 0.93),
-    (8, 0.21, 0.87, 0.93),
-)
 
 # Default sweep grids for the figure datasets; chosen so the device's
 # operating range (fractions of 95%/60%/30% for N = 2/4/8) is covered.
 # The success-rate grid is finer so the quoted 0.94 operating point is a
 # grid point.
 FIG3_ALPHA_SQ_GRID = tuple(round(0.1 * i, 10) for i in range(1, 30))
-FIG3_MIDRANGE_ALPHA_SQ = 1.5
 FIG4_ALPHA_SQ = 0.94
 FIG4_ALPHA_SQ_GRID = tuple(round(0.02 * i, 10) for i in range(1, 146))
 
@@ -143,34 +131,3 @@ def default_analysis(
         detector=det,
         phase_points=phase_points,
     )
-
-
-def fit_optical_loss(
-    lo: float = 0.3,
-    hi: float = 1.0,
-    steps: int = 71,
-) -> float:
-    """Fit the free optical-loss parameter against the fidelity benchmarks.
-
-    Grid scan over [lo, hi]; primary objective is zero violation of all
-    benchmark bands, tie-broken by least squares to the centers of the
-    two-sided bands.  Deterministic; the result is frozen as
-    FROZEN_OPTICAL_LOSS.
-    """
-    best_key = None
-    best_loss = lo
-    for loss in linspace(lo, hi, steps):
-        det = default_detector(loss)
-        violation = 0.0
-        sse = 0.0
-        for n_states, alpha_sq, f_lo, f_hi in FIDELITY_BENCHMARKS:
-            cfg = default_amplifier(alpha_sq, n_states)
-            f = figures_of_merit(cfg, det, det).fidelity
-            violation += max(0.0, f_lo - f) ** 2 + max(0.0, f - f_hi) ** 2
-            if f_hi < 1.0:
-                sse += (f - 0.5 * (f_lo + f_hi)) ** 2
-        key = (violation, sse)
-        if best_key is None or key < best_key:
-            best_key = key
-            best_loss = loss
-    return best_loss

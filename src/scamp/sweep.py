@@ -13,7 +13,6 @@ The Monte Carlo, and numpy with it, is imported by the first Monte Carlo row.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import numbers
@@ -410,18 +409,6 @@ def write_dataset(dataset: Dataset, path: str, output_format: str) -> None:
             fh.write(text)
     except OSError as exc:
         raise OSError(f"cannot write dataset to {path!r}: {exc}") from exc
-
-
-def read_csv_rows(path: str) -> list[dict]:
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        rows = []
-        for record in reader:
-            row = {}
-            for column, text in record.items():
-                row[column] = int(text) if column in INT_COLUMNS else float(text)
-            rows.append(row)
-    return rows
 
 
 def read_json_dataset(path: str) -> Dataset:

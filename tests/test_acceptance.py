@@ -37,6 +37,19 @@ from scamp import params
 
 IDEAL = DetectorModel.ideal()
 
+# Reference operating benchmarks of the modeled device: (n_states, alpha_sq,
+# fidelity low, fidelity high).  Bands with high < 1 are two-sided targets.
+FIDELITY_BENCHMARKS = (
+    (2, 0.5, 0.98, 1.0),
+    (2, 0.3, 0.975, 1.0),
+    (4, 0.5, 0.80, 1.0),
+    (4, 0.3, 0.87, 0.93),
+    (4, 0.25, 0.87, 0.93),
+    (8, 0.21, 0.87, 0.93),
+)
+# the operating point of the device's quoted conditioned fractions
+FIG3_MIDRANGE_ALPHA_SQ = 1.5
+
 
 def report(criterion, ok, detail):
     print(f"\n[{'PASS' if ok else 'FAIL'}] acceptance criterion {criterion}: {detail}")
@@ -82,12 +95,38 @@ def test_criterion_04_unconditioned_fractions():
     report(4, ok, f"unconditioned fractions {fractions} (exact 1/N)")
 
 
+def fit_optical_loss(lo=0.3, hi=1.0, steps=71):
+    """Fit the free optical-loss parameter against the fidelity benchmarks.
+
+    Grid scan over [lo, hi]; primary objective is zero violation of all
+    benchmark bands, tie-broken by least squares to the centers of the
+    two-sided bands.  Deterministic; the result is frozen as
+    params.FROZEN_OPTICAL_LOSS.
+    """
+    best_key = None
+    best_loss = lo
+    for loss in params.linspace(lo, hi, steps):
+        det = params.default_detector(loss)
+        violation = 0.0
+        sse = 0.0
+        for n_states, alpha_sq, f_lo, f_hi in FIDELITY_BENCHMARKS:
+            f = figures_of_merit(params.default_amplifier(alpha_sq, n_states), det, det).fidelity
+            violation += max(0.0, f_lo - f) ** 2 + max(0.0, f - f_hi) ** 2
+            if f_hi < 1.0:
+                sse += (f - 0.5 * (f_lo + f_hi)) ** 2
+        key = (violation, sse)
+        if best_key is None or key < best_key:
+            best_key = key
+            best_loss = loss
+    return best_loss
+
+
 def test_criterion_05_fidelity_bands_with_frozen_loss():
-    fitted = params.fit_optical_loss()
+    fitted = fit_optical_loss()
     det = params.default_detector(fitted)
     results = []
     ok = fitted == params.FROZEN_OPTICAL_LOSS
-    for n_states, alpha_sq, lo, hi in params.FIDELITY_BENCHMARKS:
+    for n_states, alpha_sq, lo, hi in FIDELITY_BENCHMARKS:
         f = figures_of_merit(params.default_amplifier(alpha_sq, n_states), det, det).fidelity
         ok &= lo <= f <= hi
         results.append(f"N={n_states}@{alpha_sq}: {f:.4f} in [{lo},{hi}]")
@@ -96,7 +135,7 @@ def test_criterion_05_fidelity_bands_with_frozen_loss():
 
 def test_criterion_06_conditioned_fractions_at_midrange():
     det = params.default_detector()
-    a2 = params.FIG3_MIDRANGE_ALPHA_SQ
+    a2 = FIG3_MIDRANGE_ALPHA_SQ
     frac = {
         n: figures_of_merit(params.default_amplifier(a2, n), det, det).correct_state_fraction
         for n in (2, 4, 8)

@@ -19,6 +19,8 @@ from scamp.detectors import DetectorModel
 from scamp.errors import NeverHeraldedError
 from scamp import params
 
+from oracles import beamsplitter
+
 IDEAL = DetectorModel.ideal()
 
 
@@ -169,8 +171,6 @@ class TestEnumerateBranches:
             output_mixture(make_config(0.5, 2), IDEAL, IDEAL, 2)
 
     def test_branch_amplitudes_match_beamsplitter_op(self):
-        from scamp.coherent import beamsplitter
-
         cfg = make_config(0.41, 4, r1_sq=0.33)
         table = branch_table(cfg, IDEAL, IDEAL)
         for m in range(4):

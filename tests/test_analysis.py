@@ -14,7 +14,6 @@ from scamp.analysis import (
     estimate_pulse_numbers,
     expected_counts,
     port_click,
-    reconstruct_density,
     visibilities,
     visibility,
 )
@@ -293,7 +292,7 @@ class TestFidelityEstimate:
 
     def test_matches_mixture_fidelity_of_reconstruction(self):
         ref = complex(math.sqrt(0.9))
-        m = reconstruct_density(900.0, 100.0, ref)
+        m = Mixture(((0.9, ref), (0.1, 0j)))
         assert estimate_fidelity(900.0, 100.0, g2a2=0.9) == pytest.approx(
             mixture_fidelity(m, ref), abs=1e-14
         )
@@ -305,23 +304,6 @@ class TestFidelityEstimate:
     def test_rejects_unknown_convention(self):
         with pytest.raises(ValueError):
             estimate_fidelity(1.0, 1.0, 0.9, vacuum_overlap="squared")
-
-
-class TestReconstructDensity:
-    def test_weights(self):
-        ref = complex(math.sqrt(0.9))
-        assert reconstruct_density(900.0, 100.0, ref).weights() == (0.9, 0.1)
-        assert reconstruct_density(0.0, 100.0, ref).weights() == (0.0, 1.0)
-        assert reconstruct_density(250.0, 250.0, ref).weights() == (0.5, 0.5)
-
-    def test_components(self):
-        ref = complex(math.sqrt(0.9))
-        m = reconstruct_density(900.0, 100.0, ref)
-        assert m.amplitudes() == (ref, 0j)
-
-    def test_insufficient_signal(self):
-        with pytest.raises(InsufficientSignalError):
-            reconstruct_density(0.0, 0.0, 0j)
 
 
 class TestClassPulseEstimator:

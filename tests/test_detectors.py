@@ -5,12 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from scamp.analysis import AnalysisConfig, count_probabilities
-from scamp.detectors import (
-    DetectorModel,
-    click_probabilities,
-    click_probability,
-    dark_prob_from_rate,
-)
+from scamp.detectors import DetectorModel, click_probabilities, click_probability
+from scamp import params
 
 probs = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -88,25 +84,6 @@ class TestDetectorModel:
         assert det.eta_l() == 1.0 and det.dark_prob_per_gate == 0.0
 
 
-class TestDarkProbFromRate:
-    def test_raw_window_arithmetic(self):
-        # 296 cps in a 4 ns window
-        assert dark_prob_from_rate(296.0, 4e-9) == pytest.approx(1.184e-6, rel=1e-15)
-
-    def test_zero_rate(self):
-        assert dark_prob_from_rate(0.0, 4e-9) == 0.0
-
-    def test_post_gating_budget(self):
-        # 3% of the background survives gating; per pulse at 1 MHz
-        assert dark_prob_from_rate(296.0, 1e-6, 0.03) == pytest.approx(8.88e-6, rel=1e-15)
-
-    def test_clamped_to_unity(self):
-        assert dark_prob_from_rate(1e12, 1.0) == 1.0
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            dark_prob_from_rate(-1.0, 1e-9)
-        with pytest.raises(ValueError):
-            dark_prob_from_rate(296.0, 0.0)
-        with pytest.raises(ValueError):
-            dark_prob_from_rate(296.0, 1e-9, 1.5)
+def test_default_dark_prob_is_post_gating_budget():
+    # 296 cps of background, 3% of it surviving gating, per pulse at 1 MHz
+    assert params.DARK_PROB_PER_GATE == pytest.approx(8.88e-6, rel=1e-15)

@@ -14,7 +14,7 @@ from scamp.analysis import (
     estimate_pulse_numbers,
     fringe_visibility,
 )
-from scamp.detectors import DetectorModel, click_probability
+from scamp.detectors import DetectorModel
 from scamp.montecarlo import (
     DEFAULT_CHUNK_SIZE,
     DetectorBank,
@@ -23,7 +23,6 @@ from scamp.montecarlo import (
     conditioned_class_totals,
     conditioned_counts,
     counts_by_offset,
-    detector_marginals,
     mc_visibility,
     phase_scan,
     simulate_chunk,
@@ -256,23 +255,6 @@ class TestAgainstAnalyticModel:
         p = figures_of_merit(spec.amplifier, det, det).success_probability
         sigma = math.sqrt(p * (1.0 - p) / spec.n_pulses)
         assert abs(accepted / spec.n_pulses - p) < 5.0 * sigma
-
-    def test_detector_marginals(self):
-        spec = make_spec(0.5, 4, 400_000, 31)
-        tally = simulate_run(spec)
-        marg = detector_marginals(tally)
-        det = params.default_detector()
-        cfg = spec.amplifier
-        table = branch_table(cfg, det, det)
-        p0 = p1 = 0.0
-        for m in range(4):
-            for k in range(4):
-                w = table.prior[k] / 4
-                p0 += w * click_probability(table.d0_mean[m][k], det)
-                p1 += w * click_probability(table.d1_mean[m][k], det)
-        for name, p in (("d0", p0), ("d1", p1)):
-            sigma = math.sqrt(p * (1.0 - p) / spec.n_pulses)
-            assert abs(marg[name] - p) < 5.0 * sigma
 
 
 class TestEstimatorOracle:

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -29,6 +30,7 @@ from scamp.sweep import (
     BASE_COLUMNS,
     FIGURE_COLUMNS,
     FIGURE_N_STATES,
+    INT_COLUMNS,
     MAX_N_STATES,
     MAX_PHASE_POINTS,
     MC_COLUMNS,
@@ -36,7 +38,6 @@ from scamp.sweep import (
     SweepSpec,
     dataset_to_csv,
     dataset_to_json,
-    read_csv_rows,
     read_json_dataset,
     reproduce_figure,
     run_estimator,
@@ -45,6 +46,15 @@ from scamp.sweep import (
     write_dataset,
 )
 from scamp import params
+
+
+def read_csv_rows(path: str) -> list[dict]:
+    """The rows of a dataset CSV file, with each cell read back as int or float."""
+    with open(path, newline="") as fh:
+        return [
+            {c: int(text) if c in INT_COLUMNS else float(text) for c, text in record.items()}
+            for record in csv.DictReader(fh)
+        ]
 
 
 class TestSweepSpecValidation:
@@ -411,6 +421,19 @@ class TestRunEstimator:
         with pytest.raises(InsufficientSignalError):
             run_estimator(CountTable(0.0, 0.0, 0.0, 0.0), g2a2=0.9, eta_l=0.4)
 
+    @pytest.mark.parametrize("counts, weights", [
+        (CountTable(500.0, 1.0, 40.0, 42.0), None),
+        (CountTable(0.0, 0.0, 40.0, 42.0), (0.0, 1.0)),
+    ])
+    def test_weights_are_the_class_split(self, counts, weights):
+        # P(sig) and P(vac) are the two weights of the reconstructed density operator
+        report = run_estimator(counts, g2a2=1.69, eta_l=0.39, vacuum_denominator="per-port")
+        total = report["n_sig"] + report["n_vac"]
+        assert report["p_sig"] == report["n_sig"] / total
+        assert report["p_vac"] == report["n_vac"] / total
+        if weights is not None:
+            assert (report["p_sig"], report["p_vac"]) == weights
+
 
 def run_cli(args):
     return cli.main(args)
@@ -448,6 +471,19 @@ class TestCli:
         config = tmp_path / "bad.ini"
         config.write_text("[detector.dx]\nefficiency = 0.4\n")
         assert run_cli(["sweep", "--config", str(config)]) == 2
+
+    @pytest.mark.parametrize("command", [["sweep"], ["figure", "--id", "fig3b"]], ids=["sweep", "figure"])
+    @pytest.mark.parametrize("text", [
+        # alone, configparser lists no section, so nothing was checked or read
+        "[DEFAULT]\nefficiency = 0.01\nalpha_sq = 99\n",
+        # beside a section, its key was inherited by that section
+        "[DEFAULT]\nefficiency = 0.01\n[detector.d0]\nloss = 0.5\n",
+    ], ids=["alone", "inherited"])
+    def test_rejects_default_section_with_keys(self, tmp_path, capsys, command, text):
+        config = tmp_path / "default.ini"
+        config.write_text(text)
+        assert run_cli(command + ["--config", str(config)]) == 2
+        assert "unknown config section [DEFAULT]" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "text", ["[sweep]\nseed = 1\nseed = 2\n", "seed = 1\n", "[sweep\n", "[output]\npath = 50%\n"]
