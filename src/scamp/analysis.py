@@ -27,6 +27,7 @@ call, so the estimators and the configuration types load without it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -194,33 +195,19 @@ def visibility(m: Mixture, cfg: AnalysisConfig) -> float:
     return visibilities(m.amplitudes(), [m.weights()], cfg)[0]
 
 
-_scan: tuple[int, np.ndarray | None] = (0, None)
-
-
+@functools.lru_cache(maxsize=1)
 def _unit_scan(phase_points: int) -> np.ndarray:
     """exp(i*phase) on the uniform scan grid, kept for the last size asked for."""
-    global _scan
-    points, scan = _scan
-    if points != phase_points:
-        import numpy as np
+    import numpy as np
 
-        scan = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, phase_points, endpoint=False))
-        scan.flags.writeable = False
-        _scan = (phase_points, scan)
+    scan = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, phase_points, endpoint=False))
+    scan.flags.writeable = False
     return scan
 
 
-# A block of the visibility scan is up to _SCAN_BLOCK_CELLS (component, phase)
-# cells, so its arrays take at most 512 KiB per scanned mixture whatever N and
-# phase_points are, and a three-mixture block fits a 2 MiB L2 cache (2^16 cells
-# did not, and ran long scans up to twice as slow).  A long scan is cut into
-# near-equal phase ranges so that a block still spans at least
-# _MIN_BLOCK_COMPONENTS components: each later block of a range copies the
-# running sums once, which costs about as much as adding one component.  A
-# range one phase wide would make the reduction add its components pairwise,
-# so no range is left that narrow.
+# a phase range of the visibility scan spans at most this many (component,
+# phase) cells, so its product array takes at most 512 KiB per scanned mixture
 _SCAN_BLOCK_CELLS = 1 << 15
-_MIN_BLOCK_COMPONENTS = 8
 
 
 def visibilities(
@@ -229,41 +216,30 @@ def visibilities(
     """:func:`visibility` of several normalized mixtures of the same components.
 
     ``weight_sets[j][i]`` is the weight of ``amplitudes[i]`` in mixture j.  All
-    mixtures share one reference scan.  The (component, phase) plane is taken
-    in blocks of at most 2^15 cells, with one :func:`port_click` call per block
-    and one reduction, whose row 0 carries the running sums in every block but
-    a phase range's first, so every curve adds its components in list order.
-    A scan too long for one block is cut into the fewest phase ranges that fit,
-    of near-equal widths (they differ by at most one phase), so every range
-    holds thousands of phases.  Besides the
-    curves themselves (one float per mixture and phase), memory is O(block):
-    it does not grow with the number of components or with components x
-    phase_points.
+    mixtures share one reference scan.  The phase axis is cut into the fewest
+    near-equal ranges (widths differ by at most one phase) of at most 2^15
+    (component, phase) cells, each holding every component and at least two
+    phases, with one :func:`port_click` call and one reduction per range.  Besides the curves
+    themselves (one float per mixture and phase), memory is O(range): it does
+    not grow with components x phase_points.
     """
     import numpy as np
 
     n_phases = cfg.phase_points
     z_ref = cfg.reference_amplitude * _unit_scan(n_phases)
-    amplitudes = np.asarray(amplitudes, dtype=complex)
-    weights = np.asarray(weight_sets, dtype=float)
-    rows = min(len(amplitudes), max(_MIN_BLOCK_COMPONENTS, _SCAN_BLOCK_CELLS // n_phases))
-    rows = max(rows, 1)
-    ranges = -(-n_phases // (_SCAN_BLOCK_CELLS // rows))
+    amplitudes = np.asarray(amplitudes, dtype=complex)[:, None]
+    weights = np.asarray(weight_sets, dtype=float)[:, :, None]
+    # a range one phase wide would be reduced pairwise, not in list order, so
+    # every range keeps at least two phases, whatever the component count
+    ranges = -(-n_phases // max(1, _SCAN_BLOCK_CELLS // len(amplitudes)))
+    ranges = min(ranges, n_phases // 2)
     edges = [n_phases * i // ranges for i in range(ranges + 1)]
-    curves = np.zeros((len(weights), n_phases))
+    curves = np.empty((len(weights), n_phases))
     for start, stop in zip(edges, edges[1:]):
-        ref = z_ref[start:stop]
-        acc = curves[:, start:stop]
-        for lo in range(0, len(amplitudes), rows):
-            click = port_click(amplitudes[lo:lo + rows, None], ref, cfg.detector, "A")
-            # row 0 carries the running sums, except in a range's first block
-            carry = 1 if lo else 0
-            terms = np.empty((len(weights), carry + len(click), len(ref)))
-            terms[:, :carry] = acc[:, None]
-            np.multiply(weights[:, lo:lo + rows, None], click, out=terms[:, carry:])
-            # reducing over a non-contiguous axis adds the rows one after another,
-            # as the old per-component loop did (pinned bit for bit by a test)
-            np.add.reduce(terms, axis=1, out=acc)
+        click = port_click(amplitudes, z_ref[start:stop], cfg.detector, "A")
+        # reducing over a non-contiguous axis adds the components one after
+        # another, in list order (pinned bit for bit by a test)
+        np.add.reduce(weights * click, axis=1, out=curves[:, start:stop])
     return fringe_visibility(curves)
 
 

@@ -118,27 +118,16 @@ def phase_scan(n_points: int) -> tuple[float, ...]:
     return tuple(2.0 * math.pi * j / n_points for j in range(n_points))
 
 
-@dataclass(frozen=True)
-class _BranchTables:
-    """Per-(input, guess) click probabilities and per-phase analyzer tables."""
-
-    p0: np.ndarray        # (N, N) D0 click probability
-    p1: np.ndarray        # (N, N) D1 click probability
-    pa: np.ndarray        # (P, N, N) DA click probability
-    pb: np.ndarray        # (P, N, N) DB click probability
-
-
-def branch_tables(spec: RunSpec) -> _BranchTables:
+def branch_tables(spec: RunSpec) -> tuple[np.ndarray, np.ndarray]:
     """Precompute all per-branch click probabilities for a run.
 
     D0/D1 clicks and outputs come from the amplifier's branch table.  The
     analyzer reference for input m is the configured reference rotated by the
     input phase 2*pi*m/N (the test state is a copy of that pulse's expected
-    amplified state) and by each scheduled scan phase.
+    amplified state) and by each scheduled scan phase.  Returns the (silent,
+    fired) click factors of :func:`_click_factors`.
     """
-    table = branch_table(spec.amplifier, spec.detectors.d0, spec.detectors.d1)
-    heralds, analyzer = _click_factors(spec, table)
-    return _BranchTables(*heralds[..., 1], *analyzer[..., 1])
+    return _click_factors(spec, branch_table(spec.amplifier, spec.detectors.d0, spec.detectors.d1))
 
 
 def _click_factors(spec: RunSpec, table: BranchTable) -> tuple[np.ndarray, np.ndarray]:
@@ -165,15 +154,20 @@ def simulate_chunk(
     spec: RunSpec,
     chunk_index: int,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
-    tables: _BranchTables | None = None,
+    tables: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> TallyTable:
-    """Simulate one chunk of pulses with its own derived random stream."""
+    """Simulate one chunk of pulses with its own derived random stream.
+
+    ``tables`` are the run's :func:`branch_tables`, built here if not given.
+    """
     start = chunk_index * chunk_size
     count = min(chunk_size, spec.n_pulses - start)
     if count <= 0:
         return TallyTable.empty(spec.phase_schedule, spec.amplifier.n_states())
     if tables is None:
         tables = branch_tables(spec)
+    # the fired planes of the D0/D1 and DA/DB click factors
+    (p0, p1), (pa, pb) = (f[..., 1] for f in tables)
     n = spec.amplifier.n_states()
     n_phases = len(spec.phase_schedule)
     ss = np.random.SeedSequence(entropy=spec.master_seed, spawn_key=(chunk_index,))
@@ -189,10 +183,10 @@ def simulate_chunk(
     ub = rng.random(count)
 
     j = (start + np.arange(count)) % n_phases
-    d0 = u0 < tables.p0[inputs, guesses]
-    d1 = u1 < tables.p1[inputs, guesses]
-    da = ua < tables.pa[j, inputs, guesses]
-    db = ub < tables.pb[j, inputs, guesses]
+    d0 = u0 < p0[inputs, guesses]
+    d1 = u1 < p1[inputs, guesses]
+    da = ua < pa[j, inputs, guesses]
+    db = ub < pb[j, inputs, guesses]
     pattern = (
         d0.astype(np.int64) * _BIT_D0
         + d1.astype(np.int64) * _BIT_D1

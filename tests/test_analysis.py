@@ -151,15 +151,17 @@ def dense_scan_visibility(m, cfg):
 
 class TestVisibility:
     def test_shared_scan_is_bit_identical_to_dense_scan(self):
-        # (components, phase_points): the scan takes 17 x 65536 in 16 phase
-        # ranges of 3 component blocks each, and 256 x 1024 in 8 component
-        # blocks, so the running sums must carry from block to block.  17 x 8193
-        # and 17 x 16385 take 3 and 5 near-equal phase ranges; cut 4096 wide,
-        # their one-phase tail range would be summed pairwise, not in list order.
-        # Each reference is turned so that the first curve peaks on the last
-        # grid phase.
+        # (components, phase_points): every phase range holds all components,
+        # and each range's reduction must add them in list order.  17 x 65536
+        # takes 35 near-equal ranges, 17 x 8193 five and 17 x 16385 nine.  Cut
+        # at full width (2^15 cells), 17 x 1928, 129 x 255 and 256 x 257 would
+        # each leave a one-phase tail, which a reduction sums pairwise.  At
+        # 40000 x 9 no two-phase range fits in 2^15 cells, so the range count is
+        # capped at phase_points // 2.  Each reference is turned so that the
+        # first curve peaks on the last grid phase.
         cases = [(5, 256), (5, 9), (5, 256), (5, 64), (1, 256), (17, 65536), (256, 256), (256, 1024),
-                 *[(17, 8193)] * 6, *[(17, 16385)] * 6]
+                 *[(17, 8193)] * 6, *[(17, 16385)] * 6, (17, 1928), (129, 255), (256, 257),
+                 (40000, 9)]
         rng = np.random.default_rng(17)
         for k, phase_points in cases:
             cfg = analyzer(float(rng.uniform(0.1, 2.0)), phase_points=phase_points, dark=1e-3)

@@ -684,7 +684,8 @@ class TestCli:
     @pytest.mark.parametrize("grid", [
         f"0.1:2.9:{cli.MAX_ALPHA_SQ_POINTS + 1}",
         "0.1:2.9:99999999999999999999",
-        ",".join(["0.5"] * (cli.MAX_ALPHA_SQ_POINTS + 1)),
+        pytest.param(",".join(["0.5"] * (cli.MAX_ALPHA_SQ_POINTS + 1)),
+                     id=f"{cli.MAX_ALPHA_SQ_POINTS + 1}-values"),
     ])
     def test_rejects_oversized_alpha_sq_grid(self, tmp_path, capsys, grid):
         config = tmp_path / "huge.ini"
@@ -716,7 +717,9 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error: n_A_sig must be a number") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("value", [1e308, "1e308", 2**53 + 1, float(2**53 + 2), 10**300])
+    @pytest.mark.parametrize(
+        "value", [1e308, "1e308", 2**53 + 1, float(2**53 + 2), pytest.param(10**300, id="10**300")]
+    )
     def test_estimate_rejects_counts_above_two_to_the_53(self, tmp_path, capsys, value):
         # above 2^53 a float holds no exact count, and 1e308 drove the estimate to inf/nan
         path = tmp_path / "counts.json"
