@@ -11,8 +11,12 @@ brighter retained field of correct guesses (via D1).  The nominal amplitude
 gain of an accepted pulse is t2/r1.
 
 Every figure below, and the Monte Carlo, reads one :class:`BranchTable` of
-the N^2 (input, guess) branches.  It is built with scalar Python arithmetic
-(math.exp, math.fsum), so its numbers do not depend on vectorized math paths.
+the N^2 (input, guess) branches.  It is built in one pass per input row:
+each branch is evaluated completely (D0/D1 mean photons and clicks, output,
+silent and heralded weights) and every value is appended to its column.  The
+arithmetic is scalar Python (math.exp, math.fsum, the click law of
+:func:`detectors.click_law`), so its numbers do not depend on vectorized
+math paths.
 """
 
 from __future__ import annotations
@@ -20,11 +24,11 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .coherent import Mixture, overlap_sq
-from .detectors import DetectorModel, click_probabilities
+from .detectors import DetectorModel, click_law
 from .errors import NeverHeraldedError
 
 UNITARITY_TOL = 1e-12
@@ -40,6 +44,8 @@ class StateSet:
 
     def __post_init__(self):
         object.__setattr__(self, "base_amplitude", complex(self.base_amplitude))
+        if not cmath.isfinite(self.base_amplitude):
+            raise ValueError(f"base_amplitude must be finite, got {self.base_amplitude}")
         if self.n_states < 1:
             raise ValueError(f"n_states must be >= 1, got {self.n_states}")
 
@@ -77,11 +83,12 @@ class AmplifierConfig:
     guess_distribution: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if abs(self.comparison_r1**2 + self.comparison_t1**2 - 1.0) > UNITARITY_TOL:
+        # every check is written so that a NaN fails it
+        if not abs(self.comparison_r1**2 + self.comparison_t1**2 - 1.0) <= UNITARITY_TOL:
             raise ValueError("comparison beamsplitter is not unitary: r1^2 + t1^2 != 1")
-        if abs(self.subtraction_t2**2 + self.subtraction_r2**2 - 1.0) > UNITARITY_TOL:
+        if not abs(self.subtraction_t2**2 + self.subtraction_r2**2 - 1.0) <= UNITARITY_TOL:
             raise ValueError("subtraction beamsplitter is not unitary: t2^2 + r2^2 != 1")
-        if self.comparison_r1 <= 0.0 or self.subtraction_t2 <= 0.0:
+        if not (self.comparison_r1 > 0.0 and self.subtraction_t2 > 0.0):
             raise ValueError("comparison_r1 and subtraction_t2 must be > 0 (gain t2/r1 > 0)")
         n = self.input_set.n_states
         if len(self.guess_distribution) == 0:
@@ -90,9 +97,9 @@ class AmplifierConfig:
             raise ValueError(
                 f"guess_distribution has {len(self.guess_distribution)} entries for {n} states"
             )
-        if any(p < 0.0 for p in self.guess_distribution):
+        if not all(p >= 0.0 for p in self.guess_distribution):
             raise ValueError("guess probabilities must be >= 0")
-        if abs(math.fsum(self.guess_distribution) - 1.0) > DISTRIBUTION_TOL:
+        if not abs(math.fsum(self.guess_distribution) - 1.0) <= DISTRIBUTION_TOL:
             raise ValueError("guess_distribution must sum to 1")
 
     @classmethod
@@ -160,25 +167,33 @@ class BranchTable:
         """Acceptance probability of input m and the normalized weights of its outputs."""
         return _accepted(self.weights[conditioning][m], m, conditioning)
 
-    def heralded_totals(
+    def accepted_rows(
         self, conditioning: Conditioning = Conditioning.D0_SILENT_D1_FIRES
-    ) -> list[float]:
-        """Acceptance probability of each input; NeverHeraldedError names the
-        first input that no branch can pass."""
-        rows = self.weights[conditioning]
-        return [_heralded_total(row, m, conditioning) for m, row in enumerate(rows)]
+    ) -> tuple[float, list[list[float]]]:
+        """Per-pulse acceptance probability and every input's normalized
+        weights, from one fsum per row; NeverHeraldedError names the first
+        input that no branch can pass."""
+        success, rows = 0.0, []
+        for m, row in enumerate(self.weights[conditioning]):
+            total, weights = _accepted(row, m, conditioning)
+            success += total
+            rows.append(weights)
+        return success / len(rows), rows
 
     def figures_of_merit(
         self, conditioning: Conditioning = Conditioning.D0_SILENT_D1_FIRES
     ) -> FiguresOfMerit:
         """See :func:`figures_of_merit`."""
+        return self.figures(*self.accepted_rows(conditioning))
+
+    def figures(self, success_probability: float, weights: list[list[float]]) -> FiguresOfMerit:
+        """The figures of merit of one :meth:`accepted_rows` result."""
         fidelity_sum = fraction_sum = 0.0
-        for m, (outputs, target) in enumerate(zip(self.output, self.target)):
-            _, weights = self.accepted(m, conditioning)
-            fidelity_sum += math.fsum(w * overlap_sq(z, target) for w, z in zip(weights, outputs))
-            fraction_sum += weights[m]
+        for m, (row, outputs, target) in enumerate(zip(weights, self.output, self.target)):
+            fidelity_sum += math.fsum(w * overlap_sq(z, target) for w, z in zip(row, outputs))
+            fraction_sum += row[m]
         n = len(self.target)
-        return FiguresOfMerit(fidelity_sum / n, fraction_sum / n, self.success_probability(conditioning))
+        return FiguresOfMerit(fidelity_sum / n, fraction_sum / n, success_probability)
 
     def success_probability(
         self, conditioning: Conditioning = Conditioning.D0_SILENT_D1_FIRES
@@ -190,101 +205,95 @@ class BranchTable:
         return total / len(self.target)
 
 
-def _heralded_total(weights: list[float], m: int, conditioning: Conditioning) -> float:
-    """Total acceptance weight of input m's branches, which must be > 0."""
+def _accepted(
+    weights: list[float], m: int, conditioning: Conditioning
+) -> tuple[float, list[float]]:
+    """Total and normalized acceptance weights of input m's branches; the
+    total must be > 0."""
     total = math.fsum(weights)
     if total <= 0.0:
         raise NeverHeraldedError(
             f"no branch of input {m} can pass conditioning {conditioning.value}"
         )
-    return total
-
-
-def _accepted(
-    weights: list[float], m: int, conditioning: Conditioning
-) -> tuple[float, list[float]]:
-    """Total and normalized acceptance weights of input m's branches."""
-    total = _heralded_total(weights, m, conditioning)
     return total, [w / total for w in weights]
 
 
-# Conditioning levels in the order a branch row lists its weights.  Rows hold a
-# tuple, not a dict, because hashing an Enum member runs Python code.
-_LEVELS = tuple(Conditioning)
-
-
-class _BranchRow(NamedTuple):
-    """Row m of a :class:`BranchTable`: input m against every guess k."""
-
-    target: complex
-    output: list[complex]
-    d0_mean: list[float]
-    d1_mean: list[float]
-    d0_click: list[float]
-    d1_click: list[float]
-    weights: tuple[list[float], ...]  # one list per level of _LEVELS
-
-
-def _guess_parts(cfg: AmplifierConfig) -> tuple[list[complex], list[complex]]:
-    """The input states, and each one's guess contribution (t1^2/r1)*state to the retained port."""
-    members = [cfg.input_set.state(m) for m in range(cfg.n_states())]
-    r1, t1 = cfg.comparison_r1, cfg.comparison_t1
-    return members, [(t1 * t1 / r1) * z for z in members]
-
-
-def _branch_row(
-    cfg: AmplifierConfig,
-    det0: DetectorModel,
-    det1: DetectorModel,
-    members: list[complex],
-    guess_part: list[complex],
-    m: int,
-) -> _BranchRow:
-    """Every branch of input m, the one derivation behind :func:`branch_table`.
+def _branch_rows(
+    cfg: AmplifierConfig, det0: DetectorModel, det1: DetectorModel, inputs: Iterable[int]
+) -> BranchTable:
+    """The rows of the device's :class:`BranchTable` for ``inputs``, in that
+    order: the one derivation of a branch.
 
     Monitor = t1*input - r1*guess and retained = r1*input + t1*guess, with the
     guess scaled by t1/r1 so a correct guess nulls the monitor port; that
     branch is evaluated in closed form to keep the null and the gain law exact.
+    One pass over a row evaluates each branch completely and appends every
+    value to its column.
     """
     r1, t1 = cfg.comparison_r1, cfg.comparison_t1
     r2, t2 = cfg.subtraction_r2, cfg.subtraction_t2
-    target = cfg.target_amplitude(m)
-    z_in = members[m]
-    # guess = (t1/r1)*member: d0 = t1*(in - member), retained = r1*in + (t1^2/r1)*member
-    input_part = r1 * z_in
-    output, d0_mean, d1_mean = [], [], []
-    for k, z_member in enumerate(members):
-        if k == m:
-            n0 = 0.0
-            retained = z_in / r1
-            out = target
-        else:
-            d0 = t1 * (z_in - z_member)
-            n0 = d0.real * d0.real + d0.imag * d0.imag
-            retained = input_part + guess_part[k]
-            out = complex(t2 * retained.real, t2 * retained.imag)
-        tap_re, tap_im = r2 * retained.real, r2 * retained.imag
-        output.append(out)
-        d0_mean.append(n0)
-        d1_mean.append(tap_re * tap_re + tap_im * tap_im)
-    d0_click = click_probabilities(d0_mean, det0)
-    d1_click = click_probabilities(d1_mean, det1)
     prior = cfg.guess_distribution
-    silent = [q * (1.0 - p0) for q, p0 in zip(prior, d0_click)]
-    heralded = [w * p1 for w, p1 in zip(silent, d1_click)]
-    weights = (list(prior), silent, heralded)
-    return _BranchRow(target, output, d0_mean, d1_mean, d0_click, d1_click, weights)
+    members = [cfg.input_set.state(k) for k in range(cfg.n_states())]
+    # guess k = (t1/r1)*member k puts (t1^2/r1)*member k into the retained port
+    guesses = []
+    for z, q in zip(members, prior):
+        part = (t1 * t1 / r1) * z
+        guesses.append((z.real, z.imag, part.real, part.imag, q))
+    click0, click1 = click_law(det0), click_law(det1)
+    target, output, d0_mean, d1_mean, d0_click, d1_click = [], [], [], [], [], []
+    unconditioned, silent, heralded = [], [], []
+    for m in inputs:
+        z_in = members[m]
+        in_re, in_im = z_in.real, z_in.imag
+        input_part = r1 * z_in
+        part_re, part_im = input_part.real, input_part.imag
+        target_m = cfg.target_amplitude(m)
+        out_row, n0_row, n1_row, p0_row, p1_row, silent_row, heralded_row = [], [], [], [], [], [], []
+        for k, (z_re, z_im, guess_re, guess_im, q) in enumerate(guesses):
+            if k == m:
+                n0 = 0.0
+                retained = z_in / r1
+                ret_re, ret_im = retained.real, retained.imag
+                out = target_m
+            else:
+                # monitor field t1*(input - member) in real arithmetic: for
+                # finite amplitudes, the complex product's squared modulus
+                d0_re, d0_im = t1 * (in_re - z_re), t1 * (in_im - z_im)
+                n0 = d0_re * d0_re + d0_im * d0_im
+                ret_re, ret_im = part_re + guess_re, part_im + guess_im
+                out = complex(t2 * ret_re, t2 * ret_im)
+            tap_re, tap_im = r2 * ret_re, r2 * ret_im
+            n1 = tap_re * tap_re + tap_im * tap_im
+            p0, p1 = click0(n0), click1(n1)
+            w = q * (1.0 - p0)
+            out_row.append(out)
+            n0_row.append(n0)
+            n1_row.append(n1)
+            p0_row.append(p0)
+            p1_row.append(p1)
+            silent_row.append(w)
+            heralded_row.append(w * p1)
+        target.append(target_m)
+        output.append(out_row)
+        d0_mean.append(n0_row)
+        d1_mean.append(n1_row)
+        d0_click.append(p0_row)
+        d1_click.append(p1_row)
+        unconditioned.append(list(prior))
+        silent.append(silent_row)
+        heralded.append(heralded_row)
+    weights = {
+        Conditioning.NONE: unconditioned,
+        Conditioning.D0_SILENT: silent,
+        Conditioning.D0_SILENT_D1_FIRES: heralded,
+    }
+    return BranchTable(prior, target, output, d0_mean, d1_mean, d0_click, d1_click, weights)
 
 
 def branch_table(cfg: AmplifierConfig, det0: DetectorModel, det1: DetectorModel) -> BranchTable:
-    """All N^2 (input, guess) branches of the device, each derived once."""
-    members, guess_part = _guess_parts(cfg)
-    rows = [_branch_row(cfg, det0, det1, members, guess_part, m) for m in range(len(members))]
-    target, output, d0_mean, d1_mean, d0_click, d1_click, weights = map(list, zip(*rows))
-    return BranchTable(
-        cfg.guess_distribution, target, output, d0_mean, d1_mean, d0_click, d1_click,
-        {c: list(level) for c, level in zip(_LEVELS, zip(*weights))},
-    )
+    """All N^2 (input, guess) branches of the device, built one input row at a
+    time in scalar arithmetic; see :func:`_branch_rows`."""
+    return _branch_rows(cfg, det0, det1, range(cfg.n_states()))
 
 
 def output_mixture(
@@ -302,9 +311,9 @@ def output_mixture(
     """
     if not (0 <= input_index < cfg.n_states()):
         raise IndexError(f"input index {input_index} out of range for {cfg.n_states()} states")
-    row = _branch_row(cfg, det0, det1, *_guess_parts(cfg), input_index)
-    _, weights = _accepted(row.weights[_LEVELS.index(conditioning)], input_index, conditioning)
-    return Mixture(tuple((w, z) for w, z in zip(weights, row.output) if w > 0.0))
+    row = _branch_rows(cfg, det0, det1, (input_index,))
+    _, weights = _accepted(row.weights[conditioning][0], input_index, conditioning)
+    return Mixture(tuple((w, z) for w, z in zip(weights, row.output[0]) if w > 0.0))
 
 
 def figures_of_merit(

@@ -14,6 +14,7 @@ the per-gate dark probability and retention factors.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 
@@ -70,6 +71,17 @@ def click_probability(mean_photons: float, det: DetectorModel) -> float:
 
 def click_probabilities(mean_photons: list[float], det: DetectorModel) -> list[float]:
     """:func:`click_probability` for many gates, without the range check."""
+    return list(map(click_law(det), mean_photons))
+
+
+def click_law(det: DetectorModel) -> Callable[[float], float]:
+    """The detector's click probability as a function of the mean photon
+    number, without the range check: the one place the law is written."""
     keep = 1.0 - det.dark_prob_per_gate
     eta_l = det.eta_l()
-    return [1.0 - keep * math.exp(-eta_l * n) for n in mean_photons]
+    exp = math.exp
+
+    def click(mean_photons: float) -> float:
+        return 1.0 - keep * exp(-eta_l * mean_photons)
+
+    return click

@@ -201,21 +201,21 @@ def _analytic_columns(
     spec: SweepSpec, table: BranchTable, analysis_cfg: AnalysisConfig, columns: frozenset[str]
 ) -> dict:
     """The analytic values of a point, computing the fidelity loop and the
-    visibility scan only when ``columns`` holds one of their columns."""
+    visibility scan only when ``columns`` holds one of their columns.  Each
+    heralded row is summed and normalized once, and a point that can never
+    herald is an error whatever its columns are."""
+    p_success, weights = table.accepted_rows()
+    row = {}
     if "fidelity" in columns or "correct_state_fraction" in columns:
-        fom = table.figures_of_merit()
-        row = {"fidelity": fom.fidelity, "correct_state_fraction": fom.correct_state_fraction}
-        p_success = fom.success_probability
-    else:
-        # a point that can never herald is an error whatever its columns are
-        table.heralded_totals()
-        row = {}
-        p_success = table.success_probability()
+        fom = table.figures(p_success, weights)
+        row["fidelity"] = fom.fidelity
+        row["correct_state_fraction"] = fom.correct_state_fraction
     row["success_probability"] = p_success
     row["success_rate_per_s"] = p_success * spec.prf
     if not columns.isdisjoint(_VISIBILITY_COLUMNS):
         # the analyzer sees input 0; its three conditioned mixtures share components
-        weight_sets = [table.accepted(0, cond)[1] for cond in Conditioning]
+        weight_sets = [table.accepted(0, cond)[1] for cond in (Conditioning.NONE, Conditioning.D0_SILENT)]
+        weight_sets.append(weights[0])
         row.update(zip(_VISIBILITY_COLUMNS, visibilities(table.output[0], weight_sets, analysis_cfg)))
     return row
 

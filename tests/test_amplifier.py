@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from scamp.amplifier import (
     AmplifierConfig,
@@ -14,11 +15,14 @@ from scamp.amplifier import (
     success_probability,
     success_rate,
 )
+from scamp.analysis import visibility
 from scamp.coherent import mean_photons, mixture_fidelity
-from scamp.detectors import DetectorModel
+from scamp.detectors import DetectorBank, DetectorModel, click_probabilities
 from scamp.errors import NeverHeraldedError
+from scamp.sweep import SweepSpec, run_sweep
 from scamp import params
 
+import oracles
 from oracles import beamsplitter
 
 IDEAL = DetectorModel.ideal()
@@ -99,6 +103,14 @@ class TestStateSet:
         with pytest.raises(ValueError):
             StateSet(0j, 0)
 
+    def test_rejects_nan_amplitude(self):
+        with pytest.raises(ValueError):
+            StateSet(complex(math.nan), 2)
+
+    def test_rejects_infinite_amplitude(self):
+        with pytest.raises(ValueError):
+            StateSet(complex(math.inf), 2)
+
 
 class TestConfigValidation:
     def test_rejects_non_unitary_splitters(self):
@@ -119,11 +131,102 @@ class TestConfigValidation:
         cfg = make_config(0.5, 4)
         assert cfg.guess_distribution == (0.25, 0.25, 0.25, 0.25)
 
+    def test_rejects_nan_splitters(self):
+        s = StateSet(1 + 0j, 2)
+        with pytest.raises(ValueError):
+            AmplifierConfig(math.nan, math.nan, math.sqrt(0.9), math.sqrt(0.1), s)
+
+    def test_rejects_nan_guess_distribution(self):
+        s = StateSet(1 + 0j, 2)
+        h = math.sqrt(0.5)
+        with pytest.raises(ValueError):
+            AmplifierConfig(h, h, math.sqrt(0.9), math.sqrt(0.1), s, guess_distribution=(math.nan, math.nan))
+
     def test_rejects_zero_gain_device(self):
         s = StateSet(complex(1.0), 2)
         h = math.sqrt(0.5)
         with pytest.raises(ValueError):
             AmplifierConfig(h, h, 0.0, 1.0, s)
+
+
+open_unit = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+detector_models = st.builds(
+    DetectorModel,
+    efficiency=st.floats(0.0, 1.0),
+    loss_transmission=st.floats(0.0, 1.0),
+    dark_prob_per_gate=st.floats(0.0, 0.1),
+)
+
+
+@st.composite
+def devices(draw):
+    """N states on any circle, any splitters, a non-uniform guess prior and
+    unlike D0/D1 detectors with dark counts."""
+    n = draw(st.integers(1, 9))
+    raw = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    raw[draw(st.integers(0, n - 1))] = 1.0
+    total = math.fsum(raw)
+    return {
+        "n": n,
+        "alpha_sq": draw(st.floats(0.0, 4.0)),
+        "phase": draw(st.floats(0.0, 2.0 * math.pi)),
+        "prior": tuple(w / total for w in raw),
+        "r1_sq": draw(open_unit),
+        "t2_sq": draw(open_unit),
+        "det0": draw(detector_models),
+        "det1": draw(detector_models),
+    }
+
+
+class TestOnePassTable:
+    """The one-pass table against the row-list build it replaced (``oracles``)."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(devices())
+    def test_equals_row_list_build(self, d):
+        alpha = cmath.rect(math.sqrt(d["alpha_sq"]), d["phase"])
+        cfg = AmplifierConfig.from_intensities(
+            d["r1_sq"], d["t2_sq"], StateSet(alpha, d["n"]), d["prior"]
+        )
+        det0, det1 = d["det0"], d["det1"]
+        table = branch_table(cfg, det0, det1)
+        # repr is exact for floats, tells 0.0 from -0.0 and shows a NaN
+        assert repr(table) == repr(oracles.branch_table(cfg, det0, det1))
+        for m in range(d["n"]):
+            assert repr(table.d0_click[m]) == repr(click_probabilities(table.d0_mean[m], det0))
+            assert repr(table.d1_click[m]) == repr(click_probabilities(table.d1_mean[m], det1))
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(devices())
+    def test_sweep_visibilities_are_the_output_mixtures(self, d):
+        # below about 1e-300 the gain t2/r1 is so large that the analyzer's
+        # intensities overflow; that range is not what this test is about
+        assume(d["r1_sq"] >= 1e-300)
+        analyzer = params.default_detector()
+        spec = SweepSpec(
+            alpha_sq_grid=(d["alpha_sq"],),
+            n_states_list=(d["n"],),
+            comparison_reflectivity=d["r1_sq"],
+            subtraction_transmission=d["t2_sq"],
+            detectors=DetectorBank(d["det0"], d["det1"], analyzer, analyzer),
+            epsilon=0.0,
+        )
+        cfg = params.default_amplifier(d["alpha_sq"], d["n"], d["r1_sq"], d["t2_sq"])
+        analysis_cfg = params.default_analysis(
+            cfg, detector=analyzer, epsilon=0.0, phase_points=spec.phase_points
+        )
+        try:
+            expected = [
+                visibility(output_mixture(cfg, d["det0"], d["det1"], 0, cond), analysis_cfg)
+                for cond in Conditioning
+            ]
+        except NeverHeraldedError:
+            with pytest.raises(NeverHeraldedError):
+                run_sweep(spec)
+            return
+        row = run_sweep(spec).rows[0]
+        columns = ("visibility_unconditioned", "visibility_d0_silent", "visibility_conditioned")
+        assert repr([row[c] for c in columns]) == repr(expected)
 
 
 class TestEnumerateBranches:
