@@ -27,7 +27,6 @@ from .amplifier import (
     branch_table,
     figures_of_merit,
     output_mixture,
-    success_probability,
     success_rate,
 )
 from .analysis import (
@@ -95,7 +94,6 @@ __all__ = [
     "run_sweep",
     "simulate_run",
     "standard_error",
-    "success_probability",
     "success_rate",
     "visibility",
 ]

@@ -180,12 +180,6 @@ class BranchTable:
             rows.append(weights)
         return success / len(rows), rows
 
-    def figures_of_merit(
-        self, conditioning: Conditioning = Conditioning.D0_SILENT_D1_FIRES
-    ) -> FiguresOfMerit:
-        """See :func:`figures_of_merit`."""
-        return self.figures(*self.accepted_rows(conditioning))
-
     def figures(self, success_probability: float, weights: list[list[float]]) -> FiguresOfMerit:
         """The figures of merit of one :meth:`accepted_rows` result."""
         fidelity_sum = fraction_sum = 0.0
@@ -198,7 +192,11 @@ class BranchTable:
     def success_probability(
         self, conditioning: Conditioning = Conditioning.D0_SILENT_D1_FIRES
     ) -> float:
-        """See :func:`success_probability`."""
+        """Per-pulse acceptance probability, averaged over a uniform input prior.
+
+        Well defined even when no branch can herald (returns 0), unlike the
+        conditioned output state itself.
+        """
         total = 0.0
         for row in self.weights[conditioning]:
             total += math.fsum(row)
@@ -209,9 +207,9 @@ def _accepted(
     weights: list[float], m: int, conditioning: Conditioning
 ) -> tuple[float, list[float]]:
     """Total and normalized acceptance weights of input m's branches; the
-    total must be > 0."""
+    total must be > 0, so a NaN total is refused too."""
     total = math.fsum(weights)
-    if total <= 0.0:
+    if not total > 0.0:
         raise NeverHeraldedError(
             f"no branch of input {m} can pass conditioning {conditioning.value}"
         )
@@ -330,21 +328,8 @@ def figures_of_merit(
     guess == input branch.  success_probability: total acceptance
     probability per pulse (before normalization).
     """
-    return branch_table(cfg, det0, det1).figures_of_merit(conditioning)
-
-
-def success_probability(
-    cfg: AmplifierConfig,
-    det0: DetectorModel,
-    det1: DetectorModel,
-    conditioning: Conditioning = Conditioning.D0_SILENT_D1_FIRES,
-) -> float:
-    """Per-pulse acceptance probability, averaged over a uniform input prior.
-
-    Well defined even when no branch can herald (returns 0), unlike the
-    conditioned output state itself.
-    """
-    return branch_table(cfg, det0, det1).success_probability(conditioning)
+    table = branch_table(cfg, det0, det1)
+    return table.figures(*table.accepted_rows(conditioning))
 
 
 def success_rate(
@@ -354,7 +339,8 @@ def success_rate(
     prf: float,
     conditioning: Conditioning = Conditioning.D0_SILENT_D1_FIRES,
 ) -> float:
-    """Accepted pulses per second at pulse repetition frequency `prf`."""
+    """Accepted pulses per second at pulse repetition frequency `prf`; 0 when
+    no branch can herald (see :meth:`BranchTable.success_probability`)."""
     if prf <= 0.0:
         raise ValueError(f"pulse repetition frequency must be > 0, got {prf}")
-    return success_probability(cfg, det0, det1, conditioning) * prf
+    return branch_table(cfg, det0, det1).success_probability(conditioning) * prf

@@ -36,14 +36,14 @@ from . import params
 from .errors import ConfigError, InsufficientSignalError, InvalidEpsilonError, NeverHeraldedError
 from .sweep import (
     FORMATS,
+    MODES,
     Dataset,
     SweepSpec,
-    dataset_to_csv,
-    dataset_to_json,
     read_count_table,
     reproduce_figure,
     run_estimator,
     run_sweep,
+    serializer,
     write_dataset,
 )
 
@@ -76,7 +76,8 @@ def _parse_alpha_grid(text: str) -> tuple[float, ...]:
     return tuple(float(piece) for piece in pieces)
 
 
-# section -> config key -> (the SweepSpec or DetectorModel field it sets, its parser)
+# section -> config key -> (the SweepSpec or DetectorModel field it sets, its parser);
+# the [output] keys set the destination that _destination resolves instead
 _DETECTOR_SECTIONS = ("detector.d0", "detector.d1", "detector.da", "detector.db")
 _DETECTOR_KEYS = {
     "efficiency": ("efficiency", float),
@@ -117,7 +118,8 @@ def _section_fields(section, keys: dict) -> dict:
 
 
 def load_sweep_config(path: str | None) -> dict:
-    """Read and validate the config file into keyword arguments for SweepSpec."""
+    """Read and validate the config file into keyword arguments for SweepSpec,
+    plus ``output_path``/``output_format`` from [output] (see :func:`_destination`)."""
     parser = configparser.ConfigParser()
     if path is not None:
         try:
@@ -154,18 +156,23 @@ def load_sweep_config(path: str | None) -> dict:
     return kwargs
 
 
-def _workers(args) -> int:
-    if args.workers is None:
-        return 1
-    if args.workers < 1:
-        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
-    return args.workers
+def _destination(config: dict, args) -> tuple[str | None, str]:
+    """Where the rows go and in which format: ``--output``/``--format`` over the
+    config's [output] values, which leave ``config`` so that it holds SweepSpec
+    fields only.  A bad format is rejected here, before any row is computed."""
+    path = config.pop("output_path", None)
+    output_format = config.pop("output_format", "csv")
+    if args.output is not None:
+        path = args.output
+    if args.format is not None:
+        output_format = args.format
+    serializer(output_format)
+    return path, output_format
 
 
 def _emit(dataset: Dataset, path: str | None, output_format: str) -> None:
     if path is None:
-        text = dataset_to_csv(dataset) if output_format == "csv" else dataset_to_json(dataset)
-        sys.stdout.write(text)
+        sys.stdout.write(serializer(output_format)(dataset))
     else:
         write_dataset(dataset, path, output_format)
         print(f"wrote {len(dataset.rows)} rows to {path}")
@@ -173,14 +180,13 @@ def _emit(dataset: Dataset, path: str | None, output_format: str) -> None:
 
 def _cmd_sweep(args) -> int:
     kwargs = load_sweep_config(args.config)
-    overrides = {"mode": args.mode, "seed": args.seed, "output_path": args.output,
-                 "output_format": args.format}
+    path, output_format = _destination(kwargs, args)
+    overrides = {"mode": args.mode, "seed": args.seed}
     kwargs.update((key, value) for key, value in overrides.items() if value is not None)
     kwargs.setdefault("alpha_sq_grid", params.FIG3_ALPHA_SQ_GRID)
     kwargs.setdefault("n_states_list", (2, 4, 8))
-    spec = SweepSpec(**kwargs)
-    dataset = run_sweep(spec, workers=_workers(args))
-    _emit(dataset, spec.output_path, spec.output_format)
+    dataset = run_sweep(SweepSpec(**kwargs), workers=args.workers)
+    _emit(dataset, path, output_format)
     return EXIT_OK
 
 
@@ -215,13 +221,7 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_figure(args) -> int:
     kwargs = load_sweep_config(args.config)
-    # where the rows go is not part of the figure, so it stays out of its spec
-    config_path = kwargs.pop("output_path", None)
-    config_format = kwargs.pop("output_format", "csv")
-    path = config_path if args.output is None else args.output
-    output_format = config_format if args.format is None else args.format
-    if output_format not in FORMATS:
-        raise ConfigError(f"output format must be one of {FORMATS}, got {output_format!r}")
+    path, output_format = _destination(kwargs, args)
     if args.alpha_sq is not None:
         kwargs["alpha_sq_grid"] = _parsed(_parse_alpha_grid, args.alpha_sq)
     if args.loss is not None:
@@ -248,13 +248,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="evaluate a (n_states, alpha_sq) grid")
     p_sweep.add_argument("--config", help="INI config file")
-    p_sweep.add_argument("--mode", choices=["analytic", "montecarlo", "both"])
+    p_sweep.add_argument("--mode", choices=MODES)
     p_sweep.add_argument("--seed", type=int)
     p_sweep.add_argument("--output", help="output path (default: stdout)")
-    p_sweep.add_argument("--format", choices=["csv", "json"])
+    p_sweep.add_argument("--format", choices=FORMATS)
     p_sweep.add_argument(
         "--workers",
         type=int,
+        default=1,
         help="Monte Carlo worker count >= 1, checked but without effect on output or speed"
         " (default: 1)",
     )
@@ -288,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_fig.add_argument("--alpha-sq", help="grid override: comma list or start:stop:count")
     p_fig.add_argument("--output", help="output path (default: stdout)")
-    p_fig.add_argument("--format", choices=["csv", "json"])
+    p_fig.add_argument("--format", choices=FORMATS)
     p_fig.set_defaults(func=_cmd_figure)
 
     p_check = sub.add_parser("selfcheck", help="run the built-in sanity thresholds")

@@ -66,19 +66,21 @@ def click_probability(mean_photons: float, det: DetectorModel) -> float:
     """
     if mean_photons < 0.0:
         raise ValueError(f"mean photon number must be >= 0, got {mean_photons}")
-    return click_probabilities([mean_photons], det)[0]
-
-
-def click_probabilities(mean_photons: list[float], det: DetectorModel) -> list[float]:
-    """:func:`click_probability` for many gates, without the range check."""
-    return list(map(click_law(det), mean_photons))
+    return click_law(det)(mean_photons)
 
 
 def click_law(det: DetectorModel) -> Callable[[float], float]:
     """The detector's click probability as a function of the mean photon
-    number, without the range check: the one place the law is written."""
+    number, without the range check: the one place the law is written.
+
+    A blind detector (eta*l = 0) fires on dark counts alone, whatever the
+    mean photon number, so an infinite one does not make 0 * inf a NaN.
+    """
     keep = 1.0 - det.dark_prob_per_gate
     eta_l = det.eta_l()
+    if eta_l == 0.0:
+        dark = 1.0 - keep
+        return lambda mean_photons: dark
     exp = math.exp
 
     def click(mean_photons: float) -> float:

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one worker-count check."""
 
 
 class NeverHeraldedError(RuntimeError):
@@ -15,3 +15,13 @@ class InvalidEpsilonError(ValueError):
 
 class ConfigError(ValueError):
     """Invalid or malformed run configuration."""
+
+
+def check_workers(workers: int) -> None:
+    """A Monte Carlo worker count must be >= 1, or it is a ConfigError.
+
+    The count changes neither output nor speed: each run is one multinomial
+    draw.  ``sweep.run_sweep`` and ``montecarlo.simulate_run`` check it on entry.
+    """
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")

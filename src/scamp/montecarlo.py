@@ -33,6 +33,7 @@ import numpy as np
 from .amplifier import AmplifierConfig, BranchTable, Conditioning, branch_table
 from .analysis import AnalysisConfig, CountTable, fringe_visibility, port_click
 from .detectors import DetectorBank
+from .errors import check_workers
 
 DEFAULT_CHUNK_SIZE = 1 << 16
 
@@ -224,17 +225,16 @@ def simulate_run(spec: RunSpec, workers: int = 1) -> TallyTable:
 
     Draws each phase bin's tally as one multinomial sample over its cells,
     from a stream seeded by the master seed alone.  ``workers`` is checked
-    and kept for callers; the draw is a single call, so any worker count
-    gives the same tally in the same time.
+    (:func:`errors.check_workers`) and kept for callers; the draw is a single
+    call, so any worker count gives the same tally in the same time.
     """
+    check_workers(workers)
     table = branch_table(spec.amplifier, spec.detectors.d0, spec.detectors.d1)
-    return _simulate_run(spec, table, workers)
+    return _simulate_run(spec, table)
 
 
-def _simulate_run(spec: RunSpec, table: BranchTable, workers: int) -> TallyTable:
+def _simulate_run(spec: RunSpec, table: BranchTable) -> TallyTable:
     """:func:`simulate_run` with cell probabilities built from ``table`` alone (no guess CDF)."""
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     n, n_phases = spec.amplifier.n_states(), len(spec.phase_schedule)
     pvals = _cell_probabilities(spec, table).reshape(n_phases, -1)
     # pulse i falls in phase bin i mod P

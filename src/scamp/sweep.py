@@ -17,6 +17,7 @@ import json
 import math
 import numbers
 import operator
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from . import params
@@ -30,7 +31,7 @@ from .analysis import (
     visibilities,
 )
 from .detectors import DetectorBank
-from .errors import ConfigError, InsufficientSignalError
+from .errors import ConfigError, InsufficientSignalError, check_workers
 
 MODES = ("analytic", "montecarlo", "both")
 FORMATS = ("csv", "json")
@@ -80,8 +81,6 @@ class SweepSpec:
     alpha_sq_grid: tuple[float, ...]
     n_states_list: tuple[int, ...]
     mode: str = "analytic"
-    output_path: str | None = None
-    output_format: str = "csv"
     comparison_reflectivity: float = params.COMPARISON_REFLECTIVITY
     subtraction_transmission: float = params.SUBTRACTION_TRANSMISSION
     detectors: DetectorBank = field(default_factory=params.default_detector_bank)
@@ -115,8 +114,6 @@ class SweepSpec:
             raise ConfigError("n_states values must be distinct")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.output_format not in FORMATS:
-            raise ConfigError(f"output_format must be one of {FORMATS}, got {self.output_format!r}")
         if self.wants_montecarlo():
             if not (1 <= self.n_pulses <= _MAX_PULSES):
                 raise ConfigError(f"n_pulses must lie in [1, {_MAX_PULSES}] for a montecarlo sweep")
@@ -226,7 +223,6 @@ def _montecarlo_columns(
     table: BranchTable,
     analysis_cfg: AnalysisConfig,
     seed: int,
-    workers: int,
 ) -> dict:
     from .montecarlo import RunSpec, _class_projection, _simulate_run, standard_error
 
@@ -237,7 +233,7 @@ def _montecarlo_columns(
         n_pulses=spec.n_pulses,
         master_seed=seed,
     )
-    tally = _simulate_run(run, table, workers)
+    tally = _simulate_run(run, table)
     (n_correct, n_wrong), counts = _class_projection(tally, Conditioning.D0_SILENT_D1_FIRES)
     accepted = n_correct + n_wrong
     out = {
@@ -272,11 +268,13 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> Dataset:
 
     Each row holds ``spec.columns()``.  :func:`reproduce_figure` builds its
     rows the same way with fewer columns, and computes only those.
+    ``workers`` is the Monte Carlo worker count of :func:`check_workers`.
     """
-    return Dataset(spec=spec.echo(), rows=_rows(spec, spec.columns(), workers))
+    check_workers(workers)
+    return Dataset(spec=spec.echo(), rows=_rows(spec, spec.columns()))
 
 
-def _rows(spec: SweepSpec, columns: tuple[str, ...], workers: int = 1) -> list[dict]:
+def _rows(spec: SweepSpec, columns: tuple[str, ...]) -> list[dict]:
     """One row of ``columns`` per grid point, in grid order."""
     wanted = frozenset(columns)
     rows = []
@@ -297,7 +295,7 @@ def _rows(spec: SweepSpec, columns: tuple[str, ...], workers: int = 1) -> list[d
             row.update(_analytic_columns(spec, table, analysis_cfg, wanted))
             if spec.wants_montecarlo():
                 seed = _point_seed(spec.seed, point_index)
-                row.update(_montecarlo_columns(spec, cfg, table, analysis_cfg, seed, workers))
+                row.update(_montecarlo_columns(spec, cfg, table, analysis_cfg, seed))
             rows.append({c: row[c] for c in columns})
             point_index += 1
     return rows
@@ -397,29 +395,23 @@ def dataset_to_json(dataset: Dataset) -> str:
     return json.dumps({"spec": dataset.spec, "rows": rows}, indent=2, allow_nan=False) + "\n"
 
 
-def write_dataset(dataset: Dataset, path: str, output_format: str) -> None:
+def serializer(output_format: str) -> Callable[[Dataset], str]:
+    """The function that writes a dataset as ``output_format`` text, for
+    stdout and files alike; a format not in FORMATS is a ConfigError."""
     if output_format == "csv":
-        text = dataset_to_csv(dataset)
-    elif output_format == "json":
-        text = dataset_to_json(dataset)
-    else:
-        raise ConfigError(f"output format must be one of {FORMATS}, got {output_format!r}")
+        return dataset_to_csv
+    if output_format == "json":
+        return dataset_to_json
+    raise ConfigError(f"output format must be one of {FORMATS}, got {output_format!r}")
+
+
+def write_dataset(dataset: Dataset, path: str, output_format: str) -> None:
+    text = serializer(output_format)(dataset)
     try:
         with open(path, "w") as fh:
             fh.write(text)
     except OSError as exc:
         raise OSError(f"cannot write dataset to {path!r}: {exc}") from exc
-
-
-def read_json_dataset(path: str) -> Dataset:
-    """The dataset a JSON file holds, with ``null`` in a float column read as NaN."""
-    with open(path) as fh:
-        payload = json.load(fh)
-    rows = [
-        {c: math.nan if v is None and c not in INT_COLUMNS else v for c, v in row.items()}
-        for row in payload["rows"]
-    ]
-    return Dataset(spec=payload["spec"], rows=rows)
 
 
 def write_count_table(counts: CountTable, path: str) -> None:

@@ -4,14 +4,14 @@ The amplifier applies its two splitters inline (``scamp.amplifier``); the
 two-port beamsplitter here is the textbook form its branch amplitudes are
 checked against.  ``branch_table`` below is the earlier build of the
 amplifier's branch table, one row of per-branch lists at a time with the
-click law applied per row; the package's one-pass build must equal it bit
-for bit.
+click law applied per row by ``click_probabilities``; the package's one-pass
+build must equal it bit for bit.
 """
 
 from typing import NamedTuple
 
 from scamp.amplifier import AmplifierConfig, BranchTable, Conditioning
-from scamp.detectors import DetectorModel, click_probabilities
+from scamp.detectors import DetectorModel, click_law
 
 UNITARITY_TOL = 1e-12
 
@@ -32,6 +32,11 @@ def beamsplitter(a: complex, b: complex, t: float, r: float) -> tuple[complex, c
     if abs(t * t + r * r - 1.0) > UNITARITY_TOL:
         raise ValueError(f"non-unitary beamsplitter: t^2 + r^2 = {t * t + r * r!r}")
     return r * a + t * b, t * a - r * b
+
+
+def click_probabilities(mean_photons: list[float], det: DetectorModel) -> list[float]:
+    """The detector's click probability of each mean photon number, by its one click law."""
+    return list(map(click_law(det), mean_photons))
 
 
 # Conditioning levels in the order a branch row lists its weights.  Rows hold a

@@ -1,5 +1,6 @@
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,18 +13,17 @@ from scamp.amplifier import (
     branch_table,
     figures_of_merit,
     output_mixture,
-    success_probability,
     success_rate,
 )
 from scamp.analysis import visibility
 from scamp.coherent import mean_photons, mixture_fidelity
-from scamp.detectors import DetectorBank, DetectorModel, click_probabilities
+from scamp.detectors import DetectorBank, DetectorModel
 from scamp.errors import NeverHeraldedError
 from scamp.sweep import SweepSpec, run_sweep
 from scamp import params
 
 import oracles
-from oracles import beamsplitter
+from oracles import beamsplitter, click_probabilities
 
 IDEAL = DetectorModel.ideal()
 
@@ -317,6 +317,12 @@ class TestAcceptanceWeight:
         expected = 0.5 * math.exp(-1.0)
         assert table.weights[Conditioning.D0_SILENT][0][1] == pytest.approx(expected, rel=1e-12)
 
+    def test_nan_acceptance_total_is_never_heralded(self):
+        table = branch_table(make_config(0.5, 2), IDEAL, IDEAL)
+        weights = {**table.weights, Conditioning.D0_SILENT_D1_FIRES: [[0.1, math.nan], [0.1, 0.0]]}
+        with pytest.raises(NeverHeraldedError, match="no branch of input 0"):
+            replace(table, weights=weights).accepted_rows()
+
 
 class TestOutputMixture:
     def test_ideal_two_state_single_component(self):
@@ -416,12 +422,12 @@ class TestFiguresOfMerit:
         table = branch_table(cfg, det0, det1)
         for cond in Conditioning:
             fom = figures_of_merit(cfg, det0, det1, cond)
-            assert fom == table.figures_of_merit(cond)
+            assert fom == table.figures(*table.accepted_rows(cond))
             fid, frac, succ = oracle_figures(n, 0.8, 0.3, 0.9, det0, det1, cond, prior)
             assert fom.fidelity == pytest.approx(fid, abs=1e-12)
             assert fom.correct_state_fraction == pytest.approx(frac, abs=1e-12)
             assert fom.success_probability == pytest.approx(succ, abs=1e-12)
-            assert success_probability(cfg, det0, det1, cond) == pytest.approx(succ, abs=1e-12)
+            assert table.success_probability(cond) == pytest.approx(succ, abs=1e-12)
 
     def test_phase_covariance(self):
         det = params.default_detector()
@@ -467,7 +473,7 @@ class TestSuccessRate:
     def test_scales_with_prf(self):
         det = params.default_detector()
         cfg = make_config(0.94, 2)
-        p = success_probability(cfg, det, det)
+        p = branch_table(cfg, det, det).success_probability()
         assert success_rate(cfg, det, det, 1e6) == pytest.approx(p * 1e6, rel=1e-15)
 
     def test_quoted_rate_arithmetic(self):
@@ -480,9 +486,10 @@ class TestSuccessRate:
         for n in (2, 3, 4, 5, 8, 16, 33):
             for alpha_sq in np.linspace(0.05, 2.9, 40):
                 cfg = params.default_amplifier(float(alpha_sq), n)
+                table = branch_table(cfg, det, det)
                 for cond in Conditioning:
                     fom = figures_of_merit(cfg, det, det, cond)
-                    assert success_probability(cfg, det, det, cond) == fom.success_probability
+                    assert table.success_probability(cond) == fom.success_probability
 
     def test_dead_device_rate_is_zero(self):
         cfg = make_config(0.0, 2)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from scamp.analysis import AnalysisConfig, count_probabilities
-from scamp.detectors import DetectorModel, click_probabilities, click_probability
+from scamp.detectors import DetectorModel, click_law, click_probability
 from scamp import params
 
 probs = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -24,12 +24,23 @@ class TestClickProbability:
         det = DetectorModel(efficiency=0.405)
         assert click_probability(1.0, det) == pytest.approx(0.3330231891415256, abs=1e-15)
 
-    def test_list_form_is_the_same_law(self):
+    def test_is_the_written_law(self):
         det = DetectorModel(efficiency=0.405, loss_transmission=0.9, dark_prob_per_gate=1e-4)
         means = [0.0, 1e-9, 0.37, 2.5, 40.0]
         direct = [1.0 - (1.0 - 1e-4) * math.exp(-(0.405 * 0.9) * n) for n in means]
-        assert click_probabilities(means, det) == direct
         assert [click_probability(n, det) for n in means] == direct
+
+    @pytest.mark.parametrize("det", [
+        DetectorModel(efficiency=0.0),
+        DetectorModel(efficiency=0.0, dark_prob_per_gate=0.3),
+        DetectorModel(efficiency=0.7, loss_transmission=0.0, dark_prob_per_gate=1e-4),
+    ])
+    def test_blind_detector_fires_on_dark_counts_alone(self, det):
+        # the same bits as the exponential law at every finite mean, and no
+        # NaN from 0 * inf at an overflowed one
+        dark = 1.0 - (1.0 - det.dark_prob_per_gate) * math.exp(-det.eta_l() * 1.0)
+        click = click_law(det)
+        assert [click(n) for n in (0.0, 1.0, 1e300, math.inf)] == [dark] * 4
 
     def test_rejects_negative_mean(self):
         with pytest.raises(ValueError):

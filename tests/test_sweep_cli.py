@@ -6,7 +6,7 @@ import subprocess
 import struct
 import sys
 import tracemalloc
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +38,6 @@ from scamp.sweep import (
     SweepSpec,
     dataset_to_csv,
     dataset_to_json,
-    read_json_dataset,
     reproduce_figure,
     run_estimator,
     run_sweep,
@@ -57,6 +56,17 @@ def read_csv_rows(path: str) -> list[dict]:
         ]
 
 
+def read_json_dataset(path: str) -> Dataset:
+    """The dataset a JSON file holds, with ``null`` in a float column read as NaN."""
+    with open(path) as fh:
+        payload = json.load(fh)
+    rows = [
+        {c: math.nan if v is None and c not in INT_COLUMNS else v for c, v in row.items()}
+        for row in payload["rows"]
+    ]
+    return Dataset(spec=payload["spec"], rows=rows)
+
+
 class TestSweepSpecValidation:
     def test_rejects_empty_grid(self):
         with pytest.raises(ConfigError):
@@ -72,11 +82,9 @@ class TestSweepSpecValidation:
         with pytest.raises(ConfigError, match="distinct"):
             SweepSpec(alpha_sq_grid=(0.1,), n_states_list=(2, 4, 2))
 
-    def test_rejects_bad_mode_and_format(self):
+    def test_rejects_bad_mode(self):
         with pytest.raises(ConfigError):
             SweepSpec(alpha_sq_grid=(0.1,), n_states_list=(2,), mode="exact")
-        with pytest.raises(ConfigError):
-            SweepSpec(alpha_sq_grid=(0.1,), n_states_list=(2,), output_format="xml")
 
     def test_rejects_empty_montecarlo_run(self):
         with pytest.raises(ConfigError):
@@ -243,6 +251,12 @@ class TestRunSweep:
         )
         assert run_sweep(spec, workers=1).rows == run_sweep(spec, workers=3).rows
 
+    @pytest.mark.parametrize("mode", ["analytic", "both"])
+    def test_rejects_worker_count_below_one(self, mode):
+        spec = SweepSpec(alpha_sq_grid=(0.5,), n_states_list=(2,), mode=mode, n_pulses=1000)
+        with pytest.raises(ValueError, match="workers must be >= 1, got 0"):
+            run_sweep(spec, workers=0)
+
 
 class TestMonteCarloErrorBars:
     """Reported standard errors against the scatter over an ensemble of seeds."""
@@ -320,6 +334,13 @@ class TestSerialization:
                 assert math.isnan(back[column])
             else:
                 assert back[column] == value
+
+    def test_write_rejects_unknown_format(self, tmp_path):
+        ds = run_sweep(SweepSpec(alpha_sq_grid=(0.1,), n_states_list=(2,)))
+        path = tmp_path / "rows.xml"
+        with pytest.raises(ConfigError, match="output format must be one of"):
+            write_dataset(ds, str(path), "xml")
+        assert not path.exists()
 
     def test_write_failure_carries_path(self, tmp_path):
         ds = run_sweep(SweepSpec(alpha_sq_grid=(0.1,), n_states_list=(2,)))
@@ -501,7 +522,7 @@ class TestCli:
     def test_sweep_worker_flag_validated(self, workers, capsys):
         args = ["sweep", "--mode", "montecarlo", "--workers", workers]
         assert run_cli(args) == 2
-        assert "--workers must be >= 1" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"config error: workers must be >= 1, got {workers}\n"
 
     @pytest.mark.parametrize("lines", ["alpha_sq = nan", "alpha_sq = 0.5\nprf = nan"])
     def test_sweep_rejects_nan_config_values(self, tmp_path, capsys, lines):
@@ -563,10 +584,33 @@ class TestCli:
         assert run_cli(["figure", "--id", "fig3b", "--config", str(config), "--alpha-sq", "0.7",
                         "--output", "flag.json", "--format", "json"]) == 0
         assert [r["alpha_sq"] for r in read_json_dataset("flag.json").rows] == [0.7]
-        config.write_text("[output]\nformat = xml\n")
-        assert run_cli(["figure", "--id", "fig3b", "--config", str(config)]) == 2
         # an empty grid is an error, not a request for the default grid
         assert run_cli(["figure", "--id", "fig3b", "--alpha-sq", ""]) == 2
+
+    @pytest.mark.parametrize("command", [["sweep"], ["figure", "--id", "fig3b"]], ids=["sweep", "figure"])
+    def test_bad_config_format_is_rejected_before_any_row(self, tmp_path, capsys, monkeypatch, command):
+        def no_rows(*args, **kwargs):
+            raise AssertionError("rows computed for a format that cannot be written")
+
+        monkeypatch.setattr(cli, "run_sweep", no_rows)
+        monkeypatch.setattr(cli, "reproduce_figure", no_rows)
+        config = tmp_path / "xml.ini"
+        config.write_text("[output]\nformat = xml\n")
+        assert _outcome(capsys, command + ["--config", str(config)]) == (
+            ("return", 2), "", "config error: output format must be one of ('csv', 'json'), got 'xml'\n"
+        )
+
+    @pytest.mark.parametrize("command, extra", [
+        (["sweep"], set()),
+        (["figure", "--id", "fig4"], {"figure_id", "data"}),
+    ], ids=["sweep", "figure"])
+    def test_json_spec_holds_what_the_rows_are_computed_from(self, tmp_path, capsys, command, extra):
+        config = tmp_path / "json.ini"
+        config.write_text("[sweep]\nalpha_sq = 0.5\n[output]\nformat = json\n")
+        assert run_cli(command + ["--config", str(config)]) == 0
+        spec = json.loads(capsys.readouterr().out)["spec"]
+        assert set(spec) == {f.name for f in fields(SweepSpec)} | extra
+        assert [key for key in spec if key.startswith("output")] == []
 
     def test_figure_writes_parseable_csv(self, tmp_path):
         out = str(tmp_path / "fig.csv")
@@ -603,6 +647,21 @@ class TestCli:
         path.write_text("[detector.d0]\ndark_prob = 0\n[detector.d1]\ndark_prob = 0\n")
         args = ["figure", "--id", figure_id, "--config", str(path), "--alpha-sq", "0,0.5"]
         assert _outcome(capsys, args) == (
+            ("return", 3),
+            "",
+            "runtime error: no branch of input 0 can pass conditioning d0_silent_and_d1_fires\n",
+        )
+
+    def test_blind_subtraction_detector_never_heralds(self, tmp_path, capsys):
+        # at r1^2 = 5e-324 the retained field overflows, and a blind D1 must
+        # still never fire rather than print NaN cells from 0 * inf
+        config = tmp_path / "blind_d1.ini"
+        config.write_text(
+            "[amplifier]\ncomparison_reflectivity = 5e-324\nsubtraction_transmission = 1e-300\n"
+            "[detector.d1]\nefficiency = 0\ndark_prob = 0\n"
+            "[sweep]\nalpha_sq = 1\nn_states = 2\nepsilon = 0\n"
+        )
+        assert _outcome(capsys, ["sweep", "--config", str(config)]) == (
             ("return", 3),
             "",
             "runtime error: no branch of input 0 can pass conditioning d0_silent_and_d1_fires\n",
