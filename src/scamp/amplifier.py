@@ -25,13 +25,12 @@ import cmath
 import enum
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .coherent import Mixture, overlap_sq
 from .detectors import DetectorModel, click_law
 from .errors import NeverHeraldedError
 
-UNITARITY_TOL = 1e-12
 DISTRIBUTION_TOL = 1e-12
 
 
@@ -68,28 +67,36 @@ class Conditioning(enum.Enum):
 
 @dataclass(frozen=True)
 class AmplifierConfig:
-    """Beamsplitter amplitudes, input state set and guess distribution.
+    """Splitter intensities, input state set and guess distribution.
 
-    The guess set is the input set scaled by t1/r1, which generalizes the
-    destructive-interference condition beyond the 50/50 comparison splitter
-    (at 50/50 the guess and input sets coincide).
+    ``comparison_reflectivity`` is r1^2 and ``subtraction_transmission`` is
+    t2^2; the four amplitudes are derived from them once, so both splitters
+    are unitary by construction.  The guess set is the input set scaled by
+    t1/r1, which generalizes the destructive-interference condition beyond
+    the 50/50 comparison splitter (at 50/50 the guess and input sets
+    coincide).
     """
 
-    comparison_r1: float
-    comparison_t1: float
-    subtraction_t2: float
-    subtraction_r2: float
+    comparison_reflectivity: float
+    subtraction_transmission: float
     input_set: StateSet
     guess_distribution: tuple[float, ...] = ()
+    comparison_r1: float = field(init=False, repr=False, compare=False)
+    comparison_t1: float = field(init=False, repr=False, compare=False)
+    subtraction_t2: float = field(init=False, repr=False, compare=False)
+    subtraction_r2: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # every check is written so that a NaN fails it
-        if not abs(self.comparison_r1**2 + self.comparison_t1**2 - 1.0) <= UNITARITY_TOL:
-            raise ValueError("comparison beamsplitter is not unitary: r1^2 + t1^2 != 1")
-        if not abs(self.subtraction_t2**2 + self.subtraction_r2**2 - 1.0) <= UNITARITY_TOL:
-            raise ValueError("subtraction beamsplitter is not unitary: t2^2 + r2^2 != 1")
-        if not (self.comparison_r1 > 0.0 and self.subtraction_t2 > 0.0):
-            raise ValueError("comparison_r1 and subtraction_t2 must be > 0 (gain t2/r1 > 0)")
+        reflectivity, transmission = self.comparison_reflectivity, self.subtraction_transmission
+        if not (0.0 < reflectivity < 1.0):
+            raise ValueError(f"comparison_reflectivity must lie in (0, 1), got {reflectivity}")
+        if not (0.0 < transmission <= 1.0):
+            raise ValueError(f"subtraction_transmission must lie in (0, 1], got {transmission}")
+        object.__setattr__(self, "comparison_r1", math.sqrt(reflectivity))
+        object.__setattr__(self, "comparison_t1", math.sqrt(1.0 - reflectivity))
+        object.__setattr__(self, "subtraction_t2", math.sqrt(transmission))
+        object.__setattr__(self, "subtraction_r2", math.sqrt(1.0 - transmission))
         n = self.input_set.n_states
         if len(self.guess_distribution) == 0:
             object.__setattr__(self, "guess_distribution", (1.0 / n,) * n)
@@ -101,28 +108,6 @@ class AmplifierConfig:
             raise ValueError("guess probabilities must be >= 0")
         if not abs(math.fsum(self.guess_distribution) - 1.0) <= DISTRIBUTION_TOL:
             raise ValueError("guess_distribution must sum to 1")
-
-    @classmethod
-    def from_intensities(
-        cls,
-        comparison_reflectivity: float,
-        subtraction_transmission: float,
-        input_set: StateSet,
-        guess_distribution: tuple[float, ...] = (),
-    ) -> "AmplifierConfig":
-        """Build from intensity parameters; amplitude pairs are unitary by construction."""
-        if not (0.0 < comparison_reflectivity < 1.0):
-            raise ValueError("comparison reflectivity must lie in (0, 1)")
-        if not (0.0 < subtraction_transmission <= 1.0):
-            raise ValueError("subtraction transmission must lie in (0, 1]")
-        return cls(
-            comparison_r1=math.sqrt(comparison_reflectivity),
-            comparison_t1=math.sqrt(1.0 - comparison_reflectivity),
-            subtraction_t2=math.sqrt(subtraction_transmission),
-            subtraction_r2=math.sqrt(1.0 - subtraction_transmission),
-            input_set=input_set,
-            guess_distribution=guess_distribution,
-        )
 
     def n_states(self) -> int:
         return self.input_set.n_states

@@ -89,10 +89,10 @@ def default_amplifier(
 ) -> AmplifierConfig:
     if alpha_sq < 0:
         raise ValueError(f"mean photon number must be >= 0, got {alpha_sq}")
-    return AmplifierConfig.from_intensities(
-        comparison_reflectivity=comparison_reflectivity,
-        subtraction_transmission=subtraction_transmission,
-        input_set=StateSet(complex(math.sqrt(alpha_sq)), n_states),
+    return AmplifierConfig(
+        comparison_reflectivity,
+        subtraction_transmission,
+        StateSet(complex(math.sqrt(alpha_sq)), n_states),
     )
 
 

@@ -64,14 +64,14 @@ _MAX_PULSES = MAX_COUNT
 MAX_N_STATES = 256
 MAX_PHASE_POINTS = 1 << 16
 
-FIGURE_COLUMNS = {
-    "fig3a": ("alpha_sq", "visibility_unconditioned", "visibility_d0_silent", "visibility_conditioned"),
-    "fig3b": ("alpha_sq", "correct_state_fraction", "fidelity"),
-    "fig3c": ("alpha_sq", "correct_state_fraction", "fidelity"),
-    "fig3d": ("alpha_sq", "correct_state_fraction", "fidelity"),
-    "fig4": ("alpha_sq", "success_rate_per_s"),
+# figure id -> (the state-set size it fixes, its columns)
+FIGURE_LAYOUTS = {
+    "fig3a": (2, ("alpha_sq",) + _VISIBILITY_COLUMNS),
+    "fig3b": (2, ("alpha_sq", "correct_state_fraction", "fidelity")),
+    "fig3c": (4, ("alpha_sq", "correct_state_fraction", "fidelity")),
+    "fig3d": (8, ("alpha_sq", "correct_state_fraction", "fidelity")),
+    "fig4": (2, ("alpha_sq", "success_rate_per_s")),
 }
-FIGURE_N_STATES = {"fig3a": 2, "fig3b": 2, "fig3c": 4, "fig3d": 8, "fig4": 2}
 
 
 @dataclass(frozen=True)
@@ -130,6 +130,16 @@ class SweepSpec:
         if not (0.0 < self.subtraction_transmission <= 1.0):
             raise ConfigError(
                 f"subtraction_transmission must lie in (0, 1], got {self.subtraction_transmission}"
+            )
+        # |out| and |ref| are at most (t2/r1)*alpha, so the analyzer's |out +/- ref|^2 is
+        # at most 4*(t2^2/r1^2)*alpha^2; that bound, doubled for rounding, must be finite
+        peak = 2.0 * math.sqrt(self.subtraction_transmission) / math.sqrt(self.comparison_reflectivity)
+        peak *= math.sqrt(self.alpha_sq_grid[-1])
+        if not math.isfinite(2.0 * peak * peak):
+            raise ConfigError(
+                "the analyzer intensity 4*(t2^2/r1^2)*alpha_sq overflows at comparison_reflectivity"
+                f" {self.comparison_reflectivity}, subtraction_transmission"
+                f" {self.subtraction_transmission} and alpha_sq {self.alpha_sq_grid[-1]}"
             )
         if self.epsilon is not None and not (0.0 <= self.epsilon < 1.0):
             raise ConfigError(f"epsilon must be auto or lie in [0, 1), got {self.epsilon}")
@@ -314,12 +324,13 @@ def reproduce_figure(figure_id: str, **fields) -> Dataset:
     ``alpha_sq_grid`` the figure's own grid is used.  The rows are model
     curves; no measured points are produced or implied.
     """
-    if figure_id not in FIGURE_COLUMNS:
+    if figure_id not in FIGURE_LAYOUTS:
         raise ConfigError(
-            f"unknown figure id {figure_id!r}; expected one of {sorted(FIGURE_COLUMNS)}"
+            f"unknown figure id {figure_id!r}; expected one of {sorted(FIGURE_LAYOUTS)}"
         )
+    n_states, columns = FIGURE_LAYOUTS[figure_id]
     if "n_states_list" in fields:
-        raise ConfigError(f"{figure_id} fixes n_states = {FIGURE_N_STATES[figure_id]}; do not set it")
+        raise ConfigError(f"{figure_id} fixes n_states = {n_states}; do not set it")
     mode = fields.pop("mode", "analytic")
     if mode != "analytic":
         raise ConfigError(f"figures are analytic model curves; mode must be analytic, got {mode!r}")
@@ -327,8 +338,8 @@ def reproduce_figure(figure_id: str, **fields) -> Dataset:
         "alpha_sq_grid",
         params.FIG4_ALPHA_SQ_GRID if figure_id == "fig4" else params.FIG3_ALPHA_SQ_GRID,
     )
-    spec = SweepSpec(n_states_list=(FIGURE_N_STATES[figure_id],), **fields)
-    rows = _rows(spec, FIGURE_COLUMNS[figure_id])
+    spec = SweepSpec(n_states_list=(n_states,), **fields)
+    rows = _rows(spec, columns)
     spec_echo = spec.echo()
     spec_echo["figure_id"] = figure_id
     spec_echo["data"] = "model-curves"

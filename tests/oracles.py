@@ -5,13 +5,17 @@ two-port beamsplitter here is the textbook form its branch amplitudes are
 checked against.  ``branch_table`` below is the earlier build of the
 amplifier's branch table, one row of per-branch lists at a time with the
 click law applied per row by ``click_probabilities``; the package's one-pass
-build must equal it bit for bit.
+build must equal it bit for bit.  ``expected_tally`` is the mean of a Monte
+Carlo run's tally, the exact contract between the two models.
 """
 
 from typing import NamedTuple
 
+import numpy as np
+
 from scamp.amplifier import AmplifierConfig, BranchTable, Conditioning
 from scamp.detectors import DetectorModel, click_law
+from scamp.montecarlo import RunSpec, TallyTable, _cell_probabilities
 
 UNITARITY_TOL = 1e-12
 
@@ -116,3 +120,12 @@ def branch_table(cfg: AmplifierConfig, det0: DetectorModel, det1: DetectorModel)
         cfg.guess_distribution, target, output, d0_mean, d1_mean, d0_click, d1_click,
         {c: list(level) for c, level in zip(_LEVELS, zip(*weights))},
     )
+
+
+def expected_tally(run: RunSpec, table: BranchTable) -> TallyTable:
+    """The mean tally of ``run``, in float: each phase bin's cell probabilities
+    times the pulses that fall in that bin (pulse i falls in bin i mod P)."""
+    n_phases = len(run.phase_schedule)
+    per_bin = [run.n_pulses // n_phases + (j < run.n_pulses % n_phases) for j in range(n_phases)]
+    cells = _cell_probabilities(run, table) * np.asarray(per_bin, dtype=float)[:, None, None, None]
+    return TallyTable(cells, run.phase_schedule, len(table.target))

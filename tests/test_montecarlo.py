@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from scamp.amplifier import Conditioning, branch_table, figures_of_merit
@@ -13,6 +13,7 @@ from scamp.analysis import (
     estimate_class_pulse_numbers,
     estimate_pulse_numbers,
     fringe_visibility,
+    port_click,
 )
 from scamp.detectors import DetectorModel
 from scamp.montecarlo import (
@@ -20,6 +21,7 @@ from scamp.montecarlo import (
     DetectorBank,
     RunSpec,
     TallyTable,
+    _class_projection,
     conditioned_class_totals,
     conditioned_counts,
     counts_by_offset,
@@ -30,6 +32,10 @@ from scamp.montecarlo import (
     standard_error,
 )
 from scamp import params
+from scamp.errors import ConfigError
+from scamp.sweep import SweepSpec
+
+import oracles
 
 IDEAL = DetectorModel.ideal()
 
@@ -255,6 +261,56 @@ class TestAgainstAnalyticModel:
         p = figures_of_merit(spec.amplifier, det, det).success_probability
         sigma = math.sqrt(p * (1.0 - p) / spec.n_pulses)
         assert abs(accepted / spec.n_pulses - p) < 5.0 * sigma
+
+
+sweep_intensities = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+seeing_detectors = st.builds(
+    DetectorModel,
+    efficiency=st.floats(0.0, 1.0),
+    loss_transmission=st.floats(0.0, 1.0),
+    dark_prob_per_gate=st.floats(1e-6, 0.1),
+)
+
+
+class TestExpectedTally:
+    """The mean tally of a run against the analytic model, exactly (``oracles.expected_tally``)."""
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(
+        n=st.integers(1, 9),
+        r1_sq=sweep_intensities,
+        t2_sq=st.one_of(sweep_intensities, st.just(1.0)),
+        alpha_sq=st.floats(0.0, 4.0),
+        dets=st.tuples(*[seeing_detectors] * 4),
+    )
+    def test_projects_onto_the_analytic_columns(self, n, r1_sq, t2_sq, alpha_sq, dets):
+        try:
+            spec = SweepSpec((alpha_sq,), (n,), "both", r1_sq, t2_sq, DetectorBank(*dets), epsilon=0.0)
+        except ConfigError:
+            # past the analyzer's overflow bound, which the sweep refuses
+            assume(False)
+        cfg = params.default_amplifier(alpha_sq, n, r1_sq, t2_sq)
+        analysis = params.default_analysis(cfg, detector=dets[2], epsilon=0.0)
+        table = branch_table(cfg, dets[0], dets[1])
+        run = RunSpec(cfg, spec.detectors, analysis, n_pulses=10**6, master_seed=0)
+        (n_correct, n_wrong), counts = _class_projection(
+            oracles.expected_tally(run, table), Conditioning.D0_SILENT_D1_FIRES
+        )
+        p_success, weights = table.accepted_rows()
+        fom = table.figures(p_success, weights)
+        assert (n_correct + n_wrong) / run.n_pulses == pytest.approx(p_success, rel=1e-12)
+        assert n_correct / (n_correct + n_wrong) == pytest.approx(fom.correct_state_fraction, rel=1e-12)
+        # the correct class's output is the reference, up to the rounding of each:
+        # beside its dark counts, port B sees at most a few ulps of |target|, which
+        # alone makes DB fire once the gain t2/r1 passes about 1e9
+        target = cfg.target_amplitude(0)
+        a_rate = float(port_click(target, target, dets[2], "A"))
+        assert counts.n_A_sig / n_correct == pytest.approx(a_rate, rel=1e-12)
+        dark = float(port_click(target, target, dets[3], "B"))
+        leak = float(port_click(2.0**-50 * abs(target), 0.0, dets[3], "B"))
+        assert dark * (1.0 - 1e-12) <= counts.n_B_sig / n_correct <= leak * (1.0 + 1e-12)
+        # mc_fidelity is not checked: the sweep's two-class estimator is biased at
+        # N > 2 even on this exact tally, until the Monte Carlo estimates by guess offset
 
 
 class TestEstimatorOracle:

@@ -28,8 +28,7 @@ from scamp.amplifier import Conditioning, output_mixture
 from scamp.detectors import DetectorModel
 from scamp.sweep import (
     BASE_COLUMNS,
-    FIGURE_COLUMNS,
-    FIGURE_N_STATES,
+    FIGURE_LAYOUTS,
     INT_COLUMNS,
     MAX_N_STATES,
     MAX_PHASE_POINTS,
@@ -639,7 +638,7 @@ class TestCli:
         assert err.startswith("runtime error:") and err.count("\n") == 1
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("figure_id", sorted(FIGURE_COLUMNS))
+    @pytest.mark.parametrize("figure_id", sorted(FIGURE_LAYOUTS))
     def test_figure_that_never_heralds_exits_3_whatever_its_columns(self, tmp_path, capsys, figure_id):
         # fig4 computes neither the fidelity loop nor the visibility scan, and
         # must still refuse a point where no branch can herald
@@ -666,6 +665,18 @@ class TestCli:
             "",
             "runtime error: no branch of input 0 can pass conditioning d0_silent_and_d1_fires\n",
         )
+
+    @pytest.mark.parametrize("reflectivity", ["1e-310", "5e-324"])
+    def test_sweep_rejects_overflowing_analyzer_intensity(self, tmp_path, capsys, reflectivity):
+        # the gain t2/r1 is about 1e155 or more, so 4*(t2^2/r1^2)*alpha^2 overflows a float
+        config = tmp_path / "tiny_r1.ini"
+        config.write_text(
+            f"[amplifier]\ncomparison_reflectivity = {reflectivity}\n"
+            "[sweep]\nalpha_sq = 1\nn_states = 2\nepsilon = 0\n"
+        )
+        end, out, err = _outcome(capsys, ["sweep", "--config", str(config)])
+        assert (end, out) == (("return", 2), "")
+        assert err.startswith("config error: the analyzer intensity") and err.count("\n") == 1
 
     def test_figure_unknown_id(self, capsys):
         assert run_cli(["figure", "--id", "fig7"]) == 2
@@ -978,6 +989,10 @@ _overrides = st.lists(st.sampled_from(sorted(_FUZZ_VALUES)), max_size=3, unique=
 @example(overrides={("sweep", "phase_points"): "99999999999999999999"}, mode=None, workers=None)
 @example(overrides={("sweep", "alpha_sq"): "0.1:2.9:1000000"}, mode=None, workers=None)
 @example(overrides={("sweep", "n_states"): "2,2,2"}, mode="both", workers=None)
+@example(overrides={("amplifier", "comparison_reflectivity"): "1e-310", ("sweep", "epsilon"): "0"},
+         mode=None, workers=None)
+@example(overrides={("amplifier", "comparison_reflectivity"): "5e-324", ("sweep", "epsilon"): "0"},
+         mode="both", workers=None)
 def test_sweep_exit_code_is_documented(tmp_path, capsys, overrides, mode, workers):
     values = {**_BASE_CONFIG, **overrides}
     text = ""
@@ -991,8 +1006,18 @@ def test_sweep_exit_code_is_documented(tmp_path, capsys, overrides, mode, worker
         args += ["--mode", mode]
     if workers is not None:
         args += ["--workers", str(workers)]
-    assert run_cli(args) in (0, 2, 3)
-    capsys.readouterr()
+    code = run_cli(args)
+    assert code in (0, 2, 3)
+    out, err = capsys.readouterr()
+    if code == 0:
+        # a clean exit prints nothing on stderr, finite analytic cells and
+        # visibilities in [0, 1]
+        assert err == ""
+        rows = list(csv.DictReader(out.splitlines()))
+        assert rows
+        for row in rows:
+            assert all(math.isfinite(float(row[c])) for c in BASE_COLUMNS), row
+            assert all(0.0 <= float(row[c]) <= 1.0 for c in BASE_COLUMNS if c.startswith("visibility_"))
 
 
 # Every config key must reach an output.  _LIVE_BASE is a valid sweep config;
@@ -1054,7 +1079,7 @@ def test_every_config_key_is_live(tmp_path, capsys):
     assert set(_LIVE_VALUES) | _LIVE_EXEMPT == schema
 
     figure_base = {k: v for k, v in _LIVE_BASE.items() if k not in _FIGURE_REJECTS}
-    figure_ids = sorted(FIGURE_COLUMNS)
+    figure_ids = sorted(FIGURE_LAYOUTS)
 
     def figures(values):
         return [_cli_text(tmp_path, ["figure", "--id", fig], values) for fig in figure_ids]
@@ -1108,7 +1133,7 @@ _figure_overrides = st.lists(
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(
-    figure_id=st.sampled_from(sorted(FIGURE_COLUMNS)),
+    figure_id=st.sampled_from(sorted(FIGURE_LAYOUTS)),
     overrides=_figure_overrides,
     alpha_sq=st.one_of(st.none(), st.sampled_from(["0", "800"]), _FUZZ_VALUES[("sweep", "alpha_sq")]),
 )
@@ -1122,8 +1147,15 @@ def test_figure_exit_code_matches_analytic_sweep(tmp_path, capsys, figure_id, ov
         args.append(f"--alpha-sq={alpha_sq}")
     code = run_cli(args)
     assert code in (0, 2, 3)
-    values[("sweep", "n_states")] = str(FIGURE_N_STATES[figure_id])
+    values[("sweep", "n_states")] = str(FIGURE_LAYOUTS[figure_id][0])
     if alpha_sq is not None:
+        # --alpha-sq replaces the config's grid, but the figure still reads the
+        # whole config, so a config alpha_sq that does not parse exits 2
+        try:
+            cli._parse_alpha_grid(values.get(("sweep", "alpha_sq"), "0"))
+        except ValueError:
+            assert code == 2
+            return
         values[("sweep", "alpha_sq")] = alpha_sq
     sweep = ["sweep", "--mode", "analytic", "--config", _write_config(tmp_path / "sweep.ini", values)]
     assert run_cli(sweep) == code
