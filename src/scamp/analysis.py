@@ -4,8 +4,9 @@ The amplifier output is mixed with a phase-adjustable test copy of the
 expected amplified state at a 50/50 beamsplitter feeding detectors A and B.
 Port A sees |out + ref|^2/2 photons and port B |out - ref|^2/2; that one
 port law (:func:`port_click`) gives the visibility scan, the Monte Carlo's
-DA/DB clicks, the class-pulse estimator and the click patterns of every output
-but the reference itself, which is modelled with the imperfection epsilon.
+DA/DB clicks (and so the click probabilities its class-pulse estimate reads)
+and the click patterns of every output but the reference itself, which is
+modelled with the imperfection epsilon.
 At the analysis phase all light from a perfect output exits at A; a vacuum
 output splits evenly.  Counting clicks at A and B over many pulses lets the
 pulse numbers behind each output class, and from them the output density
@@ -352,27 +353,25 @@ def estimate_fidelity(
 
 def estimate_class_pulse_numbers(
     class_counts: list[tuple[float, float]],
-    class_amplitudes: list[complex],
-    cfg: AnalysisConfig,
+    class_click_probabilities: list[tuple[float, float]],
 ) -> list[float]:
     """Pulse numbers for an arbitrary set of known output classes.
 
     Generalization of the two-class estimator to state sets with more than
-    two possible outputs: class j with known amplitude a_j clicks at ports A
-    and B with the port law (:func:`port_click`, dark counts included), so
-    with counts (n_A, n_B) its pulse number is (n_A + n_B) / (p_A + p_B);
-    ``cfg.epsilon`` is not used.  Assumes the output is confined to the listed
-    amplitudes; validated against the Monte Carlo oracle only.
+    two possible outputs: class j clicks at ports A and B with known
+    probabilities (p_A, p_B), e.g. from the port law (:func:`port_click`,
+    dark counts included, each port with its own detector), so with counts
+    (n_A, n_B) its pulse number is (n_A + n_B) / (p_A + p_B).  The
+    imperfection epsilon is not used.  Assumes the output is confined to the
+    listed classes; a class with p_A + p_B below the exponent guard is
+    unobservable and raises InsufficientSignalError.
     """
-    import numpy as np
-
-    if len(class_counts) != len(class_amplitudes):
-        raise ValueError("class_counts and class_amplitudes must have equal length")
-    z = np.array(class_amplitudes, dtype=complex)
-    z_ref = cfg.reference_amplitude
-    seen = port_click(z, z_ref, cfg.detector, "A") + port_click(z, z_ref, cfg.detector, "B")
-    if np.any(seen < EXPONENT_GUARD):
+    if len(class_counts) != len(class_click_probabilities):
+        raise ValueError("class_counts and class_click_probabilities must have equal length")
+    seen = [p_a + p_b for p_a, p_b in class_click_probabilities]
+    # written so that a NaN probability fails too
+    if not all(p >= EXPONENT_GUARD for p in seen):
         raise InsufficientSignalError(
             "a class never clicks at A or B: its pulse number is unobservable"
         )
-    return [(n_a + n_b) / float(p) for (n_a, n_b), p in zip(class_counts, seen)]
+    return [(n_a + n_b) / p for (n_a, n_b), p in zip(class_counts, seen)]

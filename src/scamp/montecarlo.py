@@ -8,14 +8,25 @@ bin, input, guess, 4-bit click pattern).
 
 Pulse i falls in phase bin i mod P, and within a bin the pulses are i.i.d.
 over the N*N*16 cells, so the tally of each bin is exactly multinomial.
-``simulate_run`` therefore draws the whole tally in one
-``Generator.multinomial`` call over the (P, N, N, 16) cell probabilities,
-seeded from the master seed alone: its cost does not depend on the number
-of pulses, and the result is bit-identical for a given master seed whatever
-worker count is asked for (the count is checked, but changes neither the
-output nor the speed).  The cell probabilities are a few whole-array
+``simulate_run`` therefore draws the whole tally as one
+``Generator.multinomial`` call per bin over its (N, N, 16) cell
+probabilities, in bin order from one stream seeded by the master seed
+alone: its cost does not depend on the number of pulses, and the result is
+bit-identical for a given master seed whatever worker count is asked for
+(the count is checked, but changes neither the output nor the speed).  The cell probabilities are a few whole-array
 products straight from the point's branch table, and a tally is projected
 by one integer matrix product.
+
+A sweep point draws over fewer cells.  Under a uniform guess prior a cell
+depends on (input m, guess k) only through the guess offset d = (k - m) mod
+N: rotating input and guess together rotates every field, and the analyzer
+reference rotates with the input.  So the N*16 (offset, pattern) cells of
+input 0 alone, built by the same cell builder from row 0 of the branch
+table, carry the full draw's distribution summed over inputs by offset
+(the aggregation property of the multinomial), and every sweep column reads
+only such sums.  :func:`_offset_draw` draws them, in one multinomial call
+seeded by the master seed, and :func:`_offset_fidelity` estimates the output
+fidelity from the per-offset counts.
 
 ``simulate_chunk`` is the pulse-by-pulse sampler the tally stands for: chunk
 c of a fixed chunk size draws from its own stream derived from
@@ -31,9 +42,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .amplifier import AmplifierConfig, BranchTable, Conditioning, branch_table
-from .analysis import AnalysisConfig, CountTable, fringe_visibility, port_click
+from .analysis import (
+    AnalysisConfig,
+    CountTable,
+    estimate_class_pulse_numbers,
+    fringe_visibility,
+    port_click,
+)
+from .coherent import overlap_sq
 from .detectors import DetectorBank
-from .errors import check_workers
+from .errors import InsufficientSignalError, check_workers
 
 DEFAULT_CHUNK_SIZE = 1 << 16
 
@@ -48,10 +66,12 @@ _FIRED = {
     name: (np.arange(_N_PATTERNS) & bit) != 0
     for name, bit in (("d0", _BIT_D0), ("d1", _BIT_D1), ("da", _BIT_DA), ("db", _BIT_DB))
 }
-# per conditioning, the (16, 3) 0/1 matrix that projects pattern counts onto
-# (accepted, accepted with DA fired, accepted with DB fired)
+# per conditioning, the (16, 4) 0/1 matrix that projects pattern counts onto
+# (accepted, accepted with DA fired, accepted with DB fired, accepted with both fired)
 _PROJECTION = {
-    c: np.stack([acc, acc & _FIRED["da"], acc & _FIRED["db"]], axis=1).astype(np.int64)
+    c: np.stack(
+        [acc, acc & _FIRED["da"], acc & _FIRED["db"], acc & _FIRED["da"] & _FIRED["db"]], axis=1
+    ).astype(np.int64)
     for c, acc in (
         (Conditioning.NONE, np.ones(_N_PATTERNS, dtype=bool)),
         (Conditioning.D0_SILENT, ~_FIRED["d0"]),
@@ -132,18 +152,19 @@ def branch_tables(spec: RunSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _click_factors(spec: RunSpec, table: BranchTable) -> tuple[np.ndarray, np.ndarray]:
-    """(silent, fired) click factors of D0/D1, (2, N, N, 2), and DA/DB, (2, P, N, N, 2),
-    by pattern bit value along the last axis; see :func:`branch_tables`."""
-    n = len(table.target)
+    """(silent, fired) click factors of D0/D1, (2, M, N, 2), and DA/DB, (2, P, M, N, 2),
+    by pattern bit value along the last axis, for the M rows of ``table`` (inputs
+    0..M-1) against its N guesses; see :func:`branch_tables`."""
+    rows, n = len(table.target), len(table.prior)
     out = np.array(table.output, dtype=complex)[None, :, :]
     z_ref = spec.analysis.reference_amplitude
-    input_phases = np.exp(2j * np.pi * np.arange(n) / n)
+    input_phases = np.exp(2j * np.pi * np.arange(rows) / n)
     scan = np.exp(1j * np.asarray(spec.phase_schedule))
     # reference per (phase bin, input): outer product of the two phase factors
     ref = (z_ref * scan[:, None] * input_phases[None, :])[:, :, None]
-    heralds = np.empty((2, n, n, 2))
+    heralds = np.empty((2, rows, n, 2))
     heralds[..., 1] = table.d0_click, table.d1_click
-    analyzer = np.empty((2, len(scan), n, n, 2))
+    analyzer = np.empty((2, len(scan), rows, n, 2))
     analyzer[0, ..., 1] = port_click(out, ref, spec.detectors.da, "A")
     analyzer[1, ..., 1] = port_click(out, ref, spec.detectors.db, "B")
     for factors in (heralds, analyzer):
@@ -200,20 +221,25 @@ def simulate_chunk(
     return TallyTable(counts, spec.phase_schedule, n)
 
 
-def _cell_probabilities(spec: RunSpec, table: BranchTable) -> np.ndarray:
+def _cell_probabilities(
+    spec: RunSpec, table: BranchTable, factors: tuple[np.ndarray, np.ndarray] | None = None
+) -> np.ndarray:
     """Probability of each (input, guess, click pattern) cell, per phase bin.
 
-    Built from the point's branch table: the prior (1/N)*q_k of an (input m,
-    guess k) pair times the independent D0/D1/DA/DB click factors of each
-    pattern, shape (P, N, N, 16), with every bin normalised to sum to one.
+    Built from the point's branch table, or from its first M rows: the prior
+    (1/M)*q_k of an (input m, guess k) pair times the independent D0/D1/DA/DB
+    click factors of each pattern, shape (P, M, N, 16), with every bin
+    normalised to sum to one.  Row 0 alone (:func:`_input0`) gives the N*16
+    guess-offset cells.  ``factors`` are the table's :func:`_click_factors`,
+    built here if not given.
     """
-    n = len(table.target)
-    (f0, f1), (fa, fb) = _click_factors(spec, table)
-    # q_k/N broadcasts over the inputs m
-    prior = np.asarray(table.prior, dtype=float) / n
+    rows, n = len(table.target), len(table.prior)
+    (f0, f1), (fa, fb) = _click_factors(spec, table) if factors is None else factors
+    # q_k/M broadcasts over the inputs m
+    prior = np.asarray(table.prior, dtype=float) / rows
     heralds = prior[:, None, None] * f0[:, :, :, None] * f1[:, :, None, :]
     analyzer = fa[..., :, None] * fb[..., None, :]
-    cells = np.empty((len(spec.phase_schedule), n, n, _N_PATTERNS))
+    cells = np.empty((len(spec.phase_schedule), rows, n, _N_PATTERNS))
     np.multiply(heralds[:, :, :, :, None, None], analyzer[:, :, :, None, None, :, :],
                 out=cells.reshape(analyzer.shape[:3] + (2, 2, 2, 2)))
     cells /= cells.sum(axis=(1, 2, 3), keepdims=True)
@@ -225,32 +251,94 @@ def simulate_run(spec: RunSpec, workers: int = 1) -> TallyTable:
 
     Draws each phase bin's tally as one multinomial sample over its cells,
     from a stream seeded by the master seed alone.  ``workers`` is checked
-    (:func:`errors.check_workers`) and kept for callers; the draw is a single
-    call, so any worker count gives the same tally in the same time.
+    (:func:`errors.check_workers`) and kept for callers; the draw is one
+    stream, so any worker count gives the same tally in the same time.
     """
     check_workers(workers)
     table = branch_table(spec.amplifier, spec.detectors.d0, spec.detectors.d1)
-    return _simulate_run(spec, table)
+    cells = _cell_probabilities(spec, table)
+    return TallyTable(_draw(spec, cells), spec.phase_schedule, spec.amplifier.n_states())
 
 
-def _simulate_run(spec: RunSpec, table: BranchTable) -> TallyTable:
-    """:func:`simulate_run` with cell probabilities built from ``table`` alone (no guess CDF)."""
-    n, n_phases = spec.amplifier.n_states(), len(spec.phase_schedule)
-    pvals = _cell_probabilities(spec, table).reshape(n_phases, -1)
+def _draw(spec: RunSpec, cells: np.ndarray) -> np.ndarray:
+    """The run's pulses drawn over ``cells`` (:func:`_cell_probabilities`, no guess
+    CDF), int64 of their shape: one multinomial call per phase bin, in bin order,
+    from one stream seeded by the master seed alone."""
+    n_phases = len(spec.phase_schedule)
     # pulse i falls in phase bin i mod P
     per_bin = [spec.n_pulses // n_phases + (j < spec.n_pulses % n_phases) for j in range(n_phases)]
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(spec.master_seed)))
-    counts = rng.multinomial(per_bin, pvals).astype(np.int64, copy=False)
-    return TallyTable(counts.reshape(-1, n, n, _N_PATTERNS), spec.phase_schedule, n)
+    # the same stream as one call over the (P, cells) array, without its broadcasting
+    counts = np.stack([rng.multinomial(n, p) for n, p in zip(per_bin, cells.reshape(n_phases, -1))])
+    return counts.astype(np.int64, copy=False).reshape(cells.shape)
+
+
+def _input0(table: BranchTable) -> BranchTable:
+    """Row 0 of ``table`` as a one-row table; its row lists are the table's own, not copies."""
+    weights = {c: rows[:1] for c, rows in table.weights.items()}
+    return BranchTable(table.prior, table.target[:1], table.output[:1], table.d0_mean[:1],
+                       table.d1_mean[:1], table.d0_click[:1], table.d1_click[:1], weights)
+
+
+def _offset_draw(spec: RunSpec, table: BranchTable, condition) -> tuple[np.ndarray, np.ndarray]:
+    """Accepted pulses per guess offset d = (guess - input) mod N, drawn over the
+    N*16 (offset, pattern) cells of input 0, and the click probabilities those
+    cells were built from.
+
+    Returns int64 (N, 4) rows of (accepted, with DA fired, with DB fired, with
+    both fired), and the (N, 2) rows (p_A, p_B) at which offset d's output
+    ``table.output[0][d]`` fires DA and DB in the first phase bin.  Under the
+    uniform guess prior it requires, the counts have the distribution of the
+    full draw's :func:`counts_by_offset` (see the module docstring), from N*16
+    cells instead of N*N*16.
+    """
+    if len(set(table.prior)) > 1:
+        raise ValueError("the guess-offset draw needs a uniform guess prior")
+    row0 = _input0(table)
+    factors = _click_factors(spec, row0)
+    counts = _draw(spec, _cell_probabilities(spec, row0, factors))
+    # the fired planes of DA and DB: phase bin 0, input 0, every guess
+    clicks = factors[1][:, 0, 0, :, 1].T
+    return counts.sum(axis=(0, 1)) @ _PROJECTION[Conditioning(condition)], clicks
+
+
+def _offset_fidelity(table: BranchTable, by_offset, clicks) -> tuple[float, float]:
+    """Estimated output fidelity and its standard error from per-offset counts.
+
+    ``by_offset`` and ``clicks`` are the rows of :func:`_offset_draw`: offset d
+    counts (accepted, n_A, n_B, n_AB), and its output ``table.output[0][d]``
+    fires DA with p_A,d and DB with p_B,d, so its pulse number is
+    N_d = (n_A,d + n_B,d) / (p_A,d + p_B,d) (:func:`estimate_class_pulse_numbers`), and
+
+        F = sum_d o_d*N_d / sum_d N_d,    o_d = |<output d|target 0>|^2.
+
+    The standard error is the delta-method one: Var(n_A + n_B) is
+    n_A + n_B + 2*n_AB, and the multinomial covariances between offsets
+    cancel at the estimate.  Raises InsufficientSignalError when an offset
+    class is unobservable or no pulse is attributed to any class.
+    """
+    outputs, target = table.output[0], table.target[0]
+    pulses = estimate_class_pulse_numbers([(n_a, n_b) for _, n_a, n_b, _ in by_offset], clicks)
+    total = math.fsum(pulses)
+    if not total > 0.0:
+        raise InsufficientSignalError("no pulses attributed to any offset class")
+    overlaps = [overlap_sq(z, target) for z in outputs]
+    fidelity = math.fsum(o * n for o, n in zip(overlaps, pulses)) / total
+    variance = math.fsum(
+        (o - fidelity) ** 2 * (n_a + n_b + 2 * n_ab) / (p_a + p_b) ** 2
+        for o, (_, n_a, n_b, n_ab), (p_a, p_b) in zip(overlaps, by_offset, clicks)
+    )
+    return fidelity, math.sqrt(variance) / total
 
 
 def conditioned_counts(t: TallyTable, condition) -> CountTable:
     """Project a tally onto a count table under the requested conditioning.
 
     "sig" counts come from correct-guess pulses, "vac" counts from
-    wrong-guess pulses (for the two-state set the wrong branch output is
-    exactly vacuum; for larger sets this is the binary attribution the
-    two-class estimator assumes).
+    wrong-guess pulses.  For the two-state set the wrong branch output is
+    exactly vacuum; for larger sets the wrong-guess outputs are not, so the
+    two-class estimator reads such counts with a bias.  The sweep's
+    ``mc_fidelity`` estimates per guess offset instead (:func:`_offset_fidelity`).
     """
     return _class_projection(t, condition)[1]
 
@@ -265,7 +353,7 @@ def _class_projection(t: TallyTable, condition) -> tuple[tuple[int, int], CountT
     per_pair = t.counts.sum(axis=0) @ _PROJECTION[Conditioning(condition)]
     correct = per_pair.trace()  # guess == input
     wrong = per_pair.sum(axis=(0, 1)) - correct
-    (acc_c, a_c, b_c), (acc_w, a_w, b_w) = correct.tolist(), wrong.tolist()
+    (acc_c, a_c, b_c, _), (acc_w, a_w, b_w, _) = correct.tolist(), wrong.tolist()
     counts = CountTable(n_A_sig=float(a_c), n_B_sig=float(b_c), n_A_vac=float(a_w), n_B_vac=float(b_w))
     return (acc_c, acc_w), counts
 
@@ -281,7 +369,7 @@ def counts_by_offset(t: TallyTable, condition) -> list[tuple[int, int, int]]:
     m, d = np.arange(n)[:, None], np.arange(n)
     # [m, d] picks input m's guess (m + d) mod N, so the sum over m groups by offset
     by_offset = per_pair[m, (m + d) % n].sum(axis=0)
-    return [(n_a, n_b, accepted) for accepted, n_a, n_b in by_offset.tolist()]
+    return [(n_a, n_b, accepted) for accepted, n_a, n_b, _ in by_offset.tolist()]
 
 
 def mc_visibility(t: TallyTable, condition) -> float:

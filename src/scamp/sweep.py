@@ -3,12 +3,13 @@
 A sweep evaluates the analytic model (and optionally the Monte Carlo) on a
 grid of (state-set size, input mean photon number) points and emits one row
 per point with fixed, documented columns.  Each point builds one branch
-table: the analytic columns and, in a Monte Carlo mode, the tally's cell
-probabilities both read it, and its three visibilities share one reference
-scan.  Figure datasets hold a few columns of the same rows, and a point
-computes only the columns it emits; they are model curves only, never
-measured points.  CSV carries the rows; JSON carries {"spec": ..., "rows": ...}.
-The Monte Carlo, and numpy with it, is imported by the first Monte Carlo row.
+table: the analytic columns read it, in a Monte Carlo mode the draw's N*16
+guess-offset cells are built from its row 0, and its three visibilities
+share one reference scan.  Figure datasets hold a few columns of the same
+rows, and a point computes only the columns it emits; they are model curves
+only, never measured points.  CSV carries the rows; JSON carries
+{"spec": ..., "rows": ...}.  The Monte Carlo, and numpy with it, is imported
+by the first Monte Carlo row.
 """
 
 from __future__ import annotations
@@ -58,9 +59,10 @@ MC_COLUMNS = (
 INT_COLUMNS = {"n_states", "mc_n_pulses", "mc_seed"}
 # so that every tally count, and so every CountTable field, is exact as a float
 _MAX_PULSES = MAX_COUNT
-# Checked before anything is allocated, these keep every array of a point under
-# 8 MiB: the Monte Carlo tally (one phase bin, N*N*16 int64 cells) is 8 MiB at
-# N = 256, the reference scan 1 MiB (complex128) at 65536 phase points.
+# Checked before anything is allocated, these bound a point's memory: its branch
+# table holds N*N branches (about 15 MiB of Python objects at N = 256), its Monte
+# Carlo draw N*16 guess-offset cells (32 KiB of int64 at N = 256), and the
+# reference scan 1 MiB (complex128) at 65536 phase points.
 MAX_N_STATES = 256
 MAX_PHASE_POINTS = 1 << 16
 
@@ -234,7 +236,9 @@ def _montecarlo_columns(
     analysis_cfg: AnalysisConfig,
     seed: int,
 ) -> dict:
-    from .montecarlo import RunSpec, _class_projection, _simulate_run, standard_error
+    """The Monte Carlo values of a point, all from one draw over the N*16
+    guess-offset cells of input 0 (offset 0 is the correct class)."""
+    from .montecarlo import RunSpec, _offset_draw, _offset_fidelity, standard_error
 
     run = RunSpec(
         amplifier=cfg,
@@ -243,9 +247,10 @@ def _montecarlo_columns(
         n_pulses=spec.n_pulses,
         master_seed=seed,
     )
-    tally = _simulate_run(run, table)
-    (n_correct, n_wrong), counts = _class_projection(tally, Conditioning.D0_SILENT_D1_FIRES)
-    accepted = n_correct + n_wrong
+    by_offset, clicks = _offset_draw(run, table, Conditioning.D0_SILENT_D1_FIRES)
+    by_offset = by_offset.tolist()
+    n_correct = by_offset[0][0]
+    accepted = sum(row[0] for row in by_offset)
     out = {
         "mc_success_probability": accepted / spec.n_pulses,
         "mc_success_probability_se": standard_error(accepted, spec.n_pulses),
@@ -258,15 +263,8 @@ def _montecarlo_columns(
     else:
         out["mc_correct_state_fraction"] = math.nan
         out["mc_correct_state_fraction_se"] = math.nan
-    g2a2 = analysis_cfg.ref_mean_photons()
-    eta_l = analysis_cfg.detector.eta_l()
     try:
-        n_sig, n_vac = estimate_pulse_numbers(counts, g2a2, eta_l, vacuum_denominator="per-port")
-        fid = estimate_fidelity(n_sig, n_vac, g2a2, vacuum_overlap="standard")
-        # F is affine in the class split, so its error is the binomial error
-        # of that split scaled by (1 - vacuum overlap)
-        out["mc_fidelity"] = fid
-        out["mc_fidelity_se"] = (1.0 - math.exp(-g2a2)) * out["mc_correct_state_fraction_se"]
+        out["mc_fidelity"], out["mc_fidelity_se"] = _offset_fidelity(table, by_offset, clicks.tolist())
     except InsufficientSignalError:
         out["mc_fidelity"] = math.nan
         out["mc_fidelity_se"] = math.nan

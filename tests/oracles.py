@@ -6,7 +6,8 @@ checked against.  ``branch_table`` below is the earlier build of the
 amplifier's branch table, one row of per-branch lists at a time with the
 click law applied per row by ``click_probabilities``; the package's one-pass
 build must equal it bit for bit.  ``expected_tally`` is the mean of a Monte
-Carlo run's tally, the exact contract between the two models.
+Carlo run's tally, and ``expected_offset_draw`` the mean of a sweep point's
+per-offset counts: the exact contract between the two models.
 """
 
 from typing import NamedTuple
@@ -15,7 +16,14 @@ import numpy as np
 
 from scamp.amplifier import AmplifierConfig, BranchTable, Conditioning
 from scamp.detectors import DetectorModel, click_law
-from scamp.montecarlo import RunSpec, TallyTable, _cell_probabilities
+from scamp.montecarlo import (
+    _PROJECTION,
+    RunSpec,
+    TallyTable,
+    _cell_probabilities,
+    _click_factors,
+    _input0,
+)
 
 UNITARITY_TOL = 1e-12
 
@@ -122,10 +130,26 @@ def branch_table(cfg: AmplifierConfig, det0: DetectorModel, det1: DetectorModel)
     )
 
 
-def expected_tally(run: RunSpec, table: BranchTable) -> TallyTable:
-    """The mean tally of ``run``, in float: each phase bin's cell probabilities
-    times the pulses that fall in that bin (pulse i falls in bin i mod P)."""
+def _expected_cells(run: RunSpec, table: BranchTable, factors=None) -> np.ndarray:
+    """Each phase bin's cell probabilities over ``table`` times the pulses that
+    fall in that bin (pulse i falls in bin i mod P), in float."""
     n_phases = len(run.phase_schedule)
     per_bin = [run.n_pulses // n_phases + (j < run.n_pulses % n_phases) for j in range(n_phases)]
-    cells = _cell_probabilities(run, table) * np.asarray(per_bin, dtype=float)[:, None, None, None]
-    return TallyTable(cells, run.phase_schedule, len(table.target))
+    cells = _cell_probabilities(run, table, factors)
+    return cells * np.asarray(per_bin, dtype=float)[:, None, None, None]
+
+
+def expected_tally(run: RunSpec, table: BranchTable) -> TallyTable:
+    """The mean tally of ``run``, in float."""
+    return TallyTable(_expected_cells(run, table), run.phase_schedule, len(table.target))
+
+
+def expected_offset_draw(run: RunSpec, table: BranchTable, condition) -> tuple[list, list]:
+    """The mean of ``montecarlo._offset_draw(run, table, condition)``, in float:
+    per guess offset, (accepted, with DA fired, with DB fired, with both fired),
+    and the (p_A, p_B) rows it returns, as lists."""
+    row0 = _input0(table)
+    factors = _click_factors(run, row0)
+    cells = _expected_cells(run, row0, factors)
+    by_offset = cells.sum(axis=(0, 1)) @ _PROJECTION[Conditioning(condition)]
+    return by_offset.tolist(), factors[1][:, 0, 0, :, 1].T.tolist()

@@ -321,7 +321,11 @@ class TestClassPulseEstimator:
             p_a = 1.0 - (1.0 - dark) * math.exp(-0.39 * 0.5 * abs(amp + ref) ** 2)
             p_b = 1.0 - (1.0 - dark) * math.exp(-0.39 * 0.5 * abs(amp - ref) ** 2)
             counts.append((n_j * p_a, n_j * p_b))
-        estimated = estimate_class_pulse_numbers(counts, amps, cfg)
+        clicks = [
+            (float(port_click(amp, ref, cfg.detector, "A")), float(port_click(amp, ref, cfg.detector, "B")))
+            for amp in amps
+        ]
+        estimated = estimate_class_pulse_numbers(counts, clicks)
         assert estimated == pytest.approx(true_numbers, rel=1e-12)
 
     def test_recovers_synthetic_class_counts(self):
@@ -332,8 +336,8 @@ class TestClassPulseEstimator:
 
     def test_rejects_unobservable_class(self):
         with pytest.raises(InsufficientSignalError):
-            estimate_class_pulse_numbers([(1.0, 1.0)], [0j], analyzer(0.0, eta=0.4))
+            estimate_class_pulse_numbers([(1.0, 1.0)], [(0.0, 0.0)])
 
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(ValueError):
-            estimate_class_pulse_numbers([(1.0, 1.0)], [], analyzer(0.0, eta=0.4))
+            estimate_class_pulse_numbers([(1.0, 1.0)], [])

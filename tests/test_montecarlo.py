@@ -21,7 +21,10 @@ from scamp.montecarlo import (
     DetectorBank,
     RunSpec,
     TallyTable,
+    _cell_probabilities,
     _class_projection,
+    _input0,
+    _offset_fidelity,
     conditioned_class_totals,
     conditioned_counts,
     counts_by_offset,
@@ -272,27 +275,36 @@ seeing_detectors = st.builds(
 )
 
 
+def sweep_point(n, r1_sq, t2_sq, alpha_sq, dets):
+    """(config, branch table, run) of one sweep point with detectors ``dets``
+    (D0, D1, DA, DB); a point the sweep refuses is skipped."""
+    try:
+        spec = SweepSpec((alpha_sq,), (n,), "both", r1_sq, t2_sq, DetectorBank(*dets), epsilon=0.0)
+    except ConfigError:
+        # past the analyzer's overflow bound, which the sweep refuses
+        assume(False)
+    cfg = params.default_amplifier(alpha_sq, n, r1_sq, t2_sq)
+    analysis = params.default_analysis(cfg, detector=dets[2], epsilon=0.0)
+    table = branch_table(cfg, dets[0], dets[1])
+    return cfg, table, RunSpec(cfg, spec.detectors, analysis, n_pulses=10**6, master_seed=0)
+
+
+sweep_points = dict(
+    n=st.integers(1, 9),
+    r1_sq=sweep_intensities,
+    t2_sq=st.one_of(sweep_intensities, st.just(1.0)),
+    alpha_sq=st.floats(0.0, 4.0),
+    dets=st.tuples(*[seeing_detectors] * 4),
+)
+
+
 class TestExpectedTally:
     """The mean tally of a run against the analytic model, exactly (``oracles.expected_tally``)."""
 
     @settings(max_examples=150, derandomize=True, deadline=None)
-    @given(
-        n=st.integers(1, 9),
-        r1_sq=sweep_intensities,
-        t2_sq=st.one_of(sweep_intensities, st.just(1.0)),
-        alpha_sq=st.floats(0.0, 4.0),
-        dets=st.tuples(*[seeing_detectors] * 4),
-    )
+    @given(**sweep_points)
     def test_projects_onto_the_analytic_columns(self, n, r1_sq, t2_sq, alpha_sq, dets):
-        try:
-            spec = SweepSpec((alpha_sq,), (n,), "both", r1_sq, t2_sq, DetectorBank(*dets), epsilon=0.0)
-        except ConfigError:
-            # past the analyzer's overflow bound, which the sweep refuses
-            assume(False)
-        cfg = params.default_amplifier(alpha_sq, n, r1_sq, t2_sq)
-        analysis = params.default_analysis(cfg, detector=dets[2], epsilon=0.0)
-        table = branch_table(cfg, dets[0], dets[1])
-        run = RunSpec(cfg, spec.detectors, analysis, n_pulses=10**6, master_seed=0)
+        cfg, table, run = sweep_point(n, r1_sq, t2_sq, alpha_sq, dets)
         (n_correct, n_wrong), counts = _class_projection(
             oracles.expected_tally(run, table), Conditioning.D0_SILENT_D1_FIRES
         )
@@ -309,8 +321,39 @@ class TestExpectedTally:
         dark = float(port_click(target, target, dets[3], "B"))
         leak = float(port_click(2.0**-50 * abs(target), 0.0, dets[3], "B"))
         assert dark * (1.0 - 1e-12) <= counts.n_B_sig / n_correct <= leak * (1.0 + 1e-12)
-        # mc_fidelity is not checked: the sweep's two-class estimator is biased at
-        # N > 2 even on this exact tally, until the Monte Carlo estimates by guess offset
+        # the sweep's estimator on its exact mean per-offset counts is the analytic fidelity
+        by_offset, clicks = oracles.expected_offset_draw(run, table, Conditioning.D0_SILENT_D1_FIRES)
+        fidelity, _ = _offset_fidelity(table, by_offset, clicks)
+        assert fidelity == pytest.approx(fom.fidelity, rel=1e-12)
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(**sweep_points)
+    def test_offset_cells_are_the_full_cells_summed_by_offset(self, n, r1_sq, t2_sq, alpha_sq, dets):
+        cfg, table, run = sweep_point(n, r1_sq, t2_sq, alpha_sq, dets)
+        full = _cell_probabilities(run, table)
+        offset = _cell_probabilities(run, _input0(table))
+        assert offset.shape == (1, 1, n, 16)
+        m, d = np.arange(n)[:, None], np.arange(n)
+        # [m, d] picks input m's guess (m + d) mod N, so the sum over m groups by offset
+        by_offset = full[:, m, (m + d) % n].sum(axis=1)
+        # input m's fields are rotations of input 0's, each rounded on its own: an
+        # analyzer field out +/- ref is known to a few ulps of |target|, delta.  Where
+        # |field| +/- delta moves a port's fired factor p or silent factor 1 - p by more
+        # than 1e-13 of it (a large gain t2/r1, or a near-cancelling field), the full
+        # cells are that much less exact; at offset 0 this is the full draw's rotated
+        # reference, which misses the correct output by such a residue
+        target = cfg.target_amplitude(0)
+        delta = 2.0**-50 * abs(target)
+        out = np.array(table.output[0])
+        for det, field in ((dets[2], out + target), (dets[3], out - target)):
+            lo, hi = (port_click(np.maximum(np.abs(field) + s, 0.0), 0.0, det, "A") for s in (-delta, delta))
+            assume(np.all(hi - lo <= 1e-13 * np.minimum(lo, 1.0 - hi)))
+        np.testing.assert_allclose(offset[:, 0], by_offset, rtol=1e-12, atol=0.0)
+        # row 0's reference is its correct output bit for bit, so unlike the full
+        # table's rotated references, DB fires on the correct class by dark counts alone
+        by_offset, _ = oracles.expected_offset_draw(run, table, Conditioning.D0_SILENT_D1_FIRES)
+        accepted, _, n_b, _ = by_offset[0]
+        assert n_b / accepted == pytest.approx(dets[3].dark_prob_per_gate, rel=1e-12)
 
 
 class TestEstimatorOracle:
@@ -337,12 +380,15 @@ class TestEstimatorOracle:
         spec = make_spec(0.8, 4, 1_000_000, 808)
         tally = simulate_run(spec)
         records = counts_by_offset(tally, Conditioning.NONE)
-        cfg = spec.amplifier
+        cfg, ana = spec.amplifier, spec.analysis
         # output amplitude of offset d in the frame of input 0
         amps = branch_table(cfg, IDEAL, IDEAL).output[0]
-        estimated = estimate_class_pulse_numbers(
-            [(n_a, n_b) for n_a, n_b, _ in records], amps, spec.analysis
-        )
+        clicks = [
+            (float(port_click(z, ana.reference_amplitude, spec.detectors.da, "A")),
+             float(port_click(z, ana.reference_amplitude, spec.detectors.db, "B")))
+            for z in amps
+        ]
+        estimated = estimate_class_pulse_numbers([(n_a, n_b) for n_a, n_b, _ in records], clicks)
         for est, (n_a, n_b, true_n) in zip(estimated, records):
             # crude but conservative error bound:
             # sigma(N) <= sqrt(n_a + n_b) / (p_a + p_b), and p_a + p_b >= the

@@ -173,9 +173,9 @@ class TestSweepSpecValidation:
                 spec(bad)
 
     def test_point_at_both_bounds_keeps_its_memory_budget(self):
-        # 8 MiB per array (tally, cell probabilities, scan blocks), plus the
-        # branch table of 65536 branches that the analytic columns and the
-        # Monte Carlo share, alive through the draw
+        # at most 8 MiB per array (scan curves and blocks; the draw's N*16 offset
+        # cells take 32 KiB), plus the branch table of 65536 branches that the
+        # analytic columns and the Monte Carlo share, alive through the draw
         spec = SweepSpec(alpha_sq_grid=(1.0,), n_states_list=(MAX_N_STATES,),
                          phase_points=MAX_PHASE_POINTS, mode="both", n_pulses=1000)
         tracemalloc.start()
@@ -261,16 +261,28 @@ class TestMonteCarloErrorBars:
     """Reported standard errors against the scatter over an ensemble of seeds."""
 
     N_SEEDS = 200
+    ALL = ("mc_success_probability", "mc_correct_state_fraction", "mc_fidelity")
 
-    @pytest.mark.parametrize("n_states, alpha_sq", [(2, 0.94), (4, 0.5)])
-    def test_seed_scatter_matches_reported_se(self, n_states, alpha_sq):
+    @pytest.mark.parametrize(
+        "n_states, alpha_sq, n_pulses, columns",
+        [
+            # mc_fidelity is not checked here: about 3 wrong-class pulses are expected,
+            # a fifth of the seeds see no wrong-class click, and on those the plug-in
+            # SE is 0, so the scatter reads about 1.4 of the mean SE; 10^8 pulses below
+            pytest.param(2, 0.94, 1_000_000, ALL[:2], id="2-0.94"),
+            pytest.param(2, 0.94, 100_000_000, ALL, id="2-0.94-1e8"),
+            pytest.param(4, 0.5, 1_000_000, ALL, id="4-0.5"),
+            pytest.param(8, 0.5, 1_000_000, ALL, id="8-0.5"),
+        ],
+    )
+    def test_seed_scatter_matches_reported_se(self, n_states, alpha_sq, n_pulses, columns):
         rows = [
             run_sweep(
                 SweepSpec(
                     alpha_sq_grid=(alpha_sq,),
                     n_states_list=(n_states,),
                     mode="montecarlo",
-                    n_pulses=1_000_000,
+                    n_pulses=n_pulses,
                     seed=seed,
                 )
             ).rows[0]
@@ -283,7 +295,7 @@ class TestMonteCarloErrorBars:
             math.sqrt((1.0 - 2.0 / (9 * k) + z * math.sqrt(2.0 / (9 * k))) ** 3)
             for z in (-4.0, 4.0)
         )
-        for column in ("mc_success_probability", "mc_correct_state_fraction"):
+        for column in columns:
             values = np.array([r[column] for r in rows])
             se = np.mean([r[column + "_se"] for r in rows])
             ratio = values.std(ddof=1) / se
