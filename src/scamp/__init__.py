@@ -76,7 +76,6 @@ __all__ = [
     "conditioned_class_totals",
     "conditioned_counts",
     "count_probabilities",
-    "counts_by_offset",
     "estimate_class_pulse_numbers",
     "estimate_fidelity",
     "estimate_pulse_numbers",
@@ -103,7 +102,6 @@ _MONTECARLO_NAMES = frozenset({
     "TallyTable",
     "conditioned_class_totals",
     "conditioned_counts",
-    "counts_by_offset",
     "mc_visibility",
     "phase_scan",
     "simulate_run",

@@ -6,32 +6,34 @@ branch output meets the analysis interferometer (test state phase-locked to
 the input, plus the scheduled scan phase).  Counts are tallied per (phase
 bin, input, guess, 4-bit click pattern).
 
-Pulse i falls in phase bin i mod P, and within a bin the pulses are i.i.d.
-over the N*N*16 cells, so the tally of each bin is exactly multinomial.
-``simulate_run`` therefore draws the whole tally as one
-``Generator.multinomial`` call per bin over its (N, N, 16) cell
-probabilities, in bin order from one stream seeded by the master seed
-alone: its cost does not depend on the number of pulses, and the result is
-bit-identical for a given master seed whatever worker count is asked for
-(the count is checked, but changes neither the output nor the speed).  The cell probabilities are a few whole-array
-products straight from the point's branch table, and a tally is projected
-by one integer matrix product.
+The cell law is written once, in :func:`_cell_probabilities`: a cell's
+probability is ((q_k/M * f0) * f1) * (fa * fb), the guess prior q_k over M
+input rows times the (silent, fired) click factors of D0, D1, DA and DB,
+written into a fresh C-order (P, M, N, 16) array with each phase bin
+normalised.  Two draws feed it, each one ``Generator.multinomial`` call per
+phase bin from one stream seeded by a seed alone, so its cost does not
+depend on the number of pulses (pulse i falls in bin i mod P):
 
-A sweep point draws over fewer cells.  Under a uniform guess prior a cell
-depends on (input m, guess k) only through the guess offset d = (k - m) mod
-N: rotating input and guess together rotates every field, and the analyzer
-reference rotates with the input.  So the N*16 (offset, pattern) cells of
-input 0 alone, built by the same cell builder from row 0 of the branch
-table, carry the full draw's distribution summed over inputs by offset
-(the aggregation property of the multinomial), and every sweep column reads
-only such sums.  :func:`_offset_draw` draws them, in one multinomial call
-seeded by the master seed, and :func:`_offset_fidelity` estimates the output
-fidelity from the per-offset counts.
+- ``simulate_run`` draws the full tally over every row of the point's
+  branch table, against the analyzer reference rotated by each input
+  phase and scan phase (:func:`_click_factors`).  The result is
+  bit-identical for a given master seed whatever worker count is asked for
+  (the count is checked, but changes neither the output nor the speed).
+- A sweep point draws over the N*16 (offset, pattern) cells of input 0
+  (:func:`_offset_draw`), fed straight from row 0 of the table against the
+  configured reference, with M = P = 1.  Under a uniform guess prior a cell
+  depends on (input m, guess k) only through the offset d = (k - m) mod N:
+  rotating input and guess together rotates every field, and the reference
+  rotates with the input.  So these cells carry the full draw's
+  distribution summed over inputs by offset (the aggregation property of
+  the multinomial), which is all a sweep column reads;
+  :func:`_offset_fidelity` estimates the output fidelity from them.
 
-``simulate_chunk`` is the pulse-by-pulse sampler the tally stands for: chunk
-c of a fixed chunk size draws from its own stream derived from
-(master_seed, c), and chunk tallies merge by addition.  Tests compare the
-multinomial draw against it; only it reads the cumulative guess distribution.
+A tally is projected by one integer matrix product.  ``simulate_chunk`` is
+the pulse-by-pulse sampler the tally stands for: chunk c of a fixed chunk
+size draws from its own stream derived from (master_seed, c), and chunk
+tallies merge by addition.  Tests compare the multinomial draw against it;
+only it reads the cumulative guess distribution.
 """
 
 from __future__ import annotations
@@ -152,24 +154,55 @@ def branch_tables(spec: RunSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _click_factors(spec: RunSpec, table: BranchTable) -> tuple[np.ndarray, np.ndarray]:
-    """(silent, fired) click factors of D0/D1, (2, M, N, 2), and DA/DB, (2, P, M, N, 2),
-    by pattern bit value along the last axis, for the M rows of ``table`` (inputs
-    0..M-1) against its N guesses; see :func:`branch_tables`."""
+    """(silent, fired) click factors of every row of ``table`` against the
+    rotated references of :func:`branch_tables`; see :func:`_factor_pairs`."""
     rows, n = len(table.target), len(table.prior)
-    out = np.array(table.output, dtype=complex)[None, :, :]
     z_ref = spec.analysis.reference_amplitude
     input_phases = np.exp(2j * np.pi * np.arange(rows) / n)
     scan = np.exp(1j * np.asarray(spec.phase_schedule))
     # reference per (phase bin, input): outer product of the two phase factors
     ref = (z_ref * scan[:, None] * input_phases[None, :])[:, :, None]
-    heralds = np.empty((2, rows, n, 2))
-    heralds[..., 1] = table.d0_click, table.d1_click
-    analyzer = np.empty((2, len(scan), rows, n, 2))
-    analyzer[0, ..., 1] = port_click(out, ref, spec.detectors.da, "A")
-    analyzer[1, ..., 1] = port_click(out, ref, spec.detectors.db, "B")
+    return _factor_pairs(table.d0_click, table.d1_click, np.array(table.output, dtype=complex), ref,
+                         spec.detectors, (len(scan), rows, n))
+
+
+def _factor_pairs(
+    d0_click, d1_click, out, ref, detectors: DetectorBank, shape: tuple[int, int, int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """(silent, fired) click factors by pattern bit value along the last axis:
+    D0/D1 (2, M, N, 2) from their (M, N) click probabilities, and DA/DB
+    (2, P, M, N, 2) from the outputs ``out`` against the analyzer reference
+    ``ref``, broadcast to ``shape`` = (P, M, N)."""
+    heralds = np.empty((2,) + shape[1:] + (2,))
+    heralds[..., 1] = d0_click, d1_click
+    analyzer = np.empty((2,) + shape + (2,))
+    analyzer[0, ..., 1] = port_click(out, ref, detectors.da, "A")
+    analyzer[1, ..., 1] = port_click(out, ref, detectors.db, "B")
     for factors in (heralds, analyzer):
         np.subtract(1.0, factors[..., 1], out=factors[..., 0])
     return heralds, analyzer
+
+
+def _cell_probabilities(prior, heralds: np.ndarray, analyzer: np.ndarray) -> np.ndarray:
+    """Probability of each (input, guess, click pattern) cell, per phase bin: the cell law.
+
+    The prior (1/M)*q_k of an (input m, guess k) pair over M input rows, times
+    the independent D0/D1/DA/DB click factors of each pattern
+    (:func:`_factor_pairs`), as ((q_k/M * f0) * f1) * (fa * fb), shape
+    (P, M, N, 16), with every bin normalised to sum to one.
+    """
+    (f0, f1), (fa, fb) = heralds, analyzer
+    shape = fa.shape[:3]
+    # q_k/M broadcasts over the inputs m
+    weights = np.asarray(prior, dtype=float) / shape[1]
+    herald_cells = weights[:, None, None] * f0[:, :, :, None] * f1[:, :, None, :]
+    analyzer_cells = fa[..., :, None] * fb[..., None, :]
+    # a fresh C-order array: each bin's sum then adds in one order for every caller
+    cells = np.empty(shape + (_N_PATTERNS,))
+    np.multiply(herald_cells[:, :, :, :, None, None], analyzer_cells[:, :, :, None, None, :, :],
+                out=cells.reshape(shape + (2, 2, 2, 2)))
+    cells /= cells.sum(axis=(1, 2, 3), keepdims=True)
+    return cells
 
 
 def simulate_chunk(
@@ -221,31 +254,6 @@ def simulate_chunk(
     return TallyTable(counts, spec.phase_schedule, n)
 
 
-def _cell_probabilities(
-    spec: RunSpec, table: BranchTable, factors: tuple[np.ndarray, np.ndarray] | None = None
-) -> np.ndarray:
-    """Probability of each (input, guess, click pattern) cell, per phase bin.
-
-    Built from the point's branch table, or from its first M rows: the prior
-    (1/M)*q_k of an (input m, guess k) pair times the independent D0/D1/DA/DB
-    click factors of each pattern, shape (P, M, N, 16), with every bin
-    normalised to sum to one.  Row 0 alone (:func:`_input0`) gives the N*16
-    guess-offset cells.  ``factors`` are the table's :func:`_click_factors`,
-    built here if not given.
-    """
-    rows, n = len(table.target), len(table.prior)
-    (f0, f1), (fa, fb) = _click_factors(spec, table) if factors is None else factors
-    # q_k/M broadcasts over the inputs m
-    prior = np.asarray(table.prior, dtype=float) / rows
-    heralds = prior[:, None, None] * f0[:, :, :, None] * f1[:, :, None, :]
-    analyzer = fa[..., :, None] * fb[..., None, :]
-    cells = np.empty((len(spec.phase_schedule), rows, n, _N_PATTERNS))
-    np.multiply(heralds[:, :, :, :, None, None], analyzer[:, :, :, None, None, :, :],
-                out=cells.reshape(analyzer.shape[:3] + (2, 2, 2, 2)))
-    cells /= cells.sum(axis=(1, 2, 3), keepdims=True)
-    return cells
-
-
 def simulate_run(spec: RunSpec, workers: int = 1) -> TallyTable:
     """Simulate the full run; deterministic for a fixed master seed.
 
@@ -256,50 +264,47 @@ def simulate_run(spec: RunSpec, workers: int = 1) -> TallyTable:
     """
     check_workers(workers)
     table = branch_table(spec.amplifier, spec.detectors.d0, spec.detectors.d1)
-    cells = _cell_probabilities(spec, table)
-    return TallyTable(_draw(spec, cells), spec.phase_schedule, spec.amplifier.n_states())
+    cells = _cell_probabilities(table.prior, *_click_factors(spec, table))
+    counts = _draw(spec.n_pulses, spec.master_seed, cells)
+    return TallyTable(counts, spec.phase_schedule, spec.amplifier.n_states())
 
 
-def _draw(spec: RunSpec, cells: np.ndarray) -> np.ndarray:
-    """The run's pulses drawn over ``cells`` (:func:`_cell_probabilities`, no guess
+def _draw(n_pulses: int, seed: int, cells: np.ndarray) -> np.ndarray:
+    """``n_pulses`` drawn over ``cells`` (:func:`_cell_probabilities`, no guess
     CDF), int64 of their shape: one multinomial call per phase bin, in bin order,
-    from one stream seeded by the master seed alone."""
-    n_phases = len(spec.phase_schedule)
+    from one stream seeded by ``seed`` alone."""
+    n_phases = len(cells)
     # pulse i falls in phase bin i mod P
-    per_bin = [spec.n_pulses // n_phases + (j < spec.n_pulses % n_phases) for j in range(n_phases)]
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(spec.master_seed)))
+    per_bin = [n_pulses // n_phases + (j < n_pulses % n_phases) for j in range(n_phases)]
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     # the same stream as one call over the (P, cells) array, without its broadcasting
-    counts = np.stack([rng.multinomial(n, p) for n, p in zip(per_bin, cells.reshape(n_phases, -1))])
+    counts = np.concatenate([rng.multinomial(n, p) for n, p in zip(per_bin, cells.reshape(n_phases, -1))])
     return counts.astype(np.int64, copy=False).reshape(cells.shape)
 
 
-def _input0(table: BranchTable) -> BranchTable:
-    """Row 0 of ``table`` as a one-row table; its row lists are the table's own, not copies."""
-    weights = {c: rows[:1] for c, rows in table.weights.items()}
-    return BranchTable(table.prior, table.target[:1], table.output[:1], table.d0_mean[:1],
-                       table.d1_mean[:1], table.d0_click[:1], table.d1_click[:1], weights)
-
-
-def _offset_draw(spec: RunSpec, table: BranchTable, condition) -> tuple[np.ndarray, np.ndarray]:
-    """Accepted pulses per guess offset d = (guess - input) mod N, drawn over the
-    N*16 (offset, pattern) cells of input 0, and the click probabilities those
-    cells were built from.
-
-    Returns int64 (N, 4) rows of (accepted, with DA fired, with DB fired, with
-    both fired), and the (N, 2) rows (p_A, p_B) at which offset d's output
-    ``table.output[0][d]`` fires DA and DB in the first phase bin.  Under the
-    uniform guess prior it requires, the counts have the distribution of the
-    full draw's :func:`counts_by_offset` (see the module docstring), from N*16
-    cells instead of N*N*16.
-    """
+def _offset_cells(
+    table: BranchTable, detectors: DetectorBank, z_ref: complex
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (1, 1, N, 16) cells of input 0 under the table's uniform prior, and
+    the (N, 2) rows (p_A, p_B) at which offset d's output ``table.output[0][d]``
+    fires DA and DB against the reference ``z_ref`` (input and scan phase 1)."""
     if len(set(table.prior)) > 1:
         raise ValueError("the guess-offset draw needs a uniform guess prior")
-    row0 = _input0(table)
-    factors = _click_factors(spec, row0)
-    counts = _draw(spec, _cell_probabilities(spec, row0, factors))
-    # the fired planes of DA and DB: phase bin 0, input 0, every guess
-    clicks = factors[1][:, 0, 0, :, 1].T
-    return counts.sum(axis=(0, 1)) @ _PROJECTION[Conditioning(condition)], clicks
+    out = np.array(table.output[0])
+    heralds, analyzer = _factor_pairs([table.d0_click[0]], [table.d1_click[0]], out, z_ref,
+                                      detectors, (1, 1, len(out)))
+    return _cell_probabilities(table.prior, heralds, analyzer), analyzer[:, 0, 0, :, 1].T
+
+
+def _offset_draw(table: BranchTable, detectors: DetectorBank, z_ref: complex, n_pulses: int,
+                 seed: int, condition) -> tuple[np.ndarray, np.ndarray]:
+    """Accepted pulses per guess offset d = (guess - input) mod N, int64 (N, 4)
+    rows of (accepted, with DA fired, with DB fired, with both fired), drawn
+    over :func:`_offset_cells` by one multinomial call seeded by ``seed``, and
+    those cells' (p_A, p_B) rows.  The counts have the distribution of the
+    full draw's counts summed by offset (see the module docstring)."""
+    cells, clicks = _offset_cells(table, detectors, z_ref)
+    return _draw(n_pulses, seed, cells)[0, 0] @ _PROJECTION[Conditioning(condition)], clicks
 
 
 def _offset_fidelity(table: BranchTable, by_offset, clicks) -> tuple[float, float]:
@@ -356,20 +361,6 @@ def _class_projection(t: TallyTable, condition) -> tuple[tuple[int, int], CountT
     (acc_c, a_c, b_c, _), (acc_w, a_w, b_w, _) = correct.tolist(), wrong.tolist()
     counts = CountTable(n_A_sig=float(a_c), n_B_sig=float(b_c), n_A_vac=float(a_w), n_B_vac=float(b_w))
     return (acc_c, acc_w), counts
-
-
-def counts_by_offset(t: TallyTable, condition) -> list[tuple[int, int, int]]:
-    """Per guess-offset (n_A, n_B, accepted pulses) records.
-
-    Offset d = (guess - input) mod N indexes the N possible output classes
-    of the symmetric set; feed these to the multi-class pulse estimator.
-    """
-    per_pair = t.counts.sum(axis=0) @ _PROJECTION[Conditioning(condition)]
-    n = t.n_states
-    m, d = np.arange(n)[:, None], np.arange(n)
-    # [m, d] picks input m's guess (m + d) mod N, so the sum over m groups by offset
-    by_offset = per_pair[m, (m + d) % n].sum(axis=0)
-    return [(n_a, n_b, accepted) for accepted, n_a, n_b, _ in by_offset.tolist()]
 
 
 def mc_visibility(t: TallyTable, condition) -> float:

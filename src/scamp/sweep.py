@@ -3,13 +3,16 @@
 A sweep evaluates the analytic model (and optionally the Monte Carlo) on a
 grid of (state-set size, input mean photon number) points and emits one row
 per point with fixed, documented columns.  Each point builds one branch
-table: the analytic columns read it, in a Monte Carlo mode the draw's N*16
-guess-offset cells are built from its row 0, and its three visibilities
-share one reference scan.  Figure datasets hold a few columns of the same
-rows, and a point computes only the columns it emits; they are model curves
-only, never measured points.  CSV carries the rows; JSON carries
-{"spec": ..., "rows": ...}.  The Monte Carlo, and numpy with it, is imported
-by the first Monte Carlo row.
+table: the analytic columns read it, and its three visibilities share one
+reference scan.  In a Monte Carlo mode the point passes the table, the
+detector bank, the analyzer reference, its pulse count and its seed to the
+Monte Carlo, which feeds row 0's click probabilities and outputs straight
+into its one cell law (``montecarlo._cell_probabilities``) to build the
+N*16 guess-offset cells, and draws them in one multinomial call.  Figure
+datasets hold a few columns of the same rows, and a point computes only the
+columns it emits; they are model curves only, never measured points.  CSV
+carries the rows; JSON carries {"spec": ..., "rows": ...}.  The Monte Carlo,
+and numpy with it, is imported by the first Monte Carlo row.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from . import params
-from .amplifier import AmplifierConfig, BranchTable, Conditioning, branch_table
+from .amplifier import BranchTable, Conditioning, branch_table
 from .analysis import (
     MAX_COUNT,
     AnalysisConfig,
@@ -229,25 +232,15 @@ def _analytic_columns(
     return row
 
 
-def _montecarlo_columns(
-    spec: SweepSpec,
-    cfg: AmplifierConfig,
-    table: BranchTable,
-    analysis_cfg: AnalysisConfig,
-    seed: int,
-) -> dict:
+def _montecarlo_columns(spec: SweepSpec, table: BranchTable, z_ref: complex, seed: int) -> dict:
     """The Monte Carlo values of a point, all from one draw over the N*16
-    guess-offset cells of input 0 (offset 0 is the correct class)."""
-    from .montecarlo import RunSpec, _offset_draw, _offset_fidelity, standard_error
+    guess-offset cells of input 0 (offset 0 is the correct class), built
+    from row 0 of ``table`` against the analyzer reference ``z_ref``."""
+    from .montecarlo import _offset_draw, _offset_fidelity, standard_error
 
-    run = RunSpec(
-        amplifier=cfg,
-        detectors=spec.detectors,
-        analysis=analysis_cfg,
-        n_pulses=spec.n_pulses,
-        master_seed=seed,
+    by_offset, clicks = _offset_draw(
+        table, spec.detectors, z_ref, spec.n_pulses, seed, Conditioning.D0_SILENT_D1_FIRES
     )
-    by_offset, clicks = _offset_draw(run, table, Conditioning.D0_SILENT_D1_FIRES)
     by_offset = by_offset.tolist()
     n_correct = by_offset[0][0]
     accepted = sum(row[0] for row in by_offset)
@@ -303,7 +296,7 @@ def _rows(spec: SweepSpec, columns: tuple[str, ...]) -> list[dict]:
             row.update(_analytic_columns(spec, table, analysis_cfg, wanted))
             if spec.wants_montecarlo():
                 seed = _point_seed(spec.seed, point_index)
-                row.update(_montecarlo_columns(spec, cfg, table, analysis_cfg, seed))
+                row.update(_montecarlo_columns(spec, table, analysis_cfg.reference_amplitude, seed))
             rows.append({c: row[c] for c in columns})
             point_index += 1
     return rows

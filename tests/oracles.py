@@ -5,9 +5,13 @@ two-port beamsplitter here is the textbook form its branch amplitudes are
 checked against.  ``branch_table`` below is the earlier build of the
 amplifier's branch table, one row of per-branch lists at a time with the
 click law applied per row by ``click_probabilities``; the package's one-pass
-build must equal it bit for bit.  ``expected_tally`` is the mean of a Monte
-Carlo run's tally, and ``expected_offset_draw`` the mean of a sweep point's
-per-offset counts: the exact contract between the two models.
+build must equal it bit for bit.  Likewise ``click_factors`` and
+``cell_probabilities`` are the earlier Monte Carlo cell build, one 7-axis
+broadcast over a table's rows against references rotated by the input and
+scan phases; the program's cell law, fed either way, must equal it bit for
+bit.  ``expected_tally`` is the mean of a Monte Carlo run's tally, and
+``expected_offset_draw`` the mean of a sweep point's per-offset counts: the
+exact contract between the two models.
 """
 
 from typing import NamedTuple
@@ -15,14 +19,16 @@ from typing import NamedTuple
 import numpy as np
 
 from scamp.amplifier import AmplifierConfig, BranchTable, Conditioning
-from scamp.detectors import DetectorModel, click_law
+from scamp.analysis import port_click
+from scamp.detectors import DetectorBank, DetectorModel, click_law
 from scamp.montecarlo import (
+    _N_PATTERNS,
     _PROJECTION,
     RunSpec,
     TallyTable,
     _cell_probabilities,
     _click_factors,
-    _input0,
+    _offset_cells,
 )
 
 UNITARITY_TOL = 1e-12
@@ -130,26 +136,88 @@ def branch_table(cfg: AmplifierConfig, det0: DetectorModel, det1: DetectorModel)
     )
 
 
-def _expected_cells(run: RunSpec, table: BranchTable, factors=None) -> np.ndarray:
-    """Each phase bin's cell probabilities over ``table`` times the pulses that
-    fall in that bin (pulse i falls in bin i mod P), in float."""
-    n_phases = len(run.phase_schedule)
-    per_bin = [run.n_pulses // n_phases + (j < run.n_pulses % n_phases) for j in range(n_phases)]
-    cells = _cell_probabilities(run, table, factors)
-    return cells * np.asarray(per_bin, dtype=float)[:, None, None, None]
+def click_factors(spec: RunSpec, table: BranchTable) -> tuple[np.ndarray, np.ndarray]:
+    """(silent, fired) click factors of D0/D1, (2, M, N, 2), and DA/DB, (2, P, M, N, 2),
+    by pattern bit value along the last axis, for the M rows of ``table`` (inputs
+    0..M-1) against its N guesses; see :func:`scamp.montecarlo.branch_tables`."""
+    rows, n = len(table.target), len(table.prior)
+    out = np.array(table.output, dtype=complex)[None, :, :]
+    z_ref = spec.analysis.reference_amplitude
+    input_phases = np.exp(2j * np.pi * np.arange(rows) / n)
+    scan = np.exp(1j * np.asarray(spec.phase_schedule))
+    # reference per (phase bin, input): outer product of the two phase factors
+    ref = (z_ref * scan[:, None] * input_phases[None, :])[:, :, None]
+    heralds = np.empty((2, rows, n, 2))
+    heralds[..., 1] = table.d0_click, table.d1_click
+    analyzer = np.empty((2, len(scan), rows, n, 2))
+    analyzer[0, ..., 1] = port_click(out, ref, spec.detectors.da, "A")
+    analyzer[1, ..., 1] = port_click(out, ref, spec.detectors.db, "B")
+    for factors in (heralds, analyzer):
+        np.subtract(1.0, factors[..., 1], out=factors[..., 0])
+    return heralds, analyzer
+
+
+def cell_probabilities(
+    spec: RunSpec, table: BranchTable, factors: tuple[np.ndarray, np.ndarray] | None = None
+) -> np.ndarray:
+    """Probability of each (input, guess, click pattern) cell, per phase bin.
+
+    Built from the point's branch table, or from its first M rows: the prior
+    (1/M)*q_k of an (input m, guess k) pair times the independent D0/D1/DA/DB
+    click factors of each pattern, shape (P, M, N, 16), with every bin
+    normalised to sum to one.  Row 0 alone (:func:`input0`) gives the N*16
+    guess-offset cells.  ``factors`` are the table's :func:`click_factors`,
+    built here if not given.
+    """
+    rows, n = len(table.target), len(table.prior)
+    (f0, f1), (fa, fb) = click_factors(spec, table) if factors is None else factors
+    # q_k/M broadcasts over the inputs m
+    prior = np.asarray(table.prior, dtype=float) / rows
+    heralds = prior[:, None, None] * f0[:, :, :, None] * f1[:, :, None, :]
+    analyzer = fa[..., :, None] * fb[..., None, :]
+    cells = np.empty((len(spec.phase_schedule), rows, n, _N_PATTERNS))
+    np.multiply(heralds[:, :, :, :, None, None], analyzer[:, :, :, None, None, :, :],
+                out=cells.reshape(analyzer.shape[:3] + (2, 2, 2, 2)))
+    cells /= cells.sum(axis=(1, 2, 3), keepdims=True)
+    return cells
+
+
+def input0(table: BranchTable) -> BranchTable:
+    """Row 0 of ``table`` as a one-row table; its row lists are the table's own, not copies."""
+    weights = {c: rows[:1] for c, rows in table.weights.items()}
+    return BranchTable(table.prior, table.target[:1], table.output[:1], table.d0_mean[:1],
+                       table.d1_mean[:1], table.d0_click[:1], table.d1_click[:1], weights)
+
+
+def counts_by_offset(t: TallyTable, condition) -> list[tuple[int, int, int]]:
+    """Per guess-offset (n_A, n_B, accepted pulses) records.
+
+    Offset d = (guess - input) mod N indexes the N possible output classes
+    of the symmetric set; feed these to the multi-class pulse estimator.
+    """
+    per_pair = t.counts.sum(axis=0) @ _PROJECTION[Conditioning(condition)]
+    n = t.n_states
+    m, d = np.arange(n)[:, None], np.arange(n)
+    # [m, d] picks input m's guess (m + d) mod N, so the sum over m groups by offset
+    by_offset = per_pair[m, (m + d) % n].sum(axis=0)
+    return [(n_a, n_b, accepted) for accepted, n_a, n_b, _ in by_offset.tolist()]
 
 
 def expected_tally(run: RunSpec, table: BranchTable) -> TallyTable:
-    """The mean tally of ``run``, in float."""
-    return TallyTable(_expected_cells(run, table), run.phase_schedule, len(table.target))
+    """The mean tally of ``run``, in float: the program's cells of each phase
+    bin times the pulses that fall in that bin (pulse i falls in bin i mod P)."""
+    n_phases = len(run.phase_schedule)
+    per_bin = [run.n_pulses // n_phases + (j < run.n_pulses % n_phases) for j in range(n_phases)]
+    cells = _cell_probabilities(table.prior, *_click_factors(run, table))
+    return TallyTable(cells * np.asarray(per_bin, dtype=float)[:, None, None, None],
+                      run.phase_schedule, len(table.target))
 
 
-def expected_offset_draw(run: RunSpec, table: BranchTable, condition) -> tuple[list, list]:
-    """The mean of ``montecarlo._offset_draw(run, table, condition)``, in float:
-    per guess offset, (accepted, with DA fired, with DB fired, with both fired),
-    and the (p_A, p_B) rows it returns, as lists."""
-    row0 = _input0(table)
-    factors = _click_factors(run, row0)
-    cells = _expected_cells(run, row0, factors)
-    by_offset = cells.sum(axis=(0, 1)) @ _PROJECTION[Conditioning(condition)]
-    return by_offset.tolist(), factors[1][:, 0, 0, :, 1].T.tolist()
+def expected_offset_draw(table: BranchTable, detectors: DetectorBank, z_ref: complex, n_pulses: int,
+                         condition) -> tuple[list, list]:
+    """The mean of ``montecarlo._offset_draw(table, detectors, z_ref, n_pulses, seed, condition)``,
+    in float: per guess offset, (accepted, with DA fired, with DB fired, with
+    both fired), and the (p_A, p_B) rows it returns, as lists."""
+    cells, clicks = _offset_cells(table, detectors, z_ref)
+    by_offset = (cells * n_pulses)[0, 0] @ _PROJECTION[Conditioning(condition)]
+    return by_offset.tolist(), clicks.tolist()

@@ -21,13 +21,16 @@ from scamp.montecarlo import (
     DetectorBank,
     RunSpec,
     TallyTable,
+    _PROJECTION,
     _cell_probabilities,
     _class_projection,
-    _input0,
+    _click_factors,
+    _offset_cells,
+    _offset_draw,
     _offset_fidelity,
+    branch_tables,
     conditioned_class_totals,
     conditioned_counts,
-    counts_by_offset,
     mc_visibility,
     phase_scan,
     simulate_chunk,
@@ -222,7 +225,7 @@ class TestConditionedProjections:
         assert (ct.n_A_sig, ct.n_B_sig, ct.n_A_vac, ct.n_B_vac) == (a_sig, b_sig, a_vac, b_vac)
         m_idx, k_idx = np.indices((n_states, n_states))
         offsets = (k_idx - m_idx) % n_states
-        assert counts_by_offset(t, condition) == [
+        assert oracles.counts_by_offset(t, condition) == [
             (int(n_a[:, sel].sum()), int(n_b[:, sel].sum()), int(accepted[:, sel].sum()))
             for sel in (offsets == d for d in range(n_states))
         ]
@@ -298,6 +301,12 @@ sweep_points = dict(
 )
 
 
+def expected_offset_draw(run, table):
+    """``oracles.expected_offset_draw`` of the sweep point ``run``, as the sweep conditions it."""
+    return oracles.expected_offset_draw(table, run.detectors, run.analysis.reference_amplitude,
+                                        run.n_pulses, Conditioning.D0_SILENT_D1_FIRES)
+
+
 class TestExpectedTally:
     """The mean tally of a run against the analytic model, exactly (``oracles.expected_tally``)."""
 
@@ -322,7 +331,7 @@ class TestExpectedTally:
         leak = float(port_click(2.0**-50 * abs(target), 0.0, dets[3], "B"))
         assert dark * (1.0 - 1e-12) <= counts.n_B_sig / n_correct <= leak * (1.0 + 1e-12)
         # the sweep's estimator on its exact mean per-offset counts is the analytic fidelity
-        by_offset, clicks = oracles.expected_offset_draw(run, table, Conditioning.D0_SILENT_D1_FIRES)
+        by_offset, clicks = expected_offset_draw(run, table)
         fidelity, _ = _offset_fidelity(table, by_offset, clicks)
         assert fidelity == pytest.approx(fom.fidelity, rel=1e-12)
 
@@ -330,8 +339,8 @@ class TestExpectedTally:
     @given(**sweep_points)
     def test_offset_cells_are_the_full_cells_summed_by_offset(self, n, r1_sq, t2_sq, alpha_sq, dets):
         cfg, table, run = sweep_point(n, r1_sq, t2_sq, alpha_sq, dets)
-        full = _cell_probabilities(run, table)
-        offset = _cell_probabilities(run, _input0(table))
+        full = _cell_probabilities(table.prior, *_click_factors(run, table))
+        offset, _ = _offset_cells(table, run.detectors, run.analysis.reference_amplitude)
         assert offset.shape == (1, 1, n, 16)
         m, d = np.arange(n)[:, None], np.arange(n)
         # [m, d] picks input m's guess (m + d) mod N, so the sum over m groups by offset
@@ -351,9 +360,59 @@ class TestExpectedTally:
         np.testing.assert_allclose(offset[:, 0], by_offset, rtol=1e-12, atol=0.0)
         # row 0's reference is its correct output bit for bit, so unlike the full
         # table's rotated references, DB fires on the correct class by dark counts alone
-        by_offset, _ = oracles.expected_offset_draw(run, table, Conditioning.D0_SILENT_D1_FIRES)
+        by_offset, _ = expected_offset_draw(run, table)
         accepted, _, n_b, _ = by_offset[0]
         assert n_b / accepted == pytest.approx(dets[3].dark_prob_per_gate, rel=1e-12)
+
+
+def dirichlet_prior(n):
+    """A Dirichlet(1, ..., 1) guess prior of n entries: normalised exponential weights -log(u)."""
+    weights = st.lists(st.floats(1e-3, 1.0, exclude_max=True).map(lambda u: -math.log(u)), min_size=n, max_size=n)
+    return weights.map(lambda w: tuple(x / math.fsum(w) for x in w))
+
+
+class TestCellLawOracle:
+    """The one cell law, fed by both callers, against the earlier 7-axis build
+    (``oracles.cell_probabilities``) bit for bit: layout, products and per-bin sums."""
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(
+        **sweep_points,
+        uniform=st.booleans(),
+        phases=st.lists(st.floats(0.0, 2.0 * math.pi), min_size=1, max_size=3).map(tuple),
+        data=st.data(),
+    )
+    def test_cells_equal_the_oracle_bit_for_bit(self, n, r1_sq, t2_sq, alpha_sq, dets, uniform, phases, data):
+        cfg, table, run = sweep_point(n, r1_sq, t2_sq, alpha_sq, dets)
+        # the full draw, at P scan phases and any prior
+        if not uniform:
+            cfg = replace(cfg, guess_distribution=data.draw(dirichlet_prior(n)))
+            table = branch_table(cfg, dets[0], dets[1])
+        full = replace(run, amplifier=cfg, phase_schedule=phases)
+        factors = _click_factors(full, table)
+        expected = oracles.click_factors(full, table)
+        assert all(np.array_equal(a, b) for a, b in zip(factors, expected))
+        assert all(np.array_equal(a, b) for a, b in zip(branch_tables(full), expected))
+        cells = _cell_probabilities(table.prior, *factors)
+        assert cells.flags.c_contiguous
+        assert np.array_equal(cells, oracles.cell_probabilities(full, table))
+        if len(set(table.prior)) > 1:
+            with pytest.raises(ValueError, match="uniform guess prior"):
+                _offset_cells(table, run.detectors, run.analysis.reference_amplitude)
+            return
+        # the sweep's offset cells: row 0 against the unrotated reference, in one bin
+        row0 = oracles.input0(table)
+        old_factors = oracles.click_factors(run, row0)
+        offset, clicks = _offset_cells(table, run.detectors, run.analysis.reference_amplitude)
+        assert np.array_equal(offset, oracles.cell_probabilities(run, row0, old_factors))
+        assert np.array_equal(clicks, old_factors[1][:, 0, 0, :, 1].T)
+        # and the draw over them is the one seeded multinomial over the oracle's cells
+        seed, pulses = data.draw(st.integers(0, 2**64 - 1)), data.draw(st.integers(1, 10**9))
+        by_offset, _ = _offset_draw(table, run.detectors, run.analysis.reference_amplitude, pulses, seed,
+                                    Conditioning.D0_SILENT_D1_FIRES)
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+        counts = rng.multinomial(pulses, offset.ravel()).reshape(n, 16)
+        assert np.array_equal(by_offset, counts @ _PROJECTION[Conditioning.D0_SILENT_D1_FIRES])
 
 
 class TestEstimatorOracle:
@@ -379,7 +438,7 @@ class TestEstimatorOracle:
     def test_four_state_class_estimator(self):
         spec = make_spec(0.8, 4, 1_000_000, 808)
         tally = simulate_run(spec)
-        records = counts_by_offset(tally, Conditioning.NONE)
+        records = oracles.counts_by_offset(tally, Conditioning.NONE)
         cfg, ana = spec.amplifier, spec.analysis
         # output amplitude of offset d in the frame of input 0
         amps = branch_table(cfg, IDEAL, IDEAL).output[0]

@@ -266,7 +266,7 @@ class TestMonteCarloErrorBars:
     @pytest.mark.parametrize(
         "n_states, alpha_sq, n_pulses, columns",
         [
-            # mc_fidelity is not checked here: about 3 wrong-class pulses are expected,
+            # mc_fidelity is not checked here: about 2 wrong-class pulses are expected,
             # a fifth of the seeds see no wrong-class click, and on those the plug-in
             # SE is 0, so the scatter reads about 1.4 of the mean SE; 10^8 pulses below
             pytest.param(2, 0.94, 1_000_000, ALL[:2], id="2-0.94"),
@@ -1018,18 +1018,28 @@ def test_sweep_exit_code_is_documented(tmp_path, capsys, overrides, mode, worker
         args += ["--mode", mode]
     if workers is not None:
         args += ["--workers", str(workers)]
+    _assert_documented_exit(capsys, args, BASE_COLUMNS)
+    # every figure on the same draws, less the keys a figure fixes
+    figure_config = _write_config(
+        tmp_path / "fuzz-figure.ini", {k: v for k, v in values.items() if k not in _FIGURE_REJECTS}
+    )
+    for figure_id, (_, columns) in sorted(FIGURE_LAYOUTS.items()):
+        _assert_documented_exit(capsys, ["figure", "--id", figure_id, "--config", figure_config], columns)
+
+
+def _assert_documented_exit(capsys, args, columns):
+    """``cli.main(args)`` exits 0, 2 or 3; a clean exit prints nothing on
+    stderr, and rows whose ``columns`` are finite, with visibilities in [0, 1]."""
     code = run_cli(args)
     assert code in (0, 2, 3)
     out, err = capsys.readouterr()
     if code == 0:
-        # a clean exit prints nothing on stderr, finite analytic cells and
-        # visibilities in [0, 1]
         assert err == ""
         rows = list(csv.DictReader(out.splitlines()))
         assert rows
         for row in rows:
-            assert all(math.isfinite(float(row[c])) for c in BASE_COLUMNS), row
-            assert all(0.0 <= float(row[c]) <= 1.0 for c in BASE_COLUMNS if c.startswith("visibility_"))
+            assert all(math.isfinite(float(row[c])) for c in columns), (args, row)
+            assert all(0.0 <= float(row[c]) <= 1.0 for c in columns if c.startswith("visibility_"))
 
 
 # Every config key must reach an output.  _LIVE_BASE is a valid sweep config;
