@@ -45,6 +45,7 @@ from .sweep import (
     run_sweep,
     serializer,
     write_dataset,
+    write_text,
 )
 
 EXIT_OK = 0
@@ -209,12 +210,7 @@ def _cmd_estimate(args) -> int:
     print(f"fidelity (standard vacuum overlap) = {report['fidelity_standard']:.9f}")
     print(f"fidelity (doubled vacuum overlap)  = {report['fidelity_doubled']:.9f}")
     if args.output is not None:
-        try:
-            with open(args.output, "w") as fh:
-                json.dump(report, fh, indent=2)
-                fh.write("\n")
-        except OSError as exc:
-            raise OSError(f"cannot write {args.output!r}: {exc}") from exc
+        write_text(args.output, json.dumps(report, indent=2) + "\n", "estimate report")
         print(f"wrote report to {args.output}")
     return EXIT_OK
 

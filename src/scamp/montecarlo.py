@@ -20,14 +20,18 @@ depend on the number of pulses (pulse i falls in bin i mod P):
   bit-identical for a given master seed whatever worker count is asked for
   (the count is checked, but changes neither the output nor the speed).
 - A sweep point draws over the N*16 (offset, pattern) cells of input 0
-  (:func:`_offset_draw`), fed straight from row 0 of the table against the
-  configured reference, with M = P = 1.  Under a uniform guess prior a cell
+  (:func:`_offset_draw`), fed straight from row 0 of the table against its
+  target output, with M = P = 1.  Under a uniform guess prior a cell
   depends on (input m, guess k) only through the offset d = (k - m) mod N:
   rotating input and guess together rotates every field, and the reference
   rotates with the input.  So these cells carry the full draw's
   distribution summed over inputs by offset (the aggregation property of
   the multinomial), which is all a sweep column reads;
-  :func:`_offset_fidelity` estimates the output fidelity from them.
+  :func:`_offset_fidelity` estimates the output fidelity from them.  The
+  point's stream is two ``SeedSequence`` steps, both here: the sweep's
+  master seed and the point's grid index give the point's seed
+  (:func:`_point_seed`, printed as its ``mc_seed``), and that seed alone
+  seeds the draw, so a row's ``mc_seed`` reproduces its counts.
 
 A tally is projected by one integer matrix product.  ``simulate_chunk`` is
 the pulse-by-pulse sampler the tally stands for: chunk c of a fixed chunk
@@ -280,6 +284,13 @@ def _draw(n_pulses: int, seed: int, cells: np.ndarray) -> np.ndarray:
     # the same stream as one call over the (P, cells) array, without its broadcasting
     counts = np.concatenate([rng.multinomial(n, p) for n, p in zip(per_bin, cells.reshape(n_phases, -1))])
     return counts.astype(np.int64, copy=False).reshape(cells.shape)
+
+
+def _point_seed(master_seed: int, point_index: int) -> int:
+    """The seed of sweep point ``point_index``: the first 64-bit word of the
+    ``SeedSequence`` spawned from ``master_seed`` at that index."""
+    state = np.random.SeedSequence(entropy=master_seed, spawn_key=(point_index,))
+    return int(state.generate_state(1, np.uint64)[0])
 
 
 def _offset_cells(

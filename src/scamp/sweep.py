@@ -1,18 +1,16 @@
 """Parameter sweeps, figure-reproduction datasets and their serialization.
 
-A sweep evaluates the analytic model (and optionally the Monte Carlo) on a
-grid of (state-set size, input mean photon number) points and emits one row
-per point with fixed, documented columns.  Each point builds one branch
-table: the analytic columns read it, and its three visibilities share one
-reference scan.  In a Monte Carlo mode the point passes the table, the
-detector bank, the analyzer reference, its pulse count and its seed to the
-Monte Carlo, which feeds row 0's click probabilities and outputs straight
-into its one cell law (``montecarlo._cell_probabilities``) to build the
-N*16 guess-offset cells, and draws them in one multinomial call.  Figure
-datasets hold a few columns of the same rows, and a point computes only the
-columns it emits; they are model curves only, never measured points.  CSV
-carries the rows; JSON carries {"spec": ..., "rows": ...}.  The Monte Carlo,
-and numpy with it, is imported by the first Monte Carlo row.
+A sweep evaluates the analytic model (and, in ``both`` mode, the Monte Carlo)
+on a grid of (state-set size, input mean photon number) points and emits one
+row per point with fixed, documented columns.  Each point builds one branch
+table, and computes only the columns it emits from it: the visibility
+columns build the point's analyzer (``params.default_analysis``, which also
+derives an ``auto`` epsilon) and share one reference scan, and the Monte
+Carlo columns are drawn by ``montecarlo`` from row 0 of the table against
+the target ``table.target[0]``.  Figure datasets hold a few columns of the
+same rows; they are model curves only, never measured points.  CSV carries
+the rows; JSON carries {"spec": ..., "rows": ...}.  The Monte Carlo module
+is imported by the first Monte Carlo row.
 """
 
 from __future__ import annotations
@@ -25,10 +23,9 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from . import params
-from .amplifier import BranchTable, Conditioning, branch_table
+from .amplifier import AmplifierConfig, BranchTable, Conditioning, branch_table
 from .analysis import (
     MAX_COUNT,
-    AnalysisConfig,
     CountTable,
     estimate_fidelity,
     estimate_pulse_numbers,
@@ -37,7 +34,7 @@ from .analysis import (
 from .detectors import DetectorBank
 from .errors import ConfigError, InsufficientSignalError, check_workers
 
-MODES = ("analytic", "montecarlo", "both")
+MODES = ("analytic", "both")
 FORMATS = ("csv", "json")
 
 _VISIBILITY_COLUMNS = ("visibility_unconditioned", "visibility_d0_silent", "visibility_conditioned")
@@ -156,7 +153,7 @@ class SweepSpec:
             raise ConfigError(f"prf must be finite and > 0, got {self.prf}")
 
     def wants_montecarlo(self) -> bool:
-        return self.mode in ("montecarlo", "both")
+        return self.mode == "both"
 
     def columns(self) -> tuple[str, ...]:
         return BASE_COLUMNS + MC_COLUMNS if self.wants_montecarlo() else BASE_COLUMNS
@@ -202,20 +199,13 @@ class Dataset:
     rows: list[dict]
 
 
-def _point_seed(master_seed: int, point_index: int) -> int:
-    import numpy as np
-
-    state = np.random.SeedSequence(entropy=master_seed, spawn_key=(point_index,))
-    return int(state.generate_state(1, np.uint64)[0])
-
-
 def _analytic_columns(
-    spec: SweepSpec, table: BranchTable, analysis_cfg: AnalysisConfig, columns: frozenset[str]
+    spec: SweepSpec, cfg: AmplifierConfig, table: BranchTable, columns: frozenset[str]
 ) -> dict:
     """The analytic values of a point, computing the fidelity loop and the
-    visibility scan only when ``columns`` holds one of their columns.  Each
-    heralded row is summed and normalized once, and a point that can never
-    herald is an error whatever its columns are."""
+    visibility scan (with its analyzer) only when ``columns`` holds one of
+    their columns.  Each heralded row is summed and normalized once, and a
+    point that can never herald is an error whatever its columns are."""
     p_success, weights = table.accepted_rows()
     row = {}
     if "fidelity" in columns or "correct_state_fraction" in columns:
@@ -226,20 +216,24 @@ def _analytic_columns(
     row["success_rate_per_s"] = p_success * spec.prf
     if not columns.isdisjoint(_VISIBILITY_COLUMNS):
         # the analyzer sees input 0; its three conditioned mixtures share components
+        analysis_cfg = params.default_analysis(
+            cfg, detector=spec.detectors.da, epsilon=spec.epsilon, phase_points=spec.phase_points
+        )
         weight_sets = [table.accepted(0, cond)[1] for cond in (Conditioning.NONE, Conditioning.D0_SILENT)]
         weight_sets.append(weights[0])
         row.update(zip(_VISIBILITY_COLUMNS, visibilities(table.output[0], weight_sets, analysis_cfg)))
     return row
 
 
-def _montecarlo_columns(spec: SweepSpec, table: BranchTable, z_ref: complex, seed: int) -> dict:
-    """The Monte Carlo values of a point, all from one draw over the N*16
-    guess-offset cells of input 0 (offset 0 is the correct class), built
-    from row 0 of ``table`` against the analyzer reference ``z_ref``."""
-    from .montecarlo import _offset_draw, _offset_fidelity, standard_error
+def _montecarlo_columns(spec: SweepSpec, table: BranchTable, point_index: int) -> dict:
+    """The Monte Carlo values of grid point ``point_index``, all from one draw
+    over the N*16 guess-offset cells of input 0 (offset 0 is the correct
+    class), built from row 0 of ``table`` against its target output."""
+    from .montecarlo import _offset_draw, _offset_fidelity, _point_seed, standard_error
 
+    seed = _point_seed(spec.seed, point_index)
     by_offset, clicks = _offset_draw(
-        table, spec.detectors, z_ref, spec.n_pulses, seed, Conditioning.D0_SILENT_D1_FIRES
+        table, spec.detectors, table.target[0], spec.n_pulses, seed, Conditioning.D0_SILENT_D1_FIRES
     )
     by_offset = by_offset.tolist()
     n_correct = by_offset[0][0]
@@ -288,15 +282,11 @@ def _rows(spec: SweepSpec, columns: tuple[str, ...]) -> list[dict]:
                 comparison_reflectivity=spec.comparison_reflectivity,
                 subtraction_transmission=spec.subtraction_transmission,
             )
-            analysis_cfg = params.default_analysis(
-                cfg, detector=spec.detectors.da, epsilon=spec.epsilon, phase_points=spec.phase_points
-            )
             table = branch_table(cfg, spec.detectors.d0, spec.detectors.d1)
             row = {"n_states": n_states, "alpha_sq": alpha_sq}
-            row.update(_analytic_columns(spec, table, analysis_cfg, wanted))
+            row.update(_analytic_columns(spec, cfg, table, wanted))
             if spec.wants_montecarlo():
-                seed = _point_seed(spec.seed, point_index)
-                row.update(_montecarlo_columns(spec, table, analysis_cfg.reference_amplitude, seed))
+                row.update(_montecarlo_columns(spec, table, point_index))
             rows.append({c: row[c] for c in columns})
             point_index += 1
     return rows
@@ -407,19 +397,21 @@ def serializer(output_format: str) -> Callable[[Dataset], str]:
     raise ConfigError(f"output format must be one of {FORMATS}, got {output_format!r}")
 
 
-def write_dataset(dataset: Dataset, path: str, output_format: str) -> None:
-    text = serializer(output_format)(dataset)
+def write_text(path: str, text: str, what: str) -> None:
+    """Write ``text`` to ``path``; an OSError says what was written where."""
     try:
         with open(path, "w") as fh:
             fh.write(text)
     except OSError as exc:
-        raise OSError(f"cannot write dataset to {path!r}: {exc}") from exc
+        raise OSError(f"cannot write {what} to {path!r}: {exc}") from exc
+
+
+def write_dataset(dataset: Dataset, path: str, output_format: str) -> None:
+    write_text(path, serializer(output_format)(dataset), "dataset")
 
 
 def write_count_table(counts: CountTable, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(counts.to_dict(), fh, indent=2)
-        fh.write("\n")
+    write_text(path, json.dumps(counts.to_dict(), indent=2) + "\n", "count table")
 
 
 def read_count_table(path: str) -> CountTable:

@@ -87,7 +87,7 @@ class TestSweepSpecValidation:
 
     def test_rejects_empty_montecarlo_run(self):
         with pytest.raises(ConfigError):
-            SweepSpec(alpha_sq_grid=(0.1,), n_states_list=(2,), mode="montecarlo", n_pulses=0)
+            SweepSpec(alpha_sq_grid=(0.1,), n_states_list=(2,), mode="both", n_pulses=0)
 
     def test_pulse_bound_keeps_every_count_exact(self):
         # 2^53 pulses: every tally count, and so every CountTable field, is an exact float
@@ -189,9 +189,8 @@ class TestSweepSpecValidation:
     @pytest.mark.parametrize("name", ["da", "db"])
     def test_rejects_blind_analyzer_for_montecarlo(self, name):
         bank = replace(params.default_detector_bank(), **{name: DetectorModel(efficiency=0.0)})
-        for mode in ("montecarlo", "both"):
-            with pytest.raises(ConfigError, match=f"detector.{name}"):
-                SweepSpec(alpha_sq_grid=(0.5,), n_states_list=(2,), mode=mode, detectors=bank)
+        with pytest.raises(ConfigError, match=f"detector.{name}"):
+            SweepSpec(alpha_sq_grid=(0.5,), n_states_list=(2,), mode="both", detectors=bank)
         SweepSpec(alpha_sq_grid=(0.5,), n_states_list=(2,), mode="analytic", detectors=bank)
 
 
@@ -225,7 +224,7 @@ class TestRunSweep:
         spec = SweepSpec(
             alpha_sq_grid=(0.5, 0.94),
             n_states_list=(2,),
-            mode="montecarlo",
+            mode="both",
             n_pulses=50_000,
             seed=77,
         )
@@ -246,7 +245,7 @@ class TestRunSweep:
 
     def test_montecarlo_respects_worker_count(self):
         spec = SweepSpec(
-            alpha_sq_grid=(0.5,), n_states_list=(2,), mode="montecarlo", n_pulses=150_000, seed=5
+            alpha_sq_grid=(0.5,), n_states_list=(2,), mode="both", n_pulses=150_000, seed=5
         )
         assert run_sweep(spec, workers=1).rows == run_sweep(spec, workers=3).rows
 
@@ -281,7 +280,7 @@ class TestMonteCarloErrorBars:
                 SweepSpec(
                     alpha_sq_grid=(alpha_sq,),
                     n_states_list=(n_states,),
-                    mode="montecarlo",
+                    mode="both",
                     n_pulses=n_pulses,
                     seed=seed,
                 )
@@ -313,7 +312,7 @@ class TestSerialization:
 
     def test_json_round_trip(self, tmp_path):
         spec = SweepSpec(
-            alpha_sq_grid=(0.5,), n_states_list=(2,), mode="montecarlo", n_pulses=20_000
+            alpha_sq_grid=(0.5,), n_states_list=(2,), mode="both", n_pulses=20_000
         )
         ds = run_sweep(spec)
         path = str(tmp_path / "rows.json")
@@ -355,8 +354,10 @@ class TestSerialization:
 
     def test_write_failure_carries_path(self, tmp_path):
         ds = run_sweep(SweepSpec(alpha_sq_grid=(0.1,), n_states_list=(2,)))
-        with pytest.raises(OSError, match="no/such/dir"):
+        with pytest.raises(OSError, match="cannot write dataset to .*no/such/dir"):
             write_dataset(ds, str(tmp_path / "no/such/dir/x.csv"), "csv")
+        with pytest.raises(OSError, match="cannot write count table to .*no/such/dir"):
+            write_count_table(CountTable(1.0, 2.0, 3.0, 4.0), str(tmp_path / "no/such/dir/counts.json"))
 
     @pytest.mark.parametrize("fields", [
         {},
@@ -531,7 +532,7 @@ class TestCli:
 
     @pytest.mark.parametrize("workers", ["0", "-2"])
     def test_sweep_worker_flag_validated(self, workers, capsys):
-        args = ["sweep", "--mode", "montecarlo", "--workers", workers]
+        args = ["sweep", "--mode", "both", "--workers", workers]
         assert run_cli(args) == 2
         assert capsys.readouterr().err == f"config error: workers must be >= 1, got {workers}\n"
 
@@ -638,17 +639,56 @@ class TestCli:
         assert ds.spec["figure_id"] == "fig4"
 
     @pytest.mark.parametrize(
-        "config, alpha_sq",
-        [("[detector.d1]\ndark_prob = 0\n", "0"), ("", "800")],
+        "figure_id, config, alpha_sq",
+        [("fig3b", "[detector.d1]\ndark_prob = 0\n", "0"), ("fig3a", "", "800")],
         ids=["never-heralded", "auto-epsilon-rounds-to-1"],
     )
-    def test_figure_runtime_failure_exits_3(self, tmp_path, capsys, config, alpha_sq):
+    def test_figure_runtime_failure_exits_3(self, tmp_path, capsys, figure_id, config, alpha_sq):
         path = tmp_path / "fig.ini"
         path.write_text(config)
-        assert run_cli(["figure", "--id", "fig3b", "--config", str(path), "--alpha-sq", alpha_sq]) == 3
+        assert run_cli(["figure", "--id", figure_id, "--config", str(path), "--alpha-sq", alpha_sq]) == 3
         err = capsys.readouterr().err
         assert err.startswith("runtime error:") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("figure_id", ["fig3b", "fig3c", "fig3d", "fig4"])
+    def test_figure_without_visibility_ignores_auto_epsilon(self, capsys, figure_id):
+        # an auto epsilon rounds to 1 at alpha_sq = 800, but no column of these figures reads it
+        end, out, err = _outcome(capsys, ["figure", "--id", figure_id, "--alpha-sq", "800"])
+        assert (end, err) == (("return", 0), "")
+        [row] = csv.DictReader(out.splitlines())
+        assert all(math.isfinite(float(value)) for value in row.values())
+
+    @pytest.mark.parametrize("mode", ["analytic", "both"])
+    def test_sweep_at_auto_epsilon_rounding_to_1_exits_3(self, tmp_path, capsys, mode):
+        # the sweep prints visibility columns, whose analyzer needs the epsilon
+        config = tmp_path / "bright.ini"
+        config.write_text("[sweep]\nalpha_sq = 800\nn_pulses = 1000\n")
+        end, out, err = _outcome(capsys, ["sweep", "--mode", mode, "--config", str(config)])
+        assert (end, out) == (("return", 3), "")
+        assert err.startswith("runtime error: epsilon derived from visibility") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("figure_id", sorted(FIGURE_LAYOUTS))
+    def test_only_visibility_columns_build_the_analyzer(self, monkeypatch, figure_id):
+        def no_analyzer(*args, **kwargs):
+            raise AssertionError("analyzer built")
+
+        monkeypatch.setattr(params, "default_analysis", no_analyzer)
+        if any(c.startswith("visibility_") for c in FIGURE_LAYOUTS[figure_id][1]):
+            with pytest.raises(AssertionError, match="analyzer built"):
+                reproduce_figure(figure_id)
+        else:
+            assert len(reproduce_figure(figure_id).rows) > 1
+
+    def test_montecarlo_is_not_a_mode(self, tmp_path, capsys):
+        end, out, err = _outcome(capsys, ["sweep", "--mode", "montecarlo"])
+        assert (end, out) == (("exit", 2), "")
+        assert err.startswith("usage: scamp sweep") and "invalid choice: 'montecarlo'" in err
+        config = tmp_path / "mc.ini"
+        config.write_text("[sweep]\nmode = montecarlo\n")
+        assert _outcome(capsys, ["sweep", "--config", str(config)]) == (
+            ("return", 2), "", "config error: mode must be one of ('analytic', 'both'), got 'montecarlo'\n"
+        )
 
     @pytest.mark.parametrize("figure_id", sorted(FIGURE_LAYOUTS))
     def test_figure_that_never_heralds_exits_3_whatever_its_columns(self, tmp_path, capsys, figure_id):
@@ -744,6 +784,14 @@ class TestCli:
         var_p = (n_vac**2 * var_sig + n_sig**2 * var_vac) / total**4
         sigma_f = (1.0 - math.exp(-g2a2)) * math.sqrt(var_p)
         assert abs(report["fidelity_standard"] - f_true) < 5.0 * sigma_f
+
+    def test_estimate_write_failure_exits_3_naming_the_path(self, tmp_path, capsys):
+        counts = str(tmp_path / "counts.json")
+        write_count_table(CountTable(900.0, 10.0, 40.0, 40.0), counts)
+        report = str(tmp_path / "no/such/dir/report.json")
+        end, _, err = _outcome(capsys, ["estimate", "--counts", counts, "--g2a2", "0.9", "--output", report])
+        assert end == ("return", 3)
+        assert err.startswith(f"runtime error: cannot write estimate report to {report!r}") and err.count("\n") == 1
 
     def test_estimate_zero_counts_is_runtime_error(self, tmp_path, capsys):
         path = str(tmp_path / "zero.json")
@@ -943,13 +991,28 @@ _junk = st.sampled_from(["", "abc", "1e", "0x10", "auto"])
 # above the size bounds, so rejected before anything is allocated
 _oversized = st.sampled_from(["257", "65537", "99999999999999999999"])
 _oversized_count = st.sampled_from([cli.MAX_ALPHA_SQ_POINTS + 1, 1_000_000, 10**20])
-_unit_interval = st.one_of(st.just("0"), st.floats(min_value=0.0, max_value=1.0).map(repr))
+# the least and the largest subnormal, and 1 - ulp
+_TINY = ("5e-324", repr(math.nextafter(sys.float_info.min, 0.0)))
+_BELOW_ONE = repr(math.nextafter(1.0, 0.0))
+_unit_interval = st.one_of(
+    st.sampled_from(["0", *_TINY, _BELOW_ONE, "1"]), st.floats(min_value=0.0, max_value=1.0).map(repr)
+)
+# about the largest alpha_sq at which SweepSpec's analyzer bound, the intensity
+# 4*(t2^2/r1^2)*alpha_sq doubled, is finite at the default splitters; the values
+# drawn around it fall on both sides of the bound
+_ALPHA_SQ_EDGE = sys.float_info.max / (8.0 * params.SUBTRACTION_TRANSMISSION / params.COMPARISON_REFLECTIVITY)
+_near_alpha_sq_edge = st.sampled_from(
+    [repr(_ALPHA_SQ_EDGE * f) for f in (0.999, 1.0, 1.001)]
+    + [repr(math.nextafter(_ALPHA_SQ_EDGE, d)) for d in (0.0, math.inf)]
+)
 # a valid base config; each example overrides up to three of its values.
-# Sizes stay bounded: the grid, n_states and phase_points set a point's work.
+# Sizes stay bounded: the grid, n_states and phase_points set a point's work,
+# so up to 256 states are drawn at few pulses and 8 phase points.
 _BASE_CONFIG = {
     ("sweep", "alpha_sq"): "0.5",
     ("sweep", "n_states"): "2",
     ("sweep", "n_pulses"): "1000",
+    ("sweep", "phase_points"): "8",
 }
 _FUZZ_VALUES = {
     ("sweep", "alpha_sq"): st.one_of(
@@ -957,30 +1020,41 @@ _FUZZ_VALUES = {
         st.tuples(_floats, _floats, st.one_of(st.integers(-1, 3), _oversized_count)).map(
             lambda t: f"{t[0]}:{t[1]}:{t[2]}"
         ),
+        st.sampled_from(_TINY),
+        _near_alpha_sq_edge,
         _junk,
     ),
     ("sweep", "n_states"): st.one_of(
         st.lists(st.integers(-1, 8), min_size=1, max_size=3).map(lambda ns: ",".join(map(str, ns))),
+        st.sampled_from(["255", "256", "1,256"]),
         _oversized,
         _junk,
     ),
+    # "montecarlo" and "exact" are not modes
     ("sweep", "mode"): st.sampled_from(["analytic", "montecarlo", "both", "exact"]),
     ("sweep", "n_pulses"): st.one_of(_ints, _floats, _junk),
     ("sweep", "seed"): st.one_of(_ints, _junk),
-    ("sweep", "prf"): st.one_of(_floats, _junk),
-    ("sweep", "epsilon"): st.one_of(_floats, _junk),
+    ("sweep", "prf"): st.one_of(st.sampled_from(_TINY), _floats, _junk),
+    ("sweep", "epsilon"): st.one_of(st.sampled_from(_TINY + (_BELOW_ONE,)), _floats, _junk),
     ("sweep", "phase_points"): st.one_of(st.integers(-2, 64).map(str), _oversized, _junk),
-    ("amplifier", "comparison_reflectivity"): st.one_of(_floats, _junk),
-    ("amplifier", "subtraction_transmission"): st.one_of(_floats, _junk),
+    ("amplifier", "comparison_reflectivity"): st.one_of(_unit_interval, _floats, _junk),
+    ("amplifier", "subtraction_transmission"): st.one_of(_unit_interval, _floats, _junk),
     **{
-        (section, key): _unit_interval
-        for section in ("detector.da", "detector.db")
-        for key in ("efficiency", "loss")
+        (section, key): st.one_of(_unit_interval, _floats, _junk)
+        for section in cli._DETECTOR_SECTIONS
+        for key in ("efficiency", "loss", "dark_prob")
     },
+    ("output", "format"): st.sampled_from(["csv", "json", "xml", ""]),
 }
 _overrides = st.lists(st.sampled_from(sorted(_FUZZ_VALUES)), max_size=3, unique=True).flatmap(
     lambda keys: st.fixed_dictionaries({k: _FUZZ_VALUES[k] for k in keys})
 )
+
+
+def test_fuzz_draws_every_config_key():
+    # the output path is left out: the fuzz writes its rows to stdout
+    schema = {(section, key) for section, keys in cli._SCHEMA.items() for key in keys}
+    assert set(_FUZZ_VALUES) == schema - {("output", "path")}
 
 
 @settings(
@@ -991,29 +1065,29 @@ _overrides = st.lists(st.sampled_from(sorted(_FUZZ_VALUES)), max_size=3, unique=
 )
 @given(
     overrides=_overrides,
-    mode=st.sampled_from([None, "montecarlo", "both"]),
+    mode=st.sampled_from([None, "analytic", "both"]),
     workers=st.one_of(st.none(), st.integers(-3, 4)),
 )
 @example(overrides={("sweep", "alpha_sq"): "nan"}, mode=None, workers=None)
 @example(overrides={("sweep", "prf"): "nan"}, mode=None, workers=None)
-@example(overrides={}, mode="montecarlo", workers=0)
+@example(overrides={}, mode="both", workers=0)
 @example(overrides={("detector.da", "efficiency"): "0"}, mode="both", workers=None)
 @example(overrides={("sweep", "phase_points"): "99999999999999999999"}, mode=None, workers=None)
 @example(overrides={("sweep", "alpha_sq"): "0.1:2.9:1000000"}, mode=None, workers=None)
 @example(overrides={("sweep", "n_states"): "2,2,2"}, mode="both", workers=None)
+@example(overrides={("sweep", "n_states"): "256"}, mode="both", workers=None)
+@example(overrides={("sweep", "mode"): "montecarlo"}, mode=None, workers=None)
+@example(overrides={("sweep", "alpha_sq"): repr(_ALPHA_SQ_EDGE), ("sweep", "epsilon"): "0"},
+         mode=None, workers=None)
+@example(overrides={("detector.d0", "dark_prob"): _BELOW_ONE, ("detector.d1", "efficiency"): "0"},
+         mode="both", workers=None)
 @example(overrides={("amplifier", "comparison_reflectivity"): "1e-310", ("sweep", "epsilon"): "0"},
          mode=None, workers=None)
 @example(overrides={("amplifier", "comparison_reflectivity"): "5e-324", ("sweep", "epsilon"): "0"},
          mode="both", workers=None)
 def test_sweep_exit_code_is_documented(tmp_path, capsys, overrides, mode, workers):
     values = {**_BASE_CONFIG, **overrides}
-    text = ""
-    for section in ("sweep", "amplifier", "detector.da", "detector.db"):
-        text += f"[{section}]\n"
-        text += "".join(f"{k} = {v}\n" for (s, k), v in values.items() if s == section)
-    config = tmp_path / "fuzz.ini"
-    config.write_text(text)
-    args = ["sweep", "--config", str(config)]
+    args = ["sweep", "--config", _write_config(tmp_path / "fuzz.ini", values)]
     if mode is not None:
         args += ["--mode", mode]
     if workers is not None:
@@ -1035,10 +1109,10 @@ def _assert_documented_exit(capsys, args, columns):
     out, err = capsys.readouterr()
     if code == 0:
         assert err == ""
-        rows = list(csv.DictReader(out.splitlines()))
+        rows = json.loads(out)["rows"] if out.startswith("{") else list(csv.DictReader(out.splitlines()))
         assert rows
         for row in rows:
-            assert all(math.isfinite(float(row[c])) for c in columns), (args, row)
+            assert all(row[c] is not None and math.isfinite(float(row[c])) for c in columns), (args, row)
             assert all(0.0 <= float(row[c]) <= 1.0 for c in columns if c.startswith("visibility_"))
 
 
@@ -1136,13 +1210,11 @@ def test_every_config_key_is_live(tmp_path, capsys):
 
 
 # The figure twin of the sweep fuzz: the same draws, but the figure fixes
-# n_states and the mode, plus --alpha-sq and a D1 that may have no dark counts
-# (with alpha_sq = 0 it then never heralds).  A figure is an analytic sweep of
-# one state-set size, so it must end as that sweep ends.
-_FIGURE_FUZZ_VALUES = {
-    **{item: values for item, values in _FUZZ_VALUES.items() if item not in _FIGURE_REJECTS},
-    ("detector.d1", "dark_prob"): st.one_of(st.just("0"), _unit_interval),
-}
+# n_states and the mode, plus --alpha-sq (with alpha_sq = 0, a D1 that has no
+# dark counts never heralds).  A figure is an analytic sweep of one state-set
+# size, so it must end as that sweep ends, except that a figure without a
+# visibility column derives no auto epsilon: its sweep gets epsilon = 0 instead.
+_FIGURE_FUZZ_VALUES = {item: values for item, values in _FUZZ_VALUES.items() if item not in _FIGURE_REJECTS}
 _figure_overrides = st.lists(
     st.sampled_from(sorted(_FIGURE_FUZZ_VALUES)), max_size=3, unique=True
 ).flatmap(lambda keys: st.fixed_dictionaries({k: _FIGURE_FUZZ_VALUES[k] for k in keys}))
@@ -1179,6 +1251,9 @@ def test_figure_exit_code_matches_analytic_sweep(tmp_path, capsys, figure_id, ov
             assert code == 2
             return
         values[("sweep", "alpha_sq")] = alpha_sq
+    visibility = any(c.startswith("visibility_") for c in FIGURE_LAYOUTS[figure_id][1])
+    if not visibility and values.get(("sweep", "epsilon"), "auto") == "auto":
+        values[("sweep", "epsilon")] = "0"
     sweep = ["sweep", "--mode", "analytic", "--config", _write_config(tmp_path / "sweep.ini", values)]
     assert run_cli(sweep) == code
     capsys.readouterr()
