@@ -31,8 +31,6 @@ from .coherent import Mixture, overlap_sq
 from .detectors import DetectorModel, click_law
 from .errors import NeverHeraldedError
 
-DISTRIBUTION_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class StateSet:
@@ -67,20 +65,19 @@ class Conditioning(enum.Enum):
 
 @dataclass(frozen=True)
 class AmplifierConfig:
-    """Splitter intensities, input state set and guess distribution.
+    """Splitter intensities and input state set.
 
     ``comparison_reflectivity`` is r1^2 and ``subtraction_transmission`` is
     t2^2; the four amplitudes are derived from them once, so both splitters
     are unitary by construction.  The guess set is the input set scaled by
     t1/r1, which generalizes the destructive-interference condition beyond
     the 50/50 comparison splitter (at 50/50 the guess and input sets
-    coincide).
+    coincide), and each guess is drawn with probability 1/N.
     """
 
     comparison_reflectivity: float
     subtraction_transmission: float
     input_set: StateSet
-    guess_distribution: tuple[float, ...] = ()
     comparison_r1: float = field(init=False, repr=False, compare=False)
     comparison_t1: float = field(init=False, repr=False, compare=False)
     subtraction_t2: float = field(init=False, repr=False, compare=False)
@@ -97,17 +94,6 @@ class AmplifierConfig:
         object.__setattr__(self, "comparison_t1", math.sqrt(1.0 - reflectivity))
         object.__setattr__(self, "subtraction_t2", math.sqrt(transmission))
         object.__setattr__(self, "subtraction_r2", math.sqrt(1.0 - transmission))
-        n = self.input_set.n_states
-        if len(self.guess_distribution) == 0:
-            object.__setattr__(self, "guess_distribution", (1.0 / n,) * n)
-        if len(self.guess_distribution) != n:
-            raise ValueError(
-                f"guess_distribution has {len(self.guess_distribution)} entries for {n} states"
-            )
-        if not all(p >= 0.0 for p in self.guess_distribution):
-            raise ValueError("guess probabilities must be >= 0")
-        if not abs(math.fsum(self.guess_distribution) - 1.0) <= DISTRIBUTION_TOL:
-            raise ValueError("guess_distribution must sum to 1")
 
     def n_states(self) -> int:
         return self.input_set.n_states
@@ -215,13 +201,15 @@ def _branch_rows(
     """
     r1, t1 = cfg.comparison_r1, cfg.comparison_t1
     r2, t2 = cfg.subtraction_r2, cfg.subtraction_t2
-    prior = cfg.guess_distribution
-    members = [cfg.input_set.state(k) for k in range(cfg.n_states())]
+    n = cfg.n_states()
+    q = 1.0 / n  # every guess is drawn with the same probability
+    prior = (q,) * n
+    members = [cfg.input_set.state(k) for k in range(n)]
     # guess k = (t1/r1)*member k puts (t1^2/r1)*member k into the retained port
     guesses = []
-    for z, q in zip(members, prior):
+    for z in members:
         part = (t1 * t1 / r1) * z
-        guesses.append((z.real, z.imag, part.real, part.imag, q))
+        guesses.append((z.real, z.imag, part.real, part.imag))
     click0, click1 = click_law(det0), click_law(det1)
     target, output, d0_mean, d1_mean, d0_click, d1_click = [], [], [], [], [], []
     unconditioned, silent, heralded = [], [], []
@@ -232,7 +220,7 @@ def _branch_rows(
         part_re, part_im = input_part.real, input_part.imag
         target_m = cfg.target_amplitude(m)
         out_row, n0_row, n1_row, p0_row, p1_row, silent_row, heralded_row = [], [], [], [], [], [], []
-        for k, (z_re, z_im, guess_re, guess_im, q) in enumerate(guesses):
+        for k, (z_re, z_im, guess_re, guess_im) in enumerate(guesses):
             if k == m:
                 n0 = 0.0
                 retained = z_in / r1

@@ -223,7 +223,19 @@ def visibilities(
     phases, with one :func:`port_click` call and one reduction per range.  Besides the curves
     themselves (one float per mixture and phase), memory is O(range): it does
     not grow with components x phase_points.
+
+    The scan reads phase pi as exp(1j*pi) = -1 + sin(pi)*1j, so a reference
+    field that should cancel keeps |reference|*sin(pi); InvalidEpsilonError
+    is raised when that residue would bring more than ``EXPONENT_GUARD``
+    detected photons to port A.
     """
+    photons = cfg.ref_mean_photons()
+    residue = cfg.detector.eta_l() * photons * math.sin(math.pi) ** 2 / 2
+    if residue > EXPONENT_GUARD:
+        raise InvalidEpsilonError(
+            f"the visibility scan cannot null a reference of {photons:.6g} mean photons: "
+            f"its phase rounding adds {residue:.3g} detected photons to a dark port"
+        )
     import numpy as np
 
     n_phases = cfg.phase_points

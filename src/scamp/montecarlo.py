@@ -1,15 +1,16 @@
 """Stochastic simulation of the full experiment, tallied per cell.
 
-Each pulse draws an input state and a guess state, clicks at the heralding
-detectors D0/D1 from the branch amplitudes, and clicks at DA/DB after the
-branch output meets the analysis interferometer (test state phase-locked to
-the input, plus the scheduled scan phase).  Counts are tallied per (phase
-bin, input, guess, 4-bit click pattern).
+Each pulse draws an input state and a guess state, each uniformly from the
+N states of the set, clicks at the heralding detectors D0/D1 from the branch
+amplitudes, and clicks at DA/DB after the branch output meets the analysis
+interferometer (test state phase-locked to the input, plus the scheduled
+scan phase).  Counts are tallied per (phase bin, input, guess, 4-bit click
+pattern).
 
 The cell law is written once, in :func:`_cell_probabilities`: a cell's
-probability is ((q_k/M * f0) * f1) * (fa * fb), the guess prior q_k over M
-input rows times the (silent, fired) click factors of D0, D1, DA and DB,
-written into a fresh C-order (P, M, N, 16) array with each phase bin
+probability is ((q_k/M * f0) * f1) * (fa * fb), the guess prior q_k = 1/N
+over M input rows times the (silent, fired) click factors of D0, D1, DA and
+DB, written into a fresh C-order (P, M, N, 16) array with each phase bin
 normalised.  Two draws feed it, each one ``Generator.multinomial`` call per
 phase bin from one stream seeded by a seed alone, so its cost does not
 depend on the number of pulses (pulse i falls in bin i mod P):
@@ -21,8 +22,8 @@ depend on the number of pulses (pulse i falls in bin i mod P):
   (the count is checked, but changes neither the output nor the speed).
 - A sweep point draws over the N*16 (offset, pattern) cells of input 0
   (:func:`_offset_draw`), fed straight from row 0 of the table against its
-  target output, with M = P = 1.  Under a uniform guess prior a cell
-  depends on (input m, guess k) only through the offset d = (k - m) mod N:
+  target output, with M = P = 1.  As the guess is uniform, a cell depends
+  on (input m, guess k) only through the offset d = (k - m) mod N:
   rotating input and guess together rotates every field, and the reference
   rotates with the input.  So these cells carry the full draw's
   distribution summed over inputs by offset (the aggregation property of
@@ -36,8 +37,7 @@ depend on the number of pulses (pulse i falls in bin i mod P):
 A tally is projected by one integer matrix product.  ``simulate_chunk`` is
 the pulse-by-pulse sampler the tally stands for: chunk c of a fixed chunk
 size draws from its own stream derived from (master_seed, c), and chunk
-tallies merge by addition.  Tests compare the multinomial draw against it;
-only it reads the cumulative guess distribution.
+tallies merge by addition.  Tests compare the multinomial draw against it.
 """
 
 from __future__ import annotations
@@ -233,9 +233,7 @@ def simulate_chunk(
     rng = np.random.Generator(np.random.PCG64(ss))
 
     inputs = rng.integers(0, n, size=count)
-    guess_cdf = np.cumsum(np.asarray(spec.amplifier.guess_distribution))
-    guess_cdf[-1] = 1.0
-    guesses = np.searchsorted(guess_cdf, rng.random(count), side="right")
+    guesses = rng.integers(0, n, size=count)
     u0 = rng.random(count)
     u1 = rng.random(count)
     ua = rng.random(count)
@@ -274,8 +272,8 @@ def simulate_run(spec: RunSpec, workers: int = 1) -> TallyTable:
 
 
 def _draw(n_pulses: int, seed: int, cells: np.ndarray) -> np.ndarray:
-    """``n_pulses`` drawn over ``cells`` (:func:`_cell_probabilities`, no guess
-    CDF), int64 of their shape: one multinomial call per phase bin, in bin order,
+    """``n_pulses`` drawn over ``cells`` (:func:`_cell_probabilities`), int64
+    of their shape: one multinomial call per phase bin, in bin order,
     from one stream seeded by ``seed`` alone."""
     n_phases = len(cells)
     # pulse i falls in phase bin i mod P
@@ -296,11 +294,9 @@ def _point_seed(master_seed: int, point_index: int) -> int:
 def _offset_cells(
     table: BranchTable, detectors: DetectorBank, z_ref: complex
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The (1, 1, N, 16) cells of input 0 under the table's uniform prior, and
-    the (N, 2) rows (p_A, p_B) at which offset d's output ``table.output[0][d]``
-    fires DA and DB against the reference ``z_ref`` (input and scan phase 1)."""
-    if len(set(table.prior)) > 1:
-        raise ValueError("the guess-offset draw needs a uniform guess prior")
+    """The (1, 1, N, 16) cells of input 0, and the (N, 2) rows (p_A, p_B) at
+    which offset d's output ``table.output[0][d]`` fires DA and DB against
+    the reference ``z_ref`` (input and scan phase 1)."""
     out = np.array(table.output[0])
     heralds, analyzer = _factor_pairs([table.d0_click[0]], [table.d1_click[0]], out, z_ref,
                                       detectors, (1, 1, len(out)))

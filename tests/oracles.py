@@ -118,10 +118,10 @@ def _branch_row(
         d1_mean.append(tap_re * tap_re + tap_im * tap_im)
     d0_click = click_probabilities(d0_mean, det0)
     d1_click = click_probabilities(d1_mean, det1)
-    prior = cfg.guess_distribution
-    silent = [q * (1.0 - p0) for q, p0 in zip(prior, d0_click)]
+    q = 1.0 / len(members)
+    silent = [q * (1.0 - p0) for p0 in d0_click]
     heralded = [w * p1 for w, p1 in zip(silent, d1_click)]
-    weights = (list(prior), silent, heralded)
+    weights = ([q] * len(members), silent, heralded)
     return _BranchRow(target, output, d0_mean, d1_mean, d0_click, d1_click, weights)
 
 
@@ -131,7 +131,7 @@ def branch_table(cfg: AmplifierConfig, det0: DetectorModel, det1: DetectorModel)
     rows = [_branch_row(cfg, det0, det1, members, guess_part, m) for m in range(len(members))]
     target, output, d0_mean, d1_mean, d0_click, d1_click, weights = map(list, zip(*rows))
     return BranchTable(
-        cfg.guess_distribution, target, output, d0_mean, d1_mean, d0_click, d1_click,
+        (1.0 / len(members),) * len(members), target, output, d0_mean, d1_mean, d0_click, d1_click,
         {c: list(level) for c, level in zip(_LEVELS, zip(*weights))},
     )
 

@@ -19,7 +19,7 @@ from scamp.amplifier import (
 from scamp.analysis import visibility
 from scamp.coherent import mean_photons, mixture_fidelity
 from scamp.detectors import DetectorBank, DetectorModel
-from scamp.errors import ConfigError, NeverHeraldedError
+from scamp.errors import ConfigError, InvalidEpsilonError, NeverHeraldedError
 from scamp.sweep import SweepSpec, run_sweep
 from scamp import params
 
@@ -37,8 +37,7 @@ def make_config(alpha_sq, n_states, r1_sq=0.5, t2_sq=0.9):
 # independent oracle: raw complex arithmetic over all N^2 (input, guess) pairs
 
 
-def oracle_figures(n, alpha_sq, r1_sq, t2_sq, det0, det1, conditioning, prior=None):
-    prior = prior or [1.0 / n] * n
+def oracle_figures(n, alpha_sq, r1_sq, t2_sq, det0, det1, conditioning):
     r1, t1 = math.sqrt(r1_sq), math.sqrt(1.0 - r1_sq)
     t2, r2 = math.sqrt(t2_sq), math.sqrt(1.0 - t2_sq)
     alpha = math.sqrt(alpha_sq)
@@ -57,7 +56,7 @@ def oracle_figures(n, alpha_sq, r1_sq, t2_sq, det0, det1, conditioning, prior=No
             z_guess = (t1 / r1) * alpha * cmath.exp(2j * math.pi * k / n)
             z_d0 = t1 * z_in - r1 * z_guess
             z_ret = r1 * z_in + t1 * z_guess
-            w = prior[k]
+            w = 1.0 / n
             if conditioning in (Conditioning.D0_SILENT, Conditioning.D0_SILENT_D1_FIRES):
                 w *= 1.0 - click(abs(z_d0) ** 2, det0)
             if conditioning is Conditioning.D0_SILENT_D1_FIRES:
@@ -110,22 +109,6 @@ class TestStateSet:
 
 
 class TestConfigValidation:
-    def test_rejects_bad_guess_distribution(self):
-        s = StateSet(complex(1.0), 2)
-        with pytest.raises(ValueError):
-            AmplifierConfig(0.5, 0.9, s, guess_distribution=(0.7, 0.7))
-        with pytest.raises(ValueError):
-            AmplifierConfig(0.5, 0.9, s, guess_distribution=(1.0,))
-
-    def test_default_distribution_is_uniform(self):
-        cfg = make_config(0.5, 4)
-        assert cfg.guess_distribution == (0.25, 0.25, 0.25, 0.25)
-
-    def test_rejects_nan_guess_distribution(self):
-        s = StateSet(1 + 0j, 2)
-        with pytest.raises(ValueError):
-            AmplifierConfig(0.5, 0.9, s, guess_distribution=(math.nan, math.nan))
-
     @pytest.mark.parametrize(
         "r1_sq, t2_sq",
         [
@@ -153,17 +136,13 @@ detector_models = st.builds(
 
 @st.composite
 def devices(draw):
-    """N states on any circle, any splitters, a non-uniform guess prior and
-    unlike D0/D1 detectors with dark counts."""
+    """N states on any circle, any splitters and unlike D0/D1 detectors with
+    dark counts."""
     n = draw(st.integers(1, 9))
-    raw = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
-    raw[draw(st.integers(0, n - 1))] = 1.0
-    total = math.fsum(raw)
     return {
         "n": n,
         "alpha_sq": draw(st.floats(0.0, 4.0)),
         "phase": draw(st.floats(0.0, 2.0 * math.pi)),
-        "prior": tuple(w / total for w in raw),
         "r1_sq": draw(open_unit),
         "t2_sq": draw(open_unit),
         "det0": draw(detector_models),
@@ -178,7 +157,7 @@ class TestOnePassTable:
     @given(devices())
     def test_equals_row_list_build(self, d):
         alpha = cmath.rect(math.sqrt(d["alpha_sq"]), d["phase"])
-        cfg = AmplifierConfig(d["r1_sq"], d["t2_sq"], StateSet(alpha, d["n"]), d["prior"])
+        cfg = AmplifierConfig(d["r1_sq"], d["t2_sq"], StateSet(alpha, d["n"]))
         det0, det1 = d["det0"], d["det1"]
         table = branch_table(cfg, det0, det1)
         # repr is exact for floats, tells 0.0 from -0.0 and shows a NaN
@@ -189,7 +168,7 @@ class TestOnePassTable:
 
     @settings(max_examples=100, derandomize=True, deadline=None)
     @given(devices())
-    @example({"n": 2, "alpha_sq": 1.0, "phase": 0.0, "prior": (0.5, 0.5), "r1_sq": 1e-310,
+    @example({"n": 2, "alpha_sq": 1.0, "phase": 0.0, "r1_sq": 1e-310,
               "t2_sq": 0.9, "det0": IDEAL, "det1": IDEAL})
     def test_sweep_visibilities_are_the_output_mixtures(self, d):
         analyzer = params.default_detector()
@@ -216,14 +195,22 @@ class TestOnePassTable:
             cfg, detector=analyzer, epsilon=0.0, phase_points=spec.phase_points
         )
         try:
-            expected = [
-                visibility(output_mixture(cfg, d["det0"], d["det1"], 0, cond), analysis_cfg)
-                for cond in Conditioning
-            ]
+            mixtures = [output_mixture(cfg, d["det0"], d["det1"], 0, cond) for cond in Conditioning]
         except NeverHeraldedError:
             with pytest.raises(NeverHeraldedError):
                 run_sweep(spec)
             return
+        # the scan reads phase pi as -1 + sin(pi)*1j, so a nulled reference keeps
+        # |reference|*sin(pi); past 1e-12 detected photons there (a reference above
+        # about 3.4e20 photons at this analyzer) the scan and the sweep refuse
+        if analyzer.eta_l() * analysis_cfg.ref_mean_photons() * math.sin(math.pi) ** 2 / 2 > 1e-12:
+            for mixture in mixtures:
+                with pytest.raises(InvalidEpsilonError, match="cannot null"):
+                    visibility(mixture, analysis_cfg)
+            with pytest.raises(InvalidEpsilonError, match="cannot null"):
+                run_sweep(spec)
+            return
+        expected = [visibility(mixture, analysis_cfg) for mixture in mixtures]
         row = run_sweep(spec).rows[0]
         columns = ("visibility_unconditioned", "visibility_d0_silent", "visibility_conditioned")
         assert repr([row[c] for c in columns]) == repr(expected)
@@ -346,8 +333,7 @@ class TestOutputMixture:
     def test_is_row_of_branch_table(self, n):
         det0 = DetectorModel(efficiency=0.405, loss_transmission=0.8, dark_prob_per_gate=1e-5)
         det1 = DetectorModel(efficiency=0.31, loss_transmission=0.9, dark_prob_per_gate=3e-6)
-        prior = tuple(np.random.default_rng(n).dirichlet(np.ones(n)))
-        cfg = AmplifierConfig(0.3, 0.9, StateSet(complex(math.sqrt(0.6)), n), prior)
+        cfg = AmplifierConfig(0.3, 0.9, StateSet(complex(math.sqrt(0.6)), n))
         table = branch_table(cfg, det0, det1)
         for cond in Conditioning:
             for m in range(n):
@@ -410,22 +396,6 @@ class TestFiguresOfMerit:
             assert fom.fidelity == pytest.approx(fid, abs=1e-12)
             assert fom.correct_state_fraction == pytest.approx(frac, abs=1e-12)
             assert fom.success_probability == pytest.approx(succ, abs=1e-12)
-
-    @pytest.mark.parametrize("n", [3, 4])
-    def test_brute_force_non_uniform_prior(self, n):
-        det0 = DetectorModel(efficiency=0.405, loss_transmission=0.8, dark_prob_per_gate=1e-5)
-        det1 = DetectorModel(efficiency=0.31, loss_transmission=0.9, dark_prob_per_gate=3e-6)
-        prior = [0.5] + [0.5 / (n - 1)] * (n - 1)
-        cfg = AmplifierConfig(0.3, 0.9, StateSet(complex(math.sqrt(0.8)), n), tuple(prior))
-        table = branch_table(cfg, det0, det1)
-        for cond in Conditioning:
-            fom = figures_of_merit(cfg, det0, det1, cond)
-            assert fom == table.figures(*table.accepted_rows(cond))
-            fid, frac, succ = oracle_figures(n, 0.8, 0.3, 0.9, det0, det1, cond, prior)
-            assert fom.fidelity == pytest.approx(fid, abs=1e-12)
-            assert fom.correct_state_fraction == pytest.approx(frac, abs=1e-12)
-            assert fom.success_probability == pytest.approx(succ, abs=1e-12)
-            assert table.success_probability(cond) == pytest.approx(succ, abs=1e-12)
 
     def test_phase_covariance(self):
         det = params.default_detector()

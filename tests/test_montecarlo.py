@@ -149,15 +149,14 @@ class TestDeterminism:
 class TestSamplerAgreement:
     """The per-bin multinomial draw against the pulse-by-pulse oracle."""
 
+    # stable ids: their trailing None is the guess prior, which is uniform
     @pytest.mark.parametrize(
-        "n_states, alpha_sq, seed, guesses",
-        [(2, 0.94, 101, None), (4, 0.5, 202, None), (4, 0.5, 303, (0.4, 0.3, 0.2, 0.1))],
+        "n_states, alpha_sq, seed",
+        [pytest.param(2, 0.94, 101, id="2-0.94-101-None"), pytest.param(4, 0.5, 202, id="4-0.5-202-None")],
     )
-    def test_chi_square_cell_by_cell(self, n_states, alpha_sq, seed, guesses):
+    def test_chi_square_cell_by_cell(self, n_states, alpha_sq, seed):
         phases = (0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi)
         spec = make_spec(alpha_sq, n_states, 400_000, seed, phase_schedule=phases)
-        if guesses is not None:
-            spec = replace(spec, amplifier=replace(spec.amplifier, guess_distribution=guesses))
         fast = simulate_run(spec).counts.reshape(len(phases), -1)
         slow = pulse_oracle(spec).counts.reshape(len(phases), -1)
         # two-sample homogeneity test; both tallies have the same per-bin
@@ -365,12 +364,6 @@ class TestExpectedTally:
         assert n_b / accepted == pytest.approx(dets[3].dark_prob_per_gate, rel=1e-12)
 
 
-def dirichlet_prior(n):
-    """A Dirichlet(1, ..., 1) guess prior of n entries: normalised exponential weights -log(u)."""
-    weights = st.lists(st.floats(1e-3, 1.0, exclude_max=True).map(lambda u: -math.log(u)), min_size=n, max_size=n)
-    return weights.map(lambda w: tuple(x / math.fsum(w) for x in w))
-
-
 class TestCellLawOracle:
     """The one cell law, fed by both callers, against the earlier 7-axis build
     (``oracles.cell_probabilities``) bit for bit: layout, products and per-bin sums."""
@@ -378,17 +371,13 @@ class TestCellLawOracle:
     @settings(max_examples=150, derandomize=True, deadline=None)
     @given(
         **sweep_points,
-        uniform=st.booleans(),
         phases=st.lists(st.floats(0.0, 2.0 * math.pi), min_size=1, max_size=3).map(tuple),
         data=st.data(),
     )
-    def test_cells_equal_the_oracle_bit_for_bit(self, n, r1_sq, t2_sq, alpha_sq, dets, uniform, phases, data):
-        cfg, table, run = sweep_point(n, r1_sq, t2_sq, alpha_sq, dets)
-        # the full draw, at P scan phases and any prior
-        if not uniform:
-            cfg = replace(cfg, guess_distribution=data.draw(dirichlet_prior(n)))
-            table = branch_table(cfg, dets[0], dets[1])
-        full = replace(run, amplifier=cfg, phase_schedule=phases)
+    def test_cells_equal_the_oracle_bit_for_bit(self, n, r1_sq, t2_sq, alpha_sq, dets, phases, data):
+        _, table, run = sweep_point(n, r1_sq, t2_sq, alpha_sq, dets)
+        # the full draw, at P scan phases
+        full = replace(run, phase_schedule=phases)
         factors = _click_factors(full, table)
         expected = oracles.click_factors(full, table)
         assert all(np.array_equal(a, b) for a, b in zip(factors, expected))
@@ -396,10 +385,6 @@ class TestCellLawOracle:
         cells = _cell_probabilities(table.prior, *factors)
         assert cells.flags.c_contiguous
         assert np.array_equal(cells, oracles.cell_probabilities(full, table))
-        if len(set(table.prior)) > 1:
-            with pytest.raises(ValueError, match="uniform guess prior"):
-                _offset_cells(table, run.detectors, run.analysis.reference_amplitude)
-            return
         # the sweep's offset cells: row 0 against the unrotated reference, in one bin
         row0 = oracles.input0(table)
         old_factors = oracles.click_factors(run, row0)

@@ -1116,6 +1116,69 @@ def _assert_documented_exit(capsys, args, columns):
             assert all(0.0 <= float(row[c]) <= 1.0 for c in columns if c.startswith("visibility_"))
 
 
+# The visibility scan reads phase pi as exp(1j*pi) = -1 + sin(pi)*1j, so a
+# reference field that should cancel keeps |reference|*sin(pi).  With epsilon = 0
+# and the default detectors it refuses once that adds more than 1e-12 detected
+# photons: alpha_sq above about 1.9e20.  Below that bound the guard moves no
+# printed byte; fig3b-d and fig4 never scan.
+_SCAN_COMMANDS = {
+    "fig3a": (["figure", "--id", "fig3a"], ""),
+    "analytic": (["sweep", "--mode", "analytic"], "n_states = 2\n"),
+    "both": (["sweep", "--mode", "both"], "n_states = 2\n"),
+}
+_SCAN_ROWS_AT_1E15 = {
+    "fig3a": "1000000000000000,0.33332938667834877,0.99998224015770742,0.99998224015770742",
+    "analytic": "2,1000000000000000,1,1,0.49999556000000001,499995.56,"
+                "0.33332938667834877,0.99998224015770742,0.99998224015770742",
+    "both": "2,1000000000000000,1,1,0.49999556000000001,499995.56,"
+            "0.33332938667834877,0.99998224015770742,0.99998224015770742,"
+            "0.499,0.015811356678033673,1,0,1,0,1000,13729193726644583001",
+}
+
+
+def _bright_outcome(tmp_path, capsys, command, alpha_sq):
+    args, extra = _SCAN_COMMANDS.get(command, (["figure", "--id", command], ""))
+    config = tmp_path / "bright.ini"
+    config.write_text(f"[sweep]\nepsilon = 0\nn_pulses = 1000\nalpha_sq = {alpha_sq}\n{extra}")
+    return _outcome(capsys, args + ["--config", str(config)])
+
+
+@pytest.mark.parametrize("command", sorted(_SCAN_COMMANDS))
+@pytest.mark.parametrize("alpha_sq", ["1e32", repr(_ALPHA_SQ_EDGE)])
+def test_scan_refuses_a_reference_it_cannot_null(tmp_path, capsys, command, alpha_sq):
+    end, out, err = _bright_outcome(tmp_path, capsys, command, alpha_sq)
+    assert (end, out) == (("return", 3), "")
+    assert err.startswith("runtime error: the visibility scan cannot null") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", sorted(_SCAN_COMMANDS))
+def test_scan_below_its_bound_prints_the_same_rows(tmp_path, capsys, command):
+    end, out, err = _bright_outcome(tmp_path, capsys, command, "1e15")
+    assert (end, err) == (("return", 0), "")
+    assert out.splitlines()[1:] == [_SCAN_ROWS_AT_1E15[command]]
+
+
+@pytest.mark.parametrize("figure_id", ["fig3b", "fig3c", "fig3d", "fig4"])
+def test_figure_without_visibility_is_not_refused_by_the_scan(tmp_path, capsys, figure_id):
+    end, out, err = _bright_outcome(tmp_path, capsys, figure_id, "1e32")
+    assert (end, err) == (("return", 0), "")
+    [row] = csv.DictReader(out.splitlines())
+    assert all(math.isfinite(float(value)) for value in row.values())
+
+
+def test_scan_refuses_the_rotated_member_residue(tmp_path, capsys):
+    # StateSet.state(4) of N = 8 keeps 1.2e-16*alpha of imaginary part, which the
+    # gain 6.6e64 makes bright; the reference (5.1e44 photons) is past the scan's bound
+    config = tmp_path / "gain.ini"
+    config.write_text(
+        "[amplifier]\ncomparison_reflectivity = 2.27e-130\nsubtraction_transmission = 1\n"
+        "[sweep]\nepsilon = 0\nn_states = 8\nalpha_sq = 1.16e-85\nn_pulses = 1000\n"
+    )
+    end, out, err = _outcome(capsys, ["sweep", "--mode", "both", "--config", str(config)])
+    assert (end, out) == (("return", 3), "")
+    assert err.startswith("runtime error: the visibility scan cannot null") and err.count("\n") == 1
+
+
 # Every config key must reach an output.  _LIVE_BASE is a valid sweep config;
 # _LIVE_VALUES holds another valid value for each key, and setting any one of
 # them must change the sweep CSV.  The table must cover cli._SCHEMA exactly,
@@ -1255,7 +1318,15 @@ def test_figure_exit_code_matches_analytic_sweep(tmp_path, capsys, figure_id, ov
     if not visibility and values.get(("sweep", "epsilon"), "auto") == "auto":
         values[("sweep", "epsilon")] = "0"
     sweep = ["sweep", "--mode", "analytic", "--config", _write_config(tmp_path / "sweep.ini", values)]
-    assert run_cli(sweep) == code
+    capsys.readouterr()
+    sweep_code = run_cli(sweep)
+    if not visibility and "visibility scan cannot null" in capsys.readouterr().err:
+        # a figure without a visibility column never scans, so it ends as the sweep
+        # ends behind a blind analyzer, whose scan is never refused; the config was
+        # read without error, so it stays valid with DA blinded
+        values[("detector.da", "efficiency")] = "0"
+        sweep_code = run_cli(sweep[:-1] + [_write_config(tmp_path / "sweep.ini", values)])
+    assert sweep_code == code
     capsys.readouterr()
 
 
