@@ -34,13 +34,13 @@ def main():
     print("branches for input state m = 0 (realistic detectors):")
     print(f"{'guess':>5} {'|d0|^2':>9} {'|d1|^2':>9} {'|out|^2':>9} {'accept w':>12}")
     table = branch_table(cfg, det, det)
-    accepted = table.weights[Conditioning.D0_SILENT_D1_FIRES][0]
+    accepted = table.weights[Conditioning.D0_SILENT_D1_FIRES]
     for k in range(N_STATES):
         print(
             f"{k:>5}"
-            f" {table.d0_mean[0][k]:>9.4f}"
-            f" {table.d1_mean[0][k]:>9.4f}"
-            f" {abs(table.output[0][k]) ** 2:>9.4f}"
+            f" {table.d0_mean[k]:>9.4f}"
+            f" {table.d1_mean[k]:>9.4f}"
+            f" {abs(table.output[k]) ** 2:>9.4f}"
             f" {accepted[k]:>12.6f}"
         )
     print("(a correct guess sends nothing to the comparison port;"

@@ -10,13 +10,19 @@ fires; acceptance both vetoes wrong guesses (via D0) and favors the
 brighter retained field of correct guesses (via D1).  The nominal amplitude
 gain of an accepted pulse is t2/r1.
 
-Every figure below, and the Monte Carlo, reads one :class:`BranchTable` of
-the N^2 (input, guess) branches.  It is built in one pass per input row:
-each branch is evaluated completely (D0/D1 mean photons and clicks, output,
-silent and heralded weights) and every value is appended to its column.  The
-arithmetic is scalar Python (math.exp, math.fsum, the click law of
-:func:`detectors.click_law`), so its numbers do not depend on vectorized
-math paths.
+The guess is drawn uniformly, so the device is symmetric under a rotation
+of the circle: rotating input m and guess k together by one step rotates
+every field, leaving every photon number, click and weight, and every
+overlap with the rotated target, as it was.  A branch therefore depends on
+(m, k) only through the guess offset d = (k - m) mod N, and input 0's N
+branches stand for all N^2.  Every figure below, the visibility scan and the
+Monte Carlo read one :class:`BranchTable` of input 0, indexed by d; the
+figures of merit averaged over a uniform input are input 0's.  It is built
+in one pass: each branch is evaluated completely (D0/D1 mean photons and
+clicks, output, its overlap with the target, silent and heralded weights)
+and every value is appended to its column.  The arithmetic is scalar Python
+(math.exp, math.fsum, the click law of :func:`detectors.click_law`), so its
+numbers do not depend on vectorized math paths.
 """
 
 from __future__ import annotations
@@ -24,7 +30,6 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .coherent import Mixture, overlap_sq
@@ -116,62 +121,48 @@ class FiguresOfMerit:
 
 @dataclass(frozen=True)
 class BranchTable:
-    """Every (input m, guess k) branch of one device behind detectors D0/D1.
+    """The N branches of one input m of a device behind detectors D0/D1.
 
-    Branch fields are lists indexed [m][k]: D0/D1 mean photon numbers and
-    click probabilities, complex output amplitudes, and per conditioning the
-    probability that guess k is drawn and passes, given input m.
+    Branch fields are lists indexed by guess k: D0/D1 mean photon numbers and
+    click probabilities, complex output amplitudes, their squared overlaps
+    with the target, and per conditioning the probability that guess k is
+    drawn and passes, given input m.  :func:`branch_table` builds input 0,
+    whose guess k is the guess offset d = (k - m) mod N that labels every
+    input's branches (see the module docstring); the methods read such a
+    table, whose offset 0 is the correct guess.
     """
 
     prior: tuple[float, ...]
-    target: list[complex]  # ideal output t2/r1 * input m
-    output: list[list[complex]]
-    d0_mean: list[list[float]]
-    d1_mean: list[list[float]]
-    d0_click: list[list[float]]
-    d1_click: list[list[float]]
-    weights: dict[Conditioning, list[list[float]]]
+    target: complex  # ideal output t2/r1 * input m
+    output: list[complex]
+    overlap: list[float]  # |<output k|target>|^2
+    d0_mean: list[float]
+    d1_mean: list[float]
+    d0_click: list[float]
+    d1_click: list[float]
+    weights: dict[Conditioning, list[float]]
 
     def accepted(
-        self, m: int, conditioning: Conditioning = Conditioning.D0_SILENT_D1_FIRES
-    ) -> tuple[float, list[float]]:
-        """Acceptance probability of input m and the normalized weights of its outputs."""
-        return _accepted(self.weights[conditioning][m], m, conditioning)
-
-    def accepted_rows(
         self, conditioning: Conditioning = Conditioning.D0_SILENT_D1_FIRES
-    ) -> tuple[float, list[list[float]]]:
-        """Per-pulse acceptance probability and every input's normalized
-        weights, from one fsum per row; NeverHeraldedError names the first
-        input that no branch can pass."""
-        success, rows = 0.0, []
-        for m, row in enumerate(self.weights[conditioning]):
-            total, weights = _accepted(row, m, conditioning)
-            success += total
-            rows.append(weights)
-        return success / len(rows), rows
+    ) -> tuple[float, list[float]]:
+        """Per-pulse acceptance probability and the normalized weights of the
+        outputs, from one fsum; NeverHeraldedError when no branch can pass."""
+        return _accepted(self.weights[conditioning], 0, conditioning)
 
-    def figures(self, success_probability: float, weights: list[list[float]]) -> FiguresOfMerit:
-        """The figures of merit of one :meth:`accepted_rows` result."""
-        fidelity_sum = fraction_sum = 0.0
-        for m, (row, outputs, target) in enumerate(zip(weights, self.output, self.target)):
-            fidelity_sum += math.fsum(w * overlap_sq(z, target) for w, z in zip(row, outputs))
-            fraction_sum += row[m]
-        n = len(self.target)
-        return FiguresOfMerit(fidelity_sum / n, fraction_sum / n, success_probability)
+    def figures(self, success_probability: float, weights: list[float]) -> FiguresOfMerit:
+        """The figures of merit of one :meth:`accepted` result."""
+        fidelity = math.fsum(w * o for w, o in zip(weights, self.overlap))
+        return FiguresOfMerit(fidelity, weights[0], success_probability)
 
     def success_probability(
         self, conditioning: Conditioning = Conditioning.D0_SILENT_D1_FIRES
     ) -> float:
-        """Per-pulse acceptance probability, averaged over a uniform input prior.
+        """Per-pulse acceptance probability.
 
         Well defined even when no branch can herald (returns 0), unlike the
         conditioned output state itself.
         """
-        total = 0.0
-        for row in self.weights[conditioning]:
-            total += math.fsum(row)
-        return total / len(self.target)
+        return math.fsum(self.weights[conditioning])
 
 
 def _accepted(
@@ -187,84 +178,67 @@ def _accepted(
     return total, [w / total for w in weights]
 
 
-def _branch_rows(
-    cfg: AmplifierConfig, det0: DetectorModel, det1: DetectorModel, inputs: Iterable[int]
-) -> BranchTable:
-    """The rows of the device's :class:`BranchTable` for ``inputs``, in that
-    order: the one derivation of a branch.
+def _branch_row(cfg: AmplifierConfig, det0: DetectorModel, det1: DetectorModel, m: int) -> BranchTable:
+    """The :class:`BranchTable` of input m: the one derivation of a branch.
 
     Monitor = t1*input - r1*guess and retained = r1*input + t1*guess, with the
     guess scaled by t1/r1 so a correct guess nulls the monitor port; that
     branch is evaluated in closed form to keep the null and the gain law exact.
-    One pass over a row evaluates each branch completely and appends every
-    value to its column.
+    One pass evaluates each branch completely and appends every value to its
+    column.
     """
     r1, t1 = cfg.comparison_r1, cfg.comparison_t1
     r2, t2 = cfg.subtraction_r2, cfg.subtraction_t2
     n = cfg.n_states()
     q = 1.0 / n  # every guess is drawn with the same probability
     prior = (q,) * n
-    members = [cfg.input_set.state(k) for k in range(n)]
-    # guess k = (t1/r1)*member k puts (t1^2/r1)*member k into the retained port
-    guesses = []
-    for z in members:
-        part = (t1 * t1 / r1) * z
-        guesses.append((z.real, z.imag, part.real, part.imag))
     click0, click1 = click_law(det0), click_law(det1)
-    target, output, d0_mean, d1_mean, d0_click, d1_click = [], [], [], [], [], []
-    unconditioned, silent, heralded = [], [], []
-    for m in inputs:
-        z_in = members[m]
-        in_re, in_im = z_in.real, z_in.imag
-        input_part = r1 * z_in
-        part_re, part_im = input_part.real, input_part.imag
-        target_m = cfg.target_amplitude(m)
-        out_row, n0_row, n1_row, p0_row, p1_row, silent_row, heralded_row = [], [], [], [], [], [], []
-        for k, (z_re, z_im, guess_re, guess_im) in enumerate(guesses):
-            if k == m:
-                n0 = 0.0
-                retained = z_in / r1
-                ret_re, ret_im = retained.real, retained.imag
-                out = target_m
-            else:
-                # monitor field t1*(input - member) in real arithmetic: for
-                # finite amplitudes, the complex product's squared modulus
-                d0_re, d0_im = t1 * (in_re - z_re), t1 * (in_im - z_im)
-                n0 = d0_re * d0_re + d0_im * d0_im
-                ret_re, ret_im = part_re + guess_re, part_im + guess_im
-                out = complex(t2 * ret_re, t2 * ret_im)
-            tap_re, tap_im = r2 * ret_re, r2 * ret_im
-            n1 = tap_re * tap_re + tap_im * tap_im
-            p0, p1 = click0(n0), click1(n1)
-            w = q * (1.0 - p0)
-            out_row.append(out)
-            n0_row.append(n0)
-            n1_row.append(n1)
-            p0_row.append(p0)
-            p1_row.append(p1)
-            silent_row.append(w)
-            heralded_row.append(w * p1)
-        target.append(target_m)
-        output.append(out_row)
-        d0_mean.append(n0_row)
-        d1_mean.append(n1_row)
-        d0_click.append(p0_row)
-        d1_click.append(p1_row)
-        unconditioned.append(list(prior))
-        silent.append(silent_row)
-        heralded.append(heralded_row)
+    z_in = cfg.input_set.state(m)
+    in_re, in_im = z_in.real, z_in.imag
+    input_part = r1 * z_in
+    part_re, part_im = input_part.real, input_part.imag
+    target = cfg.target_amplitude(m)
+    output, overlap, d0_mean, d1_mean, d0_click, d1_click, silent, heralded = [], [], [], [], [], [], [], []
+    for k in range(n):
+        if k == m:
+            n0 = 0.0
+            retained = z_in / r1
+            ret_re, ret_im = retained.real, retained.imag
+            out = target
+        else:
+            z = cfg.input_set.state(k)
+            # monitor field t1*(input - member) in real arithmetic: for
+            # finite amplitudes, the complex product's squared modulus
+            d0_re, d0_im = t1 * (in_re - z.real), t1 * (in_im - z.imag)
+            n0 = d0_re * d0_re + d0_im * d0_im
+            # guess k = (t1/r1)*member k puts (t1^2/r1)*member k into the retained port
+            guess_part = (t1 * t1 / r1) * z
+            ret_re, ret_im = part_re + guess_part.real, part_im + guess_part.imag
+            out = complex(t2 * ret_re, t2 * ret_im)
+        tap_re, tap_im = r2 * ret_re, r2 * ret_im
+        n1 = tap_re * tap_re + tap_im * tap_im
+        p0, p1 = click0(n0), click1(n1)
+        w = q * (1.0 - p0)
+        output.append(out)
+        overlap.append(overlap_sq(out, target))
+        d0_mean.append(n0)
+        d1_mean.append(n1)
+        d0_click.append(p0)
+        d1_click.append(p1)
+        silent.append(w)
+        heralded.append(w * p1)
     weights = {
-        Conditioning.NONE: unconditioned,
+        Conditioning.NONE: list(prior),
         Conditioning.D0_SILENT: silent,
         Conditioning.D0_SILENT_D1_FIRES: heralded,
     }
-    return BranchTable(prior, target, output, d0_mean, d1_mean, d0_click, d1_click, weights)
+    return BranchTable(prior, target, output, overlap, d0_mean, d1_mean, d0_click, d1_click, weights)
 
 
 def branch_table(cfg: AmplifierConfig, det0: DetectorModel, det1: DetectorModel) -> BranchTable:
-    """All N^2 (input, guess) branches of the device, built one input row at a
-    time in scalar arithmetic; see :func:`_branch_rows`."""
-    return _branch_rows(cfg, det0, det1, range(cfg.n_states()))
+    """The N branches of input 0, indexed by guess offset, in scalar
+    arithmetic; see :func:`_branch_row`.  Every figure reads them alone."""
+    return _branch_row(cfg, det0, det1, 0)
 
 
 def output_mixture(
@@ -276,15 +250,16 @@ def output_mixture(
 ) -> Mixture:
     """Conditioned output state for one input, as a normalized coherent mixture.
 
-    Only row ``input_index`` of the branch table is derived.  Components with
-    exactly zero acceptance weight are dropped (e.g. the dead wrong branch of
-    the two-state set under ideal detectors).
+    The branches of input ``input_index`` are derived in guess order, as
+    :func:`branch_table` derives input 0's.  Components with exactly zero
+    acceptance weight are dropped (e.g. the dead wrong branch of the
+    two-state set under ideal detectors).
     """
     if not (0 <= input_index < cfg.n_states()):
         raise IndexError(f"input index {input_index} out of range for {cfg.n_states()} states")
-    row = _branch_rows(cfg, det0, det1, (input_index,))
-    _, weights = _accepted(row.weights[conditioning][0], input_index, conditioning)
-    return Mixture(tuple((w, z) for w, z in zip(weights, row.output[0]) if w > 0.0))
+    row = _branch_row(cfg, det0, det1, input_index)
+    _, weights = _accepted(row.weights[conditioning], input_index, conditioning)
+    return Mixture(tuple((w, z) for w, z in zip(weights, row.output) if w > 0.0))
 
 
 def figures_of_merit(
@@ -294,7 +269,8 @@ def figures_of_merit(
     conditioning: Conditioning = Conditioning.D0_SILENT_D1_FIRES,
 ) -> FiguresOfMerit:
     """Fidelity, correct-state fraction and success probability, averaged
-    over a uniform prior on the input states.
+    over a uniform prior on the input states: input 0's, by the symmetry of
+    the module docstring.
 
     fidelity: overlap of the conditioned output mixture with the ideal
     amplified input.  correct_state_fraction: accepted-weight share of the
@@ -302,7 +278,7 @@ def figures_of_merit(
     probability per pulse (before normalization).
     """
     table = branch_table(cfg, det0, det1)
-    return table.figures(*table.accepted_rows(conditioning))
+    return table.figures(*table.accepted(conditioning))
 
 
 def success_rate(

@@ -11,26 +11,26 @@ The cell law is written once, in :func:`_cell_probabilities`: a cell's
 probability is ((q_k/M * f0) * f1) * (fa * fb), the guess prior q_k = 1/N
 over M input rows times the (silent, fired) click factors of D0, D1, DA and
 DB, written into a fresh C-order (P, M, N, 16) array with each phase bin
-normalised.  Two draws feed it, each one ``Generator.multinomial`` call per
-phase bin from one stream seeded by a seed alone, so its cost does not
-depend on the number of pulses (pulse i falls in bin i mod P):
+normalised.  Both draws feed it from the point's one branch table, input
+0's N branches (see ``amplifier``: input m's branch at guess k is input 0's
+at the offset d = (k - m) mod N, its reference rotating with the input),
+each one ``Generator.multinomial`` call per phase bin from one stream
+seeded by a seed alone, so its cost does not depend on the number of
+pulses (pulse i falls in bin i mod P):
 
-- ``simulate_run`` draws the full tally over every row of the point's
-  branch table, against the analyzer reference rotated by each input
-  phase and scan phase (:func:`_click_factors`).  The result is
-  bit-identical for a given master seed whatever worker count is asked for
-  (the count is checked, but changes neither the output nor the speed).
+- ``simulate_run`` draws the full tally over the N*N (input, guess) pairs.
+  Its click factors are input 0's against the analyzer reference at each
+  scan phase, gathered at each pair's offset (:func:`_click_factors`).  The
+  result is bit-identical for a given master seed whatever worker count is
+  asked for (the count is checked, but changes neither the output nor the
+  speed).
 - A sweep point draws over the N*16 (offset, pattern) cells of input 0
-  (:func:`_offset_draw`), fed straight from row 0 of the table against its
-  target output, with M = P = 1.  As the guess is uniform, a cell depends
-  on (input m, guess k) only through the offset d = (k - m) mod N:
-  rotating input and guess together rotates every field, and the reference
-  rotates with the input.  So these cells carry the full draw's
-  distribution summed over inputs by offset (the aggregation property of
-  the multinomial), which is all a sweep column reads;
-  :func:`_offset_fidelity` estimates the output fidelity from them.  The
-  point's stream is two ``SeedSequence`` steps, both here: the sweep's
-  master seed and the point's grid index give the point's seed
+  (:func:`_offset_draw`) against its target output, with M = P = 1.  These
+  cells carry the full draw's distribution summed over inputs by offset
+  (the aggregation property of the multinomial), which is all a sweep
+  column reads; :func:`_offset_fidelity` estimates the output fidelity
+  from them.  The point's stream is two ``SeedSequence`` steps, both here:
+  the sweep's master seed and the point's grid index give the point's seed
   (:func:`_point_seed`, printed as its ``mc_seed``), and that seed alone
   seeds the draw, so a row's ``mc_seed`` reproduces its counts.
 
@@ -55,7 +55,6 @@ from .analysis import (
     fringe_visibility,
     port_click,
 )
-from .coherent import overlap_sq
 from .detectors import DetectorBank
 from .errors import InsufficientSignalError, check_workers
 
@@ -148,40 +147,39 @@ def phase_scan(n_points: int) -> tuple[float, ...]:
 def branch_tables(spec: RunSpec) -> tuple[np.ndarray, np.ndarray]:
     """Precompute all per-branch click probabilities for a run.
 
-    D0/D1 clicks and outputs come from the amplifier's branch table.  The
-    analyzer reference for input m is the configured reference rotated by the
-    input phase 2*pi*m/N (the test state is a copy of that pulse's expected
-    amplified state) and by each scheduled scan phase.  Returns the (silent,
-    fired) click factors of :func:`_click_factors`.
+    D0/D1 clicks and outputs come from the amplifier's branch table of
+    input 0, against the analyzer reference at each scheduled scan phase;
+    input m's branch at guess k is input 0's at offset (k - m) mod N.
+    Returns the (silent, fired) click factors of :func:`_click_factors`.
     """
     return _click_factors(spec, branch_table(spec.amplifier, spec.detectors.d0, spec.detectors.d1))
 
 
 def _click_factors(spec: RunSpec, table: BranchTable) -> tuple[np.ndarray, np.ndarray]:
-    """(silent, fired) click factors of every row of ``table`` against the
-    rotated references of :func:`branch_tables`; see :func:`_factor_pairs`."""
-    rows, n = len(table.target), len(table.prior)
-    z_ref = spec.analysis.reference_amplitude
-    input_phases = np.exp(2j * np.pi * np.arange(rows) / n)
+    """(silent, fired) click factors of the N*N (input m, guess k) branches,
+    D0/D1 (2, N, N, 2) and DA/DB (2, P, N, N, 2): those of ``table`` (input 0)
+    against the reference at each scan phase, gathered at offset
+    (k - m) mod N (see ``amplifier``); see :func:`_factor_pairs`."""
     scan = np.exp(1j * np.asarray(spec.phase_schedule))
-    # reference per (phase bin, input): outer product of the two phase factors
-    ref = (z_ref * scan[:, None] * input_phases[None, :])[:, :, None]
-    return _factor_pairs(table.d0_click, table.d1_click, np.array(table.output, dtype=complex), ref,
-                         spec.detectors, (len(scan), rows, n))
+    heralds, analyzer = _factor_pairs(table, spec.analysis.reference_amplitude * scan, spec.detectors)
+    n = len(table.prior)
+    offset = (np.arange(n) - np.arange(n)[:, None]) % n  # [m, k] -> (k - m) mod N
+    return heralds[:, 0, offset], analyzer[:, :, 0, offset]
 
 
-def _factor_pairs(
-    d0_click, d1_click, out, ref, detectors: DetectorBank, shape: tuple[int, int, int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """(silent, fired) click factors by pattern bit value along the last axis:
-    D0/D1 (2, M, N, 2) from their (M, N) click probabilities, and DA/DB
-    (2, P, M, N, 2) from the outputs ``out`` against the analyzer reference
-    ``ref``, broadcast to ``shape`` = (P, M, N)."""
-    heralds = np.empty((2,) + shape[1:] + (2,))
-    heralds[..., 1] = d0_click, d1_click
-    analyzer = np.empty((2,) + shape + (2,))
-    analyzer[0, ..., 1] = port_click(out, ref, detectors.da, "A")
-    analyzer[1, ..., 1] = port_click(out, ref, detectors.db, "B")
+def _factor_pairs(table: BranchTable, refs, detectors: DetectorBank) -> tuple[np.ndarray, np.ndarray]:
+    """(silent, fired) click factors of the N branches of ``table`` by pattern
+    bit value along the last axis: D0/D1 (2, 1, N, 2) from their click
+    probabilities, and DA/DB (2, P, 1, N, 2) from the outputs against each of
+    the P analyzer references ``refs``."""
+    n = len(table.output)
+    refs = np.asarray(refs, dtype=complex).reshape(-1, 1, 1)
+    heralds = np.empty((2, 1, n, 2))
+    heralds[..., 1] = [table.d0_click], [table.d1_click]
+    out = np.array(table.output)
+    analyzer = np.empty((2, len(refs), 1, n, 2))
+    analyzer[0, ..., 1] = port_click(out, refs, detectors.da, "A")
+    analyzer[1, ..., 1] = port_click(out, refs, detectors.db, "B")
     for factors in (heralds, analyzer):
         np.subtract(1.0, factors[..., 1], out=factors[..., 0])
     return heralds, analyzer
@@ -295,11 +293,9 @@ def _offset_cells(
     table: BranchTable, detectors: DetectorBank, z_ref: complex
 ) -> tuple[np.ndarray, np.ndarray]:
     """The (1, 1, N, 16) cells of input 0, and the (N, 2) rows (p_A, p_B) at
-    which offset d's output ``table.output[0][d]`` fires DA and DB against
+    which offset d's output ``table.output[d]`` fires DA and DB against
     the reference ``z_ref`` (input and scan phase 1)."""
-    out = np.array(table.output[0])
-    heralds, analyzer = _factor_pairs([table.d0_click[0]], [table.d1_click[0]], out, z_ref,
-                                      detectors, (1, 1, len(out)))
+    heralds, analyzer = _factor_pairs(table, z_ref, detectors)
     return _cell_probabilities(table.prior, heralds, analyzer), analyzer[:, 0, 0, :, 1].T
 
 
@@ -318,27 +314,25 @@ def _offset_fidelity(table: BranchTable, by_offset, clicks) -> tuple[float, floa
     """Estimated output fidelity and its standard error from per-offset counts.
 
     ``by_offset`` and ``clicks`` are the rows of :func:`_offset_draw`: offset d
-    counts (accepted, n_A, n_B, n_AB), and its output ``table.output[0][d]``
+    counts (accepted, n_A, n_B, n_AB), and its output ``table.output[d]``
     fires DA with p_A,d and DB with p_B,d, so its pulse number is
     N_d = (n_A,d + n_B,d) / (p_A,d + p_B,d) (:func:`estimate_class_pulse_numbers`), and
 
-        F = sum_d o_d*N_d / sum_d N_d,    o_d = |<output d|target 0>|^2.
+        F = sum_d o_d*N_d / sum_d N_d,    o_d = ``table.overlap[d]``.
 
     The standard error is the delta-method one: Var(n_A + n_B) is
     n_A + n_B + 2*n_AB, and the multinomial covariances between offsets
     cancel at the estimate.  Raises InsufficientSignalError when an offset
     class is unobservable or no pulse is attributed to any class.
     """
-    outputs, target = table.output[0], table.target[0]
     pulses = estimate_class_pulse_numbers([(n_a, n_b) for _, n_a, n_b, _ in by_offset], clicks)
     total = math.fsum(pulses)
     if not total > 0.0:
         raise InsufficientSignalError("no pulses attributed to any offset class")
-    overlaps = [overlap_sq(z, target) for z in outputs]
-    fidelity = math.fsum(o * n for o, n in zip(overlaps, pulses)) / total
+    fidelity = math.fsum(o * n for o, n in zip(table.overlap, pulses)) / total
     variance = math.fsum(
         (o - fidelity) ** 2 * (n_a + n_b + 2 * n_ab) / (p_a + p_b) ** 2
-        for o, (_, n_a, n_b, n_ab), (p_a, p_b) in zip(overlaps, by_offset, clicks)
+        for o, (_, n_a, n_b, n_ab), (p_a, p_b) in zip(table.overlap, by_offset, clicks)
     )
     return fidelity, math.sqrt(variance) / total
 

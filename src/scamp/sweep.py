@@ -3,14 +3,15 @@
 A sweep evaluates the analytic model (and, in ``both`` mode, the Monte Carlo)
 on a grid of (state-set size, input mean photon number) points and emits one
 row per point with fixed, documented columns.  Each point builds one branch
-table, and computes only the columns it emits from it: the visibility
-columns build the point's analyzer (``params.default_analysis``, which also
-derives an ``auto`` epsilon) and share one reference scan, and the Monte
-Carlo columns are drawn by ``montecarlo`` from row 0 of the table against
-the target ``table.target[0]``.  Figure datasets hold a few columns of the
-same rows; they are model curves only, never measured points.  CSV carries
-the rows; JSON carries {"spec": ..., "rows": ...}.  The Monte Carlo module
-is imported by the first Monte Carlo row.
+table, input 0's N branches, and computes only the columns it emits from
+it: the visibility columns build the point's analyzer
+(``params.default_analysis``, which also derives an ``auto`` epsilon) and
+share one reference scan, and the Monte Carlo columns are drawn by
+``montecarlo`` from the table against its target ``table.target``.  Figure
+datasets hold a few columns of the same rows; they are model curves only,
+never measured points.  CSV carries the rows; JSON carries {"spec": ...,
+"rows": ...}.  The Monte Carlo module is imported by the first Monte Carlo
+row.
 """
 
 from __future__ import annotations
@@ -60,9 +61,9 @@ INT_COLUMNS = {"n_states", "mc_n_pulses", "mc_seed"}
 # so that every tally count, and so every CountTable field, is exact as a float
 _MAX_PULSES = MAX_COUNT
 # Checked before anything is allocated, these bound a point's memory: its branch
-# table holds N*N branches (about 15 MiB of Python objects at N = 256), its Monte
-# Carlo draw N*16 guess-offset cells (32 KiB of int64 at N = 256), and the
-# reference scan 1 MiB (complex128) at 65536 phase points.
+# table holds input 0's N branches (about 70 KiB of Python objects at N = 256),
+# its Monte Carlo draw N*16 guess-offset cells (32 KiB of int64 at N = 256), and
+# the reference scan 1 MiB (complex128) at 65536 phase points.
 MAX_N_STATES = 256
 MAX_PHASE_POINTS = 1 << 16
 
@@ -202,11 +203,11 @@ class Dataset:
 def _analytic_columns(
     spec: SweepSpec, cfg: AmplifierConfig, table: BranchTable, columns: frozenset[str]
 ) -> dict:
-    """The analytic values of a point, computing the fidelity loop and the
+    """The analytic values of a point, computing the fidelity sum and the
     visibility scan (with its analyzer) only when ``columns`` holds one of
-    their columns.  Each heralded row is summed and normalized once, and a
-    point that can never herald is an error whatever its columns are."""
-    p_success, weights = table.accepted_rows()
+    their columns.  The heralded weights are summed and normalized once, and
+    a point that can never herald is an error whatever its columns are."""
+    p_success, weights = table.accepted()
     row = {}
     if "fidelity" in columns or "correct_state_fraction" in columns:
         fom = table.figures(p_success, weights)
@@ -219,21 +220,21 @@ def _analytic_columns(
         analysis_cfg = params.default_analysis(
             cfg, detector=spec.detectors.da, epsilon=spec.epsilon, phase_points=spec.phase_points
         )
-        weight_sets = [table.accepted(0, cond)[1] for cond in (Conditioning.NONE, Conditioning.D0_SILENT)]
-        weight_sets.append(weights[0])
-        row.update(zip(_VISIBILITY_COLUMNS, visibilities(table.output[0], weight_sets, analysis_cfg)))
+        weight_sets = [table.accepted(cond)[1] for cond in (Conditioning.NONE, Conditioning.D0_SILENT)]
+        weight_sets.append(weights)
+        row.update(zip(_VISIBILITY_COLUMNS, visibilities(table.output, weight_sets, analysis_cfg)))
     return row
 
 
 def _montecarlo_columns(spec: SweepSpec, table: BranchTable, point_index: int) -> dict:
     """The Monte Carlo values of grid point ``point_index``, all from one draw
     over the N*16 guess-offset cells of input 0 (offset 0 is the correct
-    class), built from row 0 of ``table`` against its target output."""
+    class), built from ``table`` against its target output."""
     from .montecarlo import _offset_draw, _offset_fidelity, _point_seed, standard_error
 
     seed = _point_seed(spec.seed, point_index)
     by_offset, clicks = _offset_draw(
-        table, spec.detectors, table.target[0], spec.n_pulses, seed, Conditioning.D0_SILENT_D1_FIRES
+        table, spec.detectors, table.target, spec.n_pulses, seed, Conditioning.D0_SILENT_D1_FIRES
     )
     by_offset = by_offset.tolist()
     n_correct = by_offset[0][0]
@@ -297,7 +298,7 @@ def reproduce_figure(figure_id: str, **fields) -> Dataset:
 
     A figure is an analytic sweep of one state-set size that computes only
     the figure's columns: fig3b-d skip the visibility scans, and fig4 also
-    skips the fidelity loop.  A point that can never herald still raises
+    skips the fidelity sum.  A point that can never herald still raises
     NeverHeraldedError, as in a full sweep.  ``fields`` are further
     SweepSpec fields (splitters, detectors, prf, epsilon, phase_points, ...).  The figure fixes
     ``n_states_list`` and the analytic mode, so setting ``n_states_list``, or

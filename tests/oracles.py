@@ -2,24 +2,30 @@
 
 The amplifier applies its two splitters inline (``scamp.amplifier``); the
 two-port beamsplitter here is the textbook form its branch amplitudes are
-checked against.  ``branch_table`` below is the earlier build of the
-amplifier's branch table, one row of per-branch lists at a time with the
-click law applied per row by ``click_probabilities``; the package's one-pass
-build must equal it bit for bit.  Likewise ``click_factors`` and
-``cell_probabilities`` are the earlier Monte Carlo cell build, one 7-axis
-broadcast over a table's rows against references rotated by the input and
-scan phases; the program's cell law, fed either way, must equal it bit for
-bit.  ``expected_tally`` is the mean of a Monte Carlo run's tally, and
+checked against.  ``branch_table`` below is the earlier build of all N^2
+(input, guess) branches, one row of per-branch lists at a time with the
+click law applied per row by ``click_probabilities``, and ``NRowTable`` its
+figures averaged over the N input rows.  The package builds input 0's row
+alone: its one-pass build of any input must equal the row here bit for bit,
+and its figures must equal the N-row averages up to rounding.  Likewise
+``click_factors`` and ``cell_probabilities`` are the earlier Monte Carlo
+cell build, one 7-axis broadcast over a table's rows against references
+rotated by the input and scan phases; the program's cell law fed these
+factors must equal it bit for bit, and its factors gathered from input 0
+must equal these up to the rounding of the rotated references.  ``expected_tally`` is the mean of a Monte Carlo run's tally, and
 ``expected_offset_draw`` the mean of a sweep point's per-offset counts: the
 exact contract between the two models.
 """
 
+import math
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from scamp.amplifier import AmplifierConfig, BranchTable, Conditioning
+from scamp.amplifier import AmplifierConfig, BranchTable, Conditioning, FiguresOfMerit
 from scamp.analysis import port_click
+from scamp.coherent import overlap_sq
 from scamp.detectors import DetectorBank, DetectorModel, click_law
 from scamp.montecarlo import (
     _N_PATTERNS,
@@ -63,7 +69,7 @@ _LEVELS = tuple(Conditioning)
 
 
 class _BranchRow(NamedTuple):
-    """Row m of a :class:`BranchTable`: input m against every guess k."""
+    """Row m of an :class:`NRowTable`: input m against every guess k."""
 
     target: complex
     output: list[complex]
@@ -125,21 +131,56 @@ def _branch_row(
     return _BranchRow(target, output, d0_mean, d1_mean, d0_click, d1_click, weights)
 
 
-def branch_table(cfg: AmplifierConfig, det0: DetectorModel, det1: DetectorModel) -> BranchTable:
+@dataclass(frozen=True)
+class NRowTable:
+    """Every (input m, guess k) branch of one device: fields are lists indexed [m][k]."""
+
+    prior: tuple[float, ...]
+    target: list[complex]  # ideal output t2/r1 * input m
+    output: list[list[complex]]
+    d0_mean: list[list[float]]
+    d1_mean: list[list[float]]
+    d0_click: list[list[float]]
+    d1_click: list[list[float]]
+    weights: dict[Conditioning, list[list[float]]]
+
+    def row(self, m: int) -> BranchTable:
+        """Row m as the package lays out one input's branches."""
+        target, output = self.target[m], self.output[m]
+        return BranchTable(self.prior, target, output, [overlap_sq(z, target) for z in output],
+                           self.d0_mean[m], self.d1_mean[m], self.d0_click[m], self.d1_click[m],
+                           {c: rows[m] for c, rows in self.weights.items()})
+
+    def figures(self, conditioning: Conditioning = Conditioning.D0_SILENT_D1_FIRES) -> FiguresOfMerit:
+        """Fidelity, correct-state fraction and success probability averaged
+        over the N input rows, each row summed and normalized by one fsum."""
+        fidelity_sum = fraction_sum = success = 0.0
+        for m, (row, outputs, target) in enumerate(zip(self.weights[conditioning], self.output, self.target)):
+            total = math.fsum(row)
+            weights = [w / total for w in row]
+            success += total
+            fidelity_sum += math.fsum(w * overlap_sq(z, target) for w, z in zip(weights, outputs))
+            fraction_sum += weights[m]
+        n = len(self.target)
+        return FiguresOfMerit(fidelity_sum / n, fraction_sum / n, success / n)
+
+
+def branch_table(cfg: AmplifierConfig, det0: DetectorModel, det1: DetectorModel) -> NRowTable:
     """All N^2 (input, guess) branches of the device, each derived once."""
     members, guess_part = _guess_parts(cfg)
     rows = [_branch_row(cfg, det0, det1, members, guess_part, m) for m in range(len(members))]
     target, output, d0_mean, d1_mean, d0_click, d1_click, weights = map(list, zip(*rows))
-    return BranchTable(
+    return NRowTable(
         (1.0 / len(members),) * len(members), target, output, d0_mean, d1_mean, d0_click, d1_click,
         {c: list(level) for c, level in zip(_LEVELS, zip(*weights))},
     )
 
 
-def click_factors(spec: RunSpec, table: BranchTable) -> tuple[np.ndarray, np.ndarray]:
+def click_factors(spec: RunSpec, table: NRowTable) -> tuple[np.ndarray, np.ndarray]:
     """(silent, fired) click factors of D0/D1, (2, M, N, 2), and DA/DB, (2, P, M, N, 2),
     by pattern bit value along the last axis, for the M rows of ``table`` (inputs
-    0..M-1) against its N guesses; see :func:`scamp.montecarlo.branch_tables`."""
+    0..M-1) against its N guesses, with input m's analyzer reference rotated by its
+    phase 2*pi*m/N (the earlier :func:`scamp.montecarlo.branch_tables`)."""
     rows, n = len(table.target), len(table.prior)
     out = np.array(table.output, dtype=complex)[None, :, :]
     z_ref = spec.analysis.reference_amplitude
@@ -158,7 +199,7 @@ def click_factors(spec: RunSpec, table: BranchTable) -> tuple[np.ndarray, np.nda
 
 
 def cell_probabilities(
-    spec: RunSpec, table: BranchTable, factors: tuple[np.ndarray, np.ndarray] | None = None
+    spec: RunSpec, table: NRowTable, factors: tuple[np.ndarray, np.ndarray] | None = None
 ) -> np.ndarray:
     """Probability of each (input, guess, click pattern) cell, per phase bin.
 
@@ -182,10 +223,10 @@ def cell_probabilities(
     return cells
 
 
-def input0(table: BranchTable) -> BranchTable:
+def input0(table: NRowTable) -> NRowTable:
     """Row 0 of ``table`` as a one-row table; its row lists are the table's own, not copies."""
     weights = {c: rows[:1] for c, rows in table.weights.items()}
-    return BranchTable(table.prior, table.target[:1], table.output[:1], table.d0_mean[:1],
+    return NRowTable(table.prior, table.target[:1], table.output[:1], table.d0_mean[:1],
                        table.d1_mean[:1], table.d0_click[:1], table.d1_click[:1], weights)
 
 
@@ -210,7 +251,7 @@ def expected_tally(run: RunSpec, table: BranchTable) -> TallyTable:
     per_bin = [run.n_pulses // n_phases + (j < run.n_pulses % n_phases) for j in range(n_phases)]
     cells = _cell_probabilities(table.prior, *_click_factors(run, table))
     return TallyTable(cells * np.asarray(per_bin, dtype=float)[:, None, None, None],
-                      run.phase_schedule, len(table.target))
+                      run.phase_schedule, len(table.prior))
 
 
 def expected_offset_draw(table: BranchTable, detectors: DetectorBank, z_ref: complex, n_pulses: int,

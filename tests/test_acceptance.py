@@ -13,7 +13,6 @@ import pytest
 
 from scamp.amplifier import (
     Conditioning,
-    branch_table,
     figures_of_merit,
     output_mixture,
     success_rate,
@@ -34,6 +33,8 @@ from scamp.montecarlo import (
     simulate_run,
 )
 from scamp import params
+
+import oracles
 
 IDEAL = DetectorModel.ideal()
 
@@ -218,9 +219,10 @@ def _analytic_predictions(spec: RunSpec):
         spec.detectors.d0, spec.detectors.d1, spec.detectors.da, spec.detectors.db,
     )
     z_ref = spec.analysis.reference_amplitude
-    # only the branch geometry is read from the table; every click and
-    # weight is composed here from the detector law
-    table = branch_table(cfg, det0, det1)
+    # only the branch geometry is read from the N-row oracle table, every
+    # input's branches derived on their own; every click and weight is
+    # composed here from the detector law
+    table = oracles.branch_table(cfg, det0, det1)
     p = {"d0": 0.0, "d1": 0.0, "cond": 0.0, "cond_correct": 0.0,
          "a_sig": 0.0, "b_sig": 0.0, "a_vac": 0.0, "b_vac": 0.0}
     for m in range(n):

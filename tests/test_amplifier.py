@@ -11,6 +11,7 @@ from scamp.amplifier import (
     AmplifierConfig,
     Conditioning,
     StateSet,
+    _branch_row,
     branch_table,
     figures_of_merit,
     output_mixture,
@@ -151,7 +152,7 @@ def devices(draw):
 
 
 class TestOnePassTable:
-    """The one-pass table against the row-list build it replaced (``oracles``)."""
+    """The one-pass row against the N-row build it replaced (``oracles``)."""
 
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(devices())
@@ -159,12 +160,41 @@ class TestOnePassTable:
         alpha = cmath.rect(math.sqrt(d["alpha_sq"]), d["phase"])
         cfg = AmplifierConfig(d["r1_sq"], d["t2_sq"], StateSet(alpha, d["n"]))
         det0, det1 = d["det0"], d["det1"]
-        table = branch_table(cfg, det0, det1)
+        oracle = oracles.branch_table(cfg, det0, det1)
         # repr is exact for floats, tells 0.0 from -0.0 and shows a NaN
-        assert repr(table) == repr(oracles.branch_table(cfg, det0, det1))
+        assert repr(branch_table(cfg, det0, det1)) == repr(oracle.row(0))
+        # every input's row, as output_mixture builds it
         for m in range(d["n"]):
-            assert repr(table.d0_click[m]) == repr(click_probabilities(table.d0_mean[m], det0))
-            assert repr(table.d1_click[m]) == repr(click_probabilities(table.d1_mean[m], det1))
+            row = _branch_row(cfg, det0, det1, m)
+            assert repr(row) == repr(oracle.row(m))
+            assert repr(row.d0_click) == repr(click_probabilities(row.d0_mean, det0))
+            assert repr(row.d1_click) == repr(click_probabilities(row.d1_mean, det1))
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(devices())
+    def test_figures_are_the_n_row_averages(self, d):
+        # every input row is a rotation of row 0, so row 0's figures are the
+        # averages over the N rows, up to the rounding of each row's members.  The
+        # click law 1 - (1 - d)*exp(-x) also rounds each weight q*(1 - p0)*p1 by
+        # about q*2^-53 absolute, so a figure of total weight P moves by up to
+        # about 2^-52/P relative where D1 rarely fires
+        alpha = cmath.rect(math.sqrt(d["alpha_sq"]), d["phase"])
+        cfg = AmplifierConfig(d["r1_sq"], d["t2_sq"], StateSet(alpha, d["n"]))
+        det0, det1 = d["det0"], d["det1"]
+        table = branch_table(cfg, det0, det1)
+        oracle = oracles.branch_table(cfg, det0, det1)
+        for cond in Conditioning:
+            if not math.fsum(oracle.weights[cond][0]) > 0.0:
+                with pytest.raises(NeverHeraldedError, match="no branch of input 0"):
+                    table.accepted(cond)
+                assert table.success_probability(cond) == 0.0
+                continue
+            fom = table.figures(*table.accepted(cond))
+            assert table.success_probability(cond) == fom.success_probability
+            expected = oracle.figures(cond)
+            rel = 4e-15 + 2.0**-52 / fom.success_probability
+            for name in ("fidelity", "correct_state_fraction", "success_probability"):
+                assert getattr(fom, name) == pytest.approx(getattr(expected, name), rel=rel, abs=0.0), name
 
     @settings(max_examples=100, derandomize=True, deadline=None)
     @given(devices())
@@ -222,39 +252,43 @@ class TestEnumerateBranches:
     def test_correct_guess_two_states(self):
         cfg = make_config(0.5, 2)
         table = branch_table(cfg, IDEAL, IDEAL)
-        assert table.d0_mean[0][0] == 0.0
-        assert table.output[0][0] == cfg.target_amplitude(0)
+        assert table.d0_mean[0] == 0.0
+        assert table.output[0] == cfg.target_amplitude(0)
+        assert table.overlap[0] == 1.0
         # retained carries both pulses: r2^2 * 2 alpha^2 at the tap
-        assert table.d1_mean[0][0] == pytest.approx(0.1 * 2 * 0.5, rel=1e-12)
+        assert table.d1_mean[0] == pytest.approx(0.1 * 2 * 0.5, rel=1e-12)
 
     def test_wrong_guess_two_states(self):
         table = branch_table(make_config(0.5, 2), IDEAL, IDEAL)
-        assert table.d0_mean[0][1] == pytest.approx(2 * 0.5, rel=1e-12)
-        assert abs(table.output[0][1]) < 1e-15
+        assert table.d0_mean[1] == pytest.approx(2 * 0.5, rel=1e-12)
+        assert abs(table.output[1]) < 1e-15
 
     def test_neighbor_guess_four_states(self):
         table = branch_table(make_config(0.5, 4), IDEAL, IDEAL)
-        assert table.d0_mean[0][1] == pytest.approx(0.5, rel=1e-12)
-        assert mean_photons(table.output[0][1]) == pytest.approx(0.9 * 0.5, rel=1e-12)
+        assert table.d0_mean[1] == pytest.approx(0.5, rel=1e-12)
+        assert mean_photons(table.output[1]) == pytest.approx(0.9 * 0.5, rel=1e-12)
 
     def test_correct_branch_exact_for_uneven_splitter(self):
-        # the destructive-interference null and the gain law must be exact
+        # the destructive-interference null and the gain law must be exact, at every input
         cfg = make_config(0.37, 4, r1_sq=0.21)
-        table = branch_table(cfg, IDEAL, IDEAL)
         for m in range(4):
-            assert table.d0_mean[m][m] == 0.0
-            assert table.output[m][m] == cfg.target_amplitude(m)
-            assert table.target[m] == cfg.target_amplitude(m)
+            row = _branch_row(cfg, IDEAL, IDEAL, m)
+            assert row.d0_mean[m] == 0.0
+            assert row.output[m] == cfg.target_amplitude(m)
+            assert row.target == cfg.target_amplitude(m)
+            assert row.overlap[m] == 1.0
 
     def test_branch_count_and_priors(self):
-        table = branch_table(make_config(0.5, 8), IDEAL, IDEAL)
-        assert len(table.target) == 8
+        cfg = make_config(0.5, 8)
+        table = branch_table(cfg, IDEAL, IDEAL)
+        assert table.target == cfg.target_amplitude(0)
         assert table.prior == (0.125,) * 8
-        for field in (table.output, table.d0_mean, table.d1_mean, table.d0_click, table.d1_click):
-            assert [len(row) for row in field] == [8] * 8
+        for field in (table.output, table.overlap, table.d0_mean, table.d1_mean, table.d0_click,
+                      table.d1_click):
+            assert len(field) == 8
         for cond in Conditioning:
-            assert [len(row) for row in table.weights[cond]] == [8] * 8
-        assert table.weights[Conditioning.NONE] == [[0.125] * 8] * 8
+            assert len(table.weights[cond]) == 8
+        assert table.weights[Conditioning.NONE] == [0.125] * 8
 
     def test_rejects_out_of_range_input(self):
         with pytest.raises(IndexError):
@@ -262,8 +296,8 @@ class TestEnumerateBranches:
 
     def test_branch_amplitudes_match_beamsplitter_op(self):
         cfg = make_config(0.41, 4, r1_sq=0.33)
-        table = branch_table(cfg, IDEAL, IDEAL)
         for m in range(4):
+            row = _branch_row(cfg, IDEAL, IDEAL, m)
             for k in range(4):
                 retained, monitor = beamsplitter(
                     cfg.input_set.state(m),
@@ -271,11 +305,11 @@ class TestEnumerateBranches:
                     cfg.comparison_t1,
                     cfg.comparison_r1,
                 )
-                assert table.d0_mean[m][k] == pytest.approx(mean_photons(monitor), abs=1e-12)
-                assert table.d1_mean[m][k] == pytest.approx(
+                assert row.d0_mean[k] == pytest.approx(mean_photons(monitor), abs=1e-12)
+                assert row.d1_mean[k] == pytest.approx(
                     mean_photons(cfg.subtraction_r2 * retained), abs=1e-12
                 )
-                assert table.output[m][k] == pytest.approx(cfg.subtraction_t2 * retained, abs=1e-12)
+                assert row.output[k] == pytest.approx(cfg.subtraction_t2 * retained, abs=1e-12)
 
 
 class TestAcceptanceWeight:
@@ -283,32 +317,32 @@ class TestAcceptanceWeight:
 
     def test_ideal_correct_branch(self):
         table = branch_table(make_config(0.5, 2), IDEAL, IDEAL)
-        w = table.weights[Conditioning.D0_SILENT_D1_FIRES][0][0]
+        w = table.weights[Conditioning.D0_SILENT_D1_FIRES][0]
         assert w == pytest.approx(0.04758129098202024, abs=1e-15)
 
     def test_ideal_wrong_branch_is_dead(self):
         table = branch_table(make_config(0.5, 2), IDEAL, IDEAL)
-        assert table.weights[Conditioning.D0_SILENT_D1_FIRES][0][1] == 0.0
+        assert table.weights[Conditioning.D0_SILENT_D1_FIRES][1] == 0.0
 
     def test_dark_counts_resurrect_the_dead_branch(self):
         eta, dark = 0.405, 1e-3
         det0 = DetectorModel(efficiency=eta)
         det1 = DetectorModel(efficiency=eta, dark_prob_per_gate=dark)
         table = branch_table(make_config(0.5, 2), det0, det1)
-        w = table.weights[Conditioning.D0_SILENT_D1_FIRES][0][1]
+        w = table.weights[Conditioning.D0_SILENT_D1_FIRES][1]
         assert w == pytest.approx(0.5 * math.exp(-eta * 1.0) * dark, rel=1e-12)
 
     def test_conditioning_levels(self):
         table = branch_table(make_config(0.5, 2), IDEAL, IDEAL)
-        assert table.weights[Conditioning.NONE][0][1] == 0.5
+        assert table.weights[Conditioning.NONE][1] == 0.5
         expected = 0.5 * math.exp(-1.0)
-        assert table.weights[Conditioning.D0_SILENT][0][1] == pytest.approx(expected, rel=1e-12)
+        assert table.weights[Conditioning.D0_SILENT][1] == pytest.approx(expected, rel=1e-12)
 
     def test_nan_acceptance_total_is_never_heralded(self):
         table = branch_table(make_config(0.5, 2), IDEAL, IDEAL)
-        weights = {**table.weights, Conditioning.D0_SILENT_D1_FIRES: [[0.1, math.nan], [0.1, 0.0]]}
+        weights = {**table.weights, Conditioning.D0_SILENT_D1_FIRES: [0.1, math.nan]}
         with pytest.raises(NeverHeraldedError, match="no branch of input 0"):
-            replace(table, weights=weights).accepted_rows()
+            replace(table, weights=weights).accepted()
 
 
 class TestOutputMixture:
@@ -334,14 +368,16 @@ class TestOutputMixture:
         det0 = DetectorModel(efficiency=0.405, loss_transmission=0.8, dark_prob_per_gate=1e-5)
         det1 = DetectorModel(efficiency=0.31, loss_transmission=0.9, dark_prob_per_gate=3e-6)
         cfg = AmplifierConfig(0.3, 0.9, StateSet(complex(math.sqrt(0.6)), n))
-        table = branch_table(cfg, det0, det1)
+        oracle = oracles.branch_table(cfg, det0, det1)
+        assert repr(branch_table(cfg, det0, det1)) == repr(oracle.row(0))
         for cond in Conditioning:
             for m in range(n):
-                _, weights = table.accepted(m, cond)
-                row = tuple((w, z) for w, z in zip(weights, table.output[m]) if w > 0.0)
+                row = oracle.row(m)
+                _, weights = row.accepted(cond)
+                expected = tuple((w, z) for w, z in zip(weights, row.output) if w > 0.0)
                 # repr is exact for floats and also tells 0.0 from -0.0
                 mixture = output_mixture(cfg, det0, det1, m, cond)
-                assert repr(mixture.components) == repr(row)
+                assert repr(mixture.components) == repr(expected)
 
     def test_four_state_mixture_against_brute_force(self):
         cfg = make_config(0.5, 4)
@@ -449,7 +485,7 @@ class TestSuccessRate:
         assert 0.026 * 1e6 == 26_000.0
 
     def test_success_probability_is_the_figures_of_merit_value(self):
-        # both read one per-row fsum; a plain running sum differs in the last bit
+        # both read one fsum of input 0's weights; a plain running sum differs in the last bit
         det = params.default_detector()
         for n in (2, 3, 4, 5, 8, 16, 33):
             for alpha_sq in np.linspace(0.05, 2.9, 40):

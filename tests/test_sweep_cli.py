@@ -173,9 +173,9 @@ class TestSweepSpecValidation:
                 spec(bad)
 
     def test_point_at_both_bounds_keeps_its_memory_budget(self):
-        # at most 8 MiB per array (scan curves and blocks; the draw's N*16 offset
-        # cells take 32 KiB), plus the branch table of 65536 branches that the
-        # analytic columns and the Monte Carlo share, alive through the draw
+        # the scan's curves, blocks and reference (about 3.3 MiB), the draw's N*16
+        # offset cells (32 KiB) and the branch table of 256 branches that the
+        # analytic columns and the Monte Carlo share: a 3.7-MiB traced peak
         spec = SweepSpec(alpha_sq_grid=(1.0,), n_states_list=(MAX_N_STATES,),
                          phase_points=MAX_PHASE_POINTS, mode="both", n_pulses=1000)
         tracemalloc.start()
@@ -184,7 +184,7 @@ class TestSweepSpecValidation:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 48 << 20, f"traced peak {peak / 2**20:.1f} MiB"
+        assert peak <= 6 << 20, f"traced peak {peak / 2**20:.1f} MiB"
 
     @pytest.mark.parametrize("name", ["da", "db"])
     def test_rejects_blind_analyzer_for_montecarlo(self, name):
