@@ -52,12 +52,21 @@ class StateSet:
             raise ValueError(f"n_states must be >= 1, got {self.n_states}")
 
     def state(self, m: int) -> complex:
-        # reduce the index first so state(m + N) == state(m) exactly
-        m = m % self.n_states
-        if m == 0:
-            return self.base_amplitude
-        theta = 2.0 * math.pi * m / self.n_states
-        return self.base_amplitude * cmath.exp(1j * theta)
+        """Member m: with 4*(m mod N) = q*N + r, q quarter turns (swaps and
+        negations) of a turn whose cos and sin are taken at angles up to pi/4.
+        Bit for bit, state(m + N/2) == -state(m), a quarter turn multiplies by
+        1j, and state(N - m) == state(m).conjugate() for a real base amplitude."""
+        n = self.n_states
+        quarters, r = divmod(4 * (m % n), n)
+        theta = 0.5 * math.pi * min(r, n - r) / n
+        c, s = math.cos(theta), math.sin(theta)
+        if 2 * r == n:  # cos(pi/4) and sin(pi/4) differ in their last bit
+            s = c
+        elif 2 * r > n:
+            c, s = s, c
+        for _ in range(quarters):
+            c, s = -s, c
+        return self.base_amplitude * complex(c, s)
 
 
 class Conditioning(enum.Enum):

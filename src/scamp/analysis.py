@@ -193,15 +193,20 @@ def visibility(m: Mixture, cfg: AnalysisConfig) -> float:
     """
     if not m.is_normalized():
         raise ValueError("mixture must be normalized")
-    return visibilities(m.amplitudes(), [m.weights()], cfg)[0]
+    return visibilities(m.amplitudes(), [m.weights()], cfg.reference_amplitude, cfg.detector,
+                        cfg.phase_points)[0]
 
 
 @functools.lru_cache(maxsize=1)
 def _unit_scan(phase_points: int) -> np.ndarray:
-    """exp(i*phase) on the uniform scan grid, kept for the last size asked for."""
+    """exp(i*phase) on the uniform scan grid, kept for the last size asked for; an
+    even grid's half turn is exactly -1 (exp(1j*pi) keeps 1.2e-16 of imaginary
+    part), so the scan nulls a field that cancels the reference at any brightness."""
     import numpy as np
 
     scan = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, phase_points, endpoint=False))
+    if phase_points % 2 == 0:
+        scan[phase_points // 2] = -1.0
     scan.flags.writeable = False
     return scan
 
@@ -211,10 +216,10 @@ def _unit_scan(phase_points: int) -> np.ndarray:
 _SCAN_BLOCK_CELLS = 1 << 15
 
 
-def visibilities(
-    amplitudes: list[complex], weight_sets: list[list[float]], cfg: AnalysisConfig
-) -> list[float]:
-    """:func:`visibility` of several normalized mixtures of the same components.
+def visibilities(amplitudes: list[complex], weight_sets: list[list[float]], reference: complex,
+                 detector: DetectorModel, phase_points: int) -> list[float]:
+    """:func:`visibility` of several normalized mixtures of the same components,
+    against ``reference`` scanned over ``phase_points`` phases at port A's ``detector``.
 
     ``weight_sets[j][i]`` is the weight of ``amplitudes[i]`` in mixture j.  All
     mixtures share one reference scan.  The phase axis is cut into the fewest
@@ -223,33 +228,20 @@ def visibilities(
     phases, with one :func:`port_click` call and one reduction per range.  Besides the curves
     themselves (one float per mixture and phase), memory is O(range): it does
     not grow with components x phase_points.
-
-    The scan reads phase pi as exp(1j*pi) = -1 + sin(pi)*1j, so a reference
-    field that should cancel keeps |reference|*sin(pi); InvalidEpsilonError
-    is raised when that residue would bring more than ``EXPONENT_GUARD``
-    detected photons to port A.
     """
-    photons = cfg.ref_mean_photons()
-    residue = cfg.detector.eta_l() * photons * math.sin(math.pi) ** 2 / 2
-    if residue > EXPONENT_GUARD:
-        raise InvalidEpsilonError(
-            f"the visibility scan cannot null a reference of {photons:.6g} mean photons: "
-            f"its phase rounding adds {residue:.3g} detected photons to a dark port"
-        )
     import numpy as np
 
-    n_phases = cfg.phase_points
-    z_ref = cfg.reference_amplitude * _unit_scan(n_phases)
+    z_ref = reference * _unit_scan(phase_points)
     amplitudes = np.asarray(amplitudes, dtype=complex)[:, None]
     weights = np.asarray(weight_sets, dtype=float)[:, :, None]
     # a range one phase wide would be reduced pairwise, not in list order, so
     # every range keeps at least two phases, whatever the component count
-    ranges = -(-n_phases // max(1, _SCAN_BLOCK_CELLS // len(amplitudes)))
-    ranges = min(ranges, n_phases // 2)
-    edges = [n_phases * i // ranges for i in range(ranges + 1)]
-    curves = np.empty((len(weights), n_phases))
+    ranges = -(-phase_points // max(1, _SCAN_BLOCK_CELLS // len(amplitudes)))
+    ranges = min(ranges, phase_points // 2)
+    edges = [phase_points * i // ranges for i in range(ranges + 1)]
+    curves = np.empty((len(weights), phase_points))
     for start, stop in zip(edges, edges[1:]):
-        click = port_click(amplitudes, z_ref[start:stop], cfg.detector, "A")
+        click = port_click(amplitudes, z_ref[start:stop], detector, "A")
         # reducing over a non-contiguous axis adds the components one after
         # another, in list order (pinned bit for bit by a test)
         np.add.reduce(weights * click, axis=1, out=curves[:, start:stop])

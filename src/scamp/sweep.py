@@ -4,10 +4,10 @@ A sweep evaluates the analytic model (and, in ``both`` mode, the Monte Carlo)
 on a grid of (state-set size, input mean photon number) points and emits one
 row per point with fixed, documented columns.  Each point builds one branch
 table, input 0's N branches, and computes only the columns it emits from
-it: the visibility columns build the point's analyzer
-(``params.default_analysis``, which also derives an ``auto`` epsilon) and
-share one reference scan, and the Monte Carlo columns are drawn by
-``montecarlo`` from the table against its target ``table.target``.  Figure
+it: the visibility columns share one scan of detector DA against the table's
+target ``table.target``, and the Monte Carlo columns are drawn by
+``montecarlo`` from the table against that same target.  No column reads
+the analyzer imperfection epsilon, so a sweep never derives it.  Figure
 datasets hold a few columns of the same rows; they are model curves only,
 never measured points.  CSV carries the rows; JSON carries {"spec": ...,
 "rows": ...}.  The Monte Carlo module is imported by the first Monte Carlo
@@ -24,7 +24,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from . import params
-from .amplifier import AmplifierConfig, BranchTable, Conditioning, branch_table
+from .amplifier import BranchTable, Conditioning, branch_table
 from .analysis import (
     MAX_COUNT,
     CountTable,
@@ -200,13 +200,11 @@ class Dataset:
     rows: list[dict]
 
 
-def _analytic_columns(
-    spec: SweepSpec, cfg: AmplifierConfig, table: BranchTable, columns: frozenset[str]
-) -> dict:
+def _analytic_columns(spec: SweepSpec, table: BranchTable, columns: frozenset[str]) -> dict:
     """The analytic values of a point, computing the fidelity sum and the
-    visibility scan (with its analyzer) only when ``columns`` holds one of
-    their columns.  The heralded weights are summed and normalized once, and
-    a point that can never herald is an error whatever its columns are."""
+    visibility scan only when ``columns`` holds one of their columns.  The
+    heralded weights are summed and normalized once, and a point that can
+    never herald is an error whatever its columns are."""
     p_success, weights = table.accepted()
     row = {}
     if "fidelity" in columns or "correct_state_fraction" in columns:
@@ -216,13 +214,11 @@ def _analytic_columns(
     row["success_probability"] = p_success
     row["success_rate_per_s"] = p_success * spec.prf
     if not columns.isdisjoint(_VISIBILITY_COLUMNS):
-        # the analyzer sees input 0; its three conditioned mixtures share components
-        analysis_cfg = params.default_analysis(
-            cfg, detector=spec.detectors.da, epsilon=spec.epsilon, phase_points=spec.phase_points
-        )
+        # DA scans input 0's target; the three conditioned mixtures share components
         weight_sets = [table.accepted(cond)[1] for cond in (Conditioning.NONE, Conditioning.D0_SILENT)]
         weight_sets.append(weights)
-        row.update(zip(_VISIBILITY_COLUMNS, visibilities(table.output, weight_sets, analysis_cfg)))
+        scan = visibilities(table.output, weight_sets, table.target, spec.detectors.da, spec.phase_points)
+        row.update(zip(_VISIBILITY_COLUMNS, scan))
     return row
 
 
@@ -285,7 +281,7 @@ def _rows(spec: SweepSpec, columns: tuple[str, ...]) -> list[dict]:
             )
             table = branch_table(cfg, spec.detectors.d0, spec.detectors.d1)
             row = {"n_states": n_states, "alpha_sq": alpha_sq}
-            row.update(_analytic_columns(spec, cfg, table, wanted))
+            row.update(_analytic_columns(spec, table, wanted))
             if spec.wants_montecarlo():
                 row.update(_montecarlo_columns(spec, table, point_index))
             rows.append({c: row[c] for c in columns})

@@ -14,7 +14,8 @@ rotated by the input and scan phases; the program's cell law fed these
 factors must equal it bit for bit, and its factors gathered from input 0
 must equal these up to the rounding of the rotated references.  ``expected_tally`` is the mean of a Monte Carlo run's tally, and
 ``expected_offset_draw`` the mean of a sweep point's per-offset counts: the
-exact contract between the two models.
+exact contract between the two models.  ``visibilities_mp`` evaluates a sweep
+point's visibility columns in 40-digit arithmetic from the device alone.
 """
 
 import math
@@ -262,3 +263,42 @@ def expected_offset_draw(table: BranchTable, detectors: DetectorBank, z_ref: com
     cells, clicks = _offset_cells(table, detectors, z_ref)
     by_offset = (cells * n_pulses)[0, 0] @ _PROJECTION[Conditioning(condition)]
     return by_offset.tolist(), clicks.tolist()
+
+
+def visibilities_mp(cfg: AmplifierConfig, detectors: DetectorBank, phase_points: int,
+                    dps: int = 40) -> list[float]:
+    """A sweep point's three visibility columns (unconditioned, D0 silent, D0
+    silent and D1 fires) in ``dps``-digit mpmath, from the device alone: the
+    exact members alpha*exp(2*pi*i*k/N), input 0's N branches, and DA's click
+    curve against the target on the exact grid 2*pi*j/P."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        n = cfg.n_states()
+        r1_sq, t2_sq = mpmath.mpf(cfg.comparison_reflectivity), mpmath.mpf(cfg.subtraction_transmission)
+        r1, t1 = mpmath.sqrt(r1_sq), mpmath.sqrt(1 - r1_sq)
+        t2, r2 = mpmath.sqrt(t2_sq), mpmath.sqrt(1 - t2_sq)
+
+        def click(det: DetectorModel, mean):
+            return 1 - (1 - mpmath.mpf(det.dark_prob_per_gate)) * mpmath.exp(-mpmath.mpf(det.eta_l()) * mean)
+
+        alpha = mpmath.mpc(cfg.input_set.base_amplitude)
+        members = [alpha * mpmath.expjpi(mpmath.mpf(2 * k) / n) for k in range(n)]
+        outputs, silent, heralded = [], [], []
+        for z in members:
+            retained = r1 * alpha + t1 * t1 / r1 * z
+            outputs.append(t2 * retained)
+            silent.append(1 - click(detectors.d0, abs(t1 * (alpha - z)) ** 2))
+            heralded.append(silent[-1] * click(detectors.d1, abs(r2 * retained) ** 2))
+        target = t2 / r1 * alpha
+        refs = [target * mpmath.expjpi(mpmath.mpf(2 * j) / phase_points) for j in range(phase_points)]
+        result = []
+        for weights in ([1] * n, silent, heralded):
+            curve = [
+                mpmath.fsum(w * click(detectors.da, abs(out + ref) ** 2 / 2) for w, out in zip(weights, outputs))
+                / mpmath.fsum(weights)
+                for ref in refs
+            ]
+            hi, lo = max(curve), min(curve)
+            result.append(float((hi - lo) / (hi + lo)) if hi > 0 else 0.0)
+        return result

@@ -133,6 +133,8 @@ def dense_scan_curve(m, cfg):
     # its complex multiply is not bit-commutative, and the program multiplies
     # reference * unit
     unit = np.exp(1j * phases)
+    if cfg.phase_points % 2 == 0:
+        unit[cfg.phase_points // 2] = -1.0  # the half turn, exact
     z_ref = cfg.reference_amplitude * unit
     p_a = np.zeros_like(phases)
     eta_l = cfg.detector.eta_l()
@@ -177,12 +179,18 @@ class TestVisibility:
             turn = cmath.exp(2j * math.pi * (peak + 1) / phase_points)
             cfg = replace(cfg, reference_amplitude=cfg.reference_amplitude * turn)
             assert np.argmax(dense_scan_curve(mixtures[0], cfg)) == phase_points - 1
-            shared = visibilities(amplitudes, weight_sets, cfg)
+            shared = visibilities(amplitudes, weight_sets, cfg.reference_amplitude, cfg.detector, phase_points)
             for m, value in zip(mixtures, shared):
                 assert value == dense_scan_visibility(m, cfg) == visibility(m, cfg)
 
     def test_pure_matched_output(self):
         cfg = analyzer(0.9, eta=1.0)
+        assert visibility(Mixture.single(cfg.reference_amplitude), cfg) == 1.0
+
+    def test_half_turn_nulls_a_bright_reference(self):
+        # an even grid reads phase pi as exactly -1, where exp(1j*pi) left
+        # |reference|*1.2e-16 of field: 0.75 detected photons at 1e32
+        cfg = analyzer(1e32, eta=1.0)
         assert visibility(Mixture.single(cfg.reference_amplitude), cfg) == 1.0
 
     def test_vacuum_output_is_phase_blind(self):

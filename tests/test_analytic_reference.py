@@ -7,7 +7,8 @@ values across refactors.  After an intended change, regenerate it with
 
     PYTHONPATH=src python tests/test_analytic_reference.py
 
-and say in the change which values moved and why.
+which prints, per column, how many values moved and the largest relative
+move, and say in the change which values moved and why.
 
 The benchmark checks its passes against its own copy of the points,
 ``perfbench/reference/analytic.csv``, written by an earlier build that
@@ -85,8 +86,12 @@ def test_reference_is_the_benchmark_reference_up_to_rounding():
 
 
 if __name__ == "__main__":
+    from reference_moves import move_table
+
     points = [(int(r["n_states"]), r["alpha_sq"]) for r in read(BENCHMARK_REFERENCE)]
     text = reference_text(points)
+    with open(REFERENCE) as fh:
+        previous = fh.read()
     with open(REFERENCE, "w") as fh:
         fh.write(text)
-    sys.stdout.write(f"wrote {len(points)} points to {REFERENCE}\n")
+    sys.stdout.write(f"wrote {len(points)} points to {REFERENCE}\n" + move_table(previous, text))

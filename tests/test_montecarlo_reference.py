@@ -10,7 +10,8 @@ After an intended change, regenerate the data with
 
     PYTHONPATH=src python tests/test_montecarlo_reference.py
 
-which rewrites the CSV and prints the tally hash to put in ``TALLY_SHA256``.
+which rewrites the CSV, prints per column how many values moved and the
+largest relative move, and prints the tally hash to put in ``TALLY_SHA256``.
 """
 
 import hashlib
@@ -74,9 +75,12 @@ def test_montecarlo_tally_matches_reference_hash():
 
 
 if __name__ == "__main__":
+    from reference_moves import move_table
+
     with tempfile.TemporaryDirectory() as directory:
         data = sweep_csv(directory)
-    os.makedirs(os.path.dirname(REFERENCE), exist_ok=True)
+    with open(REFERENCE, "rb") as fh:
+        previous = fh.read()
     with open(REFERENCE, "wb") as fh:
         fh.write(data)
-    sys.stdout.write(f"TALLY_SHA256 = {tally_sha256()!r}\n")
+    sys.stdout.write(move_table(previous.decode(), data.decode()) + f"TALLY_SHA256 = {tally_sha256()!r}\n")

@@ -45,6 +45,8 @@ from scamp.sweep import (
 )
 from scamp import params
 
+import oracles
+
 
 def read_csv_rows(path: str) -> list[dict]:
     """The rows of a dataset CSV file, with each cell read back as int or float."""
@@ -640,8 +642,8 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "figure_id, config, alpha_sq",
-        [("fig3b", "[detector.d1]\ndark_prob = 0\n", "0"), ("fig3a", "", "800")],
-        ids=["never-heralded", "auto-epsilon-rounds-to-1"],
+        [("fig3b", "[detector.d1]\ndark_prob = 0\n", "0")],
+        ids=["never-heralded"],
     )
     def test_figure_runtime_failure_exits_3(self, tmp_path, capsys, figure_id, config, alpha_sq):
         path = tmp_path / "fig.ini"
@@ -659,26 +661,20 @@ class TestCli:
         [row] = csv.DictReader(out.splitlines())
         assert all(math.isfinite(float(value)) for value in row.values())
 
-    @pytest.mark.parametrize("mode", ["analytic", "both"])
-    def test_sweep_at_auto_epsilon_rounding_to_1_exits_3(self, tmp_path, capsys, mode):
-        # the sweep prints visibility columns, whose analyzer needs the epsilon
-        config = tmp_path / "bright.ini"
-        config.write_text("[sweep]\nalpha_sq = 800\nn_pulses = 1000\n")
-        end, out, err = _outcome(capsys, ["sweep", "--mode", mode, "--config", str(config)])
-        assert (end, out) == (("return", 3), "")
-        assert err.startswith("runtime error: epsilon derived from visibility") and err.count("\n") == 1
-
-    @pytest.mark.parametrize("figure_id", sorted(FIGURE_LAYOUTS))
-    def test_only_visibility_columns_build_the_analyzer(self, monkeypatch, figure_id):
+    @pytest.mark.parametrize("command", sorted(FIGURE_LAYOUTS) + ["analytic", "both"])
+    def test_no_command_builds_an_analyzer(self, monkeypatch, command):
+        # no column reads epsilon, so neither a figure nor a sweep derives one:
+        # an auto epsilon at alpha_sq = 800 would round to 1
         def no_analyzer(*args, **kwargs):
             raise AssertionError("analyzer built")
 
         monkeypatch.setattr(params, "default_analysis", no_analyzer)
-        if any(c.startswith("visibility_") for c in FIGURE_LAYOUTS[figure_id][1]):
-            with pytest.raises(AssertionError, match="analyzer built"):
-                reproduce_figure(figure_id)
+        if command in FIGURE_LAYOUTS:
+            dataset = reproduce_figure(command, alpha_sq_grid=(0.5, 800.0))
         else:
-            assert len(reproduce_figure(figure_id).rows) > 1
+            spec = SweepSpec(alpha_sq_grid=(0.5, 800.0), n_states_list=(2, 8), mode=command, n_pulses=4096)
+            dataset = run_sweep(spec)
+        assert len(dataset.rows) > 1
 
     def test_montecarlo_is_not_a_mode(self, tmp_path, capsys):
         end, out, err = _outcome(capsys, ["sweep", "--mode", "montecarlo"])
@@ -1116,11 +1112,10 @@ def _assert_documented_exit(capsys, args, columns):
             assert all(0.0 <= float(row[c]) <= 1.0 for c in columns if c.startswith("visibility_"))
 
 
-# The visibility scan reads phase pi as exp(1j*pi) = -1 + sin(pi)*1j, so a
-# reference field that should cancel keeps |reference|*sin(pi).  With epsilon = 0
-# and the default detectors it refuses once that adds more than 1e-12 detected
-# photons: alpha_sq above about 1.9e20.  Below that bound the guard moves no
-# printed byte; fig3b-d and fig4 never scan.
+# The visibility scan's half turn is exactly -1 and the state-set members are
+# exact turns, so a reference that the correct branch should cancel is nulled
+# however bright it is, up to the analyzer-overflow bound; and no column reads
+# the (auto) epsilon, which rounds to 1 above alpha_sq of about 800.
 _SCAN_COMMANDS = {
     "fig3a": (["figure", "--id", "fig3a"], ""),
     "analytic": (["sweep", "--mode", "analytic"], "n_states = 2\n"),
@@ -1134,21 +1129,23 @@ _SCAN_ROWS_AT_1E15 = {
             "0.33332938667834877,0.99998224015770742,0.99998224015770742,"
             "0.499,0.015811356678033673,1,0,1,0,1000,13729193726644583001",
 }
+_VISIBILITY_COLUMNS = ("visibility_unconditioned", "visibility_d0_silent", "visibility_conditioned")
 
 
 def _bright_outcome(tmp_path, capsys, command, alpha_sq):
     args, extra = _SCAN_COMMANDS.get(command, (["figure", "--id", command], ""))
     config = tmp_path / "bright.ini"
-    config.write_text(f"[sweep]\nepsilon = 0\nn_pulses = 1000\nalpha_sq = {alpha_sq}\n{extra}")
+    config.write_text(f"[sweep]\nn_pulses = 1000\nalpha_sq = {alpha_sq}\n{extra}")
     return _outcome(capsys, args + ["--config", str(config)])
 
 
 @pytest.mark.parametrize("command", sorted(_SCAN_COMMANDS))
-@pytest.mark.parametrize("alpha_sq", ["1e32", repr(_ALPHA_SQ_EDGE)])
-def test_scan_refuses_a_reference_it_cannot_null(tmp_path, capsys, command, alpha_sq):
+@pytest.mark.parametrize("alpha_sq", ["800", "1e32", repr(_ALPHA_SQ_EDGE)])
+def test_bright_point_prints_its_visibilities(tmp_path, capsys, command, alpha_sq):
     end, out, err = _bright_outcome(tmp_path, capsys, command, alpha_sq)
-    assert (end, out) == (("return", 3), "")
-    assert err.startswith("runtime error: the visibility scan cannot null") and err.count("\n") == 1
+    assert (end, err) == (("return", 0), "")
+    [row] = csv.DictReader(out.splitlines())
+    assert all(0.0 <= float(row[c]) <= 1.0 for c in _VISIBILITY_COLUMNS)
 
 
 @pytest.mark.parametrize("command", sorted(_SCAN_COMMANDS))
@@ -1156,6 +1153,17 @@ def test_scan_below_its_bound_prints_the_same_rows(tmp_path, capsys, command):
     end, out, err = _bright_outcome(tmp_path, capsys, command, "1e15")
     assert (end, err) == (("return", 0), "")
     assert out.splitlines()[1:] == [_SCAN_ROWS_AT_1E15[command]]
+
+
+@pytest.mark.parametrize("n_states", [2, 8])
+@pytest.mark.parametrize("alpha_sq", [1e15, 1e32])
+def test_bright_visibilities_match_a_40_digit_scan(alpha_sq, n_states):
+    pytest.importorskip("mpmath")
+    spec = SweepSpec(alpha_sq_grid=(alpha_sq,), n_states_list=(n_states,))
+    [row] = run_sweep(spec).rows
+    expected = oracles.visibilities_mp(params.default_amplifier(alpha_sq, n_states), spec.detectors,
+                                       spec.phase_points)
+    assert [row[c] for c in _VISIBILITY_COLUMNS] == pytest.approx(expected, rel=0.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("figure_id", ["fig3b", "fig3c", "fig3d", "fig4"])
@@ -1166,17 +1174,18 @@ def test_figure_without_visibility_is_not_refused_by_the_scan(tmp_path, capsys, 
     assert all(math.isfinite(float(value)) for value in row.values())
 
 
-def test_scan_refuses_the_rotated_member_residue(tmp_path, capsys):
-    # StateSet.state(4) of N = 8 keeps 1.2e-16*alpha of imaginary part, which the
-    # gain 6.6e64 makes bright; the reference (5.1e44 photons) is past the scan's bound
+def test_half_turn_at_a_large_gain_prints_its_rows(tmp_path, capsys):
+    # gain t2/r1 = 6.6e64 makes the reference 5.1e44 photons; the half-turn
+    # member's branch cancels it exactly, where exp(1j*pi) left 2.77e6j of field
     config = tmp_path / "gain.ini"
     config.write_text(
         "[amplifier]\ncomparison_reflectivity = 2.27e-130\nsubtraction_transmission = 1\n"
-        "[sweep]\nepsilon = 0\nn_states = 8\nalpha_sq = 1.16e-85\nn_pulses = 1000\n"
+        "[sweep]\nn_states = 8\nalpha_sq = 1.16e-85\nn_pulses = 1000\n"
     )
     end, out, err = _outcome(capsys, ["sweep", "--mode", "both", "--config", str(config)])
-    assert (end, out) == (("return", 3), "")
-    assert err.startswith("runtime error: the visibility scan cannot null") and err.count("\n") == 1
+    assert (end, err) == (("return", 0), "")
+    [row] = csv.DictReader(out.splitlines())
+    assert all(0.0 <= float(row[c]) <= 1.0 for c in _VISIBILITY_COLUMNS)
 
 
 # Every config key must reach an output.  _LIVE_BASE is a valid sweep config;
@@ -1275,8 +1284,7 @@ def test_every_config_key_is_live(tmp_path, capsys):
 # The figure twin of the sweep fuzz: the same draws, but the figure fixes
 # n_states and the mode, plus --alpha-sq (with alpha_sq = 0, a D1 that has no
 # dark counts never heralds).  A figure is an analytic sweep of one state-set
-# size, so it must end as that sweep ends, except that a figure without a
-# visibility column derives no auto epsilon: its sweep gets epsilon = 0 instead.
+# size, so it must end as that sweep ends.
 _FIGURE_FUZZ_VALUES = {item: values for item, values in _FUZZ_VALUES.items() if item not in _FIGURE_REJECTS}
 _figure_overrides = st.lists(
     st.sampled_from(sorted(_FIGURE_FUZZ_VALUES)), max_size=3, unique=True
@@ -1314,19 +1322,9 @@ def test_figure_exit_code_matches_analytic_sweep(tmp_path, capsys, figure_id, ov
             assert code == 2
             return
         values[("sweep", "alpha_sq")] = alpha_sq
-    visibility = any(c.startswith("visibility_") for c in FIGURE_LAYOUTS[figure_id][1])
-    if not visibility and values.get(("sweep", "epsilon"), "auto") == "auto":
-        values[("sweep", "epsilon")] = "0"
-    sweep = ["sweep", "--mode", "analytic", "--config", _write_config(tmp_path / "sweep.ini", values)]
     capsys.readouterr()
-    sweep_code = run_cli(sweep)
-    if not visibility and "visibility scan cannot null" in capsys.readouterr().err:
-        # a figure without a visibility column never scans, so it ends as the sweep
-        # ends behind a blind analyzer, whose scan is never refused; the config was
-        # read without error, so it stays valid with DA blinded
-        values[("detector.da", "efficiency")] = "0"
-        sweep_code = run_cli(sweep[:-1] + [_write_config(tmp_path / "sweep.ini", values)])
-    assert sweep_code == code
+    sweep = ["sweep", "--mode", "analytic", "--config", _write_config(tmp_path / "sweep.ini", values)]
+    assert run_cli(sweep) == code
     capsys.readouterr()
 
 
