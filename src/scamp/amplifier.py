@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import cmath
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -52,21 +53,26 @@ class StateSet:
             raise ValueError(f"n_states must be >= 1, got {self.n_states}")
 
     def state(self, m: int) -> complex:
-        """Member m: with 4*(m mod N) = q*N + r, q quarter turns (swaps and
-        negations) of a turn whose cos and sin are taken at angles up to pi/4.
-        Bit for bit, state(m + N/2) == -state(m), a quarter turn multiplies by
-        1j, and state(N - m) == state(m).conjugate() for a real base amplitude."""
-        n = self.n_states
-        quarters, r = divmod(4 * (m % n), n)
-        theta = 0.5 * math.pi * min(r, n - r) / n
-        c, s = math.cos(theta), math.sin(theta)
-        if 2 * r == n:  # cos(pi/4) and sin(pi/4) differ in their last bit
-            s = c
-        elif 2 * r > n:
-            c, s = s, c
-        for _ in range(quarters):
-            c, s = -s, c
-        return self.base_amplitude * complex(c, s)
+        """Member m: the base amplitude times :func:`turn` (m mod N, N)."""
+        return self.base_amplitude * turn(m % self.n_states, self.n_states)
+
+
+@functools.lru_cache(maxsize=1024)
+def turn(j: int, n: int) -> complex:
+    """exp(2*pi*i*j/n), 0 <= j < n: every state-set member and scan phase.  With
+    4*j = q*n + r, q quarter turns (swaps and negations) of cos and sin taken at
+    angles up to pi/4, so exactly (indices mod n) turn(j + n/2) == -turn(j), a
+    quarter turn multiplies by 1j, and turn(n - j) == turn(j).conjugate()."""
+    quarters, r = divmod(4 * j, n)
+    theta = 0.5 * math.pi * min(r, n - r) / n
+    c, s = math.cos(theta), math.sin(theta)
+    if 2 * r == n:  # cos(pi/4) and sin(pi/4) differ in their last bit
+        s = c
+    elif 2 * r > n:
+        c, s = s, c
+    for _ in range(quarters):
+        c, s = -s, c
+    return complex(c, s)
 
 
 class Conditioning(enum.Enum):
@@ -141,7 +147,6 @@ class BranchTable:
     table, whose offset 0 is the correct guess.
     """
 
-    prior: tuple[float, ...]
     target: complex  # ideal output t2/r1 * input m
     output: list[complex]
     overlap: list[float]  # |<output k|target>|^2
@@ -200,7 +205,6 @@ def _branch_row(cfg: AmplifierConfig, det0: DetectorModel, det1: DetectorModel, 
     r2, t2 = cfg.subtraction_r2, cfg.subtraction_t2
     n = cfg.n_states()
     q = 1.0 / n  # every guess is drawn with the same probability
-    prior = (q,) * n
     click0, click1 = click_law(det0), click_law(det1)
     z_in = cfg.input_set.state(m)
     in_re, in_im = z_in.real, z_in.imag
@@ -237,11 +241,11 @@ def _branch_row(cfg: AmplifierConfig, det0: DetectorModel, det1: DetectorModel, 
         silent.append(w)
         heralded.append(w * p1)
     weights = {
-        Conditioning.NONE: list(prior),
+        Conditioning.NONE: [q] * n,
         Conditioning.D0_SILENT: silent,
         Conditioning.D0_SILENT_D1_FIRES: heralded,
     }
-    return BranchTable(prior, target, output, overlap, d0_mean, d1_mean, d0_click, d1_click, weights)
+    return BranchTable(target, output, overlap, d0_mean, d1_mean, d0_click, d1_click, weights)
 
 
 def branch_table(cfg: AmplifierConfig, det0: DetectorModel, det1: DetectorModel) -> BranchTable:

@@ -33,6 +33,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from .amplifier import turn
 from .coherent import Mixture, mean_photons
 from .detectors import DetectorModel
 from .errors import InsufficientSignalError, InvalidEpsilonError
@@ -199,14 +200,11 @@ def visibility(m: Mixture, cfg: AnalysisConfig) -> float:
 
 @functools.lru_cache(maxsize=1)
 def _unit_scan(phase_points: int) -> np.ndarray:
-    """exp(i*phase) on the uniform scan grid, kept for the last size asked for; an
-    even grid's half turn is exactly -1 (exp(1j*pi) keeps 1.2e-16 of imaginary
-    part), so the scan nulls a field that cancels the reference at any brightness."""
+    """The ``phase_points`` turns of the uniform scan grid (:func:`amplifier.turn`,
+    as the state-set members), kept for the last size asked for."""
     import numpy as np
 
-    scan = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, phase_points, endpoint=False))
-    if phase_points % 2 == 0:
-        scan[phase_points // 2] = -1.0
+    scan = np.fromiter((turn(j, phase_points) for j in range(phase_points)), complex, phase_points)
     scan.flags.writeable = False
     return scan
 

@@ -8,7 +8,7 @@ scan phase).  Counts are tallied per (phase bin, input, guess, 4-bit click
 pattern).
 
 The cell law is written once, in :func:`_cell_probabilities`: a cell's
-probability is ((q_k/M * f0) * f1) * (fa * fb), the guess prior q_k = 1/N
+probability is ((1/N/M * f0) * f1) * (fa * fb), the uniform guess prior 1/N
 over M input rows times the (silent, fired) click factors of D0, D1, DA and
 DB, written into a fresh C-order (P, M, N, 16) array with each phase bin
 normalised.  Both draws feed it from the point's one branch table, input
@@ -162,7 +162,7 @@ def _click_factors(spec: RunSpec, table: BranchTable) -> tuple[np.ndarray, np.nd
     (k - m) mod N (see ``amplifier``); see :func:`_factor_pairs`."""
     scan = np.exp(1j * np.asarray(spec.phase_schedule))
     heralds, analyzer = _factor_pairs(table, spec.analysis.reference_amplitude * scan, spec.detectors)
-    n = len(table.prior)
+    n = len(table.output)
     offset = (np.arange(n) - np.arange(n)[:, None]) % n  # [m, k] -> (k - m) mod N
     return heralds[:, 0, offset], analyzer[:, :, 0, offset]
 
@@ -185,19 +185,17 @@ def _factor_pairs(table: BranchTable, refs, detectors: DetectorBank) -> tuple[np
     return heralds, analyzer
 
 
-def _cell_probabilities(prior, heralds: np.ndarray, analyzer: np.ndarray) -> np.ndarray:
+def _cell_probabilities(heralds: np.ndarray, analyzer: np.ndarray) -> np.ndarray:
     """Probability of each (input, guess, click pattern) cell, per phase bin: the cell law.
 
-    The prior (1/M)*q_k of an (input m, guess k) pair over M input rows, times
+    The prior 1/N/M of an (input m, guess k) pair over M input rows, times
     the independent D0/D1/DA/DB click factors of each pattern
-    (:func:`_factor_pairs`), as ((q_k/M * f0) * f1) * (fa * fb), shape
+    (:func:`_factor_pairs`), as ((1/N/M * f0) * f1) * (fa * fb), shape
     (P, M, N, 16), with every bin normalised to sum to one.
     """
     (f0, f1), (fa, fb) = heralds, analyzer
     shape = fa.shape[:3]
-    # q_k/M broadcasts over the inputs m
-    weights = np.asarray(prior, dtype=float) / shape[1]
-    herald_cells = weights[:, None, None] * f0[:, :, :, None] * f1[:, :, None, :]
+    herald_cells = 1.0 / shape[2] / shape[1] * f0[:, :, :, None] * f1[:, :, None, :]
     analyzer_cells = fa[..., :, None] * fb[..., None, :]
     # a fresh C-order array: each bin's sum then adds in one order for every caller
     cells = np.empty(shape + (_N_PATTERNS,))
@@ -264,7 +262,7 @@ def simulate_run(spec: RunSpec, workers: int = 1) -> TallyTable:
     """
     check_workers(workers)
     table = branch_table(spec.amplifier, spec.detectors.d0, spec.detectors.d1)
-    cells = _cell_probabilities(table.prior, *_click_factors(spec, table))
+    cells = _cell_probabilities(*_click_factors(spec, table))
     counts = _draw(spec.n_pulses, spec.master_seed, cells)
     return TallyTable(counts, spec.phase_schedule, spec.amplifier.n_states())
 
@@ -296,7 +294,7 @@ def _offset_cells(
     which offset d's output ``table.output[d]`` fires DA and DB against
     the reference ``z_ref`` (input and scan phase 1)."""
     heralds, analyzer = _factor_pairs(table, z_ref, detectors)
-    return _cell_probabilities(table.prior, heralds, analyzer), analyzer[:, 0, 0, :, 1].T
+    return _cell_probabilities(heralds, analyzer), analyzer[:, 0, 0, :, 1].T
 
 
 def _offset_draw(table: BranchTable, detectors: DetectorBank, z_ref: complex, n_pulses: int,

@@ -148,7 +148,7 @@ class NRowTable:
     def row(self, m: int) -> BranchTable:
         """Row m as the package lays out one input's branches."""
         target, output = self.target[m], self.output[m]
-        return BranchTable(self.prior, target, output, [overlap_sq(z, target) for z in output],
+        return BranchTable(target, output, [overlap_sq(z, target) for z in output],
                            self.d0_mean[m], self.d1_mean[m], self.d0_click[m], self.d1_click[m],
                            {c: rows[m] for c, rows in self.weights.items()})
 
@@ -250,9 +250,9 @@ def expected_tally(run: RunSpec, table: BranchTable) -> TallyTable:
     bin times the pulses that fall in that bin (pulse i falls in bin i mod P)."""
     n_phases = len(run.phase_schedule)
     per_bin = [run.n_pulses // n_phases + (j < run.n_pulses % n_phases) for j in range(n_phases)]
-    cells = _cell_probabilities(table.prior, *_click_factors(run, table))
+    cells = _cell_probabilities(*_click_factors(run, table))
     return TallyTable(cells * np.asarray(per_bin, dtype=float)[:, None, None, None],
-                      run.phase_schedule, len(table.prior))
+                      run.phase_schedule, len(table.output))
 
 
 def expected_offset_draw(table: BranchTable, detectors: DetectorBank, z_ref: complex, n_pulses: int,

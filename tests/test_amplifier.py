@@ -118,8 +118,8 @@ class TestStateSet:
         assert worst <= 2.2e-16
 
     def test_half_turn_cancels_the_target_at_any_gain(self):
-        # gain t2/r1 = 6.6e64: member 4 of 8 read -alpha + 1.2e-16*alpha*1j when
-        # rotated by exp(1j*pi), and its branch output plus the target 2.77e6j
+        # gain t2/r1 = 6.6e64: member 4 of 8 is exactly -alpha; a half turn off
+        # in its last bit would leave 2.77e6j of this branch output plus the target
         cfg = make_config(1.16e-85, 8, r1_sq=2.27e-130, t2_sq=1.0)
         table = branch_table(cfg, params.default_detector(), params.default_detector())
         assert table.output[4] + table.target == 0j
@@ -305,7 +305,6 @@ class TestEnumerateBranches:
         cfg = make_config(0.5, 8)
         table = branch_table(cfg, IDEAL, IDEAL)
         assert table.target == cfg.target_amplitude(0)
-        assert table.prior == (0.125,) * 8
         for field in (table.output, table.overlap, table.d0_mean, table.d1_mean, table.d0_click,
                       table.d1_click):
             assert len(field) == 8

@@ -8,6 +8,7 @@ import pytest
 from scamp.analysis import (
     AnalysisConfig,
     CountTable,
+    _unit_scan,
     count_probabilities,
     estimate_class_pulse_numbers,
     estimate_fidelity,
@@ -17,7 +18,7 @@ from scamp.analysis import (
     visibilities,
     visibility,
 )
-from scamp.amplifier import Conditioning, output_mixture
+from scamp.amplifier import Conditioning, StateSet, output_mixture, turn
 from scamp.coherent import Mixture, mixture_fidelity
 from scamp.detectors import DetectorModel, click_probability
 from scamp.errors import InsufficientSignalError, InvalidEpsilonError
@@ -127,16 +128,14 @@ class TestPortClick:
 
 
 def dense_scan_curve(m, cfg):
-    """The port-A curve of the visibility scan written out in full: fresh phase grid, one pass."""
-    phases = np.linspace(0.0, 2.0 * np.pi, cfg.phase_points, endpoint=False)
+    """The port-A curve of the visibility scan written out in full: a fresh grid
+    of the state set's turns, one pass."""
     # named, so numpy cannot reuse a large temporary in place as unit * reference:
     # its complex multiply is not bit-commutative, and the program multiplies
     # reference * unit
-    unit = np.exp(1j * phases)
-    if cfg.phase_points % 2 == 0:
-        unit[cfg.phase_points // 2] = -1.0  # the half turn, exact
+    unit = np.array([turn(j, cfg.phase_points) for j in range(cfg.phase_points)])
     z_ref = cfg.reference_amplitude * unit
-    p_a = np.zeros_like(phases)
+    p_a = np.zeros(cfg.phase_points)
     eta_l = cfg.detector.eta_l()
     dark = cfg.detector.dark_prob_per_gate
     for w, a in m.components:
@@ -149,6 +148,26 @@ def dense_scan_visibility(m, cfg):
     p_a = dense_scan_curve(m, cfg)
     hi, lo = float(p_a.max()), float(p_a.min())
     return 0.0 if hi <= 0.0 else (hi - lo) / (hi + lo)
+
+
+class TestScanGrid:
+    @pytest.mark.parametrize("phase_points", [8, 9, 12, 64, 255, 256, 4096])
+    def test_grid_is_the_state_set_turns(self, phase_points):
+        scan = _unit_scan(phase_points)
+        members = [StateSet(1.0, phase_points).state(j) for j in range(phase_points)]
+        assert scan.tobytes() == np.array(members).tobytes()
+        grid = scan.tolist()
+        assert grid[0] == 1.0
+        for j in range(1, phase_points):
+            assert grid[phase_points - j] == grid[j].conjugate()
+        if phase_points % 2 == 0:
+            half = phase_points // 2
+            assert grid[half] == -1.0
+            assert all(grid[j + half] == -grid[j] for j in range(half))
+        if phase_points % 4 == 0:
+            quarter = phase_points // 4
+            assert grid[quarter] == 1j
+            assert all(grid[j + quarter] == 1j * grid[j] for j in range(3 * quarter))
 
 
 class TestVisibility:
@@ -176,8 +195,8 @@ class TestVisibility:
             assert k < 5 or any(0.0 in ws for ws in weight_sets)
             mixtures = [Mixture(tuple(zip(ws, amplitudes))) for ws in weight_sets]
             peak = int(np.argmax(dense_scan_curve(mixtures[0], cfg)))
-            turn = cmath.exp(2j * math.pi * (peak + 1) / phase_points)
-            cfg = replace(cfg, reference_amplitude=cfg.reference_amplitude * turn)
+            rotation = cmath.exp(2j * math.pi * (peak + 1) / phase_points)
+            cfg = replace(cfg, reference_amplitude=cfg.reference_amplitude * rotation)
             assert np.argmax(dense_scan_curve(mixtures[0], cfg)) == phase_points - 1
             shared = visibilities(amplitudes, weight_sets, cfg.reference_amplitude, cfg.detector, phase_points)
             for m, value in zip(mixtures, shared):
@@ -188,8 +207,8 @@ class TestVisibility:
         assert visibility(Mixture.single(cfg.reference_amplitude), cfg) == 1.0
 
     def test_half_turn_nulls_a_bright_reference(self):
-        # an even grid reads phase pi as exactly -1, where exp(1j*pi) left
-        # |reference|*1.2e-16 of field: 0.75 detected photons at 1e32
+        # an even grid reads phase pi as exactly -1, so no field is left at the
+        # null of a reference of 1e32 photons
         cfg = analyzer(1e32, eta=1.0)
         assert visibility(Mixture.single(cfg.reference_amplitude), cfg) == 1.0
 

@@ -336,7 +336,7 @@ class TestExpectedTally:
     @given(**sweep_points)
     def test_offset_cells_are_the_full_cells_summed_by_offset(self, n, r1_sq, t2_sq, alpha_sq, dets):
         cfg, table, run = sweep_point(n, r1_sq, t2_sq, alpha_sq, dets)
-        full = _cell_probabilities(table.prior, *_click_factors(run, table))
+        full = _cell_probabilities(*_click_factors(run, table))
         offset, _ = _offset_cells(table, run.detectors, run.analysis.reference_amplitude)
         assert offset.shape == (1, 1, n, 16)
         m, d = np.arange(n)[:, None], np.arange(n)
@@ -381,7 +381,7 @@ class TestCellLawOracle:
         factors = _click_factors(full, table)
         assert all(np.array_equal(a, b) for a, b in zip(branch_tables(full), factors))
         expected = oracles.click_factors(full, oracle)
-        cells = _cell_probabilities(oracle.prior, *expected)
+        cells = _cell_probabilities(*expected)
         assert cells.flags.c_contiguous
         assert np.array_equal(cells, oracles.cell_probabilities(full, oracle))
         # the oracle's input m rounds its members and its rotated reference on its

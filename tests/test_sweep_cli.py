@@ -1112,8 +1112,8 @@ def _assert_documented_exit(capsys, args, columns):
             assert all(0.0 <= float(row[c]) <= 1.0 for c in columns if c.startswith("visibility_"))
 
 
-# The visibility scan's half turn is exactly -1 and the state-set members are
-# exact turns, so a reference that the correct branch should cancel is nulled
+# The visibility scan grid and the state-set members are the same exact turns
+# (amplifier.turn), so a reference that the correct branch should cancel is nulled
 # however bright it is, up to the analyzer-overflow bound; and no column reads
 # the (auto) epsilon, which rounds to 1 above alpha_sq of about 800.
 _SCAN_COMMANDS = {
@@ -1176,7 +1176,8 @@ def test_figure_without_visibility_is_not_refused_by_the_scan(tmp_path, capsys, 
 
 def test_half_turn_at_a_large_gain_prints_its_rows(tmp_path, capsys):
     # gain t2/r1 = 6.6e64 makes the reference 5.1e44 photons; the half-turn
-    # member's branch cancels it exactly, where exp(1j*pi) left 2.77e6j of field
+    # member's branch cancels it exactly, where a half turn off in its last bit
+    # would leave 2.77e6j of field
     config = tmp_path / "gain.ini"
     config.write_text(
         "[amplifier]\ncomparison_reflectivity = 2.27e-130\nsubtraction_transmission = 1\n"
