@@ -201,10 +201,12 @@ def visibility(m: Mixture, cfg: AnalysisConfig) -> float:
 @functools.lru_cache(maxsize=1)
 def _unit_scan(phase_points: int) -> np.ndarray:
     """The ``phase_points`` turns of the uniform scan grid (:func:`amplifier.turn`,
-    as the state-set members), kept for the last size asked for."""
+    as the state-set members), kept for the last size asked for.  The grid
+    bypasses turn's cache, which holds the members' turns and would keep none
+    of them past a large grid."""
     import numpy as np
 
-    scan = np.fromiter((turn(j, phase_points) for j in range(phase_points)), complex, phase_points)
+    scan = np.fromiter((turn.__wrapped__(j, phase_points) for j in range(phase_points)), complex, phase_points)
     scan.flags.writeable = False
     return scan
 

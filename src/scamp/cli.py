@@ -120,17 +120,19 @@ def _section_fields(section, keys: dict) -> dict:
 
 def load_sweep_config(path: str | None) -> dict:
     """Read and validate the config file into keyword arguments for SweepSpec,
-    plus ``output_path``/``output_format`` from [output] (see :func:`_destination`)."""
+    plus ``output_path``/``output_format`` from [output] (see :func:`_destination`).
+    Without a file there is nothing to read, and no parser is built."""
+    if path is None:
+        return {}
     parser = configparser.ConfigParser()
-    if path is not None:
-        try:
-            read = parser.read(path)
-        except configparser.Error as exc:
-            raise ConfigError(f"malformed config file {path!r}: {exc}") from exc
-        except UnicodeDecodeError as exc:
-            raise ConfigError(str(exc)) from exc
-        if not read:
-            raise ConfigError(f"cannot read config file {path!r}")
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(f"malformed config file {path!r}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(str(exc)) from exc
+    if not read:
+        raise ConfigError(f"cannot read config file {path!r}")
     # configparser lists no [DEFAULT] section but copies its keys into every other one
     if parser.defaults():
         raise ConfigError(f"unknown config section [{parser.default_section}]")

@@ -9,7 +9,9 @@ target ``table.target``, and the Monte Carlo columns are drawn by
 ``montecarlo`` from the table against that same target.  No column reads
 the analyzer imperfection epsilon, so a sweep never derives it.  Figure
 datasets hold a few columns of the same rows; they are model curves only,
-never measured points.  CSV carries the rows; JSON carries {"spec": ...,
+never measured points.  A :class:`Dataset` holds the rows and the
+:class:`SweepSpec` they are computed from; CSV carries the rows alone, and
+only JSON builds the spec echo (:meth:`Dataset.echo`), as {"spec": ...,
 "rows": ...}.  The Monte Carlo module is imported by the first Monte Carlo
 row.
 """
@@ -194,10 +196,21 @@ def _field_values(obj) -> dict:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Echoed configuration plus one record per grid point, in grid order."""
+    """The spec the rows are computed from plus one record per grid point, in
+    grid order; a figure's dataset also names its figure."""
 
-    spec: dict
+    spec: SweepSpec
     rows: list[dict]
+    figure_id: str | None = None
+
+    def echo(self) -> dict:
+        """The spec as JSON-ready plain values (:meth:`SweepSpec.echo`); a
+        figure's also names the figure and labels its rows model curves."""
+        echo = self.spec.echo()
+        if self.figure_id is not None:
+            echo["figure_id"] = self.figure_id
+            echo["data"] = "model-curves"
+        return echo
 
 
 def _analytic_columns(spec: SweepSpec, table: BranchTable, columns: frozenset[str]) -> dict:
@@ -263,7 +276,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> Dataset:
     ``workers`` is the Monte Carlo worker count of :func:`check_workers`.
     """
     check_workers(workers)
-    return Dataset(spec=spec.echo(), rows=_rows(spec, spec.columns()))
+    return Dataset(spec, _rows(spec, spec.columns()))
 
 
 def _rows(spec: SweepSpec, columns: tuple[str, ...]) -> list[dict]:
@@ -317,11 +330,7 @@ def reproduce_figure(figure_id: str, **fields) -> Dataset:
         params.FIG4_ALPHA_SQ_GRID if figure_id == "fig4" else params.FIG3_ALPHA_SQ_GRID,
     )
     spec = SweepSpec(n_states_list=(n_states,), **fields)
-    rows = _rows(spec, columns)
-    spec_echo = spec.echo()
-    spec_echo["figure_id"] = figure_id
-    spec_echo["data"] = "model-curves"
-    return Dataset(spec=spec_echo, rows=rows)
+    return Dataset(spec, _rows(spec, columns), figure_id)
 
 
 def run_estimator(
@@ -381,7 +390,7 @@ def _json_cell(value):
 def dataset_to_json(dataset: Dataset) -> str:
     """RFC 8259 JSON: a NaN or infinite cell is written as ``null``."""
     rows = [{c: _json_cell(v) for c, v in row.items()} for row in dataset.rows]
-    return json.dumps({"spec": dataset.spec, "rows": rows}, indent=2, allow_nan=False) + "\n"
+    return json.dumps({"spec": dataset.echo(), "rows": rows}, indent=2, allow_nan=False) + "\n"
 
 
 def serializer(output_format: str) -> Callable[[Dataset], str]:

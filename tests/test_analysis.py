@@ -169,6 +169,16 @@ class TestScanGrid:
             assert grid[quarter] == 1j
             assert all(grid[j + quarter] == 1j * grid[j] for j in range(3 * quarter))
 
+    def test_large_grid_keeps_the_cached_member_turns(self):
+        # the grid is built without turn's cache, so a 65536-point build evicts no member turn
+        turn(3, 8)
+        before = turn.cache_info()
+        _unit_scan.__wrapped__(65536)
+        assert turn.cache_info() == before
+        turn(3, 8)
+        after = turn.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
 
 class TestVisibility:
     def test_shared_scan_is_bit_identical_to_dense_scan(self):

@@ -6,8 +6,9 @@ echo), a ``--mode both`` JSON sweep of a non-default config, ``estimate`` on
 a fixed count table (stdout and the ``--output`` report), the ``selfcheck``
 lines, and each demo's stdout and the files it writes, run from a temporary
 directory.  The demos run with matplotlib hidden, so their text does not
-depend on whether it is installed.  The files live in ``tests/data/outputs``;
-after an intended change, regenerate them with
+depend on whether it is installed.  No CSV output builds the JSON spec
+echo.  The files live in ``tests/data/outputs``; after an intended change,
+regenerate them with
 
     PYTHONPATH=src python tests/test_output_reference.py
 
@@ -16,6 +17,7 @@ and say in the change which files moved and why.
 
 import contextlib
 import io
+import json
 import os
 import subprocess
 import sys
@@ -25,6 +27,9 @@ from pathlib import Path
 import pytest
 
 import scamp.cli as cli
+from scamp import params
+from scamp.sweep import Dataset, SweepSpec, dataset_to_csv
+from test_montecarlo_reference import REFERENCE as MC_REFERENCE, sweep_csv
 
 ROOT = Path(__file__).resolve().parents[1]
 REFERENCE_DIR = ROOT / "tests" / "data" / "outputs"
@@ -135,6 +140,24 @@ def outputs(case: str, workdir: Path) -> dict[str, bytes]:
 def test_output_matches_reference(case, tmp_path, capsys):
     for name, data in outputs(case, tmp_path).items():
         assert data == (REFERENCE_DIR / name).read_bytes(), name
+    capsys.readouterr()
+
+
+def test_csv_output_never_builds_the_spec_echo(tmp_path, capsys, monkeypatch):
+    # only JSON prints the echo, so every CSV output keeps its pinned bytes
+    # without it; the default sweep's CSV is the rows of its JSON pin
+    default_spec = SweepSpec(params.FIG3_ALPHA_SQ_GRID, (2, 4, 8))
+    pinned_rows = json.loads((REFERENCE_DIR / "sweep_analytic.json").read_text())["rows"]
+    pinned_sweep_csv = dataset_to_csv(Dataset(default_spec, pinned_rows)).encode()
+
+    def refuse(self):
+        raise AssertionError("a CSV output built the spec echo")
+
+    monkeypatch.setattr(SweepSpec, "echo", refuse)
+    assert _cli(["sweep"]) == pinned_sweep_csv
+    assert sweep_csv(str(tmp_path)) == Path(MC_REFERENCE).read_bytes()
+    for figure_id in FIGURE_IDS:
+        assert _cli(["figure", "--id", figure_id]) == (REFERENCE_DIR / f"figure_{figure_id}.csv").read_bytes()
     capsys.readouterr()
 
 

@@ -33,7 +33,6 @@ from scamp.sweep import (
     MAX_N_STATES,
     MAX_PHASE_POINTS,
     MC_COLUMNS,
-    Dataset,
     SweepSpec,
     dataset_to_csv,
     dataset_to_json,
@@ -57,15 +56,16 @@ def read_csv_rows(path: str) -> list[dict]:
         ]
 
 
-def read_json_dataset(path: str) -> Dataset:
-    """The dataset a JSON file holds, with ``null`` in a float column read as NaN."""
+def read_json_dataset(path: str) -> tuple[dict, list[dict]]:
+    """The spec echo and the rows a JSON dataset file holds, with ``null`` in a
+    float column read as NaN."""
     with open(path) as fh:
         payload = json.load(fh)
     rows = [
         {c: math.nan if v is None and c not in INT_COLUMNS else v for c, v in row.items()}
         for row in payload["rows"]
     ]
-    return Dataset(spec=payload["spec"], rows=rows)
+    return payload["spec"], rows
 
 
 class TestSweepSpecValidation:
@@ -319,9 +319,10 @@ class TestSerialization:
         ds = run_sweep(spec)
         path = str(tmp_path / "rows.json")
         write_dataset(ds, path, "json")
-        back = read_json_dataset(path)
-        assert back.rows == ds.rows
-        assert back.spec["n_pulses"] == 20_000
+        echo, rows = read_json_dataset(path)
+        assert rows == ds.rows
+        assert echo == ds.echo()
+        assert echo["n_pulses"] == 20_000
 
     def test_json_writes_non_finite_cells_as_null(self, tmp_path):
         # ten pulses at alpha_sq = 0.01 herald none: no class split, no estimate
@@ -339,7 +340,7 @@ class TestSerialization:
         assert dataset_to_csv(ds).splitlines()[1].count(",nan") == 4
         path = str(tmp_path / "rows.json")
         write_dataset(ds, path, "json")
-        back = read_json_dataset(path).rows[0]
+        back = read_json_dataset(path)[1][0]
         assert list(back) == list(ds.rows[0])
         for column, value in ds.rows[0].items():
             if column in nan_columns:
@@ -417,7 +418,8 @@ class TestReproduceFigure:
         base = reproduce_figure("fig4", alpha_sq_grid=(0.94,))
         ds = reproduce_figure("fig4", alpha_sq_grid=(0.94,), mode="analytic", prf=2e6)
         assert ds.rows[0]["success_rate_per_s"] == 2.0 * base.rows[0]["success_rate_per_s"]
-        assert ds.spec["prf"] == 2e6
+        assert ds.spec.prf == 2e6
+        assert ds.echo()["prf"] == 2e6
 
     def test_fig3a_ideal_conditioned_curve_is_unity(self):
         ideal = DetectorBank.uniform(DetectorModel.ideal())
@@ -437,8 +439,10 @@ class TestReproduceFigure:
 
     def test_dataset_is_labeled_model_curves(self):
         ds = reproduce_figure("fig4", alpha_sq_grid=(0.5,))
-        assert ds.spec["data"] == "model-curves"
-        assert ds.spec["figure_id"] == "fig4"
+        assert ds.figure_id == "fig4"
+        echo = ds.echo()
+        assert echo == {**ds.spec.echo(), "figure_id": "fig4", "data": "model-curves"}
+        assert list(echo)[-2:] == ["figure_id", "data"]
         assert list(ds.rows[0].keys()) == ["alpha_sq", "success_rate_per_s"]
 
 
@@ -520,6 +524,13 @@ class TestCli:
         assert run_cli(command + ["--config", str(config)]) == 2
         assert "unknown config section [DEFAULT]" in capsys.readouterr().err
 
+    def test_no_config_file_builds_no_parser(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a ConfigParser was built without a config file")
+
+        monkeypatch.setattr(cli.configparser, "ConfigParser", refuse)
+        assert cli.load_sweep_config(None) == {}
+
     @pytest.mark.parametrize(
         "text", ["[sweep]\nseed = 1\nseed = 2\n", "seed = 1\n", "[sweep\n", "[output]\npath = 50%\n"]
     )
@@ -597,7 +608,7 @@ class TestCli:
         assert [r["alpha_sq"] for r in read_csv_rows("cfg.csv")] == [0.3, 0.5]
         assert run_cli(["figure", "--id", "fig3b", "--config", str(config), "--alpha-sq", "0.7",
                         "--output", "flag.json", "--format", "json"]) == 0
-        assert [r["alpha_sq"] for r in read_json_dataset("flag.json").rows] == [0.7]
+        assert [r["alpha_sq"] for r in read_json_dataset("flag.json")[1]] == [0.7]
         # an empty grid is an error, not a request for the default grid
         assert run_cli(["figure", "--id", "fig3b", "--alpha-sq", ""]) == 2
 
@@ -637,8 +648,8 @@ class TestCli:
         out = str(tmp_path / "fig.json")
         assert run_cli(["figure", "--id", "fig4", "--alpha-sq", "0.94", "--output", out,
                         "--format", "json"]) == 0
-        ds = read_json_dataset(out)
-        assert ds.spec["figure_id"] == "fig4"
+        echo, _ = read_json_dataset(out)
+        assert echo["figure_id"] == "fig4"
 
     @pytest.mark.parametrize(
         "figure_id, config, alpha_sq",
