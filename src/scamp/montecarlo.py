@@ -1,41 +1,40 @@
-"""Stochastic simulation of the full experiment, tallied per cell.
+"""Stochastic simulation of the full experiment, tallied per guess offset.
 
 Each pulse draws an input state and a guess state, each uniformly from the
 N states of the set, clicks at the heralding detectors D0/D1 from the branch
 amplitudes, and clicks at DA/DB after the branch output meets the analysis
 interferometer (test state phase-locked to the input, plus the scheduled
-scan phase).  Counts are tallied per (phase bin, input, guess, 4-bit click
-pattern).
+scan phase).  The set is symmetric, so every click probability depends on
+(input m, guess k) only through the guess offset d = (k - m) mod N (see
+``amplifier``: input m's branch at guess k is input 0's at offset d, its
+reference rotating with the input).  Counts are tallied per (phase bin,
+input 0, offset, 4-bit click pattern); offset 0 is the correct guess.
 
-The cell law is written once, in :func:`_cell_probabilities`: a cell's
-probability is ((1/N/M * f0) * f1) * (fa * fb), the uniform guess prior 1/N
-over M input rows times the (silent, fired) click factors of D0, D1, DA and
-DB, written into a fresh C-order (P, M, N, 16) array with each phase bin
-normalised.  Both draws feed it from the point's one branch table, input
-0's N branches (see ``amplifier``: input m's branch at guess k is input 0's
-at the offset d = (k - m) mod N, its reference rotating with the input),
-each one ``Generator.multinomial`` call per phase bin from one stream
-seeded by a seed alone, so its cost does not depend on the number of
-pulses (pulse i falls in bin i mod P):
+There is one draw, :func:`_offset_draw`: input 0's (silent, fired) click
+factors against the analyzer reference at each of P phases
+(:func:`_factor_pairs`), the cell law written once
+(:func:`_cell_probabilities`: the guess prior 1/N times the D0, D1, DA and
+DB factors, ((1/N * f0) * f1) * (fa * fb), each phase bin normalised), and
+one ``Generator.multinomial`` call per bin from one stream seeded by a seed
+alone (:func:`_draw`), so its cost does not depend on the number of pulses
+(pulse i falls in bin i mod P).  By the aggregation property of the
+multinomial, its counts have the distribution of a draw over all N*N
+(input, guess) pairs summed by offset.
 
-- ``simulate_run`` draws the full tally over the N*N (input, guess) pairs.
-  Its click factors are input 0's against the analyzer reference at each
-  scan phase, gathered at each pair's offset (:func:`_click_factors`).  The
-  result is bit-identical for a given master seed whatever worker count is
-  asked for (the count is checked, but changes neither the output nor the
-  speed).
-- A sweep point draws over the N*16 (offset, pattern) cells of input 0
-  (:func:`_offset_draw`) against its target output, with M = P = 1.  These
-  cells carry the full draw's distribution summed over inputs by offset
-  (the aggregation property of the multinomial), which is all a sweep
-  column reads; :func:`_offset_fidelity` estimates the output fidelity
-  from them.  The point's stream is two ``SeedSequence`` steps, both here:
-  the sweep's master seed and the point's grid index give the point's seed
+- ``simulate_run`` draws against the run's reference at each scheduled scan
+  phase, seeded by the master seed, so the tally is bit-identical for a
+  given master seed whatever worker count is asked for (the count is
+  checked, but changes neither the output nor the speed).
+- A sweep point draws against its target output in one bin, and reads each
+  offset's DA/DB click probabilities from the same factors;
+  :func:`_offset_fidelity` estimates the output fidelity from them.  The
+  sweep's master seed and the point's grid index give the point's seed
   (:func:`_point_seed`, printed as its ``mc_seed``), and that seed alone
   seeds the draw, so a row's ``mc_seed`` reproduces its counts.
 
 A tally is projected by one integer matrix product.  ``simulate_chunk`` is
-the pulse-by-pulse sampler the tally stands for: chunk c of a fixed chunk
+the pulse-by-pulse sampler the tally stands for: it draws (input, guess)
+per pulse and tallies the pulse at its offset; chunk c of a fixed chunk
 size draws from its own stream derived from (master_seed, c), and chunk
 tallies merge by addition.  Tests compare the multinomial draw against it.
 """
@@ -103,22 +102,25 @@ class RunSpec:
             raise ValueError(f"master_seed must be a nonnegative integer, got {self.master_seed}")
         if len(self.phase_schedule) == 0:
             raise ValueError("phase_schedule must contain at least one phase")
+        for phase in self.phase_schedule:
+            if not math.isfinite(phase):
+                raise ValueError(f"phase_schedule entries must be finite, got {phase}")
 
 
 @dataclass(frozen=True)
 class TallyTable:
-    """Event counts per (phase bin, input, guess, D0/D1/DA/DB click pattern).
+    """Event counts per (phase bin, input 0, guess offset, D0/D1/DA/DB click pattern).
 
     Merging two tables is field-wise addition, so chunked simulation reduces
     to a sum in any order.
     """
 
-    counts: np.ndarray  # int64, shape (n_phases, N, N, 16)
+    counts: np.ndarray  # int64, shape (n_phases, 1, N, 16)
     phases: tuple[float, ...]
     n_states: int
 
     def __post_init__(self):
-        expected = (len(self.phases), self.n_states, self.n_states, _N_PATTERNS)
+        expected = (len(self.phases), 1, self.n_states, _N_PATTERNS)
         if self.counts.shape != expected:
             raise ValueError(f"counts shape {self.counts.shape} != {expected}")
 
@@ -133,7 +135,7 @@ class TallyTable:
 
     @classmethod
     def empty(cls, phases: tuple[float, ...], n_states: int) -> "TallyTable":
-        shape = (len(phases), n_states, n_states, _N_PATTERNS)
+        shape = (len(phases), 1, n_states, _N_PATTERNS)
         return cls(np.zeros(shape, dtype=np.int64), phases, n_states)
 
 
@@ -147,24 +149,17 @@ def phase_scan(n_points: int) -> tuple[float, ...]:
 def branch_tables(spec: RunSpec) -> tuple[np.ndarray, np.ndarray]:
     """Precompute all per-branch click probabilities for a run.
 
-    D0/D1 clicks and outputs come from the amplifier's branch table of
-    input 0, against the analyzer reference at each scheduled scan phase;
-    input m's branch at guess k is input 0's at offset (k - m) mod N.
-    Returns the (silent, fired) click factors of :func:`_click_factors`.
+    The (silent, fired) click factors of :func:`_factor_pairs`: those of
+    the amplifier's branch table of input 0, indexed by guess offset,
+    against the analyzer reference at each scheduled scan phase.
     """
-    return _click_factors(spec, branch_table(spec.amplifier, spec.detectors.d0, spec.detectors.d1))
+    table = branch_table(spec.amplifier, spec.detectors.d0, spec.detectors.d1)
+    return _factor_pairs(table, _scan_references(spec), spec.detectors)
 
 
-def _click_factors(spec: RunSpec, table: BranchTable) -> tuple[np.ndarray, np.ndarray]:
-    """(silent, fired) click factors of the N*N (input m, guess k) branches,
-    D0/D1 (2, N, N, 2) and DA/DB (2, P, N, N, 2): those of ``table`` (input 0)
-    against the reference at each scan phase, gathered at offset
-    (k - m) mod N (see ``amplifier``); see :func:`_factor_pairs`."""
-    scan = np.exp(1j * np.asarray(spec.phase_schedule))
-    heralds, analyzer = _factor_pairs(table, spec.analysis.reference_amplitude * scan, spec.detectors)
-    n = len(table.output)
-    offset = (np.arange(n) - np.arange(n)[:, None]) % n  # [m, k] -> (k - m) mod N
-    return heralds[:, 0, offset], analyzer[:, :, 0, offset]
+def _scan_references(spec: RunSpec) -> np.ndarray:
+    """The run's analyzer reference at each scheduled scan phase."""
+    return spec.analysis.reference_amplitude * np.exp(1j * np.asarray(spec.phase_schedule))
 
 
 def _factor_pairs(table: BranchTable, refs, detectors: DetectorBank) -> tuple[np.ndarray, np.ndarray]:
@@ -186,16 +181,16 @@ def _factor_pairs(table: BranchTable, refs, detectors: DetectorBank) -> tuple[np
 
 
 def _cell_probabilities(heralds: np.ndarray, analyzer: np.ndarray) -> np.ndarray:
-    """Probability of each (input, guess, click pattern) cell, per phase bin: the cell law.
+    """Probability of each (input 0, guess offset, click pattern) cell, per phase bin: the cell law.
 
-    The prior 1/N/M of an (input m, guess k) pair over M input rows, times
-    the independent D0/D1/DA/DB click factors of each pattern
-    (:func:`_factor_pairs`), as ((1/N/M * f0) * f1) * (fa * fb), shape
-    (P, M, N, 16), with every bin normalised to sum to one.
+    The uniform guess prior 1/N times the independent D0/D1/DA/DB click
+    factors of each pattern (:func:`_factor_pairs`), as
+    ((1/N * f0) * f1) * (fa * fb), shape (P, 1, N, 16), with every bin
+    normalised to sum to one.
     """
     (f0, f1), (fa, fb) = heralds, analyzer
     shape = fa.shape[:3]
-    herald_cells = 1.0 / shape[2] / shape[1] * f0[:, :, :, None] * f1[:, :, None, :]
+    herald_cells = 1.0 / shape[2] * f0[:, :, :, None] * f1[:, :, None, :]
     analyzer_cells = fa[..., :, None] * fb[..., None, :]
     # a fresh C-order array: each bin's sum then adds in one order for every caller
     cells = np.empty(shape + (_N_PATTERNS,))
@@ -214,15 +209,20 @@ def simulate_chunk(
     """Simulate one chunk of pulses with its own derived random stream.
 
     ``tables`` are the run's :func:`branch_tables`, built here if not given.
+    A chunk past the run's last pulse is an empty tally.
     """
+    if chunk_index < 0:
+        raise ValueError(f"chunk_index must be >= 0, got {chunk_index}")
+    if chunk_size < 1:
+        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     start = chunk_index * chunk_size
     count = min(chunk_size, spec.n_pulses - start)
     if count <= 0:
         return TallyTable.empty(spec.phase_schedule, spec.amplifier.n_states())
     if tables is None:
         tables = branch_tables(spec)
-    # the fired planes of the D0/D1 and DA/DB click factors
-    (p0, p1), (pa, pb) = (f[..., 1] for f in tables)
+    # the fired planes of the D0/D1 and DA/DB click factors, by guess offset
+    (p0, p1), (pa, pb) = (f[..., 0, :, 1] for f in tables)
     n = spec.amplifier.n_states()
     n_phases = len(spec.phase_schedule)
     ss = np.random.SeedSequence(entropy=spec.master_seed, spawn_key=(chunk_index,))
@@ -236,19 +236,20 @@ def simulate_chunk(
     ub = rng.random(count)
 
     j = (start + np.arange(count)) % n_phases
-    d0 = u0 < p0[inputs, guesses]
-    d1 = u1 < p1[inputs, guesses]
-    da = ua < pa[j, inputs, guesses]
-    db = ub < pb[j, inputs, guesses]
+    offsets = (guesses - inputs) % n
+    d0 = u0 < p0[offsets]
+    d1 = u1 < p1[offsets]
+    da = ua < pa[j, offsets]
+    db = ub < pb[j, offsets]
     pattern = (
         d0.astype(np.int64) * _BIT_D0
         + d1.astype(np.int64) * _BIT_D1
         + da.astype(np.int64) * _BIT_DA
         + db.astype(np.int64) * _BIT_DB
     )
-    flat = ((j * n + inputs) * n + guesses) * _N_PATTERNS + pattern
-    counts = np.bincount(flat, minlength=n_phases * n * n * _N_PATTERNS)
-    counts = counts.reshape(n_phases, n, n, _N_PATTERNS).astype(np.int64)
+    flat = (j * n + offsets) * _N_PATTERNS + pattern
+    counts = np.bincount(flat, minlength=n_phases * n * _N_PATTERNS)
+    counts = counts.reshape(n_phases, 1, n, _N_PATTERNS).astype(np.int64)
     return TallyTable(counts, spec.phase_schedule, n)
 
 
@@ -256,15 +257,29 @@ def simulate_run(spec: RunSpec, workers: int = 1) -> TallyTable:
     """Simulate the full run; deterministic for a fixed master seed.
 
     Draws each phase bin's tally as one multinomial sample over its cells,
-    from a stream seeded by the master seed alone.  ``workers`` is checked
-    (:func:`errors.check_workers`) and kept for callers; the draw is one
-    stream, so any worker count gives the same tally in the same time.
+    from a stream seeded by the master seed alone (:func:`_offset_draw`).
+    ``workers`` is checked (:func:`errors.check_workers`) and kept for
+    callers; the draw is one stream, so any worker count gives the same
+    tally in the same time.
     """
     check_workers(workers)
     table = branch_table(spec.amplifier, spec.detectors.d0, spec.detectors.d1)
-    cells = _cell_probabilities(*_click_factors(spec, table))
-    counts = _draw(spec.n_pulses, spec.master_seed, cells)
+    counts, _ = _offset_draw(table, spec.detectors, _scan_references(spec), spec.n_pulses, spec.master_seed)
     return TallyTable(counts, spec.phase_schedule, spec.amplifier.n_states())
+
+
+def _offset_draw(table: BranchTable, detectors: DetectorBank, refs, n_pulses: int,
+                 seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The one Monte Carlo draw: ``n_pulses`` over the (P, 1, N, 16) cells of
+    input 0 (:func:`_cell_probabilities`) against each of the P analyzer
+    references ``refs``, seeded by ``seed`` (:func:`_draw`).
+
+    Returns the int64 counts, and the (2, P, N) probabilities with which
+    offset d's output ``table.output[d]`` fires DA and DB against each
+    reference, read from the same click factors.
+    """
+    heralds, analyzer = _factor_pairs(table, refs, detectors)
+    return _draw(n_pulses, seed, _cell_probabilities(heralds, analyzer)), analyzer[:, :, 0, :, 1]
 
 
 def _draw(n_pulses: int, seed: int, cells: np.ndarray) -> np.ndarray:
@@ -287,33 +302,13 @@ def _point_seed(master_seed: int, point_index: int) -> int:
     return int(state.generate_state(1, np.uint64)[0])
 
 
-def _offset_cells(
-    table: BranchTable, detectors: DetectorBank, z_ref: complex
-) -> tuple[np.ndarray, np.ndarray]:
-    """The (1, 1, N, 16) cells of input 0, and the (N, 2) rows (p_A, p_B) at
-    which offset d's output ``table.output[d]`` fires DA and DB against
-    the reference ``z_ref`` (input and scan phase 1)."""
-    heralds, analyzer = _factor_pairs(table, z_ref, detectors)
-    return _cell_probabilities(heralds, analyzer), analyzer[:, 0, 0, :, 1].T
-
-
-def _offset_draw(table: BranchTable, detectors: DetectorBank, z_ref: complex, n_pulses: int,
-                 seed: int, condition) -> tuple[np.ndarray, np.ndarray]:
-    """Accepted pulses per guess offset d = (guess - input) mod N, int64 (N, 4)
-    rows of (accepted, with DA fired, with DB fired, with both fired), drawn
-    over :func:`_offset_cells` by one multinomial call seeded by ``seed``, and
-    those cells' (p_A, p_B) rows.  The counts have the distribution of the
-    full draw's counts summed by offset (see the module docstring)."""
-    cells, clicks = _offset_cells(table, detectors, z_ref)
-    return _draw(n_pulses, seed, cells)[0, 0] @ _PROJECTION[Conditioning(condition)], clicks
-
-
 def _offset_fidelity(table: BranchTable, by_offset, clicks) -> tuple[float, float]:
     """Estimated output fidelity and its standard error from per-offset counts.
 
-    ``by_offset`` and ``clicks`` are the rows of :func:`_offset_draw`: offset d
-    counts (accepted, n_A, n_B, n_AB), and its output ``table.output[d]``
-    fires DA with p_A,d and DB with p_B,d, so its pulse number is
+    ``by_offset`` and ``clicks`` are rows of one bin of :func:`_offset_draw`:
+    offset d counts (accepted, n_A, n_B, n_AB) under the sweep's
+    conditioning, and its output ``table.output[d]`` fires DA with p_A,d
+    and DB with p_B,d, so its pulse number is
     N_d = (n_A,d + n_B,d) / (p_A,d + p_B,d) (:func:`estimate_class_pulse_numbers`), and
 
         F = sum_d o_d*N_d / sum_d N_d,    o_d = ``table.overlap[d]``.

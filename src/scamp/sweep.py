@@ -239,13 +239,11 @@ def _montecarlo_columns(spec: SweepSpec, table: BranchTable, point_index: int) -
     """The Monte Carlo values of grid point ``point_index``, all from one draw
     over the N*16 guess-offset cells of input 0 (offset 0 is the correct
     class), built from ``table`` against its target output."""
-    from .montecarlo import _offset_draw, _offset_fidelity, _point_seed, standard_error
+    from .montecarlo import _PROJECTION, _offset_draw, _offset_fidelity, _point_seed, standard_error
 
     seed = _point_seed(spec.seed, point_index)
-    by_offset, clicks = _offset_draw(
-        table, spec.detectors, table.target, spec.n_pulses, seed, Conditioning.D0_SILENT_D1_FIRES
-    )
-    by_offset = by_offset.tolist()
+    counts, clicks = _offset_draw(table, spec.detectors, table.target, spec.n_pulses, seed)
+    by_offset = (counts[0, 0] @ _PROJECTION[Conditioning.D0_SILENT_D1_FIRES]).tolist()
     n_correct = by_offset[0][0]
     accepted = sum(row[0] for row in by_offset)
     out = {
@@ -261,7 +259,7 @@ def _montecarlo_columns(spec: SweepSpec, table: BranchTable, point_index: int) -
         out["mc_correct_state_fraction"] = math.nan
         out["mc_correct_state_fraction_se"] = math.nan
     try:
-        out["mc_fidelity"], out["mc_fidelity_se"] = _offset_fidelity(table, by_offset, clicks.tolist())
+        out["mc_fidelity"], out["mc_fidelity_se"] = _offset_fidelity(table, by_offset, clicks[:, 0].T.tolist())
     except InsufficientSignalError:
         out["mc_fidelity"] = math.nan
         out["mc_fidelity_se"] = math.nan

@@ -9,13 +9,16 @@ figures averaged over the N input rows.  The package builds input 0's row
 alone: its one-pass build of any input must equal the row here bit for bit,
 and its figures must equal the N-row averages up to rounding.  Likewise
 ``click_factors`` and ``cell_probabilities`` are the earlier Monte Carlo
-cell build, one 7-axis broadcast over a table's rows against references
-rotated by the input and scan phases; the program's cell law fed these
-factors must equal it bit for bit, and its factors gathered from input 0
-must equal these up to the rounding of the rotated references.  ``expected_tally`` is the mean of a Monte Carlo run's tally, and
-``expected_offset_draw`` the mean of a sweep point's per-offset counts: the
-exact contract between the two models.  ``visibilities_mp`` evaluates a sweep
-point's visibility columns in 40-digit arithmetic from the device alone.
+cell build over all N*N (input, guess) pairs, one 7-axis broadcast over a
+table's rows against references rotated by the input and scan phases.  The
+package draws over input 0's cells by guess offset: its cell law must equal
+the oracle's input-0 row bit for bit, and its cells must equal the oracle's
+full cells summed by offset up to the rounding of the rotated references.
+``expected_tally`` is the mean of a Monte Carlo run's tally,
+``expected_offset_draw`` the mean of a sweep point's per-offset counts, and
+``counts_by_offset`` a tally's per-offset records: the exact contract
+between the two models.  ``visibilities_mp`` evaluates a sweep point's
+visibility columns in 40-digit arithmetic from the device alone.
 """
 
 import math
@@ -34,8 +37,7 @@ from scamp.montecarlo import (
     RunSpec,
     TallyTable,
     _cell_probabilities,
-    _click_factors,
-    _offset_cells,
+    branch_tables,
 )
 
 UNITARITY_TOL = 1e-12
@@ -181,7 +183,7 @@ def click_factors(spec: RunSpec, table: NRowTable) -> tuple[np.ndarray, np.ndarr
     """(silent, fired) click factors of D0/D1, (2, M, N, 2), and DA/DB, (2, P, M, N, 2),
     by pattern bit value along the last axis, for the M rows of ``table`` (inputs
     0..M-1) against its N guesses, with input m's analyzer reference rotated by its
-    phase 2*pi*m/N (the earlier :func:`scamp.montecarlo.branch_tables`)."""
+    phase 2*pi*m/N (the earlier full draw's factors)."""
     rows, n = len(table.target), len(table.prior)
     out = np.array(table.output, dtype=complex)[None, :, :]
     z_ref = spec.analysis.reference_amplitude
@@ -237,32 +239,26 @@ def counts_by_offset(t: TallyTable, condition) -> list[tuple[int, int, int]]:
     Offset d = (guess - input) mod N indexes the N possible output classes
     of the symmetric set; feed these to the multi-class pulse estimator.
     """
-    per_pair = t.counts.sum(axis=0) @ _PROJECTION[Conditioning(condition)]
-    n = t.n_states
-    m, d = np.arange(n)[:, None], np.arange(n)
-    # [m, d] picks input m's guess (m + d) mod N, so the sum over m groups by offset
-    by_offset = per_pair[m, (m + d) % n].sum(axis=0)
+    by_offset = t.counts.sum(axis=0)[0] @ _PROJECTION[Conditioning(condition)]
     return [(n_a, n_b, accepted) for accepted, n_a, n_b, _ in by_offset.tolist()]
 
 
-def expected_tally(run: RunSpec, table: BranchTable) -> TallyTable:
+def expected_tally(run: RunSpec) -> TallyTable:
     """The mean tally of ``run``, in float: the program's cells of each phase
     bin times the pulses that fall in that bin (pulse i falls in bin i mod P)."""
     n_phases = len(run.phase_schedule)
     per_bin = [run.n_pulses // n_phases + (j < run.n_pulses % n_phases) for j in range(n_phases)]
-    cells = _cell_probabilities(*_click_factors(run, table))
+    cells = _cell_probabilities(*branch_tables(run))
     return TallyTable(cells * np.asarray(per_bin, dtype=float)[:, None, None, None],
-                      run.phase_schedule, len(table.output))
+                      run.phase_schedule, run.amplifier.n_states())
 
 
-def expected_offset_draw(table: BranchTable, detectors: DetectorBank, z_ref: complex, n_pulses: int,
-                         condition) -> tuple[list, list]:
-    """The mean of ``montecarlo._offset_draw(table, detectors, z_ref, n_pulses, seed, condition)``,
-    in float: per guess offset, (accepted, with DA fired, with DB fired, with
-    both fired), and the (p_A, p_B) rows it returns, as lists."""
-    cells, clicks = _offset_cells(table, detectors, z_ref)
-    by_offset = (cells * n_pulses)[0, 0] @ _PROJECTION[Conditioning(condition)]
-    return by_offset.tolist(), clicks.tolist()
+def expected_offset_draw(run: RunSpec, condition) -> tuple[list, list]:
+    """The mean per-offset counts of the one-bin ``run``, in float, as a sweep
+    point projects them: per guess offset, (accepted, with DA fired, with DB
+    fired, with both fired), and the (p_A, p_B) rows it reads, as lists."""
+    by_offset = expected_tally(run).counts[0, 0] @ _PROJECTION[Conditioning(condition)]
+    return by_offset.tolist(), branch_tables(run)[1][:, 0, 0, :, 1].T.tolist()
 
 
 def visibilities_mp(cfg: AmplifierConfig, detectors: DetectorBank, phase_points: int,

@@ -24,8 +24,6 @@ from scamp.montecarlo import (
     _PROJECTION,
     _cell_probabilities,
     _class_projection,
-    _click_factors,
-    _offset_cells,
     _offset_draw,
     _offset_fidelity,
     branch_tables,
@@ -47,7 +45,7 @@ IDEAL = DetectorModel.ideal()
 
 
 def mask_sums(counts, condition):
-    """Accepted pulses, and accepted with DA / DB fired, per (phase bin, input, guess),
+    """Accepted pulses, and accepted with DA / DB fired, per (phase bin, input 0, guess offset),
     summed over boolean pattern masks (bits: D0 = 8, D1 = 4, DA = 2, DB = 1)."""
     pattern = np.arange(16)
     d0, d1, da, db = ((pattern & bit) != 0 for bit in (8, 4, 2, 1))
@@ -99,6 +97,10 @@ class TestRunSpec:
             make_spec(0.5, 2, 10, -3)
         with pytest.raises(ValueError):
             make_spec(0.5, 2, 10, 1, phase_schedule=())
+        # a non-finite phase would reach the draw as NaN cell probabilities
+        for phase in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"phase_schedule entries must be finite, got {phase}"):
+                make_spec(0.5, 2, 10, 1, phase_schedule=(0.0, phase))
 
 
 class TestDeterminism:
@@ -131,6 +133,15 @@ class TestDeterminism:
         assert np.array_equal(total.counts, one_shot.counts)
         assert one_shot.n_pulses == spec.n_pulses
 
+    def test_chunk_arguments_are_validated(self):
+        spec = make_spec(0.5, 2, 100, 1)
+        for chunk_index, chunk_size, name in ((0, 0, "chunk_size"), (0, -5, "chunk_size"),
+                                              (-1, 100, "chunk_index")):
+            with pytest.raises(ValueError, match=name):
+                simulate_chunk(spec, chunk_index, chunk_size)
+        # a chunk past the last pulse is empty, so a caller may round the chunk count up
+        assert simulate_chunk(spec, 1, 100).n_pulses == 0
+
     def test_counts_sum_to_pulses(self):
         spec = make_spec(0.5, 8, 123_457, 3)
         assert simulate_run(spec).n_pulses == 123_457
@@ -147,7 +158,8 @@ class TestDeterminism:
 
 
 class TestSamplerAgreement:
-    """The per-bin multinomial draw against the pulse-by-pulse oracle."""
+    """The per-bin multinomial draw against the pulse-by-pulse oracle, which
+    draws (input, guess) per pulse and tallies it at its guess offset."""
 
     # stable ids: their trailing None is the guess prior, which is uniform
     @pytest.mark.parametrize(
@@ -188,14 +200,14 @@ class TestSamplerAgreement:
 class TestConditionedProjections:
     def test_synthetic_tally_projection(self):
         # hand-built tally: 2 states, one phase bin, known click patterns
-        counts = np.zeros((1, 2, 2, 16), dtype=np.int64)
-        # bits: d0=8, d1=4, da=2, db=1
+        counts = np.zeros((1, 1, 2, 16), dtype=np.int64)
+        # bits: d0=8, d1=4, da=2, db=1; offset 0 is the correct guess
         counts[0, 0, 0, 4 | 2] = 5      # accepted, correct, A fired
         counts[0, 0, 0, 4 | 1] = 3      # accepted, correct, B fired
         counts[0, 0, 0, 4 | 2 | 1] = 2  # accepted, correct, both fired
         counts[0, 0, 1, 4 | 2] = 7      # accepted, wrong, A fired
         counts[0, 0, 0, 8 | 4 | 2] = 11  # d0 fired: excluded by conditioning
-        counts[0, 1, 1, 0] = 13          # accepted-correct requires d1: excluded
+        counts[0, 0, 0, 0] = 13          # accepted-correct requires d1: excluded
         t = TallyTable(counts, (0.0,), 2)
         ct = conditioned_counts(t, Conditioning.D0_SILENT_D1_FIRES)
         assert (ct.n_A_sig, ct.n_B_sig, ct.n_A_vac, ct.n_B_vac) == (7.0, 5.0, 7.0, 0.0)
@@ -208,25 +220,22 @@ class TestConditionedProjections:
 
     @given(st.integers(1, 4), st.integers(1, 8), st.sampled_from(list(Conditioning)), st.data())
     def test_projection_equals_per_mask_sums(self, n_phases, n_states, condition, data):
-        shape = (n_phases, n_states, n_states, 16)
+        shape = (n_phases, 1, n_states, 16)
         counts = data.draw(hnp.arrays(np.int64, shape, elements=st.integers(0, 1 << 40)))
         t = TallyTable(counts, phase_scan(8)[:n_phases], n_states)
         accepted, n_a, n_b = mask_sums(counts, condition)
-        correct = np.eye(n_states, dtype=bool)
 
-        def split(x):  # (correct-guess, wrong-guess) totals
-            per_pair = x.sum(axis=0)
-            return int(per_pair[correct].sum()), int(per_pair[~correct].sum())
+        def split(x):  # (correct-guess, wrong-guess) totals: offset 0 against the rest
+            per_offset = x.sum(axis=(0, 1))
+            return int(per_offset[0]), int(per_offset[1:].sum())
 
         assert conditioned_class_totals(t, condition) == split(accepted)
         (a_sig, a_vac), (b_sig, b_vac) = split(n_a), split(n_b)
         ct = conditioned_counts(t, condition)
         assert (ct.n_A_sig, ct.n_B_sig, ct.n_A_vac, ct.n_B_vac) == (a_sig, b_sig, a_vac, b_vac)
-        m_idx, k_idx = np.indices((n_states, n_states))
-        offsets = (k_idx - m_idx) % n_states
         assert oracles.counts_by_offset(t, condition) == [
-            (int(n_a[:, sel].sum()), int(n_b[:, sel].sum()), int(accepted[:, sel].sum()))
-            for sel in (offsets == d for d in range(n_states))
+            (int(n_a[..., d].sum()), int(n_b[..., d].sum()), int(accepted[..., d].sum()))
+            for d in range(n_states)
         ]
         per_phase = counts.sum(axis=(1, 2, 3)).astype(float)
         if np.any(per_phase == 0):
@@ -300,12 +309,6 @@ sweep_points = dict(
 )
 
 
-def expected_offset_draw(run, table):
-    """``oracles.expected_offset_draw`` of the sweep point ``run``, as the sweep conditions it."""
-    return oracles.expected_offset_draw(table, run.detectors, run.analysis.reference_amplitude,
-                                        run.n_pulses, Conditioning.D0_SILENT_D1_FIRES)
-
-
 class TestExpectedTally:
     """The mean tally of a run against the analytic model, exactly (``oracles.expected_tally``)."""
 
@@ -314,7 +317,7 @@ class TestExpectedTally:
     def test_projects_onto_the_analytic_columns(self, n, r1_sq, t2_sq, alpha_sq, dets):
         cfg, table, run = sweep_point(n, r1_sq, t2_sq, alpha_sq, dets)
         (n_correct, n_wrong), counts = _class_projection(
-            oracles.expected_tally(run, table), Conditioning.D0_SILENT_D1_FIRES
+            oracles.expected_tally(run), Conditioning.D0_SILENT_D1_FIRES
         )
         p_success, weights = table.accepted()
         fom = table.figures(p_success, weights)
@@ -328,27 +331,9 @@ class TestExpectedTally:
         dark = float(port_click(target, target, dets[3], "B"))
         assert counts.n_B_sig / n_correct == pytest.approx(dark, rel=1e-12)
         # the sweep's estimator on its exact mean per-offset counts is the analytic fidelity
-        by_offset, clicks = expected_offset_draw(run, table)
+        by_offset, clicks = oracles.expected_offset_draw(run, Conditioning.D0_SILENT_D1_FIRES)
         fidelity, _ = _offset_fidelity(table, by_offset, clicks)
         assert fidelity == pytest.approx(fom.fidelity, rel=1e-12)
-
-    @settings(max_examples=150, derandomize=True, deadline=None)
-    @given(**sweep_points)
-    def test_offset_cells_are_the_full_cells_summed_by_offset(self, n, r1_sq, t2_sq, alpha_sq, dets):
-        cfg, table, run = sweep_point(n, r1_sq, t2_sq, alpha_sq, dets)
-        full = _cell_probabilities(*_click_factors(run, table))
-        offset, _ = _offset_cells(table, run.detectors, run.analysis.reference_amplitude)
-        assert offset.shape == (1, 1, n, 16)
-        m, d = np.arange(n)[:, None], np.arange(n)
-        # [m, d] picks input m's guess (m + d) mod N, so the sum over m groups by offset
-        by_offset = full[:, m, (m + d) % n].sum(axis=1)
-        # the full cells are input 0's gathered by offset, so only the normalisation differs
-        np.testing.assert_allclose(offset[:, 0], by_offset, rtol=1e-12, atol=0.0)
-        # the reference is the correct output bit for bit, so DB fires on the
-        # correct class by dark counts alone
-        by_offset, _ = expected_offset_draw(run, table)
-        accepted, _, n_b, _ = by_offset[0]
-        assert n_b / accepted == pytest.approx(dets[3].dark_prob_per_gate, rel=1e-12)
 
 
 def resolvable(fields, delta: float, det: DetectorModel, scale: float) -> bool:
@@ -361,29 +346,61 @@ def resolvable(fields, delta: float, det: DetectorModel, scale: float) -> bool:
     return bool(np.all(hi - lo <= 1e-13 * np.minimum(lo, 1.0 - hi)))
 
 
+scan_phases = st.lists(st.floats(0.0, 2.0 * math.pi), min_size=1, max_size=3).map(tuple)
+
+
+def per_bin_draw(seed, n_pulses, cells):
+    """One multinomial call per phase bin over ``cells`` (P, ...), in bin order,
+    from one stream seeded by ``seed``, pulse i falling in bin i mod P."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    n_phases = len(cells)
+    per_bin = [n_pulses // n_phases + (j < n_pulses % n_phases) for j in range(n_phases)]
+    return np.reshape([rng.multinomial(k, p.ravel()) for k, p in zip(per_bin, cells)], cells.shape)
+
+
 class TestCellLawOracle:
-    """The one cell law against the earlier 7-axis build (``oracles.cell_probabilities``)
-    bit for bit where both read the same factors (layout, products and per-bin
-    sums), and the full draw's factors, gathered from input 0, against the
-    earlier rotated-reference factors of all N input rows up to their rounding."""
+    """The one draw against the earlier 7-axis build over all N*N (input,
+    guess) pairs (``oracles.cell_probabilities``): its factors, cell law and
+    draw bit for bit against the oracle's input-0 row, and its cells against
+    the oracle's full cells, with references rotated by the input, summed by
+    guess offset up to the rounding of those references."""
 
     @settings(max_examples=150, derandomize=True, deadline=None)
-    @given(
-        **sweep_points,
-        phases=st.lists(st.floats(0.0, 2.0 * math.pi), min_size=1, max_size=3).map(tuple),
-        data=st.data(),
-    )
+    @given(**sweep_points, phases=scan_phases, data=st.data())
     def test_cells_equal_the_oracle_bit_for_bit(self, n, r1_sq, t2_sq, alpha_sq, dets, phases, data):
         cfg, table, run = sweep_point(n, r1_sq, t2_sq, alpha_sq, dets)
-        oracle = oracles.branch_table(cfg, dets[0], dets[1])
-        # the full draw, at P scan phases
+        row0 = oracles.input0(oracles.branch_table(cfg, dets[0], dets[1]))
+        # a run at P scan phases: layout, products and per-bin sums as the oracle's row 0
         full = replace(run, phase_schedule=phases)
-        factors = _click_factors(full, table)
-        assert all(np.array_equal(a, b) for a, b in zip(branch_tables(full), factors))
-        expected = oracles.click_factors(full, oracle)
-        cells = _cell_probabilities(*expected)
+        factors = branch_tables(full)
+        old_factors = oracles.click_factors(full, row0)
+        assert all(np.array_equal(a, b) for a, b in zip(factors, old_factors))
+        cells = _cell_probabilities(*factors)
         assert cells.flags.c_contiguous
-        assert np.array_equal(cells, oracles.cell_probabilities(full, oracle))
+        expected = oracles.cell_probabilities(full, row0, old_factors)
+        assert np.array_equal(cells, expected)
+        # and the run's draw is the one seeded multinomial per bin over them
+        seed, pulses = data.draw(st.integers(0, 2**64 - 1)), data.draw(st.integers(1, 10**9))
+        drawn = simulate_run(replace(full, n_pulses=pulses, master_seed=seed)).counts
+        assert np.array_equal(drawn, per_bin_draw(seed, pulses, expected))
+        # the sweep point's draw goes through the same function, in one bin
+        # against the target, and reads its (p_A, p_B) rows from those factors
+        old_factors = oracles.click_factors(run, row0)
+        counts, clicks = _offset_draw(table, run.detectors, table.target, pulses, seed)
+        assert np.array_equal(counts, per_bin_draw(seed, pulses, oracles.cell_probabilities(run, row0, old_factors)))
+        assert np.array_equal(clicks, old_factors[1][:, :, 0, :, 1])
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(**sweep_points, phases=scan_phases)
+    def test_cells_are_the_full_cells_summed_by_offset(self, n, r1_sq, t2_sq, alpha_sq, dets, phases):
+        cfg, table, run = sweep_point(n, r1_sq, t2_sq, alpha_sq, dets)
+        full = replace(run, phase_schedule=phases)
+        cells = _cell_probabilities(*branch_tables(full))
+        assert cells.shape == (len(phases), 1, n, 16)
+        all_pairs = oracles.cell_probabilities(full, oracles.branch_table(cfg, dets[0], dets[1]))
+        m, d = np.arange(n)[:, None], np.arange(n)
+        # [m, d] picks input m's guess (m + d) mod N, so the sum over m groups by offset
+        by_offset = all_pairs[:, m, (m + d) % n].sum(axis=1)
         # the oracle's input m rounds its members and its rotated reference on its
         # own, so each field is known to a few ulps of the device's largest
         # amplitude, |alpha|/r1 at D0/D1 and |target| at DA/DB.  Where that moves a
@@ -397,21 +414,7 @@ class TestCellLawOracle:
                 and resolvable(np.sqrt(table.d1_mean), delta, dets[1], 1.0)
                 and resolvable(out + refs, 2.0**-50 * abs(target), dets[2], 0.5)
                 and resolvable(out - refs, 2.0**-50 * abs(target), dets[3], 0.5)):
-            for gathered, rotated in zip(factors, expected):
-                np.testing.assert_allclose(gathered, rotated, rtol=1e-12, atol=0.0)
-        # the sweep's offset cells: row 0 against the unrotated reference, in one bin
-        row0 = oracles.input0(oracle)
-        old_factors = oracles.click_factors(run, row0)
-        offset, clicks = _offset_cells(table, run.detectors, run.analysis.reference_amplitude)
-        assert np.array_equal(offset, oracles.cell_probabilities(run, row0, old_factors))
-        assert np.array_equal(clicks, old_factors[1][:, 0, 0, :, 1].T)
-        # and the draw over them is the one seeded multinomial over the oracle's cells
-        seed, pulses = data.draw(st.integers(0, 2**64 - 1)), data.draw(st.integers(1, 10**9))
-        by_offset, _ = _offset_draw(table, run.detectors, run.analysis.reference_amplitude, pulses, seed,
-                                    Conditioning.D0_SILENT_D1_FIRES)
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-        counts = rng.multinomial(pulses, offset.ravel()).reshape(n, 16)
-        assert np.array_equal(by_offset, counts @ _PROJECTION[Conditioning.D0_SILENT_D1_FIRES])
+            np.testing.assert_allclose(cells[:, 0], by_offset, rtol=1e-12, atol=0.0)
 
 
 class TestEstimatorOracle:
@@ -497,4 +500,13 @@ class TestTallyTable:
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
-            TallyTable(np.zeros((1, 2, 3, 16), dtype=np.int64), (0.0,), 2)
+            TallyTable(np.zeros((1, 1, 3, 16), dtype=np.int64), (0.0,), 2)
+        # the (input, guess) layout is not a tally: it is (input 0, guess offset)
+        with pytest.raises(ValueError):
+            TallyTable(np.zeros((1, 2, 2, 16), dtype=np.int64), (0.0,), 2)
+
+    def test_tally_holds_n_times_16_cells_per_phase_bin(self):
+        # by guess offset: 131 072 B here, where an (input, guess) tally held 8 388 608 B
+        tally = simulate_run(make_spec(0.5, 64, 1_000, 5, phase_schedule=phase_scan(16)))
+        assert tally.counts.shape == (16, 1, 64, 16)
+        assert tally.counts.nbytes == 16 * 64 * 16 * 8

@@ -32,7 +32,7 @@ n_states = 2,4,8
 n_pulses = 131072
 seed = 2024
 """
-TALLY_SHA256 = "81136da2b73064b8884be40cfed1fcda875e4d916bfafaac25d2d20def86f438"
+TALLY_SHA256 = "8449fc006bac9ac9f74a1f1bf282fe32be223bfe6ca1c8712e5ec9ddeeca6094"
 
 
 def sweep_csv(directory: str) -> bytes:
@@ -59,7 +59,7 @@ def tally_sha256() -> str:
         phase_schedule=phase_scan(8),
     )
     counts = simulate_run(spec).counts
-    assert counts.shape == (8, 4, 4, 16)
+    assert counts.shape == (8, 1, 4, 16)
     return hashlib.sha256(counts.astype("<i8").tobytes()).hexdigest()
 
 
