@@ -146,7 +146,7 @@ def port_click(out, ref, det: DetectorModel, port: str) -> np.ndarray:
     field = out + ref if port == "A" else out - ref
     # 1 - (1 - d)*exp(-eta*l*(|field|^2/2)) in place in one buffer (0-d for scalars); halving
     # eta*l is exact, so the folded scale rounds every element as that unfolded law does
-    p = np.abs(field, out=np.empty(np.shape(field)))
+    p = np.abs(field, out=np.empty_like(field, dtype=float))
     np.square(p, out=p)
     np.multiply(p, -0.5 * det.eta_l(), out=p)
     np.exp(p, out=p)
@@ -190,11 +190,12 @@ def visibility(m: Mixture, cfg: AnalysisConfig) -> float:
     [0, 2*pi), computes the detector-A click probability of the mixture at
     each phase, and returns (max - min) / (max + min).  The click
     nonlinearity makes extrema of mixtures sit away from the pure-state
-    positions, hence the dense scan instead of a closed form.
+    positions, hence the dense scan instead of a closed form.  It is a scan
+    block of one point (:func:`visibilities`).
     """
     if not m.is_normalized():
         raise ValueError("mixture must be normalized")
-    return visibilities(m.amplitudes(), [m.weights()], cfg.reference_amplitude, cfg.detector,
+    return visibilities([m.amplitudes()], [[m.weights()]], [cfg.reference_amplitude], cfg.detector,
                         cfg.phase_points)[0]
 
 
@@ -211,41 +212,61 @@ def _unit_scan(phase_points: int) -> np.ndarray:
     return scan
 
 
-# a phase range of the visibility scan spans at most this many (component,
-# phase) cells, so its product array takes at most 512 KiB per scanned mixture
-_SCAN_BLOCK_CELLS = 1 << 15
+# A scan block of whole points spans at most this many (point, component,
+# phase) cells, and a full one peaks at about 330 KiB; blocks of 2^13 to 2^15
+# cells were no faster and raised a benchmark's peak RSS by 0.2 to 1.5 MB.
+_SCAN_BLOCK_CELLS = 1 << 12
+# A point larger than a block is scanned alone, in phase ranges of at most
+# this many (component, phase) cells: 768 KiB of products for three weight
+# sets.  Ranges of 2^12 cells made a point of 256 components and 65536 phases
+# half as slow again.
+_SCAN_RANGE_CELLS = 1 << 15
 
 
-def visibilities(amplitudes: list[complex], weight_sets: list[list[float]], reference: complex,
-                 detector: DetectorModel, phase_points: int) -> list[float]:
-    """:func:`visibility` of several normalized mixtures of the same components,
-    against ``reference`` scanned over ``phase_points`` phases at port A's ``detector``.
+def scan_block_points(components: int, phase_points: int) -> int:
+    """How many points of ``components`` components one :func:`visibilities`
+    block takes: as many as fit in _SCAN_BLOCK_CELLS cells, and at least one."""
+    return max(1, _SCAN_BLOCK_CELLS // (components * phase_points))
 
-    ``weight_sets[j][i]`` is the weight of ``amplitudes[i]`` in mixture j.  All
-    mixtures share one reference scan.  The phase axis is cut into the fewest
-    near-equal ranges (widths differ by at most one phase) of at most 2^15
-    (component, phase) cells, each holding every component and at least two
-    phases, with one :func:`port_click` call and one reduction per range.  Besides the curves
-    themselves (one float per mixture and phase), memory is O(range): it does
-    not grow with components x phase_points.
+
+def visibilities(amplitudes: list[list[complex]], weight_sets: list[list[list[float]]],
+                 references: list[complex], detector: DetectorModel, phase_points: int) -> list[float]:
+    """:func:`visibility` of a block of points, each several normalized
+    mixtures of its own components, against its own reference scanned over
+    ``phase_points`` phases at port A's ``detector``.
+
+    Point b has components ``amplitudes[b]``, reference ``references[b]``
+    and mixtures ``weight_sets[b]``: ``weight_sets[b][j][i]`` is the weight of
+    ``amplitudes[b][i]`` in its mixture j.  Every point has as many
+    components and mixtures as the others.  The visibilities come point by
+    point, mixture by mixture.  A block's mixtures share one reference scan
+    per point, one :func:`port_click` call and one reduction.  A block of more
+    than _SCAN_RANGE_CELLS (point, component, phase) cells has its phase axis
+    cut into the fewest near-equal ranges (widths differ by at most one
+    phase) that each hold at most that many cells and at least two phases,
+    with one call and one reduction per range.  Besides the curves themselves
+    (one float per mixture and phase), memory is O(range).
     """
     import numpy as np
 
-    z_ref = reference * _unit_scan(phase_points)
-    amplitudes = np.asarray(amplitudes, dtype=complex)[:, None]
-    weights = np.asarray(weight_sets, dtype=float)[:, :, None]
+    unit = _unit_scan(phase_points)
+    # (point, mixture, component, phase) axes; one point's reference scales the
+    # grid as a scalar: the same products as an outer product, at less cost
+    z_ref = references[0] * unit if len(references) == 1 else np.multiply.outer(references, unit)[:, None, None]
+    amplitudes = np.asarray(amplitudes, dtype=complex)[:, None, :, None]
+    weights = np.asarray(weight_sets, dtype=float)[..., None]
     # a range one phase wide would be reduced pairwise, not in list order, so
     # every range keeps at least two phases, whatever the component count
-    ranges = -(-phase_points // max(1, _SCAN_BLOCK_CELLS // len(amplitudes)))
+    ranges = -(-phase_points // max(1, _SCAN_RANGE_CELLS // amplitudes.size))
     ranges = min(ranges, phase_points // 2)
-    edges = [phase_points * i // ranges for i in range(ranges + 1)]
-    curves = np.empty((len(weights), phase_points))
-    for start, stop in zip(edges, edges[1:]):
-        click = port_click(amplitudes, z_ref[start:stop], detector, "A")
+    curves = np.empty(weights.shape[:2] + (phase_points,))
+    for i in range(ranges):
+        start, stop = phase_points * i // ranges, phase_points * (i + 1) // ranges
+        click = port_click(amplitudes, z_ref[..., start:stop], detector, "A")
         # reducing over a non-contiguous axis adds the components one after
         # another, in list order (pinned bit for bit by a test)
-        np.add.reduce(weights * click, axis=1, out=curves[:, start:stop])
-    return fringe_visibility(curves)
+        np.add.reduce(weights * click, axis=2, out=curves[..., start:stop])
+    return fringe_visibility(curves.reshape(-1, phase_points))
 
 
 def fringe_visibility(rates: np.ndarray) -> list[float]:

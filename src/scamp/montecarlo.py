@@ -42,6 +42,7 @@ tallies merge by addition.  Tests compare the multinomial draw against it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +59,8 @@ from .detectors import DetectorBank
 from .errors import InsufficientSignalError, check_workers
 
 DEFAULT_CHUNK_SIZE = 1 << 16
+# the draw counts pulses in int64
+_MAX_PULSES = (1 << 63) - 1
 
 # click-pattern bit layout, most significant first
 _BIT_D0 = 8
@@ -96,15 +99,18 @@ class RunSpec:
     phase_schedule: tuple[float, ...] = (0.0,)
 
     def __post_init__(self):
-        if self.n_pulses < 1:
-            raise ValueError(f"n_pulses must be >= 1, got {self.n_pulses}")
+        if not (1 <= self.n_pulses <= _MAX_PULSES):
+            raise ValueError(f"n_pulses must lie in [1, 2^63 - 1], got {self.n_pulses}")
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be a nonnegative integer, got {self.master_seed}")
         if len(self.phase_schedule) == 0:
             raise ValueError("phase_schedule must contain at least one phase")
         for phase in self.phase_schedule:
+            # a bool is not a phase, nor is a complex, a string or None
+            if isinstance(phase, bool) or not isinstance(phase, numbers.Real):
+                raise ValueError(f"phase_schedule entries must be real numbers, got {phase!r}")
             if not math.isfinite(phase):
-                raise ValueError(f"phase_schedule entries must be finite, got {phase}")
+                raise ValueError(f"phase_schedule entries must be finite, got {phase!r}")
 
 
 @dataclass(frozen=True)

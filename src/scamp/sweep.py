@@ -4,10 +4,17 @@ A sweep evaluates the analytic model (and, in ``both`` mode, the Monte Carlo)
 on a grid of (state-set size, input mean photon number) points and emits one
 row per point with fixed, documented columns.  Each point builds one branch
 table, input 0's N branches, and computes only the columns it emits from
-it: the visibility columns share one scan of detector DA against the table's
-target ``table.target``, and the Monte Carlo columns are drawn by
-``montecarlo`` from the table against that same target.  No column reads
-the analyzer imperfection epsilon, so a sweep never derives it.  Figure
+it: the visibility columns scan detector DA against the table's target
+``table.target``, and the Monte Carlo columns are drawn by ``montecarlo``
+from the table against that same target.  Each state-set size's grid is
+walked in blocks of points for the scan: a block holds as many whole points
+as fit in ``analysis._SCAN_BLOCK_CELLS`` = 2^12 (point, component, phase)
+cells, whose scan peaks at about 330 KiB, or one point that is larger.  A
+block's tables are built in grid order, scanned by one ``visibilities``
+call, then each point's Monte Carlo columns are drawn and its row emitted;
+tables are held one block at a time, and every value is the one the point
+gets when swept alone.  No column reads the analyzer imperfection epsilon,
+so a sweep never derives it.  Figure
 datasets hold a few columns of the same rows; they are model curves only,
 never measured points.  A :class:`Dataset` holds the rows and the
 :class:`SweepSpec` they are computed from; CSV carries the rows alone, and
@@ -32,6 +39,7 @@ from .analysis import (
     CountTable,
     estimate_fidelity,
     estimate_pulse_numbers,
+    scan_block_points,
     visibilities,
 )
 from .detectors import DetectorBank
@@ -213,26 +221,33 @@ class Dataset:
         return echo
 
 
-def _analytic_columns(spec: SweepSpec, table: BranchTable, columns: frozenset[str]) -> dict:
-    """The analytic values of a point, computing the fidelity sum and the
-    visibility scan only when ``columns`` holds one of their columns.  The
-    heralded weights are summed and normalized once, and a point that can
-    never herald is an error whatever its columns are."""
+def _analytic_point(spec: SweepSpec, n_states: int, alpha_sq: float, columns: frozenset[str],
+                    scanned: bool) -> tuple[BranchTable, dict, list[list[float]] | None]:
+    """The branch table of a point and its analytic values but its
+    visibilities, computing the fidelity sum only when ``columns`` holds one of
+    its columns, and, when ``scanned``, the weights of the three mixtures its
+    visibility scan reads.  The heralded weights are summed and normalized
+    once, and a point that can never herald is an error whatever its columns are."""
+    cfg = params.default_amplifier(
+        alpha_sq,
+        n_states,
+        comparison_reflectivity=spec.comparison_reflectivity,
+        subtraction_transmission=spec.subtraction_transmission,
+    )
+    table = branch_table(cfg, spec.detectors.d0, spec.detectors.d1)
     p_success, weights = table.accepted()
-    row = {}
+    row = {"n_states": n_states, "alpha_sq": alpha_sq}
     if "fidelity" in columns or "correct_state_fraction" in columns:
         fom = table.figures(p_success, weights)
         row["fidelity"] = fom.fidelity
         row["correct_state_fraction"] = fom.correct_state_fraction
     row["success_probability"] = p_success
     row["success_rate_per_s"] = p_success * spec.prf
-    if not columns.isdisjoint(_VISIBILITY_COLUMNS):
-        # DA scans input 0's target; the three conditioned mixtures share components
-        weight_sets = [table.accepted(cond)[1] for cond in (Conditioning.NONE, Conditioning.D0_SILENT)]
-        weight_sets.append(weights)
-        scan = visibilities(table.output, weight_sets, table.target, spec.detectors.da, spec.phase_points)
-        row.update(zip(_VISIBILITY_COLUMNS, scan))
-    return row
+    if not scanned:
+        return table, row, None
+    # the three conditioned mixtures share input 0's components
+    unconditioned, silent = table.accepted(Conditioning.NONE)[1], table.accepted(Conditioning.D0_SILENT)[1]
+    return table, row, [unconditioned, silent, weights]
 
 
 def _montecarlo_columns(spec: SweepSpec, table: BranchTable, point_index: int) -> dict:
@@ -246,11 +261,10 @@ def _montecarlo_columns(spec: SweepSpec, table: BranchTable, point_index: int) -
     by_offset = (counts[0, 0] @ _PROJECTION[Conditioning.D0_SILENT_D1_FIRES]).tolist()
     n_correct = by_offset[0][0]
     accepted = sum(row[0] for row in by_offset)
+    # the values are set in MC_COLUMNS order, so a sweep's row needs no reordering
     out = {
         "mc_success_probability": accepted / spec.n_pulses,
         "mc_success_probability_se": standard_error(accepted, spec.n_pulses),
-        "mc_n_pulses": spec.n_pulses,
-        "mc_seed": seed,
     }
     if accepted > 0:
         out["mc_correct_state_fraction"] = n_correct / accepted
@@ -263,6 +277,8 @@ def _montecarlo_columns(spec: SweepSpec, table: BranchTable, point_index: int) -
     except InsufficientSignalError:
         out["mc_fidelity"] = math.nan
         out["mc_fidelity_se"] = math.nan
+    out["mc_n_pulses"] = spec.n_pulses
+    out["mc_seed"] = seed
     return out
 
 
@@ -278,25 +294,56 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> Dataset:
 
 
 def _rows(spec: SweepSpec, columns: tuple[str, ...]) -> list[dict]:
-    """One row of ``columns`` per grid point, in grid order."""
+    """One row of ``columns`` per grid point, in grid order.
+
+    Each state-set size's grid is walked in blocks of as many points as one
+    visibility scan block takes (:func:`analysis.scan_block_points`).  A
+    block's branch tables and analytic columns are built in grid order, one
+    :func:`visibilities` call scans every point against its target with
+    detector DA, and then each point gets its Monte Carlo columns and its
+    row, in grid order.  Only one block's scan inputs and tables are held at a
+    time.  When a point fails, the points before it in its block are finished
+    first, so the first failing point in grid order raises.
+    """
     wanted = frozenset(columns)
+    scanned = not wanted.isdisjoint(_VISIBILITY_COLUMNS)
+    montecarlo = spec.wants_montecarlo()
+    grid = spec.alpha_sq_grid
     rows = []
-    point_index = 0
+    point_index = 0  # of the next Monte Carlo point, which seeds its draw
     for n_states in spec.n_states_list:
-        for alpha_sq in spec.alpha_sq_grid:
-            cfg = params.default_amplifier(
-                alpha_sq,
-                n_states,
-                comparison_reflectivity=spec.comparison_reflectivity,
-                subtraction_transmission=spec.subtraction_transmission,
-            )
-            table = branch_table(cfg, spec.detectors.d0, spec.detectors.d1)
-            row = {"n_states": n_states, "alpha_sq": alpha_sq}
-            row.update(_analytic_columns(spec, table, wanted))
-            if spec.wants_montecarlo():
-                row.update(_montecarlo_columns(spec, table, point_index))
-            rows.append({c: row[c] for c in columns})
-            point_index += 1
+        # rows without a visibility are a figure's, which draws no Monte Carlo
+        # and so keeps no table: its whole grid is one block
+        step = scan_block_points(n_states, spec.phase_points) if scanned else len(grid)
+        for start in range(0, len(grid), step):
+            tables, block, outputs, weight_sets, targets = [], [], [], [], []
+            failure = None
+            try:
+                for alpha_sq in grid[start:start + step]:
+                    table, row, weights = _analytic_point(spec, n_states, alpha_sq, wanted, scanned)
+                    block.append(row)
+                    if scanned:
+                        outputs.append(table.output)
+                        weight_sets.append(weights)
+                        targets.append(table.target)
+                    if montecarlo:
+                        tables.append(table)
+            except Exception as exc:
+                failure = exc
+            if scanned and block:
+                values = iter(visibilities(outputs, weight_sets, targets, spec.detectors.da, spec.phase_points))
+                for row in block:
+                    # zip ends on the columns, so each row takes the next three values
+                    row.update(zip(_VISIBILITY_COLUMNS, values))
+            if montecarlo:
+                for table, row in zip(tables, block):
+                    row.update(_montecarlo_columns(spec, table, point_index))
+                    point_index += 1
+            for row in block:
+                # a sweep's row is built in column order; a figure's holds more values
+                rows.append(row if tuple(row) == columns else {c: row[c] for c in columns})
+            if failure is not None:
+                raise failure
     return rows
 
 
@@ -364,19 +411,17 @@ def fmt17(value) -> str:
     return format(value, ".17g")
 
 
-def _cell(column: str, value) -> str:
-    if column in INT_COLUMNS:
-        return str(int(value))
-    return fmt17(float(value))
-
-
 def dataset_to_csv(dataset: Dataset) -> str:
+    """One header line and one line per row: integer columns (INT_COLUMNS) as
+    ``%d``, every other cell as ``%.17g``, the text of :func:`fmt17`."""
     if not dataset.rows:
         raise ValueError("dataset has no rows")
-    columns = list(dataset.rows[0].keys())
+    columns = list(dataset.rows[0])
+    line = ",".join("%d" if c in INT_COLUMNS else "%.17g" for c in columns)
+    # one column gives a bare value, which % takes as its one argument
+    cells = operator.itemgetter(*columns)
     lines = [",".join(columns)]
-    for row in dataset.rows:
-        lines.append(",".join(_cell(c, row[c]) for c in columns))
+    lines += [line % cells(row) for row in dataset.rows]
     return "\n".join(lines) + "\n"
 
 

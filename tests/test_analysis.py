@@ -182,35 +182,49 @@ class TestScanGrid:
 
 class TestVisibility:
     def test_shared_scan_is_bit_identical_to_dense_scan(self):
-        # (components, phase_points): every phase range holds all components,
-        # and each range's reduction must add them in list order.  17 x 65536
-        # takes 35 near-equal ranges, 17 x 8193 five and 17 x 16385 nine.  Cut
-        # at full width (2^15 cells), 17 x 1928, 129 x 255 and 256 x 257 would
-        # each leave a one-phase tail, which a reduction sums pairwise.  At
-        # 40000 x 9 no two-phase range fits in 2^15 cells, so the range count is
-        # capped at phase_points // 2.  Each reference is turned so that the
-        # first curve peaks on the last grid phase.
-        cases = [(5, 256), (5, 9), (5, 256), (5, 64), (1, 256), (17, 65536), (256, 256), (256, 1024),
-                 *[(17, 8193)] * 6, *[(17, 16385)] * 6, (17, 1928), (129, 255), (256, 257),
-                 (40000, 9)]
+        # (points, components, phase_points): a block's points each have their
+        # own components and reference, and each range's reduction must add a
+        # point's components in list order.  Blocks of whole points: 8 x 2 x 256,
+        # 4 x 4 x 256 and 2 x 8 x 256 (2^12 cells each), 3 x 5 x 9.  One point
+        # cut into phase ranges: 17 x 65536 takes 35 near-equal ranges, 17 x
+        # 8193 five and 17 x 16385 nine.  Cut at full width (2^15 cells), 17 x
+        # 1928, 129 x 255 and 256 x 257 would each leave a one-phase tail, which
+        # a reduction sums pairwise.  At 40000 x 9 no two-phase range fits in
+        # 2^15 cells, so the range count is capped at phase_points // 2.  3 x 17
+        # x 8193 cuts a block of several points into 13 ranges.  Each reference
+        # is turned so that the point's first curve peaks on the last grid phase.
+        cases = [(1, 5, 256), (2, 5, 9), (8, 2, 256), (4, 4, 256), (2, 8, 256), (3, 5, 9), (5, 5, 64),
+                 (1, 1, 256), (1, 17, 65536), (1, 256, 256), (1, 256, 1024), *[(1, 17, 8193)] * 6,
+                 *[(1, 17, 16385)] * 6, (1, 17, 1928), (1, 129, 255), (1, 256, 257), (1, 40000, 9),
+                 (3, 17, 8193)]
         rng = np.random.default_rng(17)
-        for k, phase_points in cases:
-            cfg = analyzer(float(rng.uniform(0.1, 2.0)), phase_points=phase_points, dark=1e-3)
-            amplitudes = [complex(*rng.normal(size=2)) for _ in range(k)]
-            weight_sets = []
-            for _ in range(3):
-                raw = rng.uniform(size=k) * (rng.uniform(size=k) > 0.3)
-                raw[0] = 0.5
-                weight_sets.append([float(w) for w in raw / raw.sum()])
-            assert k < 5 or any(0.0 in ws for ws in weight_sets)
-            mixtures = [Mixture(tuple(zip(ws, amplitudes))) for ws in weight_sets]
-            peak = int(np.argmax(dense_scan_curve(mixtures[0], cfg)))
-            rotation = cmath.exp(2j * math.pi * (peak + 1) / phase_points)
-            cfg = replace(cfg, reference_amplitude=cfg.reference_amplitude * rotation)
-            assert np.argmax(dense_scan_curve(mixtures[0], cfg)) == phase_points - 1
-            shared = visibilities(amplitudes, weight_sets, cfg.reference_amplitude, cfg.detector, phase_points)
-            for m, value in zip(mixtures, shared):
-                assert value == dense_scan_visibility(m, cfg) == visibility(m, cfg)
+        for points, k, phase_points in cases:
+            detector = DetectorModel(efficiency=0.405, dark_prob_per_gate=1e-3)
+            amplitudes, weight_sets, references, expected = [], [], [], []
+            for _ in range(points):
+                cfg = analyzer(float(rng.uniform(0.1, 2.0)), phase_points=phase_points, dark=1e-3)
+                point_amplitudes = [complex(*rng.normal(size=2)) for _ in range(k)]
+                point_weights = []
+                for _ in range(3):
+                    raw = rng.uniform(size=k) * (rng.uniform(size=k) > 0.3)
+                    raw[0] = 0.5
+                    point_weights.append([float(w) for w in raw / raw.sum()])
+                assert k < 5 or any(0.0 in ws for ws in point_weights)
+                mixtures = [Mixture(tuple(zip(ws, point_amplitudes))) for ws in point_weights]
+                peak = int(np.argmax(dense_scan_curve(mixtures[0], cfg)))
+                rotation = cmath.exp(2j * math.pi * (peak + 1) / phase_points)
+                cfg = replace(cfg, reference_amplitude=cfg.reference_amplitude * rotation)
+                assert cfg.detector == detector
+                assert np.argmax(dense_scan_curve(mixtures[0], cfg)) == phase_points - 1
+                for m in mixtures:
+                    value = dense_scan_visibility(m, cfg)
+                    assert value == visibility(m, cfg)
+                    expected.append(value)
+                amplitudes.append(point_amplitudes)
+                weight_sets.append(point_weights)
+                references.append(cfg.reference_amplitude)
+            block = visibilities(amplitudes, weight_sets, references, detector, phase_points)
+            assert block == expected
 
     def test_pure_matched_output(self):
         cfg = analyzer(0.9, eta=1.0)

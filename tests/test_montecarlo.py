@@ -102,6 +102,20 @@ class TestRunSpec:
             with pytest.raises(ValueError, match=f"phase_schedule entries must be finite, got {phase}"):
                 make_spec(0.5, 2, 10, 1, phase_schedule=(0.0, phase))
 
+    def test_pulse_count_is_bounded_by_the_draws_int64(self):
+        # numpy's multinomial takes an int64 count: 2^63 would fail inside the draw
+        for n_pulses in (1 << 63, 1 << 64):
+            with pytest.raises(ValueError, match=r"n_pulses must lie in \[1, 2\^63 - 1\]"):
+                make_spec(0.5, 4, n_pulses, 1)
+        for n_pulses in (1 << 60, (1 << 63) - 1):
+            assert simulate_run(make_spec(0.5, 4, n_pulses, 1)).n_pulses == n_pulses
+
+    def test_phase_must_be_a_real_number(self):
+        for phase in ("a", 1j, None, True):
+            with pytest.raises(ValueError, match=f"phase_schedule entries must be real numbers, got {phase!r}"):
+                make_spec(0.5, 2, 10, 1, phase_schedule=(0.0, phase))
+        make_spec(0.5, 2, 10, 1, phase_schedule=(0, np.float32(0.5), np.float64(1.0)))
+
 
 class TestDeterminism:
     def test_same_seed_bit_identical(self):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import scamp.cli as cli
-from scamp.analysis import CountTable
+from scamp.analysis import CountTable, scan_block_points
 from scamp.coherent import mixture_fidelity
 from scamp.errors import ConfigError, InsufficientSignalError
 from scamp.montecarlo import (
@@ -29,6 +29,7 @@ from scamp.detectors import DetectorModel
 from scamp.sweep import (
     BASE_COLUMNS,
     FIGURE_LAYOUTS,
+    Dataset,
     INT_COLUMNS,
     MAX_N_STATES,
     MAX_PHASE_POINTS,
@@ -36,6 +37,7 @@ from scamp.sweep import (
     SweepSpec,
     dataset_to_csv,
     dataset_to_json,
+    fmt17,
     reproduce_figure,
     run_estimator,
     run_sweep,
@@ -188,6 +190,21 @@ class TestSweepSpecValidation:
             tracemalloc.stop()
         assert peak <= 6 << 20, f"traced peak {peak / 2**20:.1f} MiB"
 
+    def test_long_grid_holds_one_block_at_a_time(self):
+        # at N = 256 and 8 phase points a scan block takes two points; held at
+        # once, the 128 points' branch tables (about 73 KiB each) would take 9.3 MiB
+        grid = tuple(0.01 * (i + 1) for i in range(128))
+        spec = SweepSpec(alpha_sq_grid=grid, n_states_list=(MAX_N_STATES,), phase_points=8)
+        assert scan_block_points(MAX_N_STATES, 8) == 2
+        tracemalloc.start()
+        try:
+            rows = run_sweep(spec).rows
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == len(grid)
+        assert peak <= 6 << 20, f"traced peak {peak / 2**20:.1f} MiB"
+
     @pytest.mark.parametrize("name", ["da", "db"])
     def test_rejects_blind_analyzer_for_montecarlo(self, name):
         bank = replace(params.default_detector_bank(), **{name: DetectorModel(efficiency=0.0)})
@@ -256,6 +273,63 @@ class TestRunSweep:
         spec = SweepSpec(alpha_sq_grid=(0.5,), n_states_list=(2,), mode=mode, n_pulses=1000)
         with pytest.raises(ValueError, match="workers must be >= 1, got 0"):
             run_sweep(spec, workers=0)
+
+
+class TestRowsDoNotDependOnNeighbours:
+    """A grid point's row is the row of the same point swept alone, bit for bit
+    in every column, wherever the point falls in its scan block."""
+
+    GRID = tuple(0.05 + 0.25 * i for i in range(11))
+
+    # At 256 phases a block takes 8 points at N = 2 (the last block of 11 holds
+    # 3), 2 at N = 8 (the last holds 1) and one point at N = 64, which exceeds a
+    # block; at 2049 phases every point exceeds one, and N = 64 cuts its phases
+    # into ranges.  (8, 2) checks the Monte Carlo point index across sizes.
+    @pytest.mark.parametrize("mode", ["analytic", "both"])
+    @pytest.mark.parametrize("phase_points", [256, 2049])
+    @pytest.mark.parametrize("n_states_list", [(2,), (8,), (64,), (8, 2)])
+    def test_grid_rows_are_the_one_point_rows(self, monkeypatch, n_states_list, phase_points, mode):
+        import scamp.montecarlo as montecarlo
+
+        fields = dict(phase_points=phase_points, mode=mode, n_pulses=2000, seed=7)
+        steps = {2: 8, 8: 2, 64: 1} if phase_points == 256 else {2: 1, 8: 1, 64: 1}
+        assert all(scan_block_points(n, phase_points) == steps[n] for n in n_states_list)
+        rows = run_sweep(SweepSpec(alpha_sq_grid=self.GRID, n_states_list=n_states_list, **fields)).rows
+        points = [(n, a) for n in n_states_list for a in self.GRID]
+        assert [(r["n_states"], r["alpha_sq"]) for r in rows] == points
+        point_seed = montecarlo._point_seed
+        for index, ((n_states, alpha_sq), row) in enumerate(zip(points, rows)):
+            # a point swept alone draws with the seed of its index in the grid
+            monkeypatch.setattr(montecarlo, "_point_seed", lambda seed, _, i=index: point_seed(seed, i))
+            alone = run_sweep(SweepSpec(alpha_sq_grid=(alpha_sq,), n_states_list=(n_states,), **fields)).rows
+            assert repr(alone) == repr([row])
+
+    def test_failing_point_raises_after_the_points_before_it(self, monkeypatch):
+        # the first failing point in grid order raises, even when a later point
+        # of the same block fails while its tables are built
+        import scamp.sweep as sweep_module
+
+        spec = SweepSpec(alpha_sq_grid=(0.1, 0.2, 0.3), n_states_list=(2,), mode="both", n_pulses=100)
+        assert scan_block_points(2, spec.phase_points) >= 3
+        built = sweep_module._analytic_point
+        drawn = []
+
+        def analytic_point(spec, n_states, alpha_sq, *args):
+            if alpha_sq == 0.3:
+                raise ValueError("third point")
+            return built(spec, n_states, alpha_sq, *args)
+
+        def montecarlo_columns(spec, table, point_index):
+            drawn.append(point_index)
+            raise ValueError(f"draw of point {point_index}")
+
+        monkeypatch.setattr(sweep_module, "_analytic_point", analytic_point)
+        monkeypatch.setattr(sweep_module, "_montecarlo_columns", montecarlo_columns)
+        with pytest.raises(ValueError, match="draw of point 0"):
+            run_sweep(spec)
+        assert drawn == [0]
+        with pytest.raises(ValueError, match="third point"):
+            run_sweep(replace(spec, mode="analytic"))
 
 
 class TestMonteCarloErrorBars:
@@ -347,6 +421,35 @@ class TestSerialization:
                 assert math.isnan(back[column])
             else:
                 assert back[column] == value
+
+    @staticmethod
+    def cell_by_cell_csv(dataset):
+        """The CSV text written one cell at a time: str(int) or fmt17(float)."""
+        columns = list(dataset.rows[0])
+        lines = [",".join(columns)]
+        for row in dataset.rows:
+            lines.append(",".join(str(int(row[c])) if c in INT_COLUMNS else fmt17(float(row[c]))
+                                  for c in columns))
+        return "\n".join(lines) + "\n"
+
+    def test_csv_cells_are_the_fmt17_text(self):
+        spec = SweepSpec(alpha_sq_grid=(0.5,), n_states_list=(2,))
+        edge = Dataset(spec, [
+            {"n_states": 2, "fidelity": v, "mc_seed": 2**64 - 1}
+            for v in (math.nan, -0.0, 0.0, 1.0000000000000001e+300, math.inf, -math.inf, 5e-324, 0.1, 3)
+        ])
+        datasets = [
+            edge,
+            Dataset(spec, [{"alpha_sq": v} for v in (math.nan, -0.0, 1.0000000000000001e+300)]),
+            run_sweep(SweepSpec(alpha_sq_grid=params.FIG3_ALPHA_SQ_GRID, n_states_list=(2, 4, 8))),
+            reproduce_figure("fig4"),
+            run_sweep(SweepSpec(alpha_sq_grid=(0.01, 0.5), n_states_list=(2,), mode="both", n_pulses=10)),
+        ]
+        for dataset in datasets:
+            assert dataset_to_csv(dataset) == self.cell_by_cell_csv(dataset)
+        assert dataset_to_csv(edge).splitlines()[1:4] == [
+            "2,nan,18446744073709551615", "2,-0,18446744073709551615", "2,0,18446744073709551615"]
+        assert dataset_to_csv(datasets[1]).splitlines()[1:] == ["nan", "-0", "1.0000000000000001e+300"]
 
     def test_write_rejects_unknown_format(self, tmp_path):
         ds = run_sweep(SweepSpec(alpha_sq_grid=(0.1,), n_states_list=(2,)))
