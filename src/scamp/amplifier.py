@@ -17,12 +17,20 @@ overlap with the rotated target, as it was.  A branch therefore depends on
 (m, k) only through the guess offset d = (k - m) mod N, and input 0's N
 branches stand for all N^2.  Every figure below, the visibility scan and the
 Monte Carlo read one :class:`BranchTable` of input 0, indexed by d; the
-figures of merit averaged over a uniform input are input 0's.  It is built
-in one pass: each branch is evaluated completely (D0/D1 mean photons and
-clicks, output, its overlap with the target, silent and heralded weights)
-and every value is appended to its column.  The arithmetic is scalar Python
-(math.exp, math.fsum, the click law of :func:`detectors.click_law`), so its
-numbers do not depend on vectorized math paths.
+figures of merit averaged over a uniform input are input 0's.
+
+A table is built by a :class:`BranchKernel` in two parts.  The kernel holds
+what does not depend on the base amplitude, built once per (state-set size,
+splitters, D0/D1): r1, t1, r2, t2, the guess scale t1^2/r1, the gain t2/r1,
+the N unit turns, the two click laws and the uniform prior.  A point
+supplies only its base amplitude, and :meth:`BranchKernel.row` evaluates
+each branch completely in one pass (D0/D1 mean photons and clicks, output,
+its overlap with the target, silent and heralded weights), appending every
+value to its column.  :func:`branch_table`, :func:`output_mixture`, the
+Monte Carlo and a sweep (one kernel per state-set size) all call it.  The
+arithmetic is scalar Python (math.exp, math.fsum, the click law of
+:func:`detectors.click_law`), so its numbers do not depend on vectorized
+math paths.
 """
 
 from __future__ import annotations
@@ -83,6 +91,13 @@ class Conditioning(enum.Enum):
     D0_SILENT_D1_FIRES = "d0_silent_and_d1_fires"
 
 
+def _splitter_amplitudes(reflectivity: float, transmission: float) -> tuple[float, float, float, float]:
+    """(r1, t1, t2, r2) of the comparison splitter of intensity reflectivity
+    r1^2 and the subtraction splitter of intensity transmission t2^2."""
+    return (math.sqrt(reflectivity), math.sqrt(1.0 - reflectivity), math.sqrt(transmission),
+            math.sqrt(1.0 - transmission))
+
+
 @dataclass(frozen=True)
 class AmplifierConfig:
     """Splitter intensities and input state set.
@@ -110,10 +125,11 @@ class AmplifierConfig:
             raise ValueError(f"comparison_reflectivity must lie in (0, 1), got {reflectivity}")
         if not (0.0 < transmission <= 1.0):
             raise ValueError(f"subtraction_transmission must lie in (0, 1], got {transmission}")
-        object.__setattr__(self, "comparison_r1", math.sqrt(reflectivity))
-        object.__setattr__(self, "comparison_t1", math.sqrt(1.0 - reflectivity))
-        object.__setattr__(self, "subtraction_t2", math.sqrt(transmission))
-        object.__setattr__(self, "subtraction_r2", math.sqrt(1.0 - transmission))
+        r1, t1, t2, r2 = _splitter_amplitudes(reflectivity, transmission)
+        object.__setattr__(self, "comparison_r1", r1)
+        object.__setattr__(self, "comparison_t1", t1)
+        object.__setattr__(self, "subtraction_t2", t2)
+        object.__setattr__(self, "subtraction_r2", r2)
 
     def n_states(self) -> int:
         return self.input_set.n_states
@@ -192,65 +208,103 @@ def _accepted(
     return total, [w / total for w in weights]
 
 
-def _branch_row(cfg: AmplifierConfig, det0: DetectorModel, det1: DetectorModel, m: int) -> BranchTable:
-    """The :class:`BranchTable` of input m: the one derivation of a branch.
+class BranchKernel:
+    """What every branch row of one device shares, whatever its base amplitude.
 
-    Monitor = t1*input - r1*guess and retained = r1*input + t1*guess, with the
-    guess scaled by t1/r1 so a correct guess nulls the monitor port; that
-    branch is evaluated in closed form to keep the null and the gain law exact.
-    One pass evaluates each branch completely and appends every value to its
-    column.
+    Built once per (splitters, state-set size, D0/D1), from values that
+    :class:`AmplifierConfig` or a sweep's spec has checked: r1, t1, r2, t2
+    (as :class:`AmplifierConfig` derives them), the guess scale t1^2/r1, the
+    nominal gain t2/r1, the N unit turns ``turn(k, N)``, the click laws of D0
+    and D1 and the uniform guess prior 1/N.  :meth:`row` takes the one value a
+    point adds, its base amplitude, and derives input m's branches; it is the
+    one branch loop of the package.
     """
-    r1, t1 = cfg.comparison_r1, cfg.comparison_t1
-    r2, t2 = cfg.subtraction_r2, cfg.subtraction_t2
-    n = cfg.n_states()
-    q = 1.0 / n  # every guess is drawn with the same probability
-    click0, click1 = click_law(det0), click_law(det1)
-    z_in = cfg.input_set.state(m)
-    in_re, in_im = z_in.real, z_in.imag
-    input_part = r1 * z_in
-    part_re, part_im = input_part.real, input_part.imag
-    target = cfg.target_amplitude(m)
-    output, overlap, d0_mean, d1_mean, d0_click, d1_click, silent, heralded = [], [], [], [], [], [], [], []
-    for k in range(n):
-        if k == m:
-            n0 = 0.0
-            retained = z_in / r1
-            ret_re, ret_im = retained.real, retained.imag
-            out = target
-        else:
-            z = cfg.input_set.state(k)
-            # monitor field t1*(input - member) in real arithmetic: for
-            # finite amplitudes, the complex product's squared modulus
-            d0_re, d0_im = t1 * (in_re - z.real), t1 * (in_im - z.imag)
-            n0 = d0_re * d0_re + d0_im * d0_im
-            # guess k = (t1/r1)*member k puts (t1^2/r1)*member k into the retained port
-            guess_part = (t1 * t1 / r1) * z
-            ret_re, ret_im = part_re + guess_part.real, part_im + guess_part.imag
-            out = complex(t2 * ret_re, t2 * ret_im)
-        tap_re, tap_im = r2 * ret_re, r2 * ret_im
-        n1 = tap_re * tap_re + tap_im * tap_im
-        p0, p1 = click0(n0), click1(n1)
-        w = q * (1.0 - p0)
-        output.append(out)
-        overlap.append(overlap_sq(out, target))
-        d0_mean.append(n0)
-        d1_mean.append(n1)
-        d0_click.append(p0)
-        d1_click.append(p1)
-        silent.append(w)
-        heralded.append(w * p1)
-    weights = {
-        Conditioning.NONE: [q] * n,
-        Conditioning.D0_SILENT: silent,
-        Conditioning.D0_SILENT_D1_FIRES: heralded,
-    }
-    return BranchTable(target, output, overlap, d0_mean, d1_mean, d0_click, d1_click, weights)
+
+    __slots__ = ("n_states", "r1", "t1", "r2", "t2", "guess_scale", "gain", "turns", "click0",
+                 "click1", "prior")
+
+    def __init__(self, comparison_reflectivity: float, subtraction_transmission: float, n_states: int,
+                 det0: DetectorModel, det1: DetectorModel):
+        r1, t1, t2, r2 = _splitter_amplitudes(comparison_reflectivity, subtraction_transmission)
+        self.r1, self.t1, self.r2, self.t2 = r1, t1, r2, t2
+        # guess k = (t1/r1)*member k puts (t1^2/r1)*member k into the retained port
+        self.guess_scale = t1 * t1 / r1
+        self.gain = t2 / r1  # AmplifierConfig.nominal_gain
+        self.n_states = n_states
+        self.turns = [turn(k, n_states) for k in range(n_states)]
+        self.click0, self.click1 = click_law(det0), click_law(det1)
+        self.prior = 1.0 / n_states  # every guess is drawn with the same probability
+
+    def row(self, base: complex, m: int = 0) -> BranchTable:
+        """The :class:`BranchTable` of input m, 0 <= m < N, of the state set
+        with complex base amplitude ``base``: the one derivation of a branch.
+
+        Member k is ``base * turn(k, N)``, as :meth:`StateSet.state` computes
+        it, and the target is the gain times member m.  Monitor =
+        t1*input - r1*guess and retained = r1*input + t1*guess, with the guess
+        scaled by t1/r1 so a correct guess nulls the monitor port; that branch
+        is evaluated in closed form to keep the null and the gain law exact.
+        One pass evaluates each branch completely and appends every value to
+        its column.
+        """
+        r1, t1, r2, t2 = self.r1, self.t1, self.r2, self.t2
+        n, q, turns, guess_scale = self.n_states, self.prior, self.turns, self.guess_scale
+        click0, click1 = self.click0, self.click1
+        z_in = base * turns[m]
+        in_re, in_im = z_in.real, z_in.imag
+        input_part = r1 * z_in
+        part_re, part_im = input_part.real, input_part.imag
+        gain = self.gain
+        target = complex(gain * in_re, gain * in_im)
+        output, overlap, d0_mean, d1_mean, d0_click, d1_click, silent, heralded = [], [], [], [], [], [], [], []
+        for k in range(n):
+            if k == m:
+                n0 = 0.0
+                retained = z_in / r1
+                ret_re, ret_im = retained.real, retained.imag
+                out = target
+            else:
+                z = base * turns[k]
+                # monitor field t1*(input - member) in real arithmetic: for
+                # finite amplitudes, the complex product's squared modulus
+                d0_re, d0_im = t1 * (in_re - z.real), t1 * (in_im - z.imag)
+                n0 = d0_re * d0_re + d0_im * d0_im
+                guess_part = guess_scale * z
+                ret_re, ret_im = part_re + guess_part.real, part_im + guess_part.imag
+                out = complex(t2 * ret_re, t2 * ret_im)
+            tap_re, tap_im = r2 * ret_re, r2 * ret_im
+            n1 = tap_re * tap_re + tap_im * tap_im
+            p0, p1 = click0(n0), click1(n1)
+            w = q * (1.0 - p0)
+            output.append(out)
+            overlap.append(overlap_sq(out, target))
+            d0_mean.append(n0)
+            d1_mean.append(n1)
+            d0_click.append(p0)
+            d1_click.append(p1)
+            silent.append(w)
+            heralded.append(w * p1)
+        weights = {
+            Conditioning.NONE: [q] * n,
+            Conditioning.D0_SILENT: silent,
+            Conditioning.D0_SILENT_D1_FIRES: heralded,
+        }
+        return BranchTable(target, output, overlap, d0_mean, d1_mean, d0_click, d1_click, weights)
+
+
+def _branch_row(cfg: AmplifierConfig, det0: DetectorModel, det1: DetectorModel, m: int) -> BranchTable:
+    """The :class:`BranchTable` of input m of ``cfg``: the :class:`BranchKernel`
+    of its device at its base amplitude."""
+    kernel = BranchKernel(cfg.comparison_reflectivity, cfg.subtraction_transmission, cfg.n_states(),
+                          det0, det1)
+    return kernel.row(cfg.input_set.base_amplitude, m)
 
 
 def branch_table(cfg: AmplifierConfig, det0: DetectorModel, det1: DetectorModel) -> BranchTable:
     """The N branches of input 0, indexed by guess offset, in scalar
-    arithmetic; see :func:`_branch_row`.  Every figure reads them alone."""
+    arithmetic: the :class:`BranchKernel` of the device, which a sweep builds
+    once per state-set size, at the one value a point supplies, its base
+    amplitude.  Every figure reads them alone."""
     return _branch_row(cfg, det0, det1, 0)
 
 

@@ -67,9 +67,12 @@ def linspace(start: float, stop: float, count: int) -> list[float]:
 def default_detector(optical_loss: float = FROZEN_OPTICAL_LOSS) -> DetectorModel:
     """Detector with the measured efficiency, gating retentions and background.
 
-    The 96.5% signal gate retention multiplies the optical loss; the 3%
+    The 96.5% signal gate retention multiplies the optical loss, a
+    transmission that must lie in [0, 1] itself (a NaN fails the check); the 3%
     background retention is already folded into the dark probability.
     """
+    if not (0.0 <= optical_loss <= 1.0):
+        raise ValueError(f"optical_loss must lie in [0, 1], got {optical_loss}")
     return DetectorModel(
         efficiency=DETECTION_EFFICIENCY,
         loss_transmission=optical_loss * SIGNAL_GATE_RETENTION,

@@ -1,22 +1,24 @@
 """Parameter sweeps, figure-reproduction datasets and their serialization.
 
-A sweep evaluates the analytic model (and, in ``both`` mode, the Monte Carlo)
-on a grid of (state-set size, input mean photon number) points and emits one
-row per point with fixed, documented columns.  Each point builds one branch
-table, input 0's N branches, and computes only the columns it emits from
-it: the visibility columns scan detector DA against the table's target
-``table.target``, and the Monte Carlo columns are drawn by ``montecarlo``
-from the table against that same target.  Each state-set size's grid is
-walked in blocks of points for the scan: a block holds as many whole points
-as fit in ``analysis._SCAN_BLOCK_CELLS`` = 2^12 (point, component, phase)
-cells, whose scan peaks at about 330 KiB, or one point that is larger.  A
-block's tables are built in grid order, scanned by one ``visibilities``
-call, then each point's Monte Carlo columns are drawn and its row emitted;
-tables are held one block at a time, and every value is the one the point
-gets when swept alone.  No column reads the analyzer imperfection epsilon,
-so a sweep never derives it.  Figure
-datasets hold a few columns of the same rows; they are model curves only,
-never measured points.  A :class:`Dataset` holds the rows and the
+A sweep evaluates the analytic model (and, in ``both`` mode, the Monte
+Carlo) on a grid of (state-set size, input mean photon number) points and
+emits one row per point with fixed, documented columns.  A sweep builds one
+``amplifier.BranchKernel`` per state-set size, from the spec's splitters and
+detectors D0/D1; a point supplies only its base amplitude sqrt(alpha_sq) and
+gets its branch table, input 0's N branches, from the kernel.  It computes
+only the columns it emits from the table: the visibility columns scan
+detector DA against the table's target ``table.target``, and the Monte Carlo
+columns are drawn by ``montecarlo`` from the table against that same target.
+Each state-set size's grid is walked in blocks of points for the scan: a
+block holds as many whole points as fit in ``analysis._SCAN_BLOCK_CELLS`` =
+2^12 (point, component, phase) cells, whose scan peaks at about 330 KiB, or
+one point that is larger.  A block's tables are built in grid order, scanned
+by one ``visibilities`` call, then each point's Monte Carlo columns are
+drawn and its row emitted; tables are held one block at a time, and every
+value is the one the point gets when swept alone.  No column reads the
+analyzer imperfection epsilon, so a sweep never derives it.  Figure datasets
+hold a few columns of the same rows; they are model curves only, never
+measured points.  A :class:`Dataset` holds the rows and the
 :class:`SweepSpec` they are computed from; CSV carries the rows alone, and
 only JSON builds the spec echo (:meth:`Dataset.echo`), as {"spec": ...,
 "rows": ...}.  The Monte Carlo module is imported by the first Monte Carlo
@@ -33,7 +35,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from . import params
-from .amplifier import BranchTable, Conditioning, branch_table
+from .amplifier import BranchKernel, BranchTable, Conditioning
 from .analysis import (
     MAX_COUNT,
     CountTable,
@@ -221,20 +223,15 @@ class Dataset:
         return echo
 
 
-def _analytic_point(spec: SweepSpec, n_states: int, alpha_sq: float, columns: frozenset[str],
-                    scanned: bool) -> tuple[BranchTable, dict, list[list[float]] | None]:
-    """The branch table of a point and its analytic values but its
-    visibilities, computing the fidelity sum only when ``columns`` holds one of
-    its columns, and, when ``scanned``, the weights of the three mixtures its
-    visibility scan reads.  The heralded weights are summed and normalized
-    once, and a point that can never herald is an error whatever its columns are."""
-    cfg = params.default_amplifier(
-        alpha_sq,
-        n_states,
-        comparison_reflectivity=spec.comparison_reflectivity,
-        subtraction_transmission=spec.subtraction_transmission,
-    )
-    table = branch_table(cfg, spec.detectors.d0, spec.detectors.d1)
+def _analytic_point(spec: SweepSpec, n_states: int, alpha_sq: float, kernel: BranchKernel,
+                    columns: frozenset[str], scanned: bool) -> tuple[BranchTable, dict, list[list[float]] | None]:
+    """The branch table of a point, from its size's ``kernel`` at the point's
+    base amplitude, and its analytic values but its visibilities, computing the
+    fidelity sum only when ``columns`` holds one of its columns, and, when
+    ``scanned``, the weights of the three mixtures its visibility scan reads.
+    The heralded weights are summed and normalized once, and a point that can
+    never herald is an error whatever its columns are."""
+    table = kernel.row(complex(math.sqrt(alpha_sq)))
     p_success, weights = table.accepted()
     row = {"n_states": n_states, "alpha_sq": alpha_sq}
     if "fidelity" in columns or "correct_state_fraction" in columns:
@@ -296,14 +293,16 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> Dataset:
 def _rows(spec: SweepSpec, columns: tuple[str, ...]) -> list[dict]:
     """One row of ``columns`` per grid point, in grid order.
 
-    Each state-set size's grid is walked in blocks of as many points as one
-    visibility scan block takes (:func:`analysis.scan_block_points`).  A
-    block's branch tables and analytic columns are built in grid order, one
-    :func:`visibilities` call scans every point against its target with
-    detector DA, and then each point gets its Monte Carlo columns and its
-    row, in grid order.  Only one block's scan inputs and tables are held at a
-    time.  When a point fails, the points before it in its block are finished
-    first, so the first failing point in grid order raises.
+    Each state-set size builds one branch kernel, and each point passes it
+    only its base amplitude.  The size's grid is walked in blocks of as many
+    points as one visibility scan block takes
+    (:func:`analysis.scan_block_points`).  A block's branch tables and
+    analytic columns are built in grid order, one :func:`visibilities` call
+    scans every point against its target with detector DA, and then each point
+    gets its Monte Carlo columns and its row, in grid order.  Only one block's
+    scan inputs and tables are held at a time.  When a point fails, the points
+    before it in its block are finished first, so the first failing point in
+    grid order raises.
     """
     wanted = frozenset(columns)
     scanned = not wanted.isdisjoint(_VISIBILITY_COLUMNS)
@@ -312,6 +311,9 @@ def _rows(spec: SweepSpec, columns: tuple[str, ...]) -> list[dict]:
     rows = []
     point_index = 0  # of the next Monte Carlo point, which seeds its draw
     for n_states in spec.n_states_list:
+        # the spec has checked the splitters and every alpha^2
+        kernel = BranchKernel(spec.comparison_reflectivity, spec.subtraction_transmission, n_states,
+                              spec.detectors.d0, spec.detectors.d1)
         # rows without a visibility are a figure's, which draws no Monte Carlo
         # and so keeps no table: its whole grid is one block
         step = scan_block_points(n_states, spec.phase_points) if scanned else len(grid)
@@ -320,7 +322,7 @@ def _rows(spec: SweepSpec, columns: tuple[str, ...]) -> list[dict]:
             failure = None
             try:
                 for alpha_sq in grid[start:start + step]:
-                    table, row, weights = _analytic_point(spec, n_states, alpha_sq, wanted, scanned)
+                    table, row, weights = _analytic_point(spec, n_states, alpha_sq, kernel, wanted, scanned)
                     block.append(row)
                     if scanned:
                         outputs.append(table.output)

@@ -14,9 +14,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import scamp.cli as cli
-from scamp.analysis import CountTable, scan_block_points
+from scamp.analysis import CountTable, scan_block_points, visibility
 from scamp.coherent import mixture_fidelity
-from scamp.errors import ConfigError, InsufficientSignalError
+from scamp.errors import ConfigError, InsufficientSignalError, NeverHeraldedError
 from scamp.montecarlo import (
     DetectorBank,
     RunSpec,
@@ -24,7 +24,7 @@ from scamp.montecarlo import (
     conditioned_counts,
     simulate_run,
 )
-from scamp.amplifier import Conditioning, output_mixture
+from scamp.amplifier import Conditioning, branch_table, output_mixture
 from scamp.detectors import DetectorModel
 from scamp.sweep import (
     BASE_COLUMNS,
@@ -330,6 +330,86 @@ class TestRowsDoNotDependOnNeighbours:
         assert drawn == [0]
         with pytest.raises(ValueError, match="third point"):
             run_sweep(replace(spec, mode="analytic"))
+
+
+@st.composite
+def _devices(draw):
+    """Splitters, D0/D1, state-set sizes and a sorted grid of several alpha^2 values."""
+    dark = st.one_of(st.just(0.0), st.floats(1e-6, 0.2))
+    herald = st.builds(DetectorModel, efficiency=st.floats(0.0, 1.0), dark_prob_per_gate=dark)
+    return {
+        "r1_sq": draw(st.floats(0.01, 0.99)),
+        "t2_sq": draw(st.floats(0.01, 1.0)),
+        "d0": draw(herald),
+        "d1": draw(herald),
+        "sizes": tuple(draw(st.lists(st.sampled_from((1, 2, 3, 5, 16, 64)), min_size=1, max_size=3,
+                                     unique=True))),
+        "grid": tuple(sorted(draw(st.sets(st.floats(0.01, 4.0), min_size=2, max_size=8)))),
+    }
+
+
+class TestKernelPerSize:
+    """A sweep builds one branch kernel per state-set size and gives each grid
+    point only its base amplitude; every value is the one of the point's own
+    device built from scratch."""
+
+    def test_setup_is_done_once_per_size(self, monkeypatch):
+        import scamp.amplifier as amplifier
+
+        built = {"click_law": 0, "default_amplifier": 0}
+
+        def counted(name, function):
+            def call(*args, **kwargs):
+                built[name] += 1
+                return function(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(amplifier, "click_law", counted("click_law", amplifier.click_law))
+        monkeypatch.setattr(params, "default_amplifier", counted("default_amplifier", params.default_amplifier))
+        rows = run_sweep(SweepSpec(alpha_sq_grid=params.FIG3_ALPHA_SQ_GRID, n_states_list=(2, 4, 8))).rows
+        assert len(rows) == 3 * 29
+        # one kernel, with its two click laws, per state-set size, and a point
+        # supplies only its base amplitude, not a device
+        assert built == {"click_law": 6, "default_amplifier": 0}
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(_devices())
+    def test_rows_are_the_branch_tables_of_each_point(self, d):
+        analyzer = params.default_detector()
+        spec = SweepSpec(
+            alpha_sq_grid=d["grid"],
+            n_states_list=d["sizes"],
+            comparison_reflectivity=d["r1_sq"],
+            subtraction_transmission=d["t2_sq"],
+            detectors=DetectorBank(d["d0"], d["d1"], analyzer, analyzer),
+        )
+        expected = []
+        try:
+            for n_states in spec.n_states_list:
+                for alpha_sq in spec.alpha_sq_grid:
+                    cfg = params.default_amplifier(alpha_sq, n_states, d["r1_sq"], d["t2_sq"])
+                    table = branch_table(cfg, d["d0"], d["d1"])
+                    p_success, weights = table.accepted()
+                    fom = table.figures(p_success, weights)
+                    analysis = params.default_analysis(cfg, detector=analyzer, epsilon=0.0,
+                                                       phase_points=spec.phase_points)
+                    expected.append({
+                        "n_states": n_states,
+                        "alpha_sq": alpha_sq,
+                        "fidelity": fom.fidelity,
+                        "correct_state_fraction": fom.correct_state_fraction,
+                        "success_probability": p_success,
+                        "success_rate_per_s": p_success * spec.prf,
+                        **{column: visibility(output_mixture(cfg, d["d0"], d["d1"], 0, condition), analysis)
+                           for column, condition in zip(_VISIBILITY_COLUMNS, Conditioning)},
+                    })
+        except NeverHeraldedError:
+            # a point that can never herald fails the sweep too
+            with pytest.raises(NeverHeraldedError):
+                run_sweep(spec)
+            return
+        # repr is exact for floats, tells 0.0 from -0.0 and shows a NaN
+        assert repr(run_sweep(spec).rows) == repr(expected)
 
 
 class TestMonteCarloErrorBars:
@@ -702,6 +782,14 @@ class TestCli:
         self.assert_one_line_config_error(capsys)
         assert run_cli(args) == 0
         assert capsys.readouterr().out != ""
+
+    @pytest.mark.parametrize("loss", ["1.03", "2", "-0.1", "nan"])
+    def test_figure_loss_is_a_transmission(self, capsys, loss):
+        # only the optical loss itself tells the user which value to change
+        assert run_cli(["figure", "--id", "fig4", "--alpha-sq", "0.94", "--loss", loss]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: optical_loss must lie in [0, 1], got {float(loss)}\n"
 
     def test_figure_flags_override_config_grid_and_output(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
