@@ -8,7 +8,8 @@ scan phase).  The set is symmetric, so every click probability depends on
 (input m, guess k) only through the guess offset d = (k - m) mod N (see
 ``amplifier``: input m's branch at guess k is input 0's at offset d, its
 reference rotating with the input).  Counts are tallied per (phase bin,
-input 0, offset, 4-bit click pattern); offset 0 is the correct guess.
+offset, 4-bit click pattern), shape (P, N, 16); offset 0 is the correct
+guess, and only this module reads that layout.
 
 There is one draw, :func:`_offset_draw`: input 0's (silent, fired) click
 factors against the analyzer reference at each of P phases
@@ -27,7 +28,8 @@ multinomial, its counts have the distribution of a draw over all N*N
   checked, but changes neither the output nor the speed).
 - A sweep point draws against its target output in one bin, and reads each
   offset's DA/DB click probabilities from the same factors;
-  :func:`_offset_fidelity` estimates the output fidelity from them.  The
+  :func:`point_estimates` turns the draw into the point's Monte Carlo
+  columns, and :func:`_offset_fidelity` estimates the output fidelity.  The
   sweep's master seed and the point's grid index give the point's seed
   (:func:`_point_seed`, printed as its ``mc_seed``), and that seed alone
   seeds the draw, so a row's ``mc_seed`` reproduces its counts.
@@ -56,7 +58,7 @@ from .analysis import (
     port_click,
 )
 from .detectors import DetectorBank
-from .errors import InsufficientSignalError, check_workers
+from .errors import InsufficientSignalError, as_integer, check_workers
 
 DEFAULT_CHUNK_SIZE = 1 << 16
 # the draw counts pulses in int64
@@ -99,6 +101,8 @@ class RunSpec:
     phase_schedule: tuple[float, ...] = (0.0,)
 
     def __post_init__(self):
+        for name in ("n_pulses", "master_seed"):
+            object.__setattr__(self, name, as_integer(name, getattr(self, name)))
         if not (1 <= self.n_pulses <= _MAX_PULSES):
             raise ValueError(f"n_pulses must lie in [1, 2^63 - 1], got {self.n_pulses}")
         if self.master_seed < 0:
@@ -111,22 +115,24 @@ class RunSpec:
                 raise ValueError(f"phase_schedule entries must be real numbers, got {phase!r}")
             if not math.isfinite(phase):
                 raise ValueError(f"phase_schedule entries must be finite, got {phase!r}")
+        # a tuple of floats, so that the spec hashes and its tallies merge with any equal schedule
+        object.__setattr__(self, "phase_schedule", tuple(map(float, self.phase_schedule)))
 
 
 @dataclass(frozen=True)
 class TallyTable:
-    """Event counts per (phase bin, input 0, guess offset, D0/D1/DA/DB click pattern).
+    """Event counts per (phase bin, guess offset, D0/D1/DA/DB click pattern).
 
     Merging two tables is field-wise addition, so chunked simulation reduces
     to a sum in any order.
     """
 
-    counts: np.ndarray  # int64, shape (n_phases, 1, N, 16)
+    counts: np.ndarray  # int64, shape (n_phases, N, 16)
     phases: tuple[float, ...]
     n_states: int
 
     def __post_init__(self):
-        expected = (len(self.phases), 1, self.n_states, _N_PATTERNS)
+        expected = (len(self.phases), self.n_states, _N_PATTERNS)
         if self.counts.shape != expected:
             raise ValueError(f"counts shape {self.counts.shape} != {expected}")
 
@@ -141,7 +147,7 @@ class TallyTable:
 
     @classmethod
     def empty(cls, phases: tuple[float, ...], n_states: int) -> "TallyTable":
-        shape = (len(phases), 1, n_states, _N_PATTERNS)
+        shape = (len(phases), n_states, _N_PATTERNS)
         return cls(np.zeros(shape, dtype=np.int64), phases, n_states)
 
 
@@ -170,15 +176,15 @@ def _scan_references(spec: RunSpec) -> np.ndarray:
 
 def _factor_pairs(table: BranchTable, refs, detectors: DetectorBank) -> tuple[np.ndarray, np.ndarray]:
     """(silent, fired) click factors of the N branches of ``table`` by pattern
-    bit value along the last axis: D0/D1 (2, 1, N, 2) from their click
-    probabilities, and DA/DB (2, P, 1, N, 2) from the outputs against each of
+    bit value along the last axis: D0/D1 (2, N, 2) from their click
+    probabilities, and DA/DB (2, P, N, 2) from the outputs against each of
     the P analyzer references ``refs``."""
     n = len(table.output)
-    refs = np.asarray(refs, dtype=complex).reshape(-1, 1, 1)
-    heralds = np.empty((2, 1, n, 2))
-    heralds[..., 1] = [table.d0_click], [table.d1_click]
+    refs = np.asarray(refs, dtype=complex).reshape(-1, 1)
+    heralds = np.empty((2, n, 2))
+    heralds[..., 1] = table.d0_click, table.d1_click
     out = np.array(table.output)
-    analyzer = np.empty((2, len(refs), 1, n, 2))
+    analyzer = np.empty((2, len(refs), n, 2))
     analyzer[0, ..., 1] = port_click(out, refs, detectors.da, "A")
     analyzer[1, ..., 1] = port_click(out, refs, detectors.db, "B")
     for factors in (heralds, analyzer):
@@ -187,22 +193,22 @@ def _factor_pairs(table: BranchTable, refs, detectors: DetectorBank) -> tuple[np
 
 
 def _cell_probabilities(heralds: np.ndarray, analyzer: np.ndarray) -> np.ndarray:
-    """Probability of each (input 0, guess offset, click pattern) cell, per phase bin: the cell law.
+    """Probability of each (guess offset, click pattern) cell, per phase bin: the cell law.
 
     The uniform guess prior 1/N times the independent D0/D1/DA/DB click
     factors of each pattern (:func:`_factor_pairs`), as
-    ((1/N * f0) * f1) * (fa * fb), shape (P, 1, N, 16), with every bin
+    ((1/N * f0) * f1) * (fa * fb), shape (P, N, 16), with every bin
     normalised to sum to one.
     """
     (f0, f1), (fa, fb) = heralds, analyzer
-    shape = fa.shape[:3]
-    herald_cells = 1.0 / shape[2] * f0[:, :, :, None] * f1[:, :, None, :]
+    shape = fa.shape[:2]
+    herald_cells = 1.0 / shape[1] * f0[:, :, None] * f1[:, None, :]
     analyzer_cells = fa[..., :, None] * fb[..., None, :]
     # a fresh C-order array: each bin's sum then adds in one order for every caller
     cells = np.empty(shape + (_N_PATTERNS,))
-    np.multiply(herald_cells[:, :, :, :, None, None], analyzer_cells[:, :, :, None, None, :, :],
+    np.multiply(herald_cells[:, :, :, None, None], analyzer_cells[:, :, None, None, :, :],
                 out=cells.reshape(shape + (2, 2, 2, 2)))
-    cells /= cells.sum(axis=(1, 2, 3), keepdims=True)
+    cells /= cells.sum(axis=(1, 2), keepdims=True)
     return cells
 
 
@@ -228,7 +234,7 @@ def simulate_chunk(
     if tables is None:
         tables = branch_tables(spec)
     # the fired planes of the D0/D1 and DA/DB click factors, by guess offset
-    (p0, p1), (pa, pb) = (f[..., 0, :, 1] for f in tables)
+    (p0, p1), (pa, pb) = (f[..., 1] for f in tables)
     n = spec.amplifier.n_states()
     n_phases = len(spec.phase_schedule)
     ss = np.random.SeedSequence(entropy=spec.master_seed, spawn_key=(chunk_index,))
@@ -255,7 +261,7 @@ def simulate_chunk(
     )
     flat = (j * n + offsets) * _N_PATTERNS + pattern
     counts = np.bincount(flat, minlength=n_phases * n * _N_PATTERNS)
-    counts = counts.reshape(n_phases, 1, n, _N_PATTERNS).astype(np.int64)
+    counts = counts.reshape(n_phases, n, _N_PATTERNS).astype(np.int64)
     return TallyTable(counts, spec.phase_schedule, n)
 
 
@@ -276,8 +282,8 @@ def simulate_run(spec: RunSpec, workers: int = 1) -> TallyTable:
 
 def _offset_draw(table: BranchTable, detectors: DetectorBank, refs, n_pulses: int,
                  seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """The one Monte Carlo draw: ``n_pulses`` over the (P, 1, N, 16) cells of
-    input 0 (:func:`_cell_probabilities`) against each of the P analyzer
+    """The one Monte Carlo draw: ``n_pulses`` over the (P, N, 16) guess-offset
+    cells (:func:`_cell_probabilities`) against each of the P analyzer
     references ``refs``, seeded by ``seed`` (:func:`_draw`).
 
     Returns the int64 counts, and the (2, P, N) probabilities with which
@@ -285,7 +291,7 @@ def _offset_draw(table: BranchTable, detectors: DetectorBank, refs, n_pulses: in
     reference, read from the same click factors.
     """
     heralds, analyzer = _factor_pairs(table, refs, detectors)
-    return _draw(n_pulses, seed, _cell_probabilities(heralds, analyzer)), analyzer[:, :, 0, :, 1]
+    return _draw(n_pulses, seed, _cell_probabilities(heralds, analyzer)), analyzer[..., 1]
 
 
 def _draw(n_pulses: int, seed: int, cells: np.ndarray) -> np.ndarray:
@@ -306,6 +312,27 @@ def _point_seed(master_seed: int, point_index: int) -> int:
     ``SeedSequence`` spawned from ``master_seed`` at that index."""
     state = np.random.SeedSequence(entropy=master_seed, spawn_key=(point_index,))
     return int(state.generate_state(1, np.uint64)[0])
+
+
+def point_estimates(table: BranchTable, detectors: DetectorBank, n_pulses: int, master_seed: int,
+                    point_index: int) -> tuple:
+    """Sweep point ``point_index``'s values in ``sweep.MC_COLUMNS`` order, from one draw over
+    ``table``'s offset cells against its target seeded by :func:`_point_seed`: under D0 silent and
+    D1 fires, success probability, correct (offset 0) fraction and fidelity (:func:`_offset_fidelity`),
+    each with its standard error (NaN without signal), then ``n_pulses`` and the seed."""
+    seed = _point_seed(master_seed, point_index)
+    counts, clicks = _offset_draw(table, detectors, table.target, n_pulses, seed)
+    by_offset = (counts[0] @ _PROJECTION[Conditioning.D0_SILENT_D1_FIRES]).tolist()
+    n_correct = by_offset[0][0]
+    accepted = sum(row[0] for row in by_offset)
+    fraction = fidelity = (math.nan, math.nan)
+    if accepted > 0:
+        fraction = n_correct / accepted, standard_error(n_correct, accepted)
+    try:
+        fidelity = _offset_fidelity(table, by_offset, clicks[:, 0].T.tolist())
+    except InsufficientSignalError:
+        pass
+    return (accepted / n_pulses, standard_error(accepted, n_pulses), *fraction, *fidelity, n_pulses, seed)
 
 
 def _offset_fidelity(table: BranchTable, by_offset, clicks) -> tuple[float, float]:
@@ -355,9 +382,8 @@ def conditioned_class_totals(t: TallyTable, condition) -> tuple[int, int]:
 
 def _class_projection(t: TallyTable, condition) -> tuple[tuple[int, int], CountTable]:
     """:func:`conditioned_class_totals` and :func:`conditioned_counts`, projected once."""
-    per_pair = t.counts.sum(axis=0) @ _PROJECTION[Conditioning(condition)]
-    correct = per_pair.trace()  # guess == input
-    wrong = per_pair.sum(axis=(0, 1)) - correct
+    per_offset = t.counts.sum(axis=0) @ _PROJECTION[Conditioning(condition)]
+    correct, wrong = per_offset[0], per_offset[1:].sum(axis=0)
     (acc_c, a_c, b_c, _), (acc_w, a_w, b_w, _) = correct.tolist(), wrong.tolist()
     counts = CountTable(n_A_sig=float(a_c), n_B_sig=float(b_c), n_A_vac=float(a_w), n_B_vac=float(b_w))
     return (acc_c, acc_w), counts
@@ -365,7 +391,7 @@ def _class_projection(t: TallyTable, condition) -> tuple[tuple[int, int], CountT
 
 def mc_visibility(t: TallyTable, condition) -> float:
     """Visibility of the conditioned DA count rate across the phase schedule."""
-    by_phase = t.counts.sum(axis=(1, 2))
+    by_phase = t.counts.sum(axis=1)
     per_phase_pulses = by_phase.sum(axis=1).astype(float)
     if np.any(per_phase_pulses == 0):
         raise ValueError("phase schedule has empty bins; run more pulses")

@@ -8,7 +8,9 @@ detectors D0/D1; a point supplies only its base amplitude sqrt(alpha_sq) and
 gets its branch table, input 0's N branches, from the kernel.  It computes
 only the columns it emits from the table: the visibility columns scan
 detector DA against the table's target ``table.target``, and the Monte Carlo
-columns are drawn by ``montecarlo`` from the table against that same target.
+columns, in ``MC_COLUMNS`` order, are ``montecarlo.point_estimates``: one
+draw over the (1, N, 16) (bin, offset, pattern) cells of the table against
+that target.  The sweep reads no tally itself.
 Each state-set size's grid is walked in blocks of points for the scan: a
 block holds as many whole points as fit in ``analysis._SCAN_BLOCK_CELLS`` =
 2^12 (point, component, phase) cells, whose scan peaks at about 330 KiB, or
@@ -21,8 +23,7 @@ hold a few columns of the same rows; they are model curves only, never
 measured points.  A :class:`Dataset` holds the rows and the
 :class:`SweepSpec` they are computed from; CSV carries the rows alone, and
 only JSON builds the spec echo (:meth:`Dataset.echo`), as {"spec": ...,
-"rows": ...}.  The Monte Carlo module is imported by the first Monte Carlo
-row.
+"rows": ...}.  Only a Monte Carlo sweep imports ``montecarlo``, as it starts.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .analysis import (
     visibilities,
 )
 from .detectors import DetectorBank
-from .errors import ConfigError, InsufficientSignalError, check_workers
+from .errors import ConfigError, InsufficientSignalError, as_integer, check_workers
 
 MODES = ("analytic", "both")
 FORMATS = ("csv", "json")
@@ -112,9 +113,9 @@ class SweepSpec:
         if self.epsilon is not None:
             object.__setattr__(self, "epsilon", _real("epsilon", self.epsilon))
         for name in ("phase_points", "n_pulses", "seed"):
-            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+            object.__setattr__(self, name, as_integer(name, getattr(self, name)))
         object.__setattr__(self, "alpha_sq_grid", tuple(_real("alpha_sq", a) for a in self.alpha_sq_grid))
-        object.__setattr__(self, "n_states_list", tuple(_integer("n_states", n) for n in self.n_states_list))
+        object.__setattr__(self, "n_states_list", tuple(as_integer("n_states", n) for n in self.n_states_list))
         if len(self.alpha_sq_grid) == 0:
             raise ConfigError("alpha_sq_grid must be non-empty")
         if not all(math.isfinite(a) and a >= 0.0 for a in self.alpha_sq_grid):
@@ -181,16 +182,6 @@ class SweepSpec:
         return d
 
 
-def _integer(name: str, value) -> int:
-    """``value`` as an int; a bool, or a value ``operator.index`` refuses, is a ConfigError."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ConfigError(f"{name} must be an integer, got {value!r}")
-
-
 def _real(name: str, value) -> float:
     """``value`` as a float; a bool, or a value that is not a real number, is a ConfigError."""
     # the float test first: it is the common case, and an ABC check is slower
@@ -247,38 +238,6 @@ def _analytic_point(spec: SweepSpec, n_states: int, alpha_sq: float, kernel: Bra
     return table, row, [unconditioned, silent, weights]
 
 
-def _montecarlo_columns(spec: SweepSpec, table: BranchTable, point_index: int) -> dict:
-    """The Monte Carlo values of grid point ``point_index``, all from one draw
-    over the N*16 guess-offset cells of input 0 (offset 0 is the correct
-    class), built from ``table`` against its target output."""
-    from .montecarlo import _PROJECTION, _offset_draw, _offset_fidelity, _point_seed, standard_error
-
-    seed = _point_seed(spec.seed, point_index)
-    counts, clicks = _offset_draw(table, spec.detectors, table.target, spec.n_pulses, seed)
-    by_offset = (counts[0, 0] @ _PROJECTION[Conditioning.D0_SILENT_D1_FIRES]).tolist()
-    n_correct = by_offset[0][0]
-    accepted = sum(row[0] for row in by_offset)
-    # the values are set in MC_COLUMNS order, so a sweep's row needs no reordering
-    out = {
-        "mc_success_probability": accepted / spec.n_pulses,
-        "mc_success_probability_se": standard_error(accepted, spec.n_pulses),
-    }
-    if accepted > 0:
-        out["mc_correct_state_fraction"] = n_correct / accepted
-        out["mc_correct_state_fraction_se"] = standard_error(n_correct, accepted)
-    else:
-        out["mc_correct_state_fraction"] = math.nan
-        out["mc_correct_state_fraction_se"] = math.nan
-    try:
-        out["mc_fidelity"], out["mc_fidelity_se"] = _offset_fidelity(table, by_offset, clicks[:, 0].T.tolist())
-    except InsufficientSignalError:
-        out["mc_fidelity"] = math.nan
-        out["mc_fidelity_se"] = math.nan
-    out["mc_n_pulses"] = spec.n_pulses
-    out["mc_seed"] = seed
-    return out
-
-
 def run_sweep(spec: SweepSpec, workers: int = 1) -> Dataset:
     """Evaluate the sweep grid; rows are ordered by grid position.
 
@@ -307,6 +266,8 @@ def _rows(spec: SweepSpec, columns: tuple[str, ...]) -> list[dict]:
     wanted = frozenset(columns)
     scanned = not wanted.isdisjoint(_VISIBILITY_COLUMNS)
     montecarlo = spec.wants_montecarlo()
+    if montecarlo:
+        from .montecarlo import point_estimates
     grid = spec.alpha_sq_grid
     rows = []
     point_index = 0  # of the next Monte Carlo point, which seeds its draw
@@ -339,7 +300,8 @@ def _rows(spec: SweepSpec, columns: tuple[str, ...]) -> list[dict]:
                     row.update(zip(_VISIBILITY_COLUMNS, values))
             if montecarlo:
                 for table, row in zip(tables, block):
-                    row.update(_montecarlo_columns(spec, table, point_index))
+                    row.update(zip(MC_COLUMNS, point_estimates(table, spec.detectors, spec.n_pulses,
+                                                               spec.seed, point_index)))
                     point_index += 1
             for row in block:
                 # a sweep's row is built in column order; a figure's holds more values

@@ -239,7 +239,7 @@ def counts_by_offset(t: TallyTable, condition) -> list[tuple[int, int, int]]:
     Offset d = (guess - input) mod N indexes the N possible output classes
     of the symmetric set; feed these to the multi-class pulse estimator.
     """
-    by_offset = t.counts.sum(axis=0)[0] @ _PROJECTION[Conditioning(condition)]
+    by_offset = t.counts.sum(axis=0) @ _PROJECTION[Conditioning(condition)]
     return [(n_a, n_b, accepted) for accepted, n_a, n_b, _ in by_offset.tolist()]
 
 
@@ -249,7 +249,7 @@ def expected_tally(run: RunSpec) -> TallyTable:
     n_phases = len(run.phase_schedule)
     per_bin = [run.n_pulses // n_phases + (j < run.n_pulses % n_phases) for j in range(n_phases)]
     cells = _cell_probabilities(*branch_tables(run))
-    return TallyTable(cells * np.asarray(per_bin, dtype=float)[:, None, None, None],
+    return TallyTable(cells * np.asarray(per_bin, dtype=float)[:, None, None],
                       run.phase_schedule, run.amplifier.n_states())
 
 
@@ -257,8 +257,8 @@ def expected_offset_draw(run: RunSpec, condition) -> tuple[list, list]:
     """The mean per-offset counts of the one-bin ``run``, in float, as a sweep
     point projects them: per guess offset, (accepted, with DA fired, with DB
     fired, with both fired), and the (p_A, p_B) rows it reads, as lists."""
-    by_offset = expected_tally(run).counts[0, 0] @ _PROJECTION[Conditioning(condition)]
-    return by_offset.tolist(), branch_tables(run)[1][:, 0, 0, :, 1].T.tolist()
+    by_offset = expected_tally(run).counts[0] @ _PROJECTION[Conditioning(condition)]
+    return by_offset.tolist(), branch_tables(run)[1][:, 0, :, 1].T.tolist()
 
 
 def visibilities_mp(cfg: AmplifierConfig, detectors: DetectorBank, phase_points: int,

@@ -271,7 +271,7 @@ def test_criterion_10_montecarlo_analytic_equivalence():
                         f"N={n_states} a2={alpha_sq} {name}: {k / n:.3e} vs {prob:.3e}"
                     )
 
-            marg = tally.counts.sum(axis=(0, 1, 2))
+            marg = tally.counts.sum(axis=(0, 1))
             bits = np.arange(16)
             check("P(D0)", int(marg[(bits & 8) != 0].sum()), pred["d0"])
             check("P(D1)", int(marg[(bits & 4) != 0].sum()), pred["d1"])

@@ -45,7 +45,7 @@ IDEAL = DetectorModel.ideal()
 
 
 def mask_sums(counts, condition):
-    """Accepted pulses, and accepted with DA / DB fired, per (phase bin, input 0, guess offset),
+    """Accepted pulses, and accepted with DA / DB fired, per (phase bin, guess offset),
     summed over boolean pattern masks (bits: D0 = 8, D1 = 4, DA = 2, DB = 1)."""
     pattern = np.arange(16)
     d0, d1, da, db = ((pattern & bit) != 0 for bit in (8, 4, 2, 1))
@@ -54,7 +54,7 @@ def mask_sums(counts, condition):
         Conditioning.D0_SILENT: ~d0,
         Conditioning.D0_SILENT_D1_FIRES: ~d0 & d1,
     }[condition]
-    return tuple(counts[..., sel].sum(axis=3) for sel in (accepted, accepted & da, accepted & db))
+    return tuple(counts[..., sel].sum(axis=2) for sel in (accepted, accepted & da, accepted & db))
 
 
 def pulse_oracle(spec, chunk_size=DEFAULT_CHUNK_SIZE):
@@ -109,6 +109,27 @@ class TestRunSpec:
                 make_spec(0.5, 4, n_pulses, 1)
         for n_pulses in (1 << 60, (1 << 63) - 1):
             assert simulate_run(make_spec(0.5, 4, n_pulses, 1)).n_pulses == n_pulses
+
+    def test_pulse_count_and_seed_must_be_integers(self):
+        # a fractional count was rounded up by the draw, and a fractional seed failed inside numpy
+        for field, value in (("n_pulses", 2.5), ("n_pulses", 1000.7), ("n_pulses", True),
+                             ("master_seed", 1.5), ("master_seed", False), ("master_seed", "7")):
+            fields = {"n_pulses": 10, "master_seed": 1, field: value}
+            with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
+                make_spec(0.5, 2, fields["n_pulses"], fields["master_seed"])
+        spec = make_spec(0.5, 2, np.int64(10), np.uint64(7))
+        assert type(spec.n_pulses) is int and type(spec.master_seed) is int
+        assert simulate_run(spec).n_pulses == 10
+
+    def test_phase_schedule_is_a_tuple_of_floats(self):
+        # a list schedule made the spec unhashable, and its tally unmergeable with a tuple layout
+        spec = make_spec(0.5, 2, 100, 1, phase_schedule=[0, np.float32(1.0)])
+        assert spec.phase_schedule == (0.0, 1.0)
+        assert all(type(phase) is float for phase in spec.phase_schedule)
+        hash(spec)
+        tally = simulate_run(spec)
+        assert tally.phases == (0.0, 1.0)
+        assert TallyTable.empty((0.0, 1.0), 2).merged(tally).n_pulses == 100
 
     def test_phase_must_be_a_real_number(self):
         for phase in ("a", 1j, None, True):
@@ -167,7 +188,7 @@ class TestDeterminism:
         tally = simulate_run(spec)
         elapsed = time.perf_counter() - started
         assert tally.n_pulses == 1_000_000_000
-        assert np.array_equal(tally.counts.sum(axis=(1, 2, 3)), np.full(256, 3_906_250))
+        assert np.array_equal(tally.counts.sum(axis=(1, 2)), np.full(256, 3_906_250))
         assert elapsed < 5.0
 
 
@@ -206,22 +227,22 @@ class TestSamplerAgreement:
         for n_pulses, n_phases in ((3, 4), (100_001, 4), (1_000, 7), (65_537, 16)):
             phases = tuple(float(j) for j in range(n_phases))
             tally = simulate_run(make_spec(0.5, 2, n_pulses, 9, phase_schedule=phases))
-            assert np.array_equal(tally.counts.sum(axis=(1, 2, 3)), cyclic_split(n_pulses, n_phases))
+            assert np.array_equal(tally.counts.sum(axis=(1, 2)), cyclic_split(n_pulses, n_phases))
             oracle = pulse_oracle(make_spec(0.5, 2, n_pulses, 9, phase_schedule=phases))
-            assert np.array_equal(oracle.counts.sum(axis=(1, 2, 3)), cyclic_split(n_pulses, n_phases))
+            assert np.array_equal(oracle.counts.sum(axis=(1, 2)), cyclic_split(n_pulses, n_phases))
 
 
 class TestConditionedProjections:
     def test_synthetic_tally_projection(self):
         # hand-built tally: 2 states, one phase bin, known click patterns
-        counts = np.zeros((1, 1, 2, 16), dtype=np.int64)
+        counts = np.zeros((1, 2, 16), dtype=np.int64)
         # bits: d0=8, d1=4, da=2, db=1; offset 0 is the correct guess
-        counts[0, 0, 0, 4 | 2] = 5      # accepted, correct, A fired
-        counts[0, 0, 0, 4 | 1] = 3      # accepted, correct, B fired
-        counts[0, 0, 0, 4 | 2 | 1] = 2  # accepted, correct, both fired
-        counts[0, 0, 1, 4 | 2] = 7      # accepted, wrong, A fired
-        counts[0, 0, 0, 8 | 4 | 2] = 11  # d0 fired: excluded by conditioning
-        counts[0, 0, 0, 0] = 13          # accepted-correct requires d1: excluded
+        counts[0, 0, 4 | 2] = 5      # accepted, correct, A fired
+        counts[0, 0, 4 | 1] = 3      # accepted, correct, B fired
+        counts[0, 0, 4 | 2 | 1] = 2  # accepted, correct, both fired
+        counts[0, 1, 4 | 2] = 7      # accepted, wrong, A fired
+        counts[0, 0, 8 | 4 | 2] = 11  # d0 fired: excluded by conditioning
+        counts[0, 0, 0] = 13          # accepted-correct requires d1: excluded
         t = TallyTable(counts, (0.0,), 2)
         ct = conditioned_counts(t, Conditioning.D0_SILENT_D1_FIRES)
         assert (ct.n_A_sig, ct.n_B_sig, ct.n_A_vac, ct.n_B_vac) == (7.0, 5.0, 7.0, 0.0)
@@ -234,13 +255,13 @@ class TestConditionedProjections:
 
     @given(st.integers(1, 4), st.integers(1, 8), st.sampled_from(list(Conditioning)), st.data())
     def test_projection_equals_per_mask_sums(self, n_phases, n_states, condition, data):
-        shape = (n_phases, 1, n_states, 16)
+        shape = (n_phases, n_states, 16)
         counts = data.draw(hnp.arrays(np.int64, shape, elements=st.integers(0, 1 << 40)))
         t = TallyTable(counts, phase_scan(8)[:n_phases], n_states)
         accepted, n_a, n_b = mask_sums(counts, condition)
 
         def split(x):  # (correct-guess, wrong-guess) totals: offset 0 against the rest
-            per_offset = x.sum(axis=(0, 1))
+            per_offset = x.sum(axis=0)
             return int(per_offset[0]), int(per_offset[1:].sum())
 
         assert conditioned_class_totals(t, condition) == split(accepted)
@@ -251,12 +272,12 @@ class TestConditionedProjections:
             (int(n_a[..., d].sum()), int(n_b[..., d].sum()), int(accepted[..., d].sum()))
             for d in range(n_states)
         ]
-        per_phase = counts.sum(axis=(1, 2, 3)).astype(float)
+        per_phase = counts.sum(axis=(1, 2)).astype(float)
         if np.any(per_phase == 0):
             with pytest.raises(ValueError, match="empty bins"):
                 mc_visibility(t, condition)
         else:
-            expected = fringe_visibility((n_a.sum(axis=(1, 2)) / per_phase)[None])[0]
+            expected = fringe_visibility((n_a.sum(axis=1) / per_phase)[None])[0]
             assert mc_visibility(t, condition) == expected
 
     def test_condition_accepts_strings(self):
@@ -276,7 +297,7 @@ class TestConditionedProjections:
     def test_dark_device_never_clicks(self):
         spec = make_spec(0.0, 2, 50_000, 17, detector=IDEAL)
         tally = simulate_run(spec)
-        assert tally.counts[:, :, :, 1:].sum() == 0
+        assert tally.counts[:, :, 1:].sum() == 0
         assert conditioned_class_totals(tally, Conditioning.D0_SILENT_D1_FIRES) == (0, 0)
 
 
@@ -388,10 +409,12 @@ class TestCellLawOracle:
         full = replace(run, phase_schedule=phases)
         factors = branch_tables(full)
         old_factors = oracles.click_factors(full, row0)
-        assert all(np.array_equal(a, b) for a, b in zip(factors, old_factors))
+        # the oracle's one input row is its axis 1 of D0/D1 and axis 2 of DA/DB
+        assert np.array_equal(factors[0], old_factors[0][:, 0])
+        assert np.array_equal(factors[1], old_factors[1][:, :, 0])
         cells = _cell_probabilities(*factors)
         assert cells.flags.c_contiguous
-        expected = oracles.cell_probabilities(full, row0, old_factors)
+        expected = oracles.cell_probabilities(full, row0, old_factors)[:, 0]
         assert np.array_equal(cells, expected)
         # and the run's draw is the one seeded multinomial per bin over them
         seed, pulses = data.draw(st.integers(0, 2**64 - 1)), data.draw(st.integers(1, 10**9))
@@ -401,7 +424,7 @@ class TestCellLawOracle:
         # against the target, and reads its (p_A, p_B) rows from those factors
         old_factors = oracles.click_factors(run, row0)
         counts, clicks = _offset_draw(table, run.detectors, table.target, pulses, seed)
-        assert np.array_equal(counts, per_bin_draw(seed, pulses, oracles.cell_probabilities(run, row0, old_factors)))
+        assert np.array_equal(counts, per_bin_draw(seed, pulses, oracles.cell_probabilities(run, row0, old_factors)[:, 0]))
         assert np.array_equal(clicks, old_factors[1][:, :, 0, :, 1])
 
     @settings(max_examples=150, derandomize=True, deadline=None)
@@ -410,7 +433,7 @@ class TestCellLawOracle:
         cfg, table, run = sweep_point(n, r1_sq, t2_sq, alpha_sq, dets)
         full = replace(run, phase_schedule=phases)
         cells = _cell_probabilities(*branch_tables(full))
-        assert cells.shape == (len(phases), 1, n, 16)
+        assert cells.shape == (len(phases), n, 16)
         all_pairs = oracles.cell_probabilities(full, oracles.branch_table(cfg, dets[0], dets[1]))
         m, d = np.arange(n)[:, None], np.arange(n)
         # [m, d] picks input m's guess (m + d) mod N, so the sum over m groups by offset
@@ -428,7 +451,7 @@ class TestCellLawOracle:
                 and resolvable(np.sqrt(table.d1_mean), delta, dets[1], 1.0)
                 and resolvable(out + refs, 2.0**-50 * abs(target), dets[2], 0.5)
                 and resolvable(out - refs, 2.0**-50 * abs(target), dets[3], 0.5)):
-            np.testing.assert_allclose(cells[:, 0], by_offset, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(cells, by_offset, rtol=1e-12, atol=0.0)
 
 
 class TestEstimatorOracle:
@@ -485,7 +508,7 @@ class TestPhaseSchedules:
         phases = (0.0, 1.0, 2.0, 3.0)
         spec = make_spec(0.5, 2, 100_000, 9, phase_schedule=phases)
         tally = simulate_run(spec)
-        per_bin = tally.counts.sum(axis=(1, 2, 3))
+        per_bin = tally.counts.sum(axis=(1, 2))
         assert per_bin.sum() == 100_000
         assert per_bin.max() - per_bin.min() <= 1  # cyclic assignment
 
@@ -515,12 +538,16 @@ class TestTallyTable:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             TallyTable(np.zeros((1, 1, 3, 16), dtype=np.int64), (0.0,), 2)
-        # the (input, guess) layout is not a tally: it is (input 0, guess offset)
+        # an (input, guess) layout is not a tally, which is indexed by guess offset
         with pytest.raises(ValueError):
             TallyTable(np.zeros((1, 2, 2, 16), dtype=np.int64), (0.0,), 2)
+        # nor is the (input 0, guess offset) layout with its size-1 input axis
+        with pytest.raises(ValueError):
+            TallyTable(np.zeros((1, 1, 2, 16), dtype=np.int64), (0.0,), 2)
+        assert TallyTable(np.zeros((1, 2, 16), dtype=np.int64), (0.0,), 2).counts.ndim == 3
 
     def test_tally_holds_n_times_16_cells_per_phase_bin(self):
         # by guess offset: 131 072 B here, where an (input, guess) tally held 8 388 608 B
         tally = simulate_run(make_spec(0.5, 64, 1_000, 5, phase_schedule=phase_scan(16)))
-        assert tally.counts.shape == (16, 1, 64, 16)
+        assert tally.counts.shape == (16, 64, 16)
         assert tally.counts.nbytes == 16 * 64 * 16 * 8

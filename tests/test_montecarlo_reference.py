@@ -59,7 +59,7 @@ def tally_sha256() -> str:
         phase_schedule=phase_scan(8),
     )
     counts = simulate_run(spec).counts
-    assert counts.shape == (8, 1, 4, 16)
+    assert counts.shape == (8, 4, 16)
     return hashlib.sha256(counts.astype("<i8").tobytes()).hexdigest()
 
 

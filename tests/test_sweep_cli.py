@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import struct
 import sys
@@ -274,6 +275,16 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="workers must be >= 1, got 0"):
             run_sweep(spec, workers=0)
 
+    @pytest.mark.parametrize("workers", [1.5, True, "2", None])
+    def test_rejects_worker_count_that_is_not_an_integer(self, workers):
+        # 1.5 and True ran as if valid, and "2" failed with a bare TypeError
+        spec = SweepSpec(alpha_sq_grid=(0.5,), n_states_list=(2,), mode="both", n_pulses=1000)
+        cfg = params.default_amplifier(0.5, 2)
+        run = RunSpec(cfg, spec.detectors, params.default_analysis(cfg), n_pulses=1000, master_seed=1)
+        for call in (lambda: run_sweep(spec, workers=workers), lambda: simulate_run(run, workers=workers)):
+            with pytest.raises(ConfigError, match=f"^workers must be an integer, got {re.escape(repr(workers))}$"):
+                call()
+
 
 class TestRowsDoNotDependOnNeighbours:
     """A grid point's row is the row of the same point swept alone, bit for bit
@@ -307,6 +318,7 @@ class TestRowsDoNotDependOnNeighbours:
     def test_failing_point_raises_after_the_points_before_it(self, monkeypatch):
         # the first failing point in grid order raises, even when a later point
         # of the same block fails while its tables are built
+        import scamp.montecarlo as montecarlo
         import scamp.sweep as sweep_module
 
         spec = SweepSpec(alpha_sq_grid=(0.1, 0.2, 0.3), n_states_list=(2,), mode="both", n_pulses=100)
@@ -319,12 +331,12 @@ class TestRowsDoNotDependOnNeighbours:
                 raise ValueError("third point")
             return built(spec, n_states, alpha_sq, *args)
 
-        def montecarlo_columns(spec, table, point_index):
+        def point_estimates(table, detectors, n_pulses, master_seed, point_index):
             drawn.append(point_index)
             raise ValueError(f"draw of point {point_index}")
 
         monkeypatch.setattr(sweep_module, "_analytic_point", analytic_point)
-        monkeypatch.setattr(sweep_module, "_montecarlo_columns", montecarlo_columns)
+        monkeypatch.setattr(montecarlo, "point_estimates", point_estimates)
         with pytest.raises(ValueError, match="draw of point 0"):
             run_sweep(spec)
         assert drawn == [0]
