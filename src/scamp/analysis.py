@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING
 from .amplifier import turn
 from .coherent import Mixture, mean_photons
 from .detectors import DetectorModel
-from .errors import InsufficientSignalError, InvalidEpsilonError
+from .errors import ConfigError, InsufficientSignalError, InvalidEpsilonError, as_integer
 
 if TYPE_CHECKING:
     import numpy as np
@@ -46,6 +46,16 @@ AMPLITUDE_MATCH_TOL = 1e-9
 # every integer up to 2^53 is exact as a float; a count table holds no larger
 # count, so the estimators' pulse numbers, weights and fidelities stay finite
 MAX_COUNT = 1 << 53
+# the scan's reference alone takes 1 MiB (complex128) at this many phases
+MAX_PHASE_POINTS = 1 << 16
+
+
+def check_phase_points(phase_points) -> int:
+    """``phase_points`` as an int in [8, MAX_PHASE_POINTS], or a ConfigError."""
+    phase_points = as_integer("phase_points", phase_points)
+    if not (8 <= phase_points <= MAX_PHASE_POINTS):
+        raise ConfigError(f"phase_points must lie in [8, {MAX_PHASE_POINTS}], got {phase_points}")
+    return phase_points
 
 
 @dataclass(frozen=True)
@@ -60,8 +70,7 @@ class AnalysisConfig:
     def __post_init__(self):
         if not (0.0 <= self.epsilon < 1.0):
             raise ValueError(f"epsilon must lie in [0, 1), got {self.epsilon}")
-        if self.phase_points < 8:
-            raise ValueError(f"phase_points must be >= 8, got {self.phase_points}")
+        object.__setattr__(self, "phase_points", check_phase_points(self.phase_points))
 
     def ref_mean_photons(self) -> float:
         return mean_photons(self.reference_amplitude)

@@ -132,6 +132,8 @@ class TallyTable:
     n_states: int
 
     def __post_init__(self):
+        # a tuple of floats, as RunSpec stores its schedule, so that equal layouts merge
+        object.__setattr__(self, "phases", tuple(map(float, self.phases)))
         expected = (len(self.phases), self.n_states, _N_PATTERNS)
         if self.counts.shape != expected:
             raise ValueError(f"counts shape {self.counts.shape} != {expected}")

@@ -11,19 +11,21 @@ detector DA against the table's target ``table.target``, and the Monte Carlo
 columns, in ``MC_COLUMNS`` order, are ``montecarlo.point_estimates``: one
 draw over the (1, N, 16) (bin, offset, pattern) cells of the table against
 that target.  The sweep reads no tally itself.
-Each state-set size's grid is walked in blocks of points for the scan: a
-block holds as many whole points as fit in ``analysis._SCAN_BLOCK_CELLS`` =
-2^12 (point, component, phase) cells, whose scan peaks at about 330 KiB, or
-one point that is larger.  A block's tables are built in grid order, scanned
-by one ``visibilities`` call, then each point's Monte Carlo columns are
-drawn and its row emitted; tables are held one block at a time, and every
-value is the one the point gets when swept alone.  No column reads the
-analyzer imperfection epsilon, so a sweep never derives it.  Figure datasets
-hold a few columns of the same rows; they are model curves only, never
-measured points.  A :class:`Dataset` holds the rows and the
-:class:`SweepSpec` they are computed from; CSV carries the rows alone, and
-only JSON builds the spec echo (:meth:`Dataset.echo`), as {"spec": ...,
-"rows": ...}.  Only a Monte Carlo sweep imports ``montecarlo``, as it starts.
+Each point is finished in one pass, in grid order: its branch table, its
+analytic columns and its Monte Carlo draw, so no table outlives its point.
+The visibility scan takes a block of points at a time, holding only their
+rows, outputs, targets and mixture weights: as many whole points as fit in
+``analysis._SCAN_BLOCK_CELLS`` = 2^12 (point, component, phase) cells,
+whose scan peaks at about 330 KiB, or one point that is larger.  Every value
+is the one the point gets when swept alone.  The first failing point in grid
+order raises first: the points before it are drawn, and the scan of a
+validated spec raises nothing.  No column reads the analyzer imperfection
+epsilon, so a sweep never derives it.  Figure datasets hold a few columns of
+the same rows; they are model curves only, never measured points.  A
+:class:`Dataset` holds the rows and the :class:`SweepSpec` they are
+computed from; CSV carries the rows alone, and only JSON builds the spec
+echo (:meth:`Dataset.echo`), as {"spec": ..., "rows": ...}.  Only a Monte
+Carlo sweep imports ``montecarlo``, as it starts.
 """
 
 from __future__ import annotations
@@ -39,7 +41,9 @@ from . import params
 from .amplifier import BranchKernel, BranchTable, Conditioning
 from .analysis import (
     MAX_COUNT,
+    MAX_PHASE_POINTS,  # the sweep's bound too, importable from here
     CountTable,
+    check_phase_points,
     estimate_fidelity,
     estimate_pulse_numbers,
     scan_block_points,
@@ -76,9 +80,8 @@ _MAX_PULSES = MAX_COUNT
 # Checked before anything is allocated, these bound a point's memory: its branch
 # table holds input 0's N branches (about 70 KiB of Python objects at N = 256),
 # its Monte Carlo draw N*16 guess-offset cells (32 KiB of int64 at N = 256), and
-# the reference scan 1 MiB (complex128) at 65536 phase points.
+# the reference scan 1 MiB (complex128) at analysis.MAX_PHASE_POINTS.
 MAX_N_STATES = 256
-MAX_PHASE_POINTS = 1 << 16
 
 # figure id -> (the state-set size it fixes, its columns)
 FIGURE_LAYOUTS = {
@@ -112,8 +115,9 @@ class SweepSpec:
             object.__setattr__(self, name, _real(name, getattr(self, name)))
         if self.epsilon is not None:
             object.__setattr__(self, "epsilon", _real("epsilon", self.epsilon))
-        for name in ("phase_points", "n_pulses", "seed"):
+        for name in ("n_pulses", "seed"):
             object.__setattr__(self, name, as_integer(name, getattr(self, name)))
+        object.__setattr__(self, "phase_points", check_phase_points(self.phase_points))
         object.__setattr__(self, "alpha_sq_grid", tuple(_real("alpha_sq", a) for a in self.alpha_sq_grid))
         object.__setattr__(self, "n_states_list", tuple(as_integer("n_states", n) for n in self.n_states_list))
         if len(self.alpha_sq_grid) == 0:
@@ -159,10 +163,6 @@ class SweepSpec:
             )
         if self.epsilon is not None and not (0.0 <= self.epsilon < 1.0):
             raise ConfigError(f"epsilon must be auto or lie in [0, 1), got {self.epsilon}")
-        if not (8 <= self.phase_points <= MAX_PHASE_POINTS):
-            raise ConfigError(
-                f"phase_points must lie in [8, {MAX_PHASE_POINTS}], got {self.phase_points}"
-            )
         if not (math.isfinite(self.prf) and self.prf > 0.0):
             raise ConfigError(f"prf must be finite and > 0, got {self.prf}")
 
@@ -217,11 +217,11 @@ class Dataset:
 def _analytic_point(spec: SweepSpec, n_states: int, alpha_sq: float, kernel: BranchKernel,
                     columns: frozenset[str], scanned: bool) -> tuple[BranchTable, dict, list[list[float]] | None]:
     """The branch table of a point, from its size's ``kernel`` at the point's
-    base amplitude, and its analytic values but its visibilities, computing the
-    fidelity sum only when ``columns`` holds one of its columns, and, when
-    ``scanned``, the weights of the three mixtures its visibility scan reads.
-    The heralded weights are summed and normalized once, and a point that can
-    never herald is an error whatever its columns are."""
+    base amplitude, and its analytic values, computing the fidelity sum only
+    when ``columns`` holds one of its columns, and, when ``scanned``, the
+    weights of the three mixtures its visibility scan reads; its visibilities
+    are None until the scan.  The heralded weights are summed and normalized
+    once, and a point that can never herald is an error whatever its columns are."""
     table = kernel.row(complex(math.sqrt(alpha_sq)))
     p_success, weights = table.accepted()
     row = {"n_states": n_states, "alpha_sq": alpha_sq}
@@ -233,6 +233,7 @@ def _analytic_point(spec: SweepSpec, n_states: int, alpha_sq: float, kernel: Bra
     row["success_rate_per_s"] = p_success * spec.prf
     if not scanned:
         return table, row, None
+    row.update(dict.fromkeys(_VISIBILITY_COLUMNS))
     # the three conditioned mixtures share input 0's components
     unconditioned, silent = table.accepted(Conditioning.NONE)[1], table.accepted(Conditioning.D0_SILENT)[1]
     return table, row, [unconditioned, silent, weights]
@@ -253,15 +254,15 @@ def _rows(spec: SweepSpec, columns: tuple[str, ...]) -> list[dict]:
     """One row of ``columns`` per grid point, in grid order.
 
     Each state-set size builds one branch kernel, and each point passes it
-    only its base amplitude.  The size's grid is walked in blocks of as many
-    points as one visibility scan block takes
-    (:func:`analysis.scan_block_points`).  A block's branch tables and
-    analytic columns are built in grid order, one :func:`visibilities` call
-    scans every point against its target with detector DA, and then each point
-    gets its Monte Carlo columns and its row, in grid order.  Only one block's
-    scan inputs and tables are held at a time.  When a point fails, the points
-    before it in its block are finished first, so the first failing point in
-    grid order raises.
+    only its base amplitude.  A point is finished in one pass: its table and
+    analytic columns are built and its Monte Carlo columns drawn, so no table
+    outlives its point.  Its row, outputs, target and mixture weights wait in
+    a scan block; one :func:`visibilities` call fills the block's rows when it
+    holds :func:`analysis.scan_block_points` points, or at the end of the
+    size's grid.  A failing point raises at once, and it is the first failing
+    point in grid order: the points before it have been drawn, and the scan
+    raises nothing for a validated spec, which keeps the analyzer intensity
+    finite.
     """
     wanted = frozenset(columns)
     scanned = not wanted.isdisjoint(_VISIBILITY_COLUMNS)
@@ -269,46 +270,32 @@ def _rows(spec: SweepSpec, columns: tuple[str, ...]) -> list[dict]:
     if montecarlo:
         from .montecarlo import point_estimates
     grid = spec.alpha_sq_grid
-    rows = []
-    point_index = 0  # of the next Monte Carlo point, which seeds its draw
+    rows, block = [], []
     for n_states in spec.n_states_list:
         # the spec has checked the splitters and every alpha^2
         kernel = BranchKernel(spec.comparison_reflectivity, spec.subtraction_transmission, n_states,
                               spec.detectors.d0, spec.detectors.d1)
-        # rows without a visibility are a figure's, which draws no Monte Carlo
-        # and so keeps no table: its whole grid is one block
-        step = scan_block_points(n_states, spec.phase_points) if scanned else len(grid)
-        for start in range(0, len(grid), step):
-            tables, block, outputs, weight_sets, targets = [], [], [], [], []
-            failure = None
-            try:
-                for alpha_sq in grid[start:start + step]:
-                    table, row, weights = _analytic_point(spec, n_states, alpha_sq, kernel, wanted, scanned)
-                    block.append(row)
-                    if scanned:
-                        outputs.append(table.output)
-                        weight_sets.append(weights)
-                        targets.append(table.target)
-                    if montecarlo:
-                        tables.append(table)
-            except Exception as exc:
-                failure = exc
-            if scanned and block:
-                values = iter(visibilities(outputs, weight_sets, targets, spec.detectors.da, spec.phase_points))
-                for row in block:
-                    # zip ends on the columns, so each row takes the next three values
-                    row.update(zip(_VISIBILITY_COLUMNS, values))
+        step = scan_block_points(n_states, spec.phase_points)
+        for alpha_sq in grid:
+            table, row, weights = _analytic_point(spec, n_states, alpha_sq, kernel, wanted, scanned)
             if montecarlo:
-                for table, row in zip(tables, block):
-                    row.update(zip(MC_COLUMNS, point_estimates(table, spec.detectors, spec.n_pulses,
-                                                               spec.seed, point_index)))
-                    point_index += 1
-            for row in block:
-                # a sweep's row is built in column order; a figure's holds more values
-                rows.append(row if tuple(row) == columns else {c: row[c] for c in columns})
-            if failure is not None:
-                raise failure
-    return rows
+                # the point's index in the grid seeds its draw
+                row.update(zip(MC_COLUMNS, point_estimates(table, spec.detectors, spec.n_pulses,
+                                                           spec.seed, len(rows))))
+            rows.append(row)
+            if not scanned:
+                continue
+            block.append((row, table.output, weights, table.target))
+            # the grid is sorted, so its last value ends the size's last block
+            if len(block) == step or alpha_sq == grid[-1]:
+                queued, outputs, weight_sets, targets = zip(*block)
+                values = iter(visibilities(outputs, weight_sets, targets, spec.detectors.da, spec.phase_points))
+                for queued_row in queued:
+                    # zip ends on the columns, so each row takes the next three values
+                    queued_row.update(zip(_VISIBILITY_COLUMNS, values))
+                block.clear()
+    # a sweep's rows are built in column order; a figure's hold more values
+    return rows if columns == spec.columns() else [{c: row[c] for c in columns} for row in rows]
 
 
 def reproduce_figure(figure_id: str, **fields) -> Dataset:

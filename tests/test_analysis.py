@@ -41,6 +41,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             analyzer(0.9, phase_points=4)
 
+    @pytest.mark.parametrize("phase_points", [8.5, True, 65537])
+    def test_phase_points_is_checked_as_the_sweep_checks_it(self, phase_points):
+        # 8.5 failed inside visibility with a TypeError, and no count was too large
+        with pytest.raises(ValueError, match="phase_points must"):
+            analyzer(0.9, phase_points=phase_points)
+
 
 class TestCountProbabilities:
     def test_signal_row_without_imperfection(self):

@@ -535,6 +535,14 @@ class TestTallyTable:
         with pytest.raises(ValueError):
             a.merged(b)
 
+    def test_phases_are_a_tuple_of_floats(self):
+        # a list of phases, or an integer phase, once made a layout no equal tally merged with
+        tally = TallyTable(np.ones((2, 2, 16), dtype=np.int64), [0.0, 1], 2)
+        assert tally.phases == (0.0, 1.0) and [type(p) for p in tally.phases] == [float, float]
+        assert tally.merged(TallyTable.empty((0.0, 1.0), 2)).n_pulses == 64
+        one = TallyTable(np.zeros((1, 2, 16), dtype=np.int64), [0.0], 2)
+        assert one.merged(TallyTable.empty((0.0,), 2)).phases == (0.0,)
+
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             TallyTable(np.zeros((1, 1, 3, 16), dtype=np.int64), (0.0,), 2)

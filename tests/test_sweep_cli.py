@@ -7,6 +7,7 @@ import subprocess
 import struct
 import sys
 import tracemalloc
+import weakref
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
@@ -191,11 +192,14 @@ class TestSweepSpecValidation:
             tracemalloc.stop()
         assert peak <= 6 << 20, f"traced peak {peak / 2**20:.1f} MiB"
 
-    def test_long_grid_holds_one_block_at_a_time(self):
+    @pytest.mark.parametrize("mode", ["analytic", "both"])
+    def test_long_grid_holds_one_block_at_a_time(self, mode):
         # at N = 256 and 8 phase points a scan block takes two points; held at
-        # once, the 128 points' branch tables (about 73 KiB each) would take 9.3 MiB
+        # once, the 128 points' branch tables (about 73 KiB each) would take 9.3 MiB.
+        # In both modes a point's table is dropped once the point is drawn
         grid = tuple(0.01 * (i + 1) for i in range(128))
-        spec = SweepSpec(alpha_sq_grid=grid, n_states_list=(MAX_N_STATES,), phase_points=8)
+        spec = SweepSpec(alpha_sq_grid=grid, n_states_list=(MAX_N_STATES,), phase_points=8, mode=mode,
+                         n_pulses=1000)
         assert scan_block_points(MAX_N_STATES, 8) == 2
         tracemalloc.start()
         try:
@@ -342,6 +346,28 @@ class TestRowsDoNotDependOnNeighbours:
         assert drawn == [0]
         with pytest.raises(ValueError, match="third point"):
             run_sweep(replace(spec, mode="analytic"))
+
+    def test_no_table_outlives_its_point(self, monkeypatch):
+        # eight points at N = 2 are one scan block, which holds only their rows,
+        # outputs, targets and mixture weights: each table is gone before the next
+        # point draws
+        import scamp.montecarlo as montecarlo
+
+        spec = SweepSpec(alpha_sq_grid=tuple(0.1 * (i + 1) for i in range(8)), n_states_list=(2,),
+                         mode="both", n_pulses=100)
+        assert scan_block_points(2, spec.phase_points) == 8
+        draw, tables, alive = montecarlo.point_estimates, [], []
+
+        def point_estimates(table, *args):
+            alive.append(sum(ref() is not None for ref in tables))
+            tables.append(weakref.ref(table))
+            return draw(table, *args)
+
+        monkeypatch.setattr(montecarlo, "point_estimates", point_estimates)
+        rows = run_sweep(spec).rows
+        assert alive == [0] * 8
+        assert [tuple(row) for row in rows] == [spec.columns()] * 8
+        assert all(isinstance(row[c], float) for row in rows for c in BASE_COLUMNS[2:])
 
 
 @st.composite
