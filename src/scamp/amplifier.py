@@ -35,7 +35,6 @@ math paths.
 
 from __future__ import annotations
 
-import cmath
 import enum
 import functools
 import math
@@ -43,7 +42,7 @@ from dataclasses import dataclass, field
 
 from .coherent import Mixture, overlap_sq
 from .detectors import DetectorModel, click_law
-from .errors import NeverHeraldedError
+from .errors import NeverHeraldedError, as_complex, checked
 
 
 @dataclass(frozen=True)
@@ -54,11 +53,8 @@ class StateSet:
     n_states: int
 
     def __post_init__(self):
-        object.__setattr__(self, "base_amplitude", complex(self.base_amplitude))
-        if not cmath.isfinite(self.base_amplitude):
-            raise ValueError(f"base_amplitude must be finite, got {self.base_amplitude}")
-        if self.n_states < 1:
-            raise ValueError(f"n_states must be >= 1, got {self.n_states}")
+        object.__setattr__(self, "base_amplitude", as_complex("base_amplitude", self.base_amplitude))
+        object.__setattr__(self, "n_states", checked("n_states", self.n_states))
 
     def state(self, m: int) -> complex:
         """Member m: the base amplitude times :func:`turn` (m mod N, N)."""
@@ -119,13 +115,9 @@ class AmplifierConfig:
     subtraction_r2: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # every check is written so that a NaN fails it
-        reflectivity, transmission = self.comparison_reflectivity, self.subtraction_transmission
-        if not (0.0 < reflectivity < 1.0):
-            raise ValueError(f"comparison_reflectivity must lie in (0, 1), got {reflectivity}")
-        if not (0.0 < transmission <= 1.0):
-            raise ValueError(f"subtraction_transmission must lie in (0, 1], got {transmission}")
-        r1, t1, t2, r2 = _splitter_amplitudes(reflectivity, transmission)
+        for name in ("comparison_reflectivity", "subtraction_transmission"):
+            object.__setattr__(self, name, checked(name, getattr(self, name)))
+        r1, t1, t2, r2 = _splitter_amplitudes(self.comparison_reflectivity, self.subtraction_transmission)
         object.__setattr__(self, "comparison_r1", r1)
         object.__setattr__(self, "comparison_t1", t1)
         object.__setattr__(self, "subtraction_t2", t2)
@@ -357,6 +349,5 @@ def success_rate(
 ) -> float:
     """Accepted pulses per second at pulse repetition frequency `prf`; 0 when
     no branch can herald (see :meth:`BranchTable.success_probability`)."""
-    if prf <= 0.0:
-        raise ValueError(f"pulse repetition frequency must be > 0, got {prf}")
+    prf = checked("prf", prf)
     return branch_table(cfg, det0, det1).success_probability(conditioning) * prf

@@ -30,13 +30,15 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .amplifier import turn
 from .coherent import Mixture, mean_photons
 from .detectors import DetectorModel
-from .errors import ConfigError, InsufficientSignalError, InvalidEpsilonError, as_integer
+from .errors import (ConfigError, InsufficientSignalError, InvalidEpsilonError, as_complex, as_integer,
+                     as_real, checked)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -48,14 +50,8 @@ AMPLITUDE_MATCH_TOL = 1e-9
 MAX_COUNT = 1 << 53
 # the scan's reference alone takes 1 MiB (complex128) at this many phases
 MAX_PHASE_POINTS = 1 << 16
-
-
-def check_phase_points(phase_points) -> int:
-    """``phase_points`` as an int in [8, MAX_PHASE_POINTS], or a ConfigError."""
-    phase_points = as_integer("phase_points", phase_points)
-    if not (8 <= phase_points <= MAX_PHASE_POINTS):
-        raise ConfigError(f"phase_points must lie in [8, {MAX_PHASE_POINTS}], got {phase_points}")
-    return phase_points
+# the row of errors.checked for phase_points, the sweep's too
+PHASE_POINTS = (as_integer, 8, MAX_PHASE_POINTS, f"lie in [8, {MAX_PHASE_POINTS}]")
 
 
 @dataclass(frozen=True)
@@ -68,9 +64,10 @@ class AnalysisConfig:
     phase_points: int = 256
 
     def __post_init__(self):
-        if not (0.0 <= self.epsilon < 1.0):
-            raise ValueError(f"epsilon must lie in [0, 1), got {self.epsilon}")
-        object.__setattr__(self, "phase_points", check_phase_points(self.phase_points))
+        reference = as_complex("reference_amplitude", self.reference_amplitude)
+        object.__setattr__(self, "reference_amplitude", reference)
+        object.__setattr__(self, "epsilon", checked("epsilon", self.epsilon))
+        object.__setattr__(self, "phase_points", checked("phase_points", self.phase_points, PHASE_POINTS))
 
     def ref_mean_photons(self) -> float:
         return mean_photons(self.reference_amplitude)
@@ -83,7 +80,8 @@ class CountTable:
     "sig" rows come from pulses whose output should be the amplified state,
     "vac" rows from pulses attributed to the vacuum class.  Fields lie in
     [0, MAX_COUNT]; the Monte Carlo writes integers, analytic expectations may
-    be fractional.
+    be fractional.  An integer count stays an int, so one above MAX_COUNT
+    is refused, not rounded into range; any other count is stored as a float.
     """
 
     n_A_sig: float
@@ -93,9 +91,7 @@ class CountTable:
 
     def __post_init__(self):
         for name in ("n_A_sig", "n_B_sig", "n_A_vac", "n_B_vac"):
-            value = getattr(self, name)
-            if not (0.0 <= value <= MAX_COUNT):
-                raise ValueError(f"{name} must lie in [0, 2^53], got {value}")
+            object.__setattr__(self, name, checked(name, getattr(self, name), _COUNT))
 
     def to_dict(self) -> dict:
         return {
@@ -109,27 +105,36 @@ class CountTable:
     def from_dict(cls, d: dict) -> "CountTable":
         """Read the four counts from numbers or numeric strings (JSON or CSV cells).
 
-        A missing field, or a value of any other type (null, bool, list,
-        object, a non-numeric string, an integer too large for a float),
+        A missing field, a string that is not a number, or a value the
+        constructor refuses (null, bool, list, object, a count above 2^53)
         raises ValueError.
         """
         try:
             values = {name: d[name] for name in ("n_A_sig", "n_B_sig", "n_A_vac", "n_B_vac")}
         except KeyError as exc:
             raise ValueError(f"count table is missing field {exc.args[0]!r}") from exc
-        return cls(**{name: _count_value(name, value) for name, value in values.items()})
+        return cls(**{name: _count_cell(name, value) for name, value in values.items()})
 
 
-def _count_value(name: str, value) -> float:
-    # bool is an int subclass, but true/false are not counts
-    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
-        try:
-            number = float(value)
-        except (ValueError, OverflowError):
-            pass
-        else:  # an integer above MAX_COUNT would round into range; CountTable rejects it as is
-            return value if isinstance(value, int) and value > MAX_COUNT else number
-    raise ValueError(f"{name} must be a number, got {value!r}")
+def _count_cell(name: str, value):
+    """A numeric string as a float; any other value as it is, for CountTable to check."""
+    if not isinstance(value, str):
+        return value
+    try:
+        return float(value)
+    except ValueError:
+        raise ConfigError(f"{name} must be a real number, got {value!r}") from None
+
+
+def _as_count(name: str, value) -> int | float:
+    """An integer count as an exact int (a bool is none), any other count as_real."""
+    # the float test first: it is the common case, and an ABC check is slower
+    if isinstance(value, (float, bool)) or not isinstance(value, numbers.Integral):
+        return as_real(name, value)
+    return as_integer(name, value)
+
+
+_COUNT = (_as_count, 0, MAX_COUNT, "lie in [0, 2^53]")
 
 
 @dataclass(frozen=True)
@@ -306,8 +311,8 @@ def expected_counts(
     This is the exact inverse of :func:`estimate_pulse_numbers` under the
     same ``vacuum_denominator``.
     """
-    if n_sig_pulses < 0.0 or n_vac_pulses < 0.0:
-        raise ValueError("pulse numbers must be >= 0")
+    n_sig_pulses, n_vac_pulses = checked("n_sig_pulses", n_sig_pulses), checked("n_vac_pulses", n_vac_pulses)
+    g2a2, eta_l, epsilon = checked("g2a2", g2a2), checked("eta_l", eta_l), checked("epsilon", epsilon)
     e2 = math.exp(-2.0 * eta_l * g2a2)
     n_a_sig = (1.0 - (1.0 + epsilon) * e2) * n_sig_pulses
     if n_a_sig < 0.0:
@@ -348,9 +353,8 @@ def estimate_pulse_numbers(
     with the click law used everywhere else and is validated against the
     Monte Carlo oracle.
     """
-    if not (0.0 < eta_l <= 1.0):
-        raise ValueError(f"eta_l must lie in (0, 1], got {eta_l}")
-    if g2a2 <= 0.0 or g2a2 * eta_l < EXPONENT_GUARD:
+    eta_l, g2a2 = checked("eta_l", eta_l), checked("g2a2", g2a2)
+    if g2a2 * eta_l < EXPONENT_GUARD:
         raise InsufficientSignalError(
             f"exponent eta_l*g2a2 = {g2a2 * eta_l} too small: estimator undefined"
         )
@@ -373,6 +377,7 @@ def estimate_fidelity(
     overlap c = exp(-g2a2) ("standard" coherent-state rule) or
     c = exp(-2*g2a2) ("doubled").
     """
+    n_sig, n_vac, g2a2 = checked("n_sig", n_sig), checked("n_vac", n_vac), checked("g2a2", g2a2)
     total = n_sig + n_vac
     if total <= 0.0:
         raise InsufficientSignalError("no pulses attributed to either class")

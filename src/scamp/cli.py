@@ -194,13 +194,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    counts = read_count_table(args.counts)
-    if not (math.isfinite(args.g2a2) and args.g2a2 > 0.0):
-        raise ConfigError(f"--g2a2 must be finite and > 0, got {args.g2a2}")
-    if not (0.0 < args.eta_l <= 1.0):
-        raise ConfigError(f"--eta-l must lie in (0, 1], got {args.eta_l}")
+    # run_estimator checks g2a2 and eta_l: a bad --g2a2 or --eta-l is a ConfigError
     report = run_estimator(
-        counts,
+        read_count_table(args.counts),
         g2a2=args.g2a2,
         eta_l=args.eta_l,
         vacuum_denominator=args.vacuum_denominator,

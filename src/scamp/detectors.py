@@ -17,6 +17,8 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
+from .errors import checked
+
 
 @dataclass(frozen=True)
 class DetectorModel:
@@ -33,9 +35,7 @@ class DetectorModel:
 
     def __post_init__(self):
         for name in ("efficiency", "loss_transmission", "dark_prob_per_gate"):
-            value = getattr(self, name)
-            if not (0.0 <= value <= 1.0):
-                raise ValueError(f"{name} must lie in [0, 1], got {value}")
+            object.__setattr__(self, name, checked(name, getattr(self, name)))
 
     @classmethod
     def ideal(cls) -> "DetectorModel":

@@ -44,7 +44,6 @@ tallies merge by addition.  Tests compare the multinomial draw against it.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,11 +57,11 @@ from .analysis import (
     port_click,
 )
 from .detectors import DetectorBank
-from .errors import InsufficientSignalError, as_integer, check_workers
+from .errors import ConfigError, InsufficientSignalError, as_integer, checked
 
 DEFAULT_CHUNK_SIZE = 1 << 16
 # the draw counts pulses in int64
-_MAX_PULSES = (1 << 63) - 1
+_PULSES = (as_integer, 1, (1 << 63) - 1, "lie in [1, 2^63 - 1]")
 
 # click-pattern bit layout, most significant first
 _BIT_D0 = 8
@@ -101,22 +100,13 @@ class RunSpec:
     phase_schedule: tuple[float, ...] = (0.0,)
 
     def __post_init__(self):
-        for name in ("n_pulses", "master_seed"):
-            object.__setattr__(self, name, as_integer(name, getattr(self, name)))
-        if not (1 <= self.n_pulses <= _MAX_PULSES):
-            raise ValueError(f"n_pulses must lie in [1, 2^63 - 1], got {self.n_pulses}")
-        if self.master_seed < 0:
-            raise ValueError(f"master_seed must be a nonnegative integer, got {self.master_seed}")
+        object.__setattr__(self, "n_pulses", checked("n_pulses", self.n_pulses, _PULSES))
+        object.__setattr__(self, "master_seed", checked("master_seed", self.master_seed))
         if len(self.phase_schedule) == 0:
-            raise ValueError("phase_schedule must contain at least one phase")
-        for phase in self.phase_schedule:
-            # a bool is not a phase, nor is a complex, a string or None
-            if isinstance(phase, bool) or not isinstance(phase, numbers.Real):
-                raise ValueError(f"phase_schedule entries must be real numbers, got {phase!r}")
-            if not math.isfinite(phase):
-                raise ValueError(f"phase_schedule entries must be finite, got {phase!r}")
+            raise ConfigError("phase_schedule must contain at least one phase")
         # a tuple of floats, so that the spec hashes and its tallies merge with any equal schedule
-        object.__setattr__(self, "phase_schedule", tuple(map(float, self.phase_schedule)))
+        phases = tuple(checked("phase_schedule entry", phase) for phase in self.phase_schedule)
+        object.__setattr__(self, "phase_schedule", phases)
 
 
 @dataclass(frozen=True)
@@ -272,11 +262,10 @@ def simulate_run(spec: RunSpec, workers: int = 1) -> TallyTable:
 
     Draws each phase bin's tally as one multinomial sample over its cells,
     from a stream seeded by the master seed alone (:func:`_offset_draw`).
-    ``workers`` is checked (:func:`errors.check_workers`) and kept for
-    callers; the draw is one stream, so any worker count gives the same
-    tally in the same time.
+    ``workers`` is checked (an integer >= 1) and kept for callers; the draw
+    is one stream, so any worker count gives the same tally in the same time.
     """
-    check_workers(workers)
+    checked("workers", workers)
     table = branch_table(spec.amplifier, spec.detectors.d0, spec.detectors.d1)
     counts, _ = _offset_draw(table, spec.detectors, _scan_references(spec), spec.n_pulses, spec.master_seed)
     return TallyTable(counts, spec.phase_schedule, spec.amplifier.n_states())
@@ -403,9 +392,10 @@ def mc_visibility(t: TallyTable, condition) -> float:
 
 def standard_error(k: int, n: int) -> float:
     """Binomial standard error sqrt(p*(1-p)/n) of a count k out of n."""
+    k, n = as_integer("count", k), as_integer("total", n)
     if n < 1:
-        raise ValueError(f"total must be >= 1, got {n}")
+        raise ConfigError(f"total must be >= 1, got {n}")
     if not (0 <= k <= n):
-        raise ValueError(f"count {k} outside [0, {n}]")
+        raise ConfigError(f"count {k} outside [0, {n}]")
     p = k / n
     return math.sqrt(p * (1.0 - p) / n)

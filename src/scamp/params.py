@@ -15,7 +15,7 @@ from .amplifier import AmplifierConfig, StateSet
 from .analysis import AnalysisConfig
 from .coherent import mean_photons
 from .detectors import DetectorBank, DetectorModel
-from .errors import InvalidEpsilonError
+from .errors import InvalidEpsilonError, checked
 
 DETECTION_EFFICIENCY = 0.405
 BACKGROUND_RATE_CPS = 296.0
@@ -71,11 +71,9 @@ def default_detector(optical_loss: float = FROZEN_OPTICAL_LOSS) -> DetectorModel
     transmission that must lie in [0, 1] itself (a NaN fails the check); the 3%
     background retention is already folded into the dark probability.
     """
-    if not (0.0 <= optical_loss <= 1.0):
-        raise ValueError(f"optical_loss must lie in [0, 1], got {optical_loss}")
     return DetectorModel(
         efficiency=DETECTION_EFFICIENCY,
-        loss_transmission=optical_loss * SIGNAL_GATE_RETENTION,
+        loss_transmission=checked("optical_loss", optical_loss) * SIGNAL_GATE_RETENTION,
         dark_prob_per_gate=DARK_PROB_PER_GATE,
     )
 
@@ -90,12 +88,10 @@ def default_amplifier(
     comparison_reflectivity: float = COMPARISON_REFLECTIVITY,
     subtraction_transmission: float = SUBTRACTION_TRANSMISSION,
 ) -> AmplifierConfig:
-    if alpha_sq < 0:
-        raise ValueError(f"mean photon number must be >= 0, got {alpha_sq}")
     return AmplifierConfig(
         comparison_reflectivity,
         subtraction_transmission,
-        StateSet(complex(math.sqrt(alpha_sq)), n_states),
+        StateSet(complex(math.sqrt(checked("alpha_sq", alpha_sq))), n_states),
     )
 
 
@@ -106,9 +102,7 @@ def epsilon_from_visibility(ref_mean_photons: float, eta_l: float, vis: float) -
     2*g2a2 at the analysis beamsplitter, the dark port sees g2a2*(1-V), so
     the spurious B-click probability is 1 - exp(-eta_l*g2a2*(1-V)).
     """
-    if not (0.0 <= vis <= 1.0):
-        raise ValueError(f"visibility must lie in [0, 1], got {vis}")
-    return 1.0 - math.exp(-eta_l * ref_mean_photons * (1.0 - vis))
+    return 1.0 - math.exp(-eta_l * ref_mean_photons * (1.0 - checked("visibility", vis)))
 
 
 def default_analysis(

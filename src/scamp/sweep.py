@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import operator
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -42,15 +41,15 @@ from .amplifier import BranchKernel, BranchTable, Conditioning
 from .analysis import (
     MAX_COUNT,
     MAX_PHASE_POINTS,  # the sweep's bound too, importable from here
+    PHASE_POINTS,
     CountTable,
-    check_phase_points,
     estimate_fidelity,
     estimate_pulse_numbers,
     scan_block_points,
     visibilities,
 )
 from .detectors import DetectorBank
-from .errors import ConfigError, InsufficientSignalError, as_integer, check_workers
+from .errors import ConfigError, InsufficientSignalError, as_integer, checked
 
 MODES = ("analytic", "both")
 FORMATS = ("csv", "json")
@@ -76,12 +75,13 @@ MC_COLUMNS = (
 )
 INT_COLUMNS = {"n_states", "mc_n_pulses", "mc_seed"}
 # so that every tally count, and so every CountTable field, is exact as a float
-_MAX_PULSES = MAX_COUNT
+_PULSES = (as_integer, 1, MAX_COUNT, f"lie in [1, {MAX_COUNT}] for a montecarlo sweep")
 # Checked before anything is allocated, these bound a point's memory: its branch
 # table holds input 0's N branches (about 70 KiB of Python objects at N = 256),
 # its Monte Carlo draw N*16 guess-offset cells (32 KiB of int64 at N = 256), and
 # the reference scan 1 MiB (complex128) at analysis.MAX_PHASE_POINTS.
 MAX_N_STATES = 256
+_N_STATES = (as_integer, 1, MAX_N_STATES, f"lie in [1, {MAX_N_STATES}]")
 
 # figure id -> (the state-set size it fixes, its columns)
 FIGURE_LAYOUTS = {
@@ -111,46 +111,31 @@ class SweepSpec:
 
     def __post_init__(self):
         # numbers are stored as Python float and int, so the echo is plain JSON
-        for name in ("comparison_reflectivity", "subtraction_transmission", "prf"):
-            object.__setattr__(self, name, _real(name, getattr(self, name)))
-        if self.epsilon is not None:
-            object.__setattr__(self, "epsilon", _real("epsilon", self.epsilon))
-        for name in ("n_pulses", "seed"):
-            object.__setattr__(self, name, as_integer(name, getattr(self, name)))
-        object.__setattr__(self, "phase_points", check_phase_points(self.phase_points))
-        object.__setattr__(self, "alpha_sq_grid", tuple(_real("alpha_sq", a) for a in self.alpha_sq_grid))
-        object.__setattr__(self, "n_states_list", tuple(as_integer("n_states", n) for n in self.n_states_list))
+        for name in ("comparison_reflectivity", "subtraction_transmission", "prf", "seed"):
+            object.__setattr__(self, name, checked(name, getattr(self, name)))
+        if self.epsilon is not None:  # None is auto
+            object.__setattr__(self, "epsilon", checked("epsilon", self.epsilon))
+        object.__setattr__(self, "n_pulses", as_integer("n_pulses", self.n_pulses))
+        object.__setattr__(self, "phase_points", checked("phase_points", self.phase_points, PHASE_POINTS))
+        grid, sizes = self.alpha_sq_grid, self.n_states_list
+        object.__setattr__(self, "alpha_sq_grid", tuple(checked("alpha_sq", a) for a in grid))
+        object.__setattr__(self, "n_states_list", tuple(checked("n_states", n, _N_STATES) for n in sizes))
         if len(self.alpha_sq_grid) == 0:
             raise ConfigError("alpha_sq_grid must be non-empty")
-        if not all(math.isfinite(a) and a >= 0.0 for a in self.alpha_sq_grid):
-            raise ConfigError("alpha_sq values must be finite and >= 0")
         if list(self.alpha_sq_grid) != sorted(set(self.alpha_sq_grid)):
             raise ConfigError("alpha_sq values must be distinct and sorted")
         if len(self.n_states_list) == 0:
             raise ConfigError("n_states_list must be non-empty")
-        if not all(1 <= n <= MAX_N_STATES for n in self.n_states_list):
-            raise ConfigError(f"n_states values must lie in [1, {MAX_N_STATES}]")
         if len(set(self.n_states_list)) != len(self.n_states_list):
             raise ConfigError("n_states values must be distinct")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.wants_montecarlo():
-            if not (1 <= self.n_pulses <= _MAX_PULSES):
-                raise ConfigError(f"n_pulses must lie in [1, {_MAX_PULSES}] for a montecarlo sweep")
+            checked("n_pulses", self.n_pulses, _PULSES)
             for name in ("da", "db"):
                 if getattr(self.detectors, name).eta_l() == 0.0:
                     raise ConfigError(f"detector.{name} has zero efficiency x loss: the montecarlo"
                                       " estimator needs analyzer detectors that can see light")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if not (0.0 < self.comparison_reflectivity < 1.0):
-            raise ConfigError(
-                f"comparison_reflectivity must lie in (0, 1), got {self.comparison_reflectivity}"
-            )
-        if not (0.0 < self.subtraction_transmission <= 1.0):
-            raise ConfigError(
-                f"subtraction_transmission must lie in (0, 1], got {self.subtraction_transmission}"
-            )
         # |out| and |ref| are at most (t2/r1)*alpha, so the analyzer's |out +/- ref|^2 is
         # at most 4*(t2^2/r1^2)*alpha^2; that bound, doubled for rounding, must be finite
         peak = 2.0 * math.sqrt(self.subtraction_transmission) / math.sqrt(self.comparison_reflectivity)
@@ -161,10 +146,6 @@ class SweepSpec:
                 f" {self.comparison_reflectivity}, subtraction_transmission"
                 f" {self.subtraction_transmission} and alpha_sq {self.alpha_sq_grid[-1]}"
             )
-        if self.epsilon is not None and not (0.0 <= self.epsilon < 1.0):
-            raise ConfigError(f"epsilon must be auto or lie in [0, 1), got {self.epsilon}")
-        if not (math.isfinite(self.prf) and self.prf > 0.0):
-            raise ConfigError(f"prf must be finite and > 0, got {self.prf}")
 
     def wants_montecarlo(self) -> bool:
         return self.mode == "both"
@@ -180,14 +161,6 @@ class SweepSpec:
         bank = _field_values(self.detectors)
         d["detectors"] = {name: _field_values(det) for name, det in bank.items()}
         return d
-
-
-def _real(name: str, value) -> float:
-    """``value`` as a float; a bool, or a value that is not a real number, is a ConfigError."""
-    # the float test first: it is the common case, and an ABC check is slower
-    if isinstance(value, float) or (isinstance(value, numbers.Real) and not isinstance(value, bool)):
-        return float(value)
-    raise ConfigError(f"{name} must be a real number, got {value!r}")
 
 
 def _field_values(obj) -> dict:
@@ -244,9 +217,9 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> Dataset:
 
     Each row holds ``spec.columns()``.  :func:`reproduce_figure` builds its
     rows the same way with fewer columns, and computes only those.
-    ``workers`` is the Monte Carlo worker count of :func:`check_workers`.
+    ``workers`` is the Monte Carlo worker count, checked to be an integer >= 1.
     """
-    check_workers(workers)
+    checked("workers", workers)
     return Dataset(spec, _rows(spec, spec.columns()))
 
 

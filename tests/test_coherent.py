@@ -25,7 +25,7 @@ class TestCoherentAmplitude:
         a = params.default_amplifier(0.25, 2).input_set.state(0)
         assert a == complex(0.5)
         assert math.isclose(mean_photons(a), 0.25, rel_tol=1e-15)
-        with pytest.raises(ValueError, match="mean photon number must be >= 0"):
+        with pytest.raises(ValueError, match="alpha_sq must be finite and >= 0"):
             params.default_amplifier(-0.1, 2)
 
     @given(amplitudes, st.integers(1, 64), st.integers(0, 64))

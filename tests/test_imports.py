@@ -3,7 +3,8 @@
 numpy is imported only by code that computes with arrays: the analytic
 visibility scan, the Monte Carlo and selfcheck.  ``import scamp``, the
 estimator, the figures without a visibility column and a rejected config run
-without it; the Monte Carlo names of the package load on first use.
+without it; the Monte Carlo names of the package load on first use.  The
+benchmark's modules import every package name they use.
 """
 
 import json
@@ -67,6 +68,15 @@ print(json.dumps({
 """
     # resolving the Monte Carlo names imports scamp.montecarlo, and numpy with it
     assert _fresh(probe, tmp_path) == {"unlisted": [], "resolved": True, "one_bank": True, "numpy": True}
+
+
+def test_benchmark_modules_import(tmp_path):
+    # perfbench/run.py imports tracing and workloads on every run, and they import
+    # package names by name: a package change that drops one fails here
+    perfbench = str(SRC.parent / "perfbench")
+    probe = (f"import json, sys; sys.path.insert(0, {perfbench!r}); import tracing, workloads; "
+             "print(json.dumps(True))")
+    assert _fresh(probe, tmp_path) is True
 
 
 def test_unknown_name_is_an_attribute_error():

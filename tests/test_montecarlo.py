@@ -99,7 +99,7 @@ class TestRunSpec:
             make_spec(0.5, 2, 10, 1, phase_schedule=())
         # a non-finite phase would reach the draw as NaN cell probabilities
         for phase in (math.nan, math.inf, -math.inf):
-            with pytest.raises(ValueError, match=f"phase_schedule entries must be finite, got {phase}"):
+            with pytest.raises(ValueError, match=f"phase_schedule entry must be finite, got {phase}"):
                 make_spec(0.5, 2, 10, 1, phase_schedule=(0.0, phase))
 
     def test_pulse_count_is_bounded_by_the_draws_int64(self):
@@ -133,7 +133,7 @@ class TestRunSpec:
 
     def test_phase_must_be_a_real_number(self):
         for phase in ("a", 1j, None, True):
-            with pytest.raises(ValueError, match=f"phase_schedule entries must be real numbers, got {phase!r}"):
+            with pytest.raises(ValueError, match=f"phase_schedule entry must be a real number, got {phase!r}"):
                 make_spec(0.5, 2, 10, 1, phase_schedule=(0.0, phase))
         make_spec(0.5, 2, 10, 1, phase_schedule=(0, np.float32(0.5), np.float64(1.0)))
 

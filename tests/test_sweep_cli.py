@@ -1073,18 +1073,19 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "value",
-        [None, True, False, [1], {"n": 1}, "abc", "", 10**400],
-        ids=["null", "true", "false", "list", "object", "word", "empty", "huge-int"],
+        [None, True, False, [1], {"n": 1}, "abc", ""],
+        ids=["null", "true", "false", "list", "object", "word", "empty"],
     )
     def test_estimate_rejects_non_numeric_count(self, tmp_path, capsys, value):
         path = tmp_path / "counts.json"
         path.write_text(json.dumps({"n_A_sig": value, "n_B_sig": 1, "n_A_vac": 1, "n_B_vac": 1}))
         assert run_cli(["estimate", "--counts", str(path), "--g2a2", "0.9"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: n_A_sig must be a number") and err.count("\n") == 1
+        assert err.startswith("config error: n_A_sig must be a real number") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
-        "value", [1e308, "1e308", 2**53 + 1, float(2**53 + 2), pytest.param(10**300, id="10**300")]
+        "value", [1e308, "1e308", 2**53 + 1, float(2**53 + 2), pytest.param(10**300, id="10**300"),
+                  pytest.param(10**400, id="10**400")]
     )
     def test_estimate_rejects_counts_above_two_to_the_53(self, tmp_path, capsys, value):
         # above 2^53 a float holds no exact count, and 1e308 drove the estimate to inf/nan
