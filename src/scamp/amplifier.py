@@ -38,11 +38,11 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .coherent import Mixture, overlap_sq
 from .detectors import DetectorModel, click_law
-from .errors import NeverHeraldedError, as_complex, checked
+from .errors import NeverHeraldedError, as_complex, as_integer, checked
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,7 @@ class StateSet:
 
     def state(self, m: int) -> complex:
         """Member m: the base amplitude times :func:`turn` (m mod N, N)."""
-        return self.base_amplitude * turn(m % self.n_states, self.n_states)
+        return self.base_amplitude * turn(as_integer("m", m) % self.n_states, self.n_states)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -99,35 +99,27 @@ class AmplifierConfig:
     """Splitter intensities and input state set.
 
     ``comparison_reflectivity`` is r1^2 and ``subtraction_transmission`` is
-    t2^2; the four amplitudes are derived from them once, so both splitters
-    are unitary by construction.  The guess set is the input set scaled by
-    t1/r1, which generalizes the destructive-interference condition beyond
-    the 50/50 comparison splitter (at 50/50 the guess and input sets
-    coincide), and each guess is drawn with probability 1/N.
+    t2^2; :func:`_splitter_amplitudes` derives the four amplitudes from them,
+    so both splitters are unitary by construction.  The guess set is the
+    input set scaled by t1/r1, which generalizes the destructive-interference
+    condition beyond the 50/50 comparison splitter (at 50/50 the guess and
+    input sets coincide), and each guess is drawn with probability 1/N.
     """
 
     comparison_reflectivity: float
     subtraction_transmission: float
     input_set: StateSet
-    comparison_r1: float = field(init=False, repr=False, compare=False)
-    comparison_t1: float = field(init=False, repr=False, compare=False)
-    subtraction_t2: float = field(init=False, repr=False, compare=False)
-    subtraction_r2: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("comparison_reflectivity", "subtraction_transmission"):
             object.__setattr__(self, name, checked(name, getattr(self, name)))
-        r1, t1, t2, r2 = _splitter_amplitudes(self.comparison_reflectivity, self.subtraction_transmission)
-        object.__setattr__(self, "comparison_r1", r1)
-        object.__setattr__(self, "comparison_t1", t1)
-        object.__setattr__(self, "subtraction_t2", t2)
-        object.__setattr__(self, "subtraction_r2", r2)
 
     def n_states(self) -> int:
         return self.input_set.n_states
 
     def nominal_gain(self) -> float:
-        return self.subtraction_t2 / self.comparison_r1
+        r1, _, t2, _ = _splitter_amplitudes(self.comparison_reflectivity, self.subtraction_transmission)
+        return t2 / r1
 
     def target_amplitude(self, m: int) -> complex:
         """Ideal amplified output for input m."""
@@ -205,9 +197,9 @@ class BranchKernel:
 
     Built once per (splitters, state-set size, D0/D1), from values that
     :class:`AmplifierConfig` or a sweep's spec has checked: r1, t1, r2, t2
-    (as :class:`AmplifierConfig` derives them), the guess scale t1^2/r1, the
-    nominal gain t2/r1, the N unit turns ``turn(k, N)``, the click laws of D0
-    and D1 and the uniform guess prior 1/N.  :meth:`row` takes the one value a
+    (:func:`_splitter_amplitudes`), the guess scale t1^2/r1, the nominal gain
+    t2/r1, the N unit turns ``turn(k, N)``, the click laws of D0 and D1 and
+    the uniform guess prior 1/N.  :meth:`row` takes the one value a
     point adds, its base amplitude, and derives input m's branches; it is the
     one branch loop of the package.
     """
@@ -309,13 +301,13 @@ def output_mixture(
 ) -> Mixture:
     """Conditioned output state for one input, as a normalized coherent mixture.
 
-    The branches of input ``input_index`` are derived in guess order, as
-    :func:`branch_table` derives input 0's.  Components with exactly zero
-    acceptance weight are dropped (e.g. the dead wrong branch of the
-    two-state set under ideal detectors).
+    The branches of input ``input_index``, an integer in [0, N - 1], are
+    derived in guess order, as :func:`branch_table` derives input 0's.
+    Components with exactly zero acceptance weight are dropped (e.g. the
+    dead wrong branch of the two-state set under ideal detectors).
     """
-    if not (0 <= input_index < cfg.n_states()):
-        raise IndexError(f"input index {input_index} out of range for {cfg.n_states()} states")
+    last = cfg.n_states() - 1
+    input_index = checked("input_index", input_index, (as_integer, 0, last, f"lie in [0, {last}]"))
     row = _branch_row(cfg, det0, det1, input_index)
     _, weights = _accepted(row.weights[conditioning], input_index, conditioning)
     return Mixture(tuple((w, z) for w, z in zip(weights, row.output) if w > 0.0))

@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import ConfigError, as_complex, checked
+
 NORMALIZATION_TOL = 1e-12
 
 
@@ -36,7 +38,7 @@ def overlap_sq(a: complex, b: complex) -> float:
 class Mixture:
     """Weighted mixture of coherent components (weight, complex amplitude).
 
-    Weights are nonnegative; a mixture must contain at least one component.
+    Weights are finite floats >= 0, amplitudes finite complexes, and there is at least one.
     Most operations require a normalized mixture (weights summing to 1).
     """
 
@@ -44,10 +46,9 @@ class Mixture:
 
     def __post_init__(self):
         if len(self.components) == 0:
-            raise ValueError("mixture must contain at least one component")
-        for w, _ in self.components:
-            if not math.isfinite(w) or w < 0.0:
-                raise ValueError(f"mixture weights must be finite and >= 0, got {w}")
+            raise ConfigError("mixture must contain at least one component")
+        components = tuple((checked("weight", w), as_complex("amplitude", a)) for w, a in self.components)
+        object.__setattr__(self, "components", components)
 
     @classmethod
     def single(cls, amplitude: complex) -> "Mixture":
@@ -72,6 +73,7 @@ def mixture_fidelity(m: Mixture, target: complex) -> float:
     Sum of weight * overlap_sq(component, target); lies in [0, 1] and equals 1
     iff every nonzero-weight component equals the target.
     """
+    target = as_complex("target", target)
     if not m.is_normalized():
         raise ValueError(f"mixture is not normalized: total weight {m.total_weight()!r}")
     return math.fsum(w * overlap_sq(a, target) for w, a in m.components)

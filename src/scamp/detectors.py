@@ -60,13 +60,11 @@ class DetectorBank:
 
 
 def click_probability(mean_photons: float, det: DetectorModel) -> float:
-    """Probability that the detector fires in a gate seeing `mean_photons`.
+    """Probability that the detector fires in a gate seeing `mean_photons` (finite, >= 0).
 
     Monotone nondecreasing in the mean photon number and -> 1 as it grows.
     """
-    if mean_photons < 0.0:
-        raise ValueError(f"mean photon number must be >= 0, got {mean_photons}")
-    return click_law(det)(mean_photons)
+    return click_law(det)(checked("mean_photons", mean_photons))
 
 
 def click_law(det: DetectorModel) -> Callable[[float], float]:

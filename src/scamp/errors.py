@@ -31,6 +31,8 @@ class ConfigError(ValueError):
 
 def as_integer(name: str, value) -> int:
     """``value`` as an int; a bool, or a value ``operator.index`` refuses, is a ConfigError."""
+    if type(value) is int:  # the common case, which a bool is not; the tests below are slower
+        return value
     if not isinstance(value, bool):
         try:
             return operator.index(value)
@@ -72,11 +74,13 @@ PARAMETERS = {
     "eta_l": (as_real, _ABOVE_0, 1.0, "lie in (0, 1]"),
     "epsilon": (as_real, 0.0, _BELOW_1, "lie in [0, 1)"),
     **dict.fromkeys(("g2a2", "prf"), (as_real, _ABOVE_0, _MAX, "be finite and > 0")),
-    **dict.fromkeys(("alpha_sq", "n_sig", "n_vac", "n_sig_pulses", "n_vac_pulses"),
+    **dict.fromkeys(("alpha_sq", "n_sig_pulses", "n_vac_pulses", "weight", "mean_photons"),
                     (as_real, 0.0, _MAX, "be finite and >= 0")),
+    # so that the estimator's n_sig + n_vac is finite
+    **dict.fromkeys(("n_sig", "n_vac"), (as_real, 0.0, _MAX / 2, "be >= 0 and at most half the largest float")),
     "phase_schedule entry": (as_real, -_MAX, _MAX, "be finite"),
-    **dict.fromkeys(("n_states", "workers"), (as_integer, 1, math.inf, "be >= 1")),
-    **dict.fromkeys(("seed", "master_seed"), (as_integer, 0, math.inf, "be >= 0")),
+    **dict.fromkeys(("n_states", "workers", "chunk_size", "total"), (as_integer, 1, math.inf, "be >= 1")),
+    **dict.fromkeys(("seed", "master_seed", "chunk_index", "count"), (as_integer, 0, math.inf, "be >= 0")),
 }
 
 

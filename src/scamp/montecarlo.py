@@ -50,6 +50,7 @@ import numpy as np
 
 from .amplifier import AmplifierConfig, BranchTable, Conditioning, branch_table
 from .analysis import (
+    MAX_PHASE_POINTS,
     AnalysisConfig,
     CountTable,
     estimate_class_pulse_numbers,
@@ -62,6 +63,8 @@ from .errors import ConfigError, InsufficientSignalError, as_integer, checked
 DEFAULT_CHUNK_SIZE = 1 << 16
 # the draw counts pulses in int64
 _PULSES = (as_integer, 1, (1 << 63) - 1, "lie in [1, 2^63 - 1]")
+# a scan's schedule is no longer than the analytic scan's
+_SCAN_POINTS = (as_integer, 2, MAX_PHASE_POINTS, f"lie in [2, {MAX_PHASE_POINTS}]")
 
 # click-pattern bit layout, most significant first
 _BIT_D0 = 8
@@ -144,9 +147,8 @@ class TallyTable:
 
 
 def phase_scan(n_points: int) -> tuple[float, ...]:
-    """Uniform scan schedule over [0, 2*pi) for visibility runs."""
-    if n_points < 2:
-        raise ValueError(f"a phase scan needs >= 2 points, got {n_points}")
+    """Uniform visibility scan schedule of ``n_points`` in [2, MAX_PHASE_POINTS] phases over [0, 2*pi)."""
+    n_points = checked("n_points", n_points, _SCAN_POINTS)
     return tuple(2.0 * math.pi * j / n_points for j in range(n_points))
 
 
@@ -215,10 +217,7 @@ def simulate_chunk(
     ``tables`` are the run's :func:`branch_tables`, built here if not given.
     A chunk past the run's last pulse is an empty tally.
     """
-    if chunk_index < 0:
-        raise ValueError(f"chunk_index must be >= 0, got {chunk_index}")
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
+    chunk_index, chunk_size = checked("chunk_index", chunk_index), checked("chunk_size", chunk_size)
     start = chunk_index * chunk_size
     count = min(chunk_size, spec.n_pulses - start)
     if count <= 0:
@@ -392,10 +391,8 @@ def mc_visibility(t: TallyTable, condition) -> float:
 
 def standard_error(k: int, n: int) -> float:
     """Binomial standard error sqrt(p*(1-p)/n) of a count k out of n."""
-    k, n = as_integer("count", k), as_integer("total", n)
-    if n < 1:
-        raise ConfigError(f"total must be >= 1, got {n}")
-    if not (0 <= k <= n):
+    k, n = checked("count", k), checked("total", n)
+    if k > n:
         raise ConfigError(f"count {k} outside [0, {n}]")
     p = k / n
     return math.sqrt(p * (1.0 - p) / n)

@@ -37,7 +37,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from . import params
-from .amplifier import BranchKernel, BranchTable, Conditioning
+from .amplifier import BranchKernel, BranchTable, Conditioning, _splitter_amplitudes
 from .analysis import (
     MAX_COUNT,
     MAX_PHASE_POINTS,  # the sweep's bound too, importable from here
@@ -138,8 +138,8 @@ class SweepSpec:
                                       " estimator needs analyzer detectors that can see light")
         # |out| and |ref| are at most (t2/r1)*alpha, so the analyzer's |out +/- ref|^2 is
         # at most 4*(t2^2/r1^2)*alpha^2; that bound, doubled for rounding, must be finite
-        peak = 2.0 * math.sqrt(self.subtraction_transmission) / math.sqrt(self.comparison_reflectivity)
-        peak *= math.sqrt(self.alpha_sq_grid[-1])
+        r1, _, t2, _ = _splitter_amplitudes(self.comparison_reflectivity, self.subtraction_transmission)
+        peak = 2.0 * t2 / r1 * math.sqrt(self.alpha_sq_grid[-1])
         if not math.isfinite(2.0 * peak * peak):
             raise ConfigError(
                 "the analyzer intensity 4*(t2^2/r1^2)*alpha_sq overflows at comparison_reflectivity"

@@ -83,10 +83,17 @@ class _BranchRow(NamedTuple):
     weights: tuple[list[float], ...]  # one list per level of _LEVELS
 
 
+def splitter_amplitudes(cfg: AmplifierConfig) -> tuple[float, float, float, float]:
+    """(r1, t1, t2, r2) of the device: the square roots of r1^2, 1 - r1^2, t2^2 and 1 - t2^2."""
+    reflectivity, transmission = cfg.comparison_reflectivity, cfg.subtraction_transmission
+    return (math.sqrt(reflectivity), math.sqrt(1.0 - reflectivity), math.sqrt(transmission),
+            math.sqrt(1.0 - transmission))
+
+
 def _guess_parts(cfg: AmplifierConfig) -> tuple[list[complex], list[complex]]:
     """The input states, and each one's guess contribution (t1^2/r1)*state to the retained port."""
     members = [cfg.input_set.state(m) for m in range(cfg.n_states())]
-    r1, t1 = cfg.comparison_r1, cfg.comparison_t1
+    r1, t1, _, _ = splitter_amplitudes(cfg)
     return members, [(t1 * t1 / r1) * z for z in members]
 
 
@@ -104,8 +111,7 @@ def _branch_row(
     guess scaled by t1/r1 so a correct guess nulls the monitor port; that
     branch is evaluated in closed form to keep the null and the gain law exact.
     """
-    r1, t1 = cfg.comparison_r1, cfg.comparison_t1
-    r2, t2 = cfg.subtraction_r2, cfg.subtraction_t2
+    r1, t1, t2, r2 = splitter_amplitudes(cfg)
     target = cfg.target_amplitude(m)
     z_in = members[m]
     # guess = (t1/r1)*member: d0 = t1*(in - member), retained = r1*in + (t1^2/r1)*member

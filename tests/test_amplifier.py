@@ -313,25 +313,22 @@ class TestEnumerateBranches:
         assert table.weights[Conditioning.NONE] == [0.125] * 8
 
     def test_rejects_out_of_range_input(self):
-        with pytest.raises(IndexError):
+        # an index outside [0, N - 1] was an IndexError; a ConfigError is a ValueError
+        with pytest.raises(ConfigError, match=r"input_index must lie in \[0, 1\], got 2"):
             output_mixture(make_config(0.5, 2), IDEAL, IDEAL, 2)
 
     def test_branch_amplitudes_match_beamsplitter_op(self):
         cfg = make_config(0.41, 4, r1_sq=0.33)
+        r1, t1, t2, r2 = oracles.splitter_amplitudes(cfg)
         for m in range(4):
             row = _branch_row(cfg, IDEAL, IDEAL, m)
             for k in range(4):
                 retained, monitor = beamsplitter(
-                    cfg.input_set.state(m),
-                    (cfg.comparison_t1 / cfg.comparison_r1) * cfg.input_set.state(k),
-                    cfg.comparison_t1,
-                    cfg.comparison_r1,
+                    cfg.input_set.state(m), (t1 / r1) * cfg.input_set.state(k), t1, r1
                 )
                 assert row.d0_mean[k] == pytest.approx(mean_photons(monitor), abs=1e-12)
-                assert row.d1_mean[k] == pytest.approx(
-                    mean_photons(cfg.subtraction_r2 * retained), abs=1e-12
-                )
-                assert row.output[k] == pytest.approx(cfg.subtraction_t2 * retained, abs=1e-12)
+                assert row.d1_mean[k] == pytest.approx(mean_photons(r2 * retained), abs=1e-12)
+                assert row.output[k] == pytest.approx(t2 * retained, abs=1e-12)
 
 
 class TestAcceptanceWeight:

@@ -1,12 +1,15 @@
 import cmath
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from scamp import params
 from scamp.amplifier import StateSet
 from scamp.coherent import Mixture, mean_photons, mixture_fidelity, overlap_sq
+from scamp.errors import ConfigError
 
 from oracles import beamsplitter
 
@@ -113,6 +116,19 @@ class TestMixture:
             Mixture(())
         with pytest.raises(ValueError):
             Mixture(((-0.1, 0j), (1.1, 0j)))
+
+    def test_reads_weights_and_amplitudes_as_numbers(self):
+        # a NaN amplitude was stored, and the scan and the fidelity returned nan;
+        # a bool weight was read as 1
+        for weight, amplitude in ((1.0, complex(math.nan, 0)), (1.0, complex(0, math.inf)), (True, 0.5),
+                                  (np.bool_(True), 0.5), (1.0, True), (1.0, "0.5"), (None, 0.5)):
+            with pytest.raises(ConfigError):
+                Mixture(((weight, amplitude),))
+        with pytest.raises(ConfigError, match="target must be a finite complex number"):
+            mixture_fidelity(Mixture.single(0.5), complex(math.nan, 0))
+        m = Mixture([(np.float64(0.25), np.complex64(1j)), (Fraction(3, 4), 2)])
+        assert m.components == ((0.25, 1j), (0.75, 2 + 0j))
+        assert [type(v) for pair in m.components for v in pair] == [float, complex] * 2
 
     def test_normalization(self):
         assert not Mixture(((2.0, 0j), (2.0, complex(1.0)))).is_normalized()

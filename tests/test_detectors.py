@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from scamp.analysis import AnalysisConfig, count_probabilities
 from scamp.detectors import DetectorModel, click_law, click_probability
+from scamp.errors import ConfigError
 from scamp import params
 
 probs = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -45,6 +46,14 @@ class TestClickProbability:
     def test_rejects_negative_mean(self):
         with pytest.raises(ValueError):
             click_probability(-1e-9, DetectorModel.ideal())
+
+    def test_reads_the_mean_as_a_finite_real(self):
+        # a NaN mean was read as a NaN probability
+        ideal = DetectorModel.ideal()
+        for mean in (math.nan, math.inf, True, np.bool_(False), "0.5", None, 1j):
+            with pytest.raises(ConfigError, match="^mean_photons must "):
+                click_probability(mean, ideal)
+        assert click_probability(np.float32(0.5), ideal) == click_probability(0.5, ideal)
 
     def test_saturates_at_one(self):
         det = DetectorModel(efficiency=0.405, loss_transmission=0.7)

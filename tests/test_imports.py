@@ -79,6 +79,29 @@ def test_benchmark_modules_import(tmp_path):
     assert _fresh(probe, tmp_path) is True
 
 
+_BENCHMARK_CALLS = """
+import json, math, sys
+sys.path.insert(0, {perfbench!r})
+import tracing, workloads
+from scamp import sweep
+spec = sweep.SweepSpec(alpha_sq_grid=(0.5,), n_states_list=(2,), mode="both", n_pulses=4096)
+tracer = tracing.Tracer()
+columns = {{**tracing.replay_analytic_row(tracer, spec, 2, 0.5),
+            **tracing.replay_montecarlo_columns(tracer, spec, 2, 0.5, 7)}}
+mc_sweep = workloads.McSweep(1, {tmpdir!r}, workloads.Reference())
+print(json.dumps({{"finite": all(map(math.isfinite, columns.values())), "columns": len(columns),
+                  "worker_failures": mc_sweep.worker_failures(2, 0.5, 7)}}))
+"""
+
+
+def test_benchmark_calls_run(tmp_path):
+    # the calls perfbench makes at run time: one analytic row and the Monte Carlo
+    # columns of its traced replay, and its worker check; whether the replay matches
+    # the sweep bit for bit is the benchmark's own report, not checked here
+    probe = _BENCHMARK_CALLS.format(perfbench=str(SRC.parent / "perfbench"), tmpdir=str(tmp_path))
+    assert _fresh(probe, tmp_path) == {"finite": True, "columns": 12, "worker_failures": []}
+
+
 def test_unknown_name_is_an_attribute_error():
     import scamp
 

@@ -7,30 +7,44 @@ import cmath
 import dataclasses
 import json
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from scamp import cli, params
-from scamp.amplifier import AmplifierConfig, StateSet, success_rate
+from scamp.amplifier import AmplifierConfig, StateSet, output_mixture, success_rate
 from scamp.analysis import (
     AnalysisConfig,
     CountTable,
+    count_probabilities,
     estimate_fidelity,
     estimate_pulse_numbers,
     expected_counts,
     visibility,
 )
-from scamp.coherent import Mixture
-from scamp.detectors import DetectorBank, DetectorModel
+from scamp.coherent import Mixture, mixture_fidelity
+from scamp.detectors import DetectorBank, DetectorModel, click_probability
 from scamp.errors import PARAMETERS, ConfigError, InsufficientSignalError, checked
-from scamp.montecarlo import RunSpec, standard_error
+from scamp.montecarlo import RunSpec, phase_scan, simulate_chunk, standard_error
 from scamp.sweep import SweepSpec, write_count_table
 
 _DET = params.default_detector()
 _CFG = params.default_amplifier(0.5, 2)
+_RUN = RunSpec(_CFG, DetectorBank.uniform(_DET), params.default_analysis(_CFG, _DET), 100, 1)
+# arguments that are complex amplitudes, so that a complex value is a good one
+AMPLITUDES = {"base_amplitude", "reference_amplitude", "amplitude", "target", "output"}
+
+
+def _mixture(weight, amplitude):
+    return Mixture(((weight, amplitude),))
+
+
+def _count_cells(**cells):
+    return CountTable.from_dict(cells)
+
 
 # name -> (callable, non-numeric arguments, numeric arguments, arguments that are tuples of numbers)
 CALLS = {
@@ -61,6 +75,16 @@ CALLS = {
                         {"n_sig_pulses": 900.0, "n_vac_pulses": 100.0, "g2a2": 0.9, "eta_l": 0.39,
                          "epsilon": 0.05}, {}),
     "standard_error": (standard_error, {}, {"k": 5, "n": 10}, {}),
+    "Mixture": (_mixture, {}, {"weight": 1.0, "amplitude": 0.5}, {}),
+    "mixture_fidelity": (mixture_fidelity, {"m": _mixture(1.0, 0.5)}, {"target": 0.5}, {}),
+    "click_probability": (click_probability, {"det": _DET}, {"mean_photons": 0.5}, {}),
+    "CountTable.from_dict": (_count_cells, {}, {"n_A_sig": 9, "n_B_sig": 1, "n_A_vac": 4, "n_B_vac": 4}, {}),
+    "count_probabilities": (count_probabilities, {"cfg": AnalysisConfig(1.0, epsilon=0.1)}, {"output": 0.5}, {}),
+    "output_mixture": (output_mixture, {"cfg": _CFG, "det0": _DET, "det1": _DET}, {"input_index": 1}, {}),
+    "StateSet.state": (StateSet(1.0, 4).state, {}, {"m": 3}, {}),
+    "target_amplitude": (_CFG.target_amplitude, {}, {"m": 1}, {}),
+    "phase_scan": (phase_scan, {}, {"n_points": 8}, {}),
+    "simulate_chunk": (simulate_chunk, {"spec": _RUN}, {"chunk_index": 0, "chunk_size": 64}, {}),
 }
 ARGUMENTS = [(name, arg) for name, (_, _, numeric, tuples) in CALLS.items() for arg in [*numeric, *tuples]]
 
@@ -98,6 +122,8 @@ def test_valid_arguments_give_finite_results(name, arg):
 
 @settings(max_examples=400, deadline=None)
 @given(st.sampled_from(ARGUMENTS), VALUES)
+# |output + reference|^2 overflows: port A clicks surely, with no overflow warning
+@example(("count_probabilities", "output"), 1.3407807929942597e154)
 def test_a_bad_number_is_a_value_error_never_a_type_error_or_nan(argument, value):
     name, arg = argument
     try:
@@ -110,9 +136,11 @@ def test_a_bad_number_is_a_value_error_never_a_type_error_or_nan(argument, value
 @pytest.mark.parametrize("name, arg", ARGUMENTS)
 @pytest.mark.parametrize("value", BAD, ids=repr)
 def test_every_bad_value_is_refused(name, arg, value):
-    # an amplitude is a complex number, and a sweep's epsilon None is "auto"
-    if ((arg.endswith("_amplitude") and isinstance(value, complex))
-            or (name, arg, value) == ("SweepSpec", "epsilon", None)):
+    # an amplitude is a complex number, a sweep's epsilon None is "auto", and a
+    # count read from a file may be a numeric string
+    if ((arg in AMPLITUDES and isinstance(value, complex))
+            or (name, arg, value) == ("SweepSpec", "epsilon", None)
+            or (name, value) == ("CountTable.from_dict", "0.5")):
         assert _finite(_call(name, arg, value))
         return
     with pytest.raises(ValueError):
@@ -153,6 +181,38 @@ def test_count_table_keeps_integer_counts_exact():
         CountTable(0, 0, 0, np.uint64(2**53 + 1))
     table = CountTable(np.int64(5), np.float32(1.5), 2**53, 0.0)
     assert [type(v) for v in table.to_dict().values()] == [int, float, int, float]
+
+
+@pytest.mark.parametrize("spelling", ["json number", "json string", "csv cell"])
+def test_a_count_above_2_53_is_refused_in_every_spelling(tmp_path, capsys, spelling):
+    # a numeric string was read as a float, so 2^53 + 1 rounded to 2^53, into range
+    path = tmp_path / "counts"
+    cells = {"n_A_sig": 2**53 + 1, "n_B_sig": 10, "n_A_vac": 40, "n_B_vac": 40}
+    if spelling == "csv cell":
+        path.write_text(",".join(cells) + "\n" + ",".join(map(str, cells.values())) + "\n")
+    else:
+        path.write_text(json.dumps({k: str(v) if spelling == "json string" else v for k, v in cells.items()}))
+    assert cli.main(["estimate", "--counts", str(path), "--g2a2", "0.9"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: n_A_sig must lie in [0, 2^53], got 9007199254740993\n")
+
+
+def test_a_count_cell_reads_an_integer_exactly_and_any_other_number_as_a_float():
+    table = CountTable.from_dict({"n_A_sig": "900.5", "n_B_sig": "1e3", "n_A_vac": "9007199254740992",
+                                  "n_B_vac": " 40 "})
+    assert table.to_dict() == {"n_A_sig": 900.5, "n_B_sig": 1000.0, "n_A_vac": 2**53, "n_B_vac": 40}
+    assert [type(v) for v in table.to_dict().values()] == [float, float, int, int]
+    with pytest.raises(ConfigError, match="n_A_sig must be a real number, got 'many'"):
+        CountTable.from_dict({"n_A_sig": "many", "n_B_sig": 0, "n_A_vac": 0, "n_B_vac": 0})
+
+
+def test_estimate_fidelity_keeps_the_sum_of_its_pulse_numbers_finite():
+    # 1e308 + 1e308 overflowed, and the fidelity read 0.0 where about 0.70 is right
+    with pytest.raises(ConfigError, match="^n_sig must be >= 0 and at most half the largest float, got 1e"):
+        estimate_fidelity(1e308, 1e308, 0.9)
+    half = PARAMETERS["n_vac"][2]
+    assert half + half == sys.float_info.max
+    assert estimate_fidelity(half, half, 0.9) == 0.5 + math.exp(-0.9) * half / sys.float_info.max
 
 
 def test_numbers_are_stored_as_python_numbers():

@@ -444,7 +444,7 @@ class TestCellLawOracle:
         # fired factor p or a silent factor 1 - p by more than 1e-13 of it (a large
         # gain t2/r1, or a near-cancelling field), the oracle is that much less exact
         target = cfg.target_amplitude(0)
-        delta = 2.0**-50 * abs(target) / cfg.subtraction_t2
+        delta = 2.0**-50 * abs(target) / oracles.splitter_amplitudes(cfg)[2]
         refs = target * np.exp(1j * np.asarray(phases))[:, None]
         out = np.array(table.output)
         if (resolvable(np.sqrt(table.d0_mean), delta, dets[0], 1.0)
