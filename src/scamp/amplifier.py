@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 from .coherent import Mixture, overlap_sq
 from .detectors import DetectorModel, click_law
-from .errors import NeverHeraldedError, as_complex, as_integer, checked
+from .errors import ConfigError, NeverHeraldedError, as_complex, as_integer, checked
 
 
 @dataclass(frozen=True)
@@ -80,11 +80,22 @@ def turn(j: int, n: int) -> complex:
 
 
 class Conditioning(enum.Enum):
-    """Which heralding pattern an output is accepted on."""
+    """Which heralding pattern an output is accepted on.
+
+    ``Conditioning(x)`` is the one reading of a conditioning argument: it
+    returns a member as is, and the member whose value ``x`` is; anything
+    else is a ConfigError.  Every function that takes a conditioning reads
+    it this way; :func:`_accepted`, which a sweep calls three times per
+    point, only when its lookup by member misses.
+    """
 
     NONE = "none"
     D0_SILENT = "d0_silent"
     D0_SILENT_D1_FIRES = "d0_silent_and_d1_fires"
+
+    @classmethod
+    def _missing_(cls, value):
+        raise ConfigError(f"conditioning must be one of {[c.value for c in cls]}, got {value!r}")
 
 
 def _splitter_amplitudes(reflectivity: float, transmission: float) -> tuple[float, float, float, float]:
@@ -161,7 +172,7 @@ class BranchTable:
     ) -> tuple[float, list[float]]:
         """Per-pulse acceptance probability and the normalized weights of the
         outputs, from one fsum; NeverHeraldedError when no branch can pass."""
-        return _accepted(self.weights[conditioning], 0, conditioning)
+        return _accepted(self.weights, 0, conditioning)
 
     def figures(self, success_probability: float, weights: list[float]) -> FiguresOfMerit:
         """The figures of merit of one :meth:`accepted` result."""
@@ -176,14 +187,20 @@ class BranchTable:
         Well defined even when no branch can herald (returns 0), unlike the
         conditioned output state itself.
         """
-        return math.fsum(self.weights[conditioning])
+        return math.fsum(self.weights[Conditioning(conditioning)])
 
 
 def _accepted(
-    weights: list[float], m: int, conditioning: Conditioning
+    by_conditioning: dict[Conditioning, list[float]], m: int, conditioning: Conditioning
 ) -> tuple[float, list[float]]:
-    """Total and normalized acceptance weights of input m's branches; the
-    total must be > 0, so a NaN total is refused too."""
+    """Total and normalized acceptance weights of input m's branches under
+    ``conditioning``, a member or its value; the total must be > 0, so a NaN
+    total is refused too."""
+    try:  # a member costs one lookup
+        weights = by_conditioning[conditioning]
+    except (KeyError, TypeError):
+        conditioning = Conditioning(conditioning)
+        weights = by_conditioning[conditioning]
     total = math.fsum(weights)
     if not total > 0.0:
         raise NeverHeraldedError(
@@ -309,7 +326,7 @@ def output_mixture(
     last = cfg.n_states() - 1
     input_index = checked("input_index", input_index, (as_integer, 0, last, f"lie in [0, {last}]"))
     row = _branch_row(cfg, det0, det1, input_index)
-    _, weights = _accepted(row.weights[conditioning], input_index, conditioning)
+    _, weights = _accepted(row.weights, input_index, conditioning)
     return Mixture(tuple((w, z) for w, z in zip(weights, row.output) if w > 0.0))
 
 

@@ -33,6 +33,8 @@ from __future__ import annotations
 import json
 import math
 import operator
+import os
+import stat
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -370,11 +372,38 @@ def serializer(output_format: str) -> Callable[[Dataset], str]:
     raise ConfigError(f"output format must be one of {FORMATS}, got {output_format!r}")
 
 
+# no O_TRUNC: write_text rewrites an existing file in place, then cuts it
+_WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
+
+
 def write_text(path: str, text: str, what: str) -> None:
-    """Write ``text`` to ``path``; an OSError says what was written where."""
+    """Write ``text`` to ``path``; an OSError says what was written where.
+
+    The path is opened as ``open(path, "w")`` opens it (through a symlink,
+    mode 0o666 less the umask, same encoding and newlines), except that an
+    existing file is not truncated first: the text overwrites it in place,
+    and a regular file is then cut to the written length.  Truncating a
+    file that holds data to zero bytes costs more than writing a small
+    file, and on ext4 it also starts writeback at close.  A device or FIFO
+    is written, never cut.  If the write or the cut fails, the file is cut
+    to zero bytes (as far as that works) before the error propagates, so
+    it never holds new text followed by old.
+    """
     try:
-        with open(path, "w") as fh:
-            fh.write(text)
+        fd = os.open(path, _WRITE_FLAGS, 0o666)
+        try:
+            with open(fd, "w", closefd=False) as fh:
+                fh.write(text)
+                if stat.S_ISREG(os.fstat(fd).st_mode):
+                    fh.truncate()
+        except BaseException:
+            try:
+                os.ftruncate(fd, 0)
+            except OSError:
+                pass
+            raise
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise OSError(f"cannot write {what} to {path!r}: {exc}") from exc
 

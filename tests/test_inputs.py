@@ -7,6 +7,7 @@ import cmath
 import dataclasses
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -15,7 +16,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from scamp import cli, params
-from scamp.amplifier import AmplifierConfig, StateSet, output_mixture, success_rate
+from scamp.amplifier import (
+    AmplifierConfig,
+    Conditioning,
+    StateSet,
+    branch_table,
+    figures_of_merit,
+    output_mixture,
+    success_rate,
+)
 from scamp.analysis import (
     AnalysisConfig,
     CountTable,
@@ -28,7 +37,16 @@ from scamp.analysis import (
 from scamp.coherent import Mixture, mixture_fidelity
 from scamp.detectors import DetectorBank, DetectorModel, click_probability
 from scamp.errors import PARAMETERS, ConfigError, InsufficientSignalError, checked
-from scamp.montecarlo import RunSpec, phase_scan, simulate_chunk, standard_error
+from scamp.montecarlo import (
+    RunSpec,
+    conditioned_class_totals,
+    conditioned_counts,
+    mc_visibility,
+    phase_scan,
+    simulate_chunk,
+    simulate_run,
+    standard_error,
+)
 from scamp.sweep import SweepSpec, write_count_table
 
 _DET = params.default_detector()
@@ -264,3 +282,31 @@ def test_estimate_flags_are_checked_by_the_library(tmp_path, capsys, flag, value
         assert code == 2 and err.startswith(f"config error: {key} must {PARAMETERS[key][3]}, got ")
     else:  # argparse's usage error
         assert code == 2 and err.startswith("usage: scamp estimate")
+
+
+_TABLE = branch_table(_CFG, _DET, _DET)
+_TALLY = simulate_run(dataclasses.replace(_RUN, n_pulses=4000, phase_schedule=(0.0, math.pi)))
+# every function that takes a conditioning, called with one
+CONDITIONED = {
+    "figures_of_merit": lambda c: figures_of_merit(_CFG, _DET, _DET, c),
+    "success_rate": lambda c: success_rate(_CFG, _DET, _DET, 1e6, c),
+    "output_mixture": lambda c: output_mixture(_CFG, _DET, _DET, 1, c),
+    "BranchTable.accepted": _TABLE.accepted,
+    "BranchTable.success_probability": _TABLE.success_probability,
+    "conditioned_counts": lambda c: conditioned_counts(_TALLY, c),
+    "conditioned_class_totals": lambda c: conditioned_class_totals(_TALLY, c),
+    "mc_visibility": lambda c: mc_visibility(_TALLY, c),
+}
+
+
+@pytest.mark.parametrize("name", CONDITIONED)
+@pytest.mark.parametrize("conditioning", Conditioning)
+def test_a_conditioning_is_a_member_or_its_value(name, conditioning):
+    # figures_of_merit took only a member, and ended in a bare KeyError on its value
+    call = CONDITIONED[name]
+    result = call(conditioning)
+    assert _finite(result) and call(conditioning.value) == result
+    for bad in ("bogus", conditioning.name, None, True, ["none"]):
+        with pytest.raises(ConfigError, match=re.escape(
+                "conditioning must be one of ['none', 'd0_silent', 'd0_silent_and_d1_fires'], got ")):
+            call(bad)

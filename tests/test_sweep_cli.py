@@ -583,6 +583,109 @@ class TestSerialization:
         with pytest.raises(OSError, match="cannot write count table to .*no/such/dir"):
             write_count_table(CountTable(1.0, 2.0, 3.0, 4.0), str(tmp_path / "no/such/dir/counts.json"))
 
+    @staticmethod
+    def sweep_stdout(capsys) -> str:
+        assert run_cli(["sweep"]) == 0
+        return capsys.readouterr().out
+
+    @pytest.mark.parametrize("old_length", [lambda n: 3 * n, lambda n: 7, lambda n: n],
+                             ids=["longer", "shorter", "equal"])
+    def test_rewrite_leaves_exactly_the_new_bytes(self, tmp_path, capsys, old_length):
+        # an existing file is overwritten in place and cut to the new length
+        expected = self.sweep_stdout(capsys)
+        path = tmp_path / "rows.csv"
+        path.write_text("x" * old_length(len(expected)))
+        assert run_cli(["sweep", "--output", str(path)]) == 0
+        assert path.read_text() == expected
+
+    def test_rewrite_goes_through_a_symlink(self, tmp_path, capsys):
+        expected = self.sweep_stdout(capsys)
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_text("stale row\n" * 1000)
+        link.symlink_to(target)
+        assert run_cli(["sweep", "--output", str(link)]) == 0
+        assert link.is_symlink() and target.read_text() == expected
+
+    def test_new_file_has_the_mode_of_open_w(self, tmp_path, capsys):
+        mask = os.umask(0o027)
+        try:
+            open(tmp_path / "sibling.csv", "w").close()
+            assert run_cli(["sweep", "--output", str(tmp_path / "rows.csv")]) == 0
+        finally:
+            os.umask(mask)
+        assert (tmp_path / "rows.csv").stat().st_mode == (tmp_path / "sibling.csv").stat().st_mode
+
+    def test_dev_null_is_written_and_not_cut(self, capsys):
+        assert run_cli(["sweep", "--output", os.devnull]) == 0
+        assert capsys.readouterr().out == f"wrote 87 rows to {os.devnull}\n"
+
+    @pytest.mark.parametrize("kind", ["directory", "read-only file"])
+    def test_unwritable_path_exits_3_naming_it(self, tmp_path, capsys, kind):
+        path = tmp_path / "rows.csv"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_text("old\n")
+            path.chmod(0o444)
+            if os.access(path, os.W_OK):
+                pytest.skip("this user may write a read-only file")
+        ds = run_sweep(SweepSpec(alpha_sq_grid=(0.1,), n_states_list=(2,)))
+        with pytest.raises(OSError, match=f"^cannot write dataset to {re.escape(repr(str(path)))}: "):
+            write_dataset(ds, str(path), "csv")
+        end, _, err = _outcome(capsys, ["sweep", "--output", str(path)])
+        assert end == ("return", 3)
+        assert err.startswith(f"runtime error: cannot write dataset to {str(path)!r}: ")
+        assert kind == "directory" or path.read_text() == "old\n"
+
+    def test_a_failed_write_leaves_no_stale_rows(self, tmp_path):
+        # past the file-size limit the write fails part way (EFBIG), after its
+        # first 100 bytes overwrote the old ones: the file is cut to zero bytes
+        pytest.importorskip("resource")
+        path = tmp_path / "rows.csv"
+        path.write_text("stale row\n" * 50)
+        probe = ("import resource, signal, sys\n"
+                 "from scamp.sweep import write_text\n"
+                 "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+                 "resource.setrlimit(resource.RLIMIT_FSIZE, (100, 100))\n"
+                 "try:\n"
+                 "    write_text(sys.argv[1], 'new row\\n' * 1000, 'dataset')\n"
+                 "except OSError as exc:\n"
+                 "    print(exc)\n")
+        proc = subprocess.run([sys.executable, "-c", probe, str(path)], capture_output=True, text=True,
+                              env=_subprocess_env(), check=True)
+        assert proc.stdout.startswith(f"cannot write dataset to {str(path)!r}: ")
+        assert path.read_bytes() == b""
+
+    def test_estimate_report_and_count_table_rewrite_a_longer_file(self, tmp_path, capsys):
+        counts, fresh, report = tmp_path / "counts.json", tmp_path / "fresh.json", tmp_path / "report.json"
+        counts.write_text("stale\n" * 1000)
+        write_count_table(CountTable(900.0, 10.0, 40.0, 40.0), str(counts))
+        assert counts.read_text() == json.dumps(CountTable(900.0, 10.0, 40.0, 40.0).to_dict(), indent=2) + "\n"
+        estimate = ["estimate", "--counts", str(counts), "--g2a2", "0.9", "--output"]
+        assert run_cli([*estimate, str(fresh)]) == 0
+        report.write_text("stale\n" * 1000)
+        assert run_cli([*estimate, str(report)]) == 0
+        assert report.read_text() == fresh.read_text()
+
+    def test_no_output_is_opened_with_o_trunc(self, tmp_path, capsys, monkeypatch):
+        # the rewrite's gain cannot be timed here: each output is opened once, by
+        # os.open, and never with O_TRUNC, so an existing file is not truncated first
+        opened = []
+        real_open = os.open
+
+        def recording_open(path, flags, *args, **kwargs):
+            opened.append((str(path), flags))
+            return real_open(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", recording_open)
+        counts, report, rows = (str(tmp_path / name) for name in ("counts.json", "report.json", "rows.csv"))
+        write_count_table(CountTable(900.0, 10.0, 40.0, 40.0), counts)
+        assert run_cli(["estimate", "--counts", counts, "--g2a2", "0.9", "--output", report]) == 0
+        assert run_cli(["sweep", "--output", rows]) == 0
+        assert run_cli(["figure", "--id", "fig4", "--output", rows]) == 0
+        assert [path for path, _ in opened] == [counts, report, rows, rows]
+        assert not any(flags & os.O_TRUNC for _, flags in opened)
+
     @pytest.mark.parametrize("fields", [
         {},
         {
