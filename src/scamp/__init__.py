@@ -97,16 +97,8 @@ __all__ = [
     "visibility",
 ]
 
-_MONTECARLO_NAMES = frozenset({
-    "RunSpec",
-    "TallyTable",
-    "conditioned_class_totals",
-    "conditioned_counts",
-    "mc_visibility",
-    "phase_scan",
-    "simulate_run",
-    "standard_error",
-})
+# the listed names not bound above are the Monte Carlo's, loaded on first use
+_MONTECARLO_NAMES = frozenset(__all__).difference(globals())
 
 
 def __getattr__(name):

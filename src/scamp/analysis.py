@@ -15,12 +15,13 @@ in the signal-class inversion).
 
 Two bookkeeping conventions circulate for the estimator's exponents, and
 they are mutually inconsistent, so both are kept as explicit switches
-rather than silently reconciled: the vacuum-class denominator of the
-pulse-number estimator (``vacuum_denominator``: "doubled" reuses the
-signal-class exponent, "per-port" uses the per-port mean photon number the
-click law actually implies) and the vacuum-overlap exponent of the
-fidelity estimate (``vacuum_overlap``: "standard" is exp(-g2a2),
-"doubled" is exp(-2*g2a2)).
+rather than silently reconciled, each a table of exponent factors
+(:data:`VACUUM_DENOMINATORS`, :data:`VACUUM_OVERLAPS`): the vacuum-class
+denominator of the pulse-number estimator (``vacuum_denominator``:
+"doubled" reuses the signal-class exponent, "per-port" uses the per-port
+mean photon number the click law actually implies) and the vacuum-overlap
+exponent of the fidelity estimate (``vacuum_overlap``: "standard" is
+exp(-g2a2), "doubled" is exp(-2*g2a2)).
 
 numpy is imported by the functions that compute with arrays, on their first
 call, so the estimators and the configuration types load without it.
@@ -53,6 +54,11 @@ MAX_COUNT = 1 << 53
 MAX_PHASE_POINTS = 1 << 16
 # the row of errors.checked for phase_points, the sweep's too
 PHASE_POINTS = (as_integer, 8, MAX_PHASE_POINTS, f"lie in [8, {MAX_PHASE_POINTS}]")
+# convention -> its factor of eta_l*g2a2 in the vacuum class's click exponent,
+# and convention -> its factor of g2a2 in the vacuum overlap's exponent
+VACUUM_DENOMINATORS = {"doubled": -2.0, "per-port": -0.5}
+VACUUM_OVERLAPS = {"standard": -1.0, "doubled": -2.0}
+DEFAULT_VACUUM_DENOMINATOR = "doubled"
 
 
 @dataclass(frozen=True)
@@ -304,7 +310,7 @@ def expected_counts(
     g2a2: float,
     eta_l: float,
     epsilon: float = 0.0,
-    vacuum_denominator: str = "doubled",
+    vacuum_denominator: str = DEFAULT_VACUUM_DENOMINATOR,
 ) -> CountTable:
     """Expected count table for known class pulse numbers (forward model).
 
@@ -335,18 +341,23 @@ def expected_counts(
 
 
 def _vacuum_click_probability(g2a2: float, eta_l: float, vacuum_denominator: str) -> float:
-    if vacuum_denominator == "doubled":
-        return 1.0 - math.exp(-2.0 * eta_l * g2a2)
-    if vacuum_denominator == "per-port":
-        return 1.0 - math.exp(-0.5 * eta_l * g2a2)
-    raise ValueError(f"unknown vacuum_denominator {vacuum_denominator!r}")
+    factor = _factor(VACUUM_DENOMINATORS, "vacuum_denominator", vacuum_denominator)
+    return 1.0 - math.exp(factor * eta_l * g2a2)
+
+
+def _factor(table: dict, name: str, convention) -> float:
+    """The exponent factor of ``convention`` in ``table``; any other value is a ConfigError."""
+    try:
+        return table[convention]
+    except (KeyError, TypeError):
+        raise ConfigError(f"{name} must be one of {tuple(table)}, got {convention!r}") from None
 
 
 def estimate_pulse_numbers(
     counts: CountTable,
     g2a2: float,
     eta_l: float,
-    vacuum_denominator: str = "doubled",
+    vacuum_denominator: str = DEFAULT_VACUUM_DENOMINATOR,
 ) -> tuple[float, float]:
     """Estimate (N_sig, N_vac) class pulse numbers from a count table.
 
@@ -387,12 +398,7 @@ def estimate_fidelity(
     total = n_sig + n_vac
     if total <= 0.0:
         raise InsufficientSignalError("no pulses attributed to either class")
-    if vacuum_overlap == "standard":
-        c = math.exp(-g2a2)
-    elif vacuum_overlap == "doubled":
-        c = math.exp(-2.0 * g2a2)
-    else:
-        raise ValueError(f"unknown vacuum_overlap {vacuum_overlap!r}")
+    c = math.exp(_factor(VACUUM_OVERLAPS, "vacuum_overlap", vacuum_overlap) * g2a2)
     return n_sig / total + c * n_vac / total
 
 
@@ -409,10 +415,20 @@ def estimate_class_pulse_numbers(
     (n_A, n_B) its pulse number is (n_A + n_B) / (p_A + p_B).  The
     imperfection epsilon is not used.  Assumes the output is confined to the
     listed classes; a class with p_A + p_B below the exponent guard is
-    unobservable and raises InsufficientSignalError.
+    unobservable and raises InsufficientSignalError.  A count outside
+    [0, 2^53] or a probability outside [0, 1] is a ConfigError; the sweep
+    reads its own draw through the unchecked :func:`_class_pulse_numbers`.
     """
     if len(class_counts) != len(class_click_probabilities):
-        raise ValueError("class_counts and class_click_probabilities must have equal length")
+        raise ConfigError("class_counts and class_click_probabilities must have equal length")
+    counts = [(checked("n_A", n_a, _COUNT), checked("n_B", n_b, _COUNT)) for n_a, n_b in class_counts]
+    probabilities = [(checked("p_A", p_a), checked("p_B", p_b)) for p_a, p_b in class_click_probabilities]
+    return _class_pulse_numbers(counts, probabilities)
+
+
+def _class_pulse_numbers(class_counts, class_click_probabilities) -> list[float]:
+    """:func:`estimate_class_pulse_numbers` without the input checks, for a
+    Monte Carlo draw's own counts and click probabilities."""
     seen = [p_a + p_b for p_a, p_b in class_click_probabilities]
     # written so that a NaN probability fails too
     if not all(p >= EXPONENT_GUARD for p in seen):

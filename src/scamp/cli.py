@@ -33,8 +33,10 @@ import sys
 from dataclasses import replace
 
 from . import params
+from .analysis import DEFAULT_VACUUM_DENOMINATOR, VACUUM_DENOMINATORS
 from .errors import ConfigError, InsufficientSignalError, InvalidEpsilonError, NeverHeraldedError
 from .sweep import (
+    FIGURE_LAYOUTS,
     FORMATS,
     MODES,
     Dataset,
@@ -261,20 +263,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument(
         "--eta-l",
         type=float,
-        default=params.DETECTION_EFFICIENCY * params.SIGNAL_GATE_RETENTION,
+        default=params.default_detector().eta_l(),
         help="detection efficiency times transmission at the analyzers",
     )
     p_est.add_argument(
         "--vacuum-denominator",
-        choices=["doubled", "per-port"],
-        default="doubled",
+        choices=tuple(VACUUM_DENOMINATORS),
+        default=DEFAULT_VACUUM_DENOMINATOR,
         help="vacuum-class inversion convention",
     )
     p_est.add_argument("--output", help="also write the report as JSON")
     p_est.set_defaults(func=_cmd_estimate)
 
     p_fig = sub.add_parser("figure", help="emit a model-curve dataset for a known figure layout")
-    p_fig.add_argument("--id", required=True, help="fig3a | fig3b | fig3c | fig3d | fig4")
+    p_fig.add_argument("--id", required=True, help=" | ".join(FIGURE_LAYOUTS))
     p_fig.add_argument("--config", help="INI config file, read as by sweep (no n_states or mode)")
     p_fig.add_argument(
         "--loss",

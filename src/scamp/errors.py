@@ -67,8 +67,8 @@ _MAX = math.nextafter(math.inf, 0.0)
 
 # parameter -> (type, low, high, interval in words): the one definition of each
 PARAMETERS = {
-    **dict.fromkeys(("efficiency", "loss_transmission", "dark_prob_per_gate", "optical_loss", "visibility"),
-                    (as_real, 0.0, 1.0, "lie in [0, 1]")),
+    **dict.fromkeys(("efficiency", "loss_transmission", "dark_prob_per_gate", "optical_loss", "visibility",
+                     "p_A", "p_B"), (as_real, 0.0, 1.0, "lie in [0, 1]")),
     "comparison_reflectivity": (as_real, _ABOVE_0, _BELOW_1, "lie in (0, 1)"),
     "subtraction_transmission": (as_real, _ABOVE_0, 1.0, "lie in (0, 1]"),
     "eta_l": (as_real, _ABOVE_0, 1.0, "lie in (0, 1]"),

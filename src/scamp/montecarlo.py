@@ -53,7 +53,7 @@ from .analysis import (
     MAX_PHASE_POINTS,
     AnalysisConfig,
     CountTable,
-    estimate_class_pulse_numbers,
+    _class_pulse_numbers,
     fringe_visibility,
     port_click,
 )
@@ -117,7 +117,8 @@ class TallyTable:
     """Event counts per (phase bin, guess offset, D0/D1/DA/DB click pattern).
 
     Merging two tables is field-wise addition, so chunked simulation reduces
-    to a sum in any order.
+    to a sum in any order.  Every count is finite and >= 0; a mean tally
+    may hold fractional counts.
     """
 
     counts: np.ndarray  # int64, shape (n_phases, N, 16)
@@ -127,9 +128,13 @@ class TallyTable:
     def __post_init__(self):
         # a tuple of floats, as RunSpec stores its schedule, so that equal layouts merge
         object.__setattr__(self, "phases", tuple(map(float, self.phases)))
+        if not (isinstance(self.counts, np.ndarray) and self.counts.dtype.kind in "iuf"):
+            raise ConfigError("tally counts must be a numpy array of integers or floats")
         expected = (len(self.phases), self.n_states, _N_PATTERNS)
         if self.counts.shape != expected:
-            raise ValueError(f"counts shape {self.counts.shape} != {expected}")
+            raise ConfigError(f"counts shape {self.counts.shape} != {expected}")
+        if not (np.all(self.counts >= 0) and np.all(np.isfinite(self.counts))):
+            raise ConfigError("tally counts must be finite and >= 0")
 
     @property
     def n_pulses(self) -> int:
@@ -137,7 +142,7 @@ class TallyTable:
 
     def merged(self, other: "TallyTable") -> "TallyTable":
         if self.phases != other.phases or self.n_states != other.n_states:
-            raise ValueError("cannot merge tallies with different layouts")
+            raise ConfigError("cannot merge tallies with different layouts")
         return TallyTable(self.counts + other.counts, self.phases, self.n_states)
 
     @classmethod
@@ -341,7 +346,7 @@ def _offset_fidelity(table: BranchTable, by_offset, clicks) -> tuple[float, floa
     cancel at the estimate.  Raises InsufficientSignalError when an offset
     class is unobservable or no pulse is attributed to any class.
     """
-    pulses = estimate_class_pulse_numbers([(n_a, n_b) for _, n_a, n_b, _ in by_offset], clicks)
+    pulses = _class_pulse_numbers([(n_a, n_b) for _, n_a, n_b, _ in by_offset], clicks)
     total = math.fsum(pulses)
     if not total > 0.0:
         raise InsufficientSignalError("no pulses attributed to any offset class")

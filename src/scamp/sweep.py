@@ -36,11 +36,12 @@ import operator
 import os
 import stat
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import params
 from .amplifier import BranchKernel, BranchTable, Conditioning, _splitter_amplitudes
 from .analysis import (
+    DEFAULT_VACUUM_DENOMINATOR,
     MAX_COUNT,
     MAX_PHASE_POINTS,  # the sweep's bound too, importable from here
     PHASE_POINTS,
@@ -54,7 +55,6 @@ from .detectors import DetectorBank
 from .errors import ConfigError, InsufficientSignalError, as_integer, checked
 
 MODES = ("analytic", "both")
-FORMATS = ("csv", "json")
 
 _VISIBILITY_COLUMNS = ("visibility_unconditioned", "visibility_d0_silent", "visibility_conditioned")
 BASE_COLUMNS = (
@@ -85,13 +85,13 @@ _PULSES = (as_integer, 1, MAX_COUNT, f"lie in [1, {MAX_COUNT}] for a montecarlo 
 MAX_N_STATES = 256
 _N_STATES = (as_integer, 1, MAX_N_STATES, f"lie in [1, {MAX_N_STATES}]")
 
-# figure id -> (the state-set size it fixes, its columns)
+# figure id -> (the state-set size it fixes, its default alpha_sq grid, its columns)
 FIGURE_LAYOUTS = {
-    "fig3a": (2, ("alpha_sq",) + _VISIBILITY_COLUMNS),
-    "fig3b": (2, ("alpha_sq", "correct_state_fraction", "fidelity")),
-    "fig3c": (4, ("alpha_sq", "correct_state_fraction", "fidelity")),
-    "fig3d": (8, ("alpha_sq", "correct_state_fraction", "fidelity")),
-    "fig4": (2, ("alpha_sq", "success_rate_per_s")),
+    "fig3a": (2, params.FIG3_ALPHA_SQ_GRID, ("alpha_sq",) + _VISIBILITY_COLUMNS),
+    "fig3b": (2, params.FIG3_ALPHA_SQ_GRID, ("alpha_sq", "correct_state_fraction", "fidelity")),
+    "fig3c": (4, params.FIG3_ALPHA_SQ_GRID, ("alpha_sq", "correct_state_fraction", "fidelity")),
+    "fig3d": (8, params.FIG3_ALPHA_SQ_GRID, ("alpha_sq", "correct_state_fraction", "fidelity")),
+    "fig4": (2, params.FIG4_ALPHA_SQ_GRID, ("alpha_sq", "success_rate_per_s")),
 }
 
 
@@ -156,18 +156,11 @@ class SweepSpec:
         return BASE_COLUMNS + MC_COLUMNS if self.wants_montecarlo() else BASE_COLUMNS
 
     def echo(self) -> dict:
-        """The spec as JSON-ready plain values, laid out as ``dataclasses.asdict`` would."""
-        d = _field_values(self)
+        """The spec as JSON-ready plain values: ``dataclasses.asdict``, with the two grids as lists."""
+        d = asdict(self)
         d["alpha_sq_grid"] = list(self.alpha_sq_grid)
         d["n_states_list"] = list(self.n_states_list)
-        bank = _field_values(self.detectors)
-        d["detectors"] = {name: _field_values(det) for name, det in bank.items()}
         return d
-
-
-def _field_values(obj) -> dict:
-    """Field name -> value of one dataclass instance, without asdict's deep copy."""
-    return {name: getattr(obj, name) for name in obj.__dataclass_fields__}
 
 
 @dataclass(frozen=True)
@@ -277,29 +270,27 @@ def reproduce_figure(figure_id: str, **fields) -> Dataset:
     """Model-curve dataset for one of the known figure layouts.
 
     A figure is an analytic sweep of one state-set size that computes only
-    the figure's columns: fig3b-d skip the visibility scans, and fig4 also
-    skips the fidelity sum.  A point that can never herald still raises
-    NeverHeraldedError, as in a full sweep.  ``fields`` are further
-    SweepSpec fields (splitters, detectors, prf, epsilon, phase_points, ...).  The figure fixes
+    the figure's columns: a figure without visibility columns skips the
+    scans, and one without fidelity columns also skips the fidelity sum.
+    A point that can never herald still raises NeverHeraldedError, as in a
+    full sweep.  ``fields`` are further SweepSpec fields (splitters,
+    detectors, prf, epsilon, phase_points, ...).  The figure fixes
     ``n_states_list`` and the analytic mode, so setting ``n_states_list``, or
     a ``mode`` other than "analytic", raises ConfigError.  Without
-    ``alpha_sq_grid`` the figure's own grid is used.  The rows are model
-    curves; no measured points are produced or implied.
+    ``alpha_sq_grid`` the figure's own grid (:data:`FIGURE_LAYOUTS`) is used.
+    The rows are model curves; no measured points are produced or implied.
     """
     if figure_id not in FIGURE_LAYOUTS:
         raise ConfigError(
             f"unknown figure id {figure_id!r}; expected one of {sorted(FIGURE_LAYOUTS)}"
         )
-    n_states, columns = FIGURE_LAYOUTS[figure_id]
+    n_states, grid, columns = FIGURE_LAYOUTS[figure_id]
     if "n_states_list" in fields:
         raise ConfigError(f"{figure_id} fixes n_states = {n_states}; do not set it")
     mode = fields.pop("mode", "analytic")
     if mode != "analytic":
         raise ConfigError(f"figures are analytic model curves; mode must be analytic, got {mode!r}")
-    fields.setdefault(
-        "alpha_sq_grid",
-        params.FIG4_ALPHA_SQ_GRID if figure_id == "fig4" else params.FIG3_ALPHA_SQ_GRID,
-    )
+    fields.setdefault("alpha_sq_grid", grid)
     spec = SweepSpec(n_states_list=(n_states,), **fields)
     return Dataset(spec, _rows(spec, columns), figure_id)
 
@@ -308,7 +299,7 @@ def run_estimator(
     counts: CountTable,
     g2a2: float,
     eta_l: float,
-    vacuum_denominator: str = "doubled",
+    vacuum_denominator: str = DEFAULT_VACUUM_DENOMINATOR,
 ) -> dict:
     """Full estimator report: class pulse numbers, weights, both fidelities."""
     n_sig, n_vac = estimate_pulse_numbers(counts, g2a2, eta_l, vacuum_denominator)
@@ -362,14 +353,18 @@ def dataset_to_json(dataset: Dataset) -> str:
     return json.dumps({"spec": dataset.echo(), "rows": rows}, indent=2, allow_nan=False) + "\n"
 
 
+# output format -> the function that writes a dataset as its text
+WRITERS = {"csv": dataset_to_csv, "json": dataset_to_json}
+FORMATS = tuple(WRITERS)
+
+
 def serializer(output_format: str) -> Callable[[Dataset], str]:
-    """The function that writes a dataset as ``output_format`` text, for
-    stdout and files alike; a format not in FORMATS is a ConfigError."""
-    if output_format == "csv":
-        return dataset_to_csv
-    if output_format == "json":
-        return dataset_to_json
-    raise ConfigError(f"output format must be one of {FORMATS}, got {output_format!r}")
+    """The writer of ``output_format`` text (:data:`WRITERS`), for stdout and
+    files alike; a format not in FORMATS is a ConfigError."""
+    try:
+        return WRITERS[output_format]
+    except (KeyError, TypeError):
+        raise ConfigError(f"output format must be one of {FORMATS}, got {output_format!r}") from None
 
 
 # no O_TRUNC: write_text rewrites an existing file in place, then cuts it

@@ -6,8 +6,12 @@ import numpy as np
 import pytest
 
 from scamp.analysis import (
+    DEFAULT_VACUUM_DENOMINATOR,
+    VACUUM_DENOMINATORS,
+    VACUUM_OVERLAPS,
     AnalysisConfig,
     CountTable,
+    _class_pulse_numbers,
     _unit_scan,
     count_probabilities,
     estimate_class_pulse_numbers,
@@ -21,7 +25,7 @@ from scamp.analysis import (
 from scamp.amplifier import Conditioning, StateSet, output_mixture, turn
 from scamp.coherent import Mixture, mixture_fidelity
 from scamp.detectors import DetectorModel, click_probability
-from scamp.errors import InsufficientSignalError, InvalidEpsilonError
+from scamp.errors import ConfigError, InsufficientSignalError, InvalidEpsilonError
 from scamp import params
 
 
@@ -331,10 +335,24 @@ class TestPulseNumberEstimation:
         with pytest.raises(InsufficientSignalError):
             estimate_pulse_numbers(counts, g2a2=1e-13, eta_l=1.0)
 
-    def test_rejects_unknown_convention(self):
+    @pytest.mark.parametrize("convention", ["half", "Doubled", None, ["doubled"]])
+    def test_rejects_unknown_convention(self, convention):
         counts = CountTable(1.0, 1.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            estimate_pulse_numbers(counts, 0.9, 0.405, vacuum_denominator="half")
+        message = r"vacuum_denominator must be one of \('doubled', 'per-port'\), got "
+        with pytest.raises(ConfigError, match=message):
+            estimate_pulse_numbers(counts, 0.9, 0.405, vacuum_denominator=convention)
+        with pytest.raises(ConfigError, match=message):
+            expected_counts(1.0, 1.0, 0.9, 0.405, vacuum_denominator=convention)
+
+    @pytest.mark.parametrize("g2a2, eta_l", [(0.9, 0.405), (1.69, 0.39), (3.7, 0.3908)])
+    def test_table_factors_round_as_the_written_exponents(self, g2a2, eta_l):
+        # each table factor multiplies eta_l first, as the written exponent did
+        counts = CountTable(0.0, 0.0, 1.0, 0.0)
+        for convention, exponent in (("doubled", -2.0 * eta_l * g2a2), ("per-port", -0.5 * eta_l * g2a2)):
+            _, n_vac = estimate_pulse_numbers(counts, g2a2, eta_l, vacuum_denominator=convention)
+            assert n_vac == 1.0 / (2.0 * (1.0 - math.exp(exponent)))
+        assert VACUUM_DENOMINATORS == {"doubled": -2.0, "per-port": -0.5}
+        assert DEFAULT_VACUUM_DENOMINATOR in VACUUM_DENOMINATORS
 
 
 class TestFidelityEstimate:
@@ -361,8 +379,15 @@ class TestFidelityEstimate:
             estimate_fidelity(0.0, 0.0, g2a2=0.9)
 
     def test_rejects_unknown_convention(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match=r"vacuum_overlap must be one of \('standard', 'doubled'\)"):
             estimate_fidelity(1.0, 1.0, 0.9, vacuum_overlap="squared")
+
+    @pytest.mark.parametrize("g2a2", [0.04, 0.9, 1.69, 7.3])
+    def test_table_factors_round_as_the_written_exponents(self, g2a2):
+        # -1.0 * g2a2 is exactly -g2a2, so the standard overlap is exp(-g2a2) bit for bit
+        assert VACUUM_OVERLAPS == {"standard": -1.0, "doubled": -2.0}
+        for convention, overlap in (("standard", math.exp(-g2a2)), ("doubled", math.exp(-2.0 * g2a2))):
+            assert estimate_fidelity(0.0, 1.0, g2a2, vacuum_overlap=convention) == overlap
 
 
 class TestClassPulseEstimator:
@@ -396,5 +421,24 @@ class TestClassPulseEstimator:
             estimate_class_pulse_numbers([(1.0, 1.0)], [(0.0, 0.0)])
 
     def test_rejects_mismatched_lengths(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="must have equal length"):
             estimate_class_pulse_numbers([(1.0, 1.0)], [])
+
+    @pytest.mark.parametrize("counts, clicks, message", [
+        ([(math.nan, 1.0), (-5.0, 1.0)], [(0.5, 0.5)] * 2, r"n_A must lie in \[0, 2\^53\], got nan"),
+        ([(1.0, -5.0)], [(0.5, 0.5)], r"n_B must lie in \[0, 2\^53\], got -5.0"),
+        ([(1.0, 2**53 + 1)], [(0.5, 0.5)], r"n_B must lie in \[0, 2\^53\]"),
+        ([("3", 1.0)], [(0.5, 0.5)], "n_A must be a real number, got '3'"),
+        ([(1.0, True)], [(0.5, 0.5)], "n_B must be a real number, got True"),
+        ([(1.0, 1.0)], [(5.0, 0.5)], r"p_A must lie in \[0, 1\], got 5.0"),
+        ([(1.0, 1.0)], [(0.5, math.nan)], r"p_B must lie in \[0, 1\], got nan"),
+        ([(1.0, 1.0)], [(0.5, "0.5")], "p_B must be a real number"),
+    ])
+    def test_rejects_bad_counts_and_probabilities(self, counts, clicks, message):
+        with pytest.raises(ConfigError, match=message):
+            estimate_class_pulse_numbers(counts, clicks)
+
+    def test_checked_estimate_equals_the_kernel(self):
+        counts, clicks = [(900, 10), (40.5, 40)], [(0.75, 0.01), (0.2, 0.25)]
+        assert estimate_class_pulse_numbers(counts, clicks) == _class_pulse_numbers(counts, clicks)
+        assert estimate_class_pulse_numbers(counts, clicks) == [910 / 0.76, 80.5 / 0.45]

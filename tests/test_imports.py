@@ -2,9 +2,10 @@
 
 numpy is imported only by code that computes with arrays: the analytic
 visibility scan, the Monte Carlo and selfcheck.  ``import scamp``, the
-estimator, the figures without a visibility column and a rejected config run
-without it; the Monte Carlo names of the package load on first use.  The
-benchmark's modules import every package name they use.
+estimator (on a JSON or a one-row CSV count table), the figures without a
+visibility column (on their own grid or a ``start:stop:count`` one) and a
+rejected config run without it; the Monte Carlo names of the package load
+on first use.  The benchmark's modules import every package name they use.
 """
 
 import json
@@ -44,7 +45,11 @@ def test_import_leaves_numpy_unloaded(tmp_path, module):
     (["figure", "--id", "fig3c"], 0, False),
     (["figure", "--id", "fig3d"], 0, False),
     (["figure", "--id", "fig4"], 0, False),
+    # a start:stop:count grid is built by params.linspace, which keeps numpy out
+    (["figure", "--id", "fig4", "--alpha-sq", "0.1:2.9:29"], 0, False),
+    (["figure", "--id", "fig3b", "--alpha-sq", "0.1:2.9:29"], 0, False),
     (["estimate", "--counts", "counts.json", "--g2a2", "0.9"], 0, False),
+    (["estimate", "--counts", "counts.csv", "--g2a2", "0.9"], 0, False),
     (["sweep", "--config", "missing.ini"], 2, False),
     # the visibility scan computes with numpy, so the probe does see it load
     (["figure", "--id", "fig3a"], 0, True),
@@ -52,6 +57,7 @@ def test_import_leaves_numpy_unloaded(tmp_path, module):
 def test_command_loads_numpy_only_to_compute_with_it(tmp_path, argv, code, numpy):
     counts = {"n_A_sig": 900, "n_B_sig": 10, "n_A_vac": 40, "n_B_vac": 40}
     (tmp_path / "counts.json").write_text(json.dumps(counts))
+    (tmp_path / "counts.csv").write_text(",".join(counts) + "\n" + ",".join(map(str, counts.values())) + "\n")
     assert _fresh(_CLI_PROBE.format(argv=argv), tmp_path) == {"code": code, "numpy": numpy}
 
 

@@ -29,6 +29,7 @@ from scamp.analysis import (
     AnalysisConfig,
     CountTable,
     count_probabilities,
+    estimate_class_pulse_numbers,
     estimate_fidelity,
     estimate_pulse_numbers,
     expected_counts,
@@ -62,6 +63,10 @@ def _mixture(weight, amplitude):
 
 def _count_cells(**cells):
     return CountTable.from_dict(cells)
+
+
+def _class_pulses(n_A, n_B, p_A, p_B):
+    return estimate_class_pulse_numbers([(n_A, n_B)], [(p_A, p_B)])
 
 
 # name -> (callable, non-numeric arguments, numeric arguments, arguments that are tuples of numbers)
@@ -103,6 +108,7 @@ CALLS = {
     "target_amplitude": (_CFG.target_amplitude, {}, {"m": 1}, {}),
     "phase_scan": (phase_scan, {}, {"n_points": 8}, {}),
     "simulate_chunk": (simulate_chunk, {"spec": _RUN}, {"chunk_index": 0, "chunk_size": 64}, {}),
+    "estimate_class_pulse_numbers": (_class_pulses, {}, {"n_A": 900, "n_B": 10.5, "p_A": 0.75, "p_B": 0.01}, {}),
 }
 ARGUMENTS = [(name, arg) for name, (_, _, numeric, tuples) in CALLS.items() for arg in [*numeric, *tuples]]
 

@@ -532,8 +532,28 @@ class TestTallyTable:
     def test_merge_rejects_mismatched_layouts(self):
         a = TallyTable.empty((0.0,), 2)
         b = TallyTable.empty((0.0, 1.0), 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="cannot merge tallies with different layouts"):
             a.merged(b)
+
+    @pytest.mark.parametrize("count", [math.nan, -3, -0.5, math.inf, -math.inf])
+    def test_refuses_counts_that_are_not_finite_and_non_negative(self, count):
+        # NaN counts made mc_visibility nan, and -3 counts gave n_pulses -192
+        counts = np.ones((1, 2, 16), dtype=type(count))
+        counts[0, 1, 5] = count
+        with pytest.raises(ConfigError, match="tally counts must be finite and >= 0"):
+            TallyTable(counts, (0.0,), 2)
+
+    @pytest.mark.parametrize("counts", [np.full((1, 2, 16), "1"), np.ones((1, 2, 16), dtype=bool),
+                                        np.ones((1, 2, 16), dtype=complex), [[[1] * 16] * 2]])
+    def test_refuses_counts_that_are_not_a_real_array(self, counts):
+        # a string array ended in numpy's UFuncTypeError and a list in an AttributeError
+        with pytest.raises(ConfigError, match="tally counts must be a numpy array of integers or floats"):
+            TallyTable(counts, (0.0,), 2)
+
+    def test_keeps_fractional_counts(self):
+        # the exact mean tally (tests/oracles.expected_tally) is fractional
+        tally = TallyTable(np.full((1, 2, 16), 0.25), (0.0,), 2)
+        assert tally.n_pulses == 8
 
     def test_phases_are_a_tuple_of_floats(self):
         # a list of phases, or an integer phase, once made a layout no equal tally merged with
@@ -544,13 +564,13 @@ class TestTallyTable:
         assert one.merged(TallyTable.empty((0.0,), 2)).phases == (0.0,)
 
     def test_shape_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="counts shape"):
             TallyTable(np.zeros((1, 1, 3, 16), dtype=np.int64), (0.0,), 2)
         # an (input, guess) layout is not a tally, which is indexed by guess offset
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="counts shape"):
             TallyTable(np.zeros((1, 2, 2, 16), dtype=np.int64), (0.0,), 2)
         # nor is the (input 0, guess offset) layout with its size-1 input axis
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="counts shape"):
             TallyTable(np.zeros((1, 1, 2, 16), dtype=np.int64), (0.0,), 2)
         assert TallyTable(np.zeros((1, 2, 16), dtype=np.int64), (0.0,), 2).counts.ndim == 3
 

@@ -4,8 +4,9 @@ A refactor that promises unchanged output is held to it here: the five
 ``figure`` CSVs, an analytic ``sweep --format json`` (which pins the spec
 echo), a ``--mode both`` JSON sweep of a non-default config, ``estimate`` on
 a fixed count table (stdout and the ``--output`` report), the ``selfcheck``
-lines, and each demo's stdout and the files it writes, run from a temporary
-directory.  The demos run with matplotlib hidden, so their text does not
+lines, the ``--help`` texts of ``sweep``, ``figure`` and ``estimate`` (a fresh
+process at ``COLUMNS=80``), and each demo's stdout and the files it writes,
+run from a temporary directory.  The demos run with matplotlib hidden, so their text does not
 depend on whether it is installed.  No CSV output builds the JSON spec
 echo.  The files live in ``tests/data/outputs``; after an intended change,
 regenerate them with
@@ -105,11 +106,25 @@ def _selfcheck(workdir):
     return {"selfcheck.txt": _cli(["selfcheck"])}
 
 
+def _env(**extra) -> dict:
+    src = str(ROOT / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+            **extra}
+
+
+def _help(workdir):
+    # argparse wraps its help text to the terminal width, which it reads from COLUMNS
+    return {
+        f"help_{command}.txt": subprocess.run([sys.executable, "-m", "scamp.cli", command, "--help"],
+                                              env=_env(COLUMNS="80"), capture_output=True,
+                                              check=True).stdout
+        for command in ("sweep", "figure", "estimate")
+    }
+
+
 def _demo(script):
     def run(workdir):
-        src = str(ROOT / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run([sys.executable, "-c", _DEMO_RUNNER, str(script)], cwd=workdir, env=env,
+        proc = subprocess.run([sys.executable, "-c", _DEMO_RUNNER, str(script)], cwd=workdir, env=_env(),
                               capture_output=True, check=True)
         outputs = {f"demo_{script.stem}.txt": proc.stdout}
         written = workdir / "demo_output"
@@ -126,6 +141,7 @@ CASES = {
     "sweep": _sweeps,
     "estimate": _estimate,
     "selfcheck": _selfcheck,
+    "help": _help,
     **{f"demo-{script.stem}": _demo(script) for script in DEMOS},
 }
 

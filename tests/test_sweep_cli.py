@@ -16,7 +16,13 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import scamp.cli as cli
-from scamp.analysis import CountTable, scan_block_points, visibility
+from scamp.analysis import (
+    DEFAULT_VACUUM_DENOMINATOR,
+    VACUUM_DENOMINATORS,
+    CountTable,
+    scan_block_points,
+    visibility,
+)
 from scamp.coherent import mixture_fidelity
 from scamp.errors import ConfigError, InsufficientSignalError, NeverHeraldedError
 from scamp.montecarlo import (
@@ -31,6 +37,8 @@ from scamp.detectors import DetectorModel
 from scamp.sweep import (
     BASE_COLUMNS,
     FIGURE_LAYOUTS,
+    FORMATS,
+    WRITERS,
     Dataset,
     INT_COLUMNS,
     MAX_N_STATES,
@@ -43,6 +51,7 @@ from scamp.sweep import (
     reproduce_figure,
     run_estimator,
     run_sweep,
+    serializer,
     write_count_table,
     write_dataset,
 )
@@ -569,6 +578,13 @@ class TestSerialization:
             "2,nan,18446744073709551615", "2,-0,18446744073709551615", "2,0,18446744073709551615"]
         assert dataset_to_csv(datasets[1]).splitlines()[1:] == ["nan", "-0", "1.0000000000000001e+300"]
 
+    def test_formats_are_the_writer_table(self):
+        assert FORMATS == tuple(WRITERS) == ("csv", "json")
+        assert [serializer(f) for f in FORMATS] == [dataset_to_csv, dataset_to_json]
+        for bad in ("CSV", "", None, ["csv"]):
+            with pytest.raises(ConfigError, match="output format must be one of"):
+                serializer(bad)
+
     def test_write_rejects_unknown_format(self, tmp_path):
         ds = run_sweep(SweepSpec(alpha_sq_grid=(0.1,), n_states_list=(2,)))
         path = tmp_path / "rows.xml"
@@ -754,6 +770,13 @@ class TestReproduceFigure:
     def test_fig3b_fidelity_band(self):
         ds = reproduce_figure("fig3b", alpha_sq_grid=(0.5,))
         assert ds.rows[0]["fidelity"] >= 0.98
+
+    @pytest.mark.parametrize("figure_id", sorted(FIGURE_LAYOUTS))
+    def test_default_grid_is_the_layout_grid(self, figure_id):
+        n_states, grid, columns = FIGURE_LAYOUTS[figure_id]
+        ds = reproduce_figure(figure_id)
+        assert (ds.spec.n_states_list, ds.spec.alpha_sq_grid) == ((n_states,), grid)
+        assert [list(row) for row in ds.rows] == [list(columns)] * len(grid)
 
     def test_fig4_rate_near_quoted_value(self):
         # the default success-rate grid contains the quoted operating point
@@ -1246,6 +1269,30 @@ def _subprocess_env() -> dict:
     return {**os.environ, "PYTHONPATH": path, "PYTHONIOENCODING": "utf-8"}
 
 
+class TestParserTables:
+    """The parser reads its choices, defaults and help from the library's tables."""
+
+    @staticmethod
+    def action(parser, command, dest):
+        sub = next(a for a in parser._actions if a.dest == "command").choices[command]
+        return next(a for a in sub._actions if a.dest == dest)
+
+    def test_vacuum_denominator_choices_are_the_table(self):
+        action = self.action(cli.build_parser(), "estimate", "vacuum_denominator")
+        assert tuple(action.choices) == tuple(VACUUM_DENOMINATORS)
+        assert action.default == DEFAULT_VACUUM_DENOMINATOR in VACUUM_DENOMINATORS
+
+    def test_eta_l_default_is_the_default_detector(self, monkeypatch):
+        action = self.action(cli.build_parser(), "estimate", "eta_l")
+        assert action.default == params.default_detector().eta_l() == 0.405 * 0.965
+        # a new default detector reaches the flag's default
+        monkeypatch.setattr(params, "default_detector", lambda: DetectorModel(0.5, 0.25))
+        assert self.action(cli.build_parser(), "estimate", "eta_l").default == 0.125
+
+    def test_figure_id_help_lists_every_layout(self):
+        assert self.action(cli.build_parser(), "figure", "id").help == " | ".join(FIGURE_LAYOUTS)
+
+
 class TestParserReuse:
     """cli.main builds its parser once per process and reuses it for every call."""
 
@@ -1437,7 +1484,7 @@ def test_sweep_exit_code_is_documented(tmp_path, capsys, overrides, mode, worker
     figure_config = _write_config(
         tmp_path / "fuzz-figure.ini", {k: v for k, v in values.items() if k not in _FIGURE_REJECTS}
     )
-    for figure_id, (_, columns) in sorted(FIGURE_LAYOUTS.items()):
+    for figure_id, (_, _, columns) in sorted(FIGURE_LAYOUTS.items()):
         _assert_documented_exit(capsys, ["figure", "--id", figure_id, "--config", figure_config], columns)
 
 
