@@ -167,11 +167,18 @@ def port_click(out, ref, det: DetectorModel, port: str) -> np.ndarray:
     if port not in ("A", "B"):
         raise ValueError(f"analyzer port must be 'A' or 'B', got {port!r}")
     field = out + ref if port == "A" else out - ref
+    p = np.empty_like(field, dtype=float)
+    eta_l = det.eta_l()
+    if eta_l == 0.0:
+        # a blind port fires on dark counts alone (detectors.click_law), so a field
+        # whose |field|^2 overflows makes no 0 * inf; a finite field gives these bits too
+        p.fill(1.0 - (1.0 - det.dark_prob_per_gate))
+        return p
     # 1 - (1 - d)*exp(-eta*l*(|field|^2/2)) in place in one buffer (0-d for scalars); halving
     # eta*l is exact, so the folded scale rounds every element as that unfolded law does
-    p = np.abs(field, out=np.empty_like(field, dtype=float))
+    np.abs(field, out=p)
     np.square(p, out=p)
-    np.multiply(p, -0.5 * det.eta_l(), out=p)
+    np.multiply(p, -0.5 * eta_l, out=p)
     np.exp(p, out=p)
     np.multiply(p, 1.0 - det.dark_prob_per_gate, out=p)
     return np.subtract(1.0, p, out=p)
@@ -418,12 +425,24 @@ def estimate_class_pulse_numbers(
     unobservable and raises InsufficientSignalError.  A count outside
     [0, 2^53] or a probability outside [0, 1] is a ConfigError; the sweep
     reads its own draw through the unchecked :func:`_class_pulse_numbers`.
+    Each argument is read once, an iterator as its items; anything but an
+    iterable of pairs is a ConfigError.
     """
-    if len(class_counts) != len(class_click_probabilities):
+    counts = _pairs("class_counts", class_counts)
+    probabilities = _pairs("class_click_probabilities", class_click_probabilities)
+    if len(counts) != len(probabilities):
         raise ConfigError("class_counts and class_click_probabilities must have equal length")
-    counts = [(checked("n_A", n_a, _COUNT), checked("n_B", n_b, _COUNT)) for n_a, n_b in class_counts]
-    probabilities = [(checked("p_A", p_a), checked("p_B", p_b)) for p_a, p_b in class_click_probabilities]
+    counts = [(checked("n_A", n_a, _COUNT), checked("n_B", n_b, _COUNT)) for n_a, n_b in counts]
+    probabilities = [(checked("p_A", p_a), checked("p_B", p_b)) for p_a, p_b in probabilities]
     return _class_pulse_numbers(counts, probabilities)
+
+
+def _pairs(name: str, rows) -> list[tuple]:
+    """``rows`` as a list of pairs; a non-iterable, or a row that is not a pair, is a ConfigError."""
+    try:
+        return [(a, b) for a, b in rows]
+    except (TypeError, ValueError) as error:
+        raise ConfigError(f"{name} must be an iterable of pairs ({error})") from None
 
 
 def _class_pulse_numbers(class_counts, class_click_probabilities) -> list[float]:

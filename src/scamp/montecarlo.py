@@ -11,28 +11,29 @@ reference rotating with the input).  Counts are tallied per (phase bin,
 offset, 4-bit click pattern), shape (P, N, 16); offset 0 is the correct
 guess, and only this module reads that layout.
 
-There is one draw, :func:`_offset_draw`: input 0's (silent, fired) click
-factors against the analyzer reference at each of P phases
-(:func:`_factor_pairs`), the cell law written once
-(:func:`_cell_probabilities`: the guess prior 1/N times the D0, D1, DA and
-DB factors, ((1/N * f0) * f1) * (fa * fb), each phase bin normalised), and
-one ``Generator.multinomial`` call per bin from one stream seeded by a seed
-alone (:func:`_draw`), so its cost does not depend on the number of pulses
-(pulse i falls in bin i mod P).  By the aggregation property of the
-multinomial, its counts have the distribution of a draw over all N*N
-(input, guess) pairs summed by offset.
+One phase bin is the unit of the draw, :func:`_bin_draw`: input 0's
+(silent, fired) click factors at D0, D1, DA and DB against the bin's
+analyzer reference, one (4, N, 2) array (:func:`_bin_factors`), the cell
+law written once (:func:`_cell_probabilities`: the guess prior 1/N times the
+four factors, ((1/N * f0) * f1) * (fa * fb), shape (N, 16), normalised by
+its one sum), and one ``Generator.multinomial`` call over those cells, so
+its cost does not depend on the number of pulses.  By the aggregation
+property of the multinomial, its counts have the distribution of a draw
+over all N*N (input, guess) pairs summed by offset.
 
-- ``simulate_run`` draws against the run's reference at each scheduled scan
-  phase, seeded by the master seed, so the tally is bit-identical for a
-  given master seed whatever worker count is asked for (the count is
-  checked, but changes neither the output nor the speed).
-- A sweep point draws against its target output in one bin, and reads each
+- ``simulate_run`` draws its P scheduled scan phases as P bins, in bin
+  order, from one generator seeded by the master seed (pulse i falls in bin
+  i mod P), so the tally is bit-identical for a given master seed whatever
+  worker count is asked for (the count is checked, but changes neither the
+  output nor the speed).
+- A sweep point is one bin against its target output, and reads each
   offset's DA/DB click probabilities from the same factors;
   :func:`point_estimates` turns the draw into the point's Monte Carlo
   columns, and :func:`_offset_fidelity` estimates the output fidelity.  The
   sweep's master seed and the point's grid index give the point's seed
   (:func:`_point_seed`, printed as its ``mc_seed``), and that seed alone
-  seeds the draw, so a row's ``mc_seed`` reproduces its counts.
+  seeds the draw, so a row's ``mc_seed`` reproduces its counts: they are
+  the one-bin ``simulate_run`` tally of that master seed.
 
 A tally is projected by one integer matrix product.  ``simulate_chunk`` is
 the pulse-by-pulse sampler the tally stands for: it draws (input, guess)
@@ -160,12 +161,13 @@ def phase_scan(n_points: int) -> tuple[float, ...]:
 def branch_tables(spec: RunSpec) -> tuple[np.ndarray, np.ndarray]:
     """Precompute all per-branch click probabilities for a run.
 
-    The (silent, fired) click factors of :func:`_factor_pairs`: those of
-    the amplifier's branch table of input 0, indexed by guess offset,
-    against the analyzer reference at each scheduled scan phase.
+    The (silent, fired) click factors of :func:`_bin_factors` at each
+    scheduled scan phase, stacked by bin: D0/D1 (2, N, 2), which no bin
+    changes, and DA/DB (2, P, N, 2).
     """
     table = branch_table(spec.amplifier, spec.detectors.d0, spec.detectors.d1)
-    return _factor_pairs(table, _scan_references(spec), spec.detectors)
+    factors = np.stack([_bin_factors(table, ref, spec.detectors) for ref in _scan_references(spec)], axis=1)
+    return factors[:2, 0], factors[2:]
 
 
 def _scan_references(spec: RunSpec) -> np.ndarray:
@@ -173,42 +175,51 @@ def _scan_references(spec: RunSpec) -> np.ndarray:
     return spec.analysis.reference_amplitude * np.exp(1j * np.asarray(spec.phase_schedule))
 
 
-def _factor_pairs(table: BranchTable, refs, detectors: DetectorBank) -> tuple[np.ndarray, np.ndarray]:
-    """(silent, fired) click factors of the N branches of ``table`` by pattern
-    bit value along the last axis: D0/D1 (2, N, 2) from their click
-    probabilities, and DA/DB (2, P, N, 2) from the outputs against each of
-    the P analyzer references ``refs``."""
-    n = len(table.output)
-    refs = np.asarray(refs, dtype=complex).reshape(-1, 1)
-    heralds = np.empty((2, n, 2))
-    heralds[..., 1] = table.d0_click, table.d1_click
+def _bin_factors(table: BranchTable, ref: complex, detectors: DetectorBank) -> np.ndarray:
+    """(silent, fired) click factors of D0, D1, DA and DB at the N branches of
+    ``table``, by pattern bit value along the last axis, shape (4, N, 2): D0/D1
+    from their click probabilities, DA/DB from the outputs against the analyzer
+    reference ``ref``."""
     out = np.array(table.output)
-    analyzer = np.empty((2, len(refs), n, 2))
-    analyzer[0, ..., 1] = port_click(out, refs, detectors.da, "A")
-    analyzer[1, ..., 1] = port_click(out, refs, detectors.db, "B")
-    for factors in (heralds, analyzer):
-        np.subtract(1.0, factors[..., 1], out=factors[..., 0])
-    return heralds, analyzer
+    factors = np.empty((4, len(out), 2))
+    factors[:2, :, 1] = table.d0_click, table.d1_click
+    factors[2, :, 1] = port_click(out, ref, detectors.da, "A")
+    factors[3, :, 1] = port_click(out, ref, detectors.db, "B")
+    np.subtract(1.0, factors[..., 1], out=factors[..., 0])
+    return factors
 
 
-def _cell_probabilities(heralds: np.ndarray, analyzer: np.ndarray) -> np.ndarray:
-    """Probability of each (guess offset, click pattern) cell, per phase bin: the cell law.
+def _cell_probabilities(factors: np.ndarray) -> np.ndarray:
+    """Probability of each (guess offset, click pattern) cell of one phase bin: the cell law.
 
     The uniform guess prior 1/N times the independent D0/D1/DA/DB click
-    factors of each pattern (:func:`_factor_pairs`), as
-    ((1/N * f0) * f1) * (fa * fb), shape (P, N, 16), with every bin
-    normalised to sum to one.
+    factors of each pattern (:func:`_bin_factors`), as
+    ((1/N * f0) * f1) * (fa * fb), shape (N, 16), normalised to sum to one.
     """
-    (f0, f1), (fa, fb) = heralds, analyzer
-    shape = fa.shape[:2]
-    herald_cells = 1.0 / shape[1] * f0[:, :, None] * f1[:, None, :]
-    analyzer_cells = fa[..., :, None] * fb[..., None, :]
-    # a fresh C-order array: each bin's sum then adds in one order for every caller
-    cells = np.empty(shape + (_N_PATTERNS,))
-    np.multiply(herald_cells[:, :, :, None, None], analyzer_cells[:, :, None, None, :, :],
-                out=cells.reshape(shape + (2, 2, 2, 2)))
-    cells /= cells.sum(axis=(1, 2), keepdims=True)
+    f0, f1, fa, fb = factors
+    n = len(f0)
+    herald_cells = 1.0 / n * f0[:, :, None] * f1[:, None, :]
+    analyzer_cells = fa[:, :, None] * fb[:, None, :]
+    # a fresh C-order array: its sum then adds in one order for every caller
+    cells = np.empty((n, _N_PATTERNS))
+    np.multiply(herald_cells[:, :, :, None, None], analyzer_cells[:, None, None, :, :],
+                out=cells.reshape(n, 2, 2, 2, 2))
+    cells /= cells.sum()
     return cells
+
+
+def _bin_draw(table: BranchTable, detectors: DetectorBank, ref: complex, n_pulses: int,
+              rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """The one Monte Carlo draw: ``n_pulses`` of one phase bin over its (N, 16)
+    guess-offset cells (:func:`_cell_probabilities`) against the analyzer
+    reference ``ref``, one ``rng.multinomial`` call.
+
+    Returns the counts, and the bin's (4, N, 2) click factors, from which
+    offset d's output ``table.output[d]`` fires DA and DB.
+    """
+    factors = _bin_factors(table, ref, detectors)
+    counts = rng.multinomial(n_pulses, _cell_probabilities(factors).ravel())
+    return counts.reshape(-1, _N_PATTERNS), factors
 
 
 def simulate_chunk(
@@ -264,42 +275,21 @@ def simulate_chunk(
 def simulate_run(spec: RunSpec, workers: int = 1) -> TallyTable:
     """Simulate the full run; deterministic for a fixed master seed.
 
-    Draws each phase bin's tally as one multinomial sample over its cells,
-    from a stream seeded by the master seed alone (:func:`_offset_draw`).
-    ``workers`` is checked (an integer >= 1) and kept for callers; the draw
-    is one stream, so any worker count gives the same tally in the same time.
+    Draws each phase bin's tally as one multinomial sample over its cells
+    (:func:`_bin_draw`), bin after bin, from one stream seeded by the master
+    seed alone; pulse i falls in bin i mod P.  ``workers`` is checked (an
+    integer >= 1) and kept for callers; the draw is one stream, so any worker
+    count gives the same tally in the same time.
     """
     checked("workers", workers)
     table = branch_table(spec.amplifier, spec.detectors.d0, spec.detectors.d1)
-    counts, _ = _offset_draw(table, spec.detectors, _scan_references(spec), spec.n_pulses, spec.master_seed)
+    n_phases = len(spec.phase_schedule)
+    counts = np.empty((n_phases, len(table.output), _N_PATTERNS), dtype=np.int64)
+    rng = np.random.Generator(np.random.PCG64(spec.master_seed))
+    for j, ref in enumerate(_scan_references(spec)):
+        per_bin = spec.n_pulses // n_phases + (j < spec.n_pulses % n_phases)
+        counts[j] = _bin_draw(table, spec.detectors, ref, per_bin, rng)[0]
     return TallyTable(counts, spec.phase_schedule, spec.amplifier.n_states())
-
-
-def _offset_draw(table: BranchTable, detectors: DetectorBank, refs, n_pulses: int,
-                 seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """The one Monte Carlo draw: ``n_pulses`` over the (P, N, 16) guess-offset
-    cells (:func:`_cell_probabilities`) against each of the P analyzer
-    references ``refs``, seeded by ``seed`` (:func:`_draw`).
-
-    Returns the int64 counts, and the (2, P, N) probabilities with which
-    offset d's output ``table.output[d]`` fires DA and DB against each
-    reference, read from the same click factors.
-    """
-    heralds, analyzer = _factor_pairs(table, refs, detectors)
-    return _draw(n_pulses, seed, _cell_probabilities(heralds, analyzer)), analyzer[..., 1]
-
-
-def _draw(n_pulses: int, seed: int, cells: np.ndarray) -> np.ndarray:
-    """``n_pulses`` drawn over ``cells`` (:func:`_cell_probabilities`), int64
-    of their shape: one multinomial call per phase bin, in bin order,
-    from one stream seeded by ``seed`` alone."""
-    n_phases = len(cells)
-    # pulse i falls in phase bin i mod P
-    per_bin = [n_pulses // n_phases + (j < n_pulses % n_phases) for j in range(n_phases)]
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    # the same stream as one call over the (P, cells) array, without its broadcasting
-    counts = np.concatenate([rng.multinomial(n, p) for n, p in zip(per_bin, cells.reshape(n_phases, -1))])
-    return counts.astype(np.int64, copy=False).reshape(cells.shape)
 
 
 def _point_seed(master_seed: int, point_index: int) -> int:
@@ -316,15 +306,15 @@ def point_estimates(table: BranchTable, detectors: DetectorBank, n_pulses: int, 
     D1 fires, success probability, correct (offset 0) fraction and fidelity (:func:`_offset_fidelity`),
     each with its standard error (NaN without signal), then ``n_pulses`` and the seed."""
     seed = _point_seed(master_seed, point_index)
-    counts, clicks = _offset_draw(table, detectors, table.target, n_pulses, seed)
-    by_offset = (counts[0] @ _PROJECTION[Conditioning.D0_SILENT_D1_FIRES]).tolist()
+    counts, factors = _bin_draw(table, detectors, table.target, n_pulses, np.random.Generator(np.random.PCG64(seed)))
+    by_offset = (counts @ _PROJECTION[Conditioning.D0_SILENT_D1_FIRES]).tolist()
     n_correct = by_offset[0][0]
     accepted = sum(row[0] for row in by_offset)
     fraction = fidelity = (math.nan, math.nan)
     if accepted > 0:
         fraction = n_correct / accepted, standard_error(n_correct, accepted)
     try:
-        fidelity = _offset_fidelity(table, by_offset, clicks[:, 0].T.tolist())
+        fidelity = _offset_fidelity(table, by_offset, factors[2:, :, 1].T.tolist())
     except InsufficientSignalError:
         pass
     return (accepted / n_pulses, standard_error(accepted, n_pulses), *fraction, *fidelity, n_pulses, seed)
@@ -333,7 +323,7 @@ def point_estimates(table: BranchTable, detectors: DetectorBank, n_pulses: int, 
 def _offset_fidelity(table: BranchTable, by_offset, clicks) -> tuple[float, float]:
     """Estimated output fidelity and its standard error from per-offset counts.
 
-    ``by_offset`` and ``clicks`` are rows of one bin of :func:`_offset_draw`:
+    ``by_offset`` and ``clicks`` are rows of one bin of :func:`_bin_draw`:
     offset d counts (accepted, n_A, n_B, n_AB) under the sweep's
     conditioning, and its output ``table.output[d]`` fires DA with p_A,d
     and DB with p_B,d, so its pulse number is

@@ -11,9 +11,10 @@ and its figures must equal the N-row averages up to rounding.  Likewise
 ``click_factors`` and ``cell_probabilities`` are the earlier Monte Carlo
 cell build over all N*N (input, guess) pairs, one 7-axis broadcast over a
 table's rows against references rotated by the input and scan phases.  The
-package draws over input 0's cells by guess offset: its cell law must equal
-the oracle's input-0 row bit for bit, and its cells must equal the oracle's
-full cells summed by offset up to the rounding of the rotated references.
+package draws over input 0's cells by guess offset, one phase bin at a time:
+its cell law (``program_cells`` stacks it by bin) must equal the oracle's
+input-0 row bit for bit, and its cells must equal the oracle's full cells
+summed by offset up to the rounding of the rotated references.
 ``expected_tally`` is the mean of a Monte Carlo run's tally,
 ``expected_offset_draw`` the mean of a sweep point's per-offset counts, and
 ``counts_by_offset`` a tally's per-offset records: the exact contract
@@ -254,9 +255,16 @@ def expected_tally(run: RunSpec) -> TallyTable:
     bin times the pulses that fall in that bin (pulse i falls in bin i mod P)."""
     n_phases = len(run.phase_schedule)
     per_bin = [run.n_pulses // n_phases + (j < run.n_pulses % n_phases) for j in range(n_phases)]
-    cells = _cell_probabilities(*branch_tables(run))
-    return TallyTable(cells * np.asarray(per_bin, dtype=float)[:, None, None],
+    return TallyTable(program_cells(run) * np.asarray(per_bin, dtype=float)[:, None, None],
                       run.phase_schedule, run.amplifier.n_states())
+
+
+def program_cells(run: RunSpec) -> np.ndarray:
+    """The package's cell law at each phase bin of ``run``, stacked (P, N, 16):
+    each bin's (4, N, 2) factors are the D0/D1 factors of the run's
+    ``branch_tables`` and that bin's DA/DB factors."""
+    heralds, analyzer = branch_tables(run)
+    return np.stack([_cell_probabilities(np.concatenate([heralds, factors])) for factors in analyzer.swapaxes(0, 1)])
 
 
 def expected_offset_draw(run: RunSpec, condition) -> tuple[list, list]:

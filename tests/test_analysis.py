@@ -136,6 +136,22 @@ class TestPortClick:
         with pytest.raises(ValueError, match="port"):
             port_click(0.3 + 0.4j, refs, det, "a")
 
+    def test_a_blind_port_fires_on_dark_counts_alone(self):
+        # as detectors.click_law: whatever the field, even one whose |field|^2
+        # overflows, a port with eta*l = 0 fires with its dark probability
+        blind = DetectorModel(0.0, 1.0, 0.01)
+        dark = 1.0 - (1.0 - 0.01)
+        outs = np.array([0.0, 0.3 + 0.4j, 1e200, -1e300j])
+        for port in ("A", "B"):
+            got = port_click(outs[:, None], np.array([1.0, 1e200]), blind, port)
+            assert got.shape == (4, 2) and np.all(got == dark)
+            assert port_click(1e200 + 0j, 1.0, blind, port) == dark
+        assert click_probability(1e308, blind) == dark
+        probabilities = count_probabilities(1e200, AnalysisConfig(1.0, epsilon=0.0, detector=blind))
+        assert probabilities == count_probabilities(3.0, AnalysisConfig(1.0, epsilon=0.0, detector=blind))
+        assert probabilities.p10 == dark * (1.0 - dark) and probabilities.p11 == dark * dark
+        assert visibility(Mixture(((1.0, 1e200 + 0j),)), AnalysisConfig(1.0, detector=blind)) == 0.0
+
 
 def dense_scan_curve(m, cfg):
     """The port-A curve of the visibility scan written out in full: a fresh grid
@@ -437,6 +453,25 @@ class TestClassPulseEstimator:
     def test_rejects_bad_counts_and_probabilities(self, counts, clicks, message):
         with pytest.raises(ConfigError, match=message):
             estimate_class_pulse_numbers(counts, clicks)
+
+    @pytest.mark.parametrize("counts, clicks, message", [
+        ([(1.0, 2.0, 3.0)], [(0.5, 0.5)], r"class_counts must be an iterable of pairs \(too many values"),
+        ([5], [(0.5, 0.5)], r"class_counts must be an iterable of pairs \(cannot unpack"),
+        (5, [(0.5, 0.5)], r"class_counts must be an iterable of pairs \('int' object is not iterable\)"),
+        ([(1.0, 1.0)], [(0.5,)], r"class_click_probabilities must be an iterable of pairs \(not enough values"),
+        ([(1.0, 1.0)], None, r"class_click_probabilities must be an iterable of pairs"),
+    ])
+    def test_rejects_rows_that_are_not_pairs(self, counts, clicks, message):
+        with pytest.raises(ConfigError, match=message):
+            estimate_class_pulse_numbers(counts, clicks)
+
+    def test_reads_an_iterator_as_its_items(self):
+        counts, clicks = [(900, 10), (40.5, 40)], [(0.75, 0.01), (0.2, 0.25)]
+        expected = estimate_class_pulse_numbers(counts, clicks)
+        assert estimate_class_pulse_numbers(iter(counts), iter(clicks)) == expected
+        assert estimate_class_pulse_numbers((row for row in counts), np.array(clicks)) == expected
+        with pytest.raises(ConfigError, match="must have equal length"):
+            estimate_class_pulse_numbers(iter(counts), iter(clicks[:1]))
 
     def test_checked_estimate_equals_the_kernel(self):
         counts, clicks = [(900, 10), (40.5, 40)], [(0.75, 0.01), (0.2, 0.25)]

@@ -22,9 +22,9 @@ from scamp.montecarlo import (
     RunSpec,
     TallyTable,
     _PROJECTION,
+    _bin_draw,
     _cell_probabilities,
     _class_projection,
-    _offset_draw,
     _offset_fidelity,
     branch_tables,
     conditioned_class_totals,
@@ -37,7 +37,7 @@ from scamp.montecarlo import (
 )
 from scamp import params
 from scamp.errors import ConfigError
-from scamp.sweep import SweepSpec
+from scamp.sweep import SweepSpec, run_sweep
 
 import oracles
 
@@ -335,6 +335,23 @@ def sweep_point(n, r1_sq, t2_sq, alpha_sq, dets):
     return cfg, table, RunSpec(cfg, spec.detectors, analysis, n_pulses=10**6, master_seed=0)
 
 
+class TestRowSeed:
+    def test_a_rows_mc_seed_reproduces_its_draw(self):
+        # a sweep point's draw is the one-bin simulate_run tally of its mc_seed
+        spec = SweepSpec((0.5, 0.94, 1.3, 2.7), (2, 3, 4, 8), "both", n_pulses=200_003)
+        for row in run_sweep(spec).rows:
+            cfg = params.default_amplifier(row["alpha_sq"], row["n_states"], spec.comparison_reflectivity,
+                                           spec.subtraction_transmission)
+            run = RunSpec(cfg, spec.detectors, params.default_analysis(cfg, detector=spec.detectors.da),
+                          spec.n_pulses, master_seed=row["mc_seed"])
+            correct, wrong = conditioned_class_totals(simulate_run(run), Conditioning.D0_SILENT_D1_FIRES)
+            accepted = correct + wrong
+            # k/n is exact to the count for any count below 2^53, so equal quotients are equal counts
+            assert accepted / spec.n_pulses == row["mc_success_probability"]
+            assert correct / accepted == row["mc_correct_state_fraction"]
+            assert round(row["mc_success_probability"] * spec.n_pulses) == accepted
+
+
 sweep_points = dict(
     n=st.integers(1, 9),
     r1_sq=sweep_intensities,
@@ -394,7 +411,7 @@ def per_bin_draw(seed, n_pulses, cells):
 
 
 class TestCellLawOracle:
-    """The one draw against the earlier 7-axis build over all N*N (input,
+    """The one bin draw against the earlier 7-axis build over all N*N (input,
     guess) pairs (``oracles.cell_probabilities``): its factors, cell law and
     draw bit for bit against the oracle's input-0 row, and its cells against
     the oracle's full cells, with references rotated by the input, summed by
@@ -412,10 +429,11 @@ class TestCellLawOracle:
         # the oracle's one input row is its axis 1 of D0/D1 and axis 2 of DA/DB
         assert np.array_equal(factors[0], old_factors[0][:, 0])
         assert np.array_equal(factors[1], old_factors[1][:, :, 0])
-        cells = _cell_probabilities(*factors)
-        assert cells.flags.c_contiguous
+        # the cell law of one bin's (4, N, 2) factors, bin by bin
+        cells = _cell_probabilities(np.concatenate([factors[0], factors[1][:, 0]]))
+        assert cells.shape == (n, 16) and cells.flags.c_contiguous
         expected = oracles.cell_probabilities(full, row0, old_factors)[:, 0]
-        assert np.array_equal(cells, expected)
+        assert np.array_equal(oracles.program_cells(full), expected)
         # and the run's draw is the one seeded multinomial per bin over them
         seed, pulses = data.draw(st.integers(0, 2**64 - 1)), data.draw(st.integers(1, 10**9))
         drawn = simulate_run(replace(full, n_pulses=pulses, master_seed=seed)).counts
@@ -423,16 +441,18 @@ class TestCellLawOracle:
         # the sweep point's draw goes through the same function, in one bin
         # against the target, and reads its (p_A, p_B) rows from those factors
         old_factors = oracles.click_factors(run, row0)
-        counts, clicks = _offset_draw(table, run.detectors, table.target, pulses, seed)
-        assert np.array_equal(counts, per_bin_draw(seed, pulses, oracles.cell_probabilities(run, row0, old_factors)[:, 0]))
-        assert np.array_equal(clicks, old_factors[1][:, :, 0, :, 1])
+        rng = np.random.Generator(np.random.PCG64(seed))
+        counts, point_factors = _bin_draw(table, run.detectors, table.target, pulses, rng)
+        old_cells = oracles.cell_probabilities(run, row0, old_factors)[:, 0]
+        assert np.array_equal(counts, per_bin_draw(seed, pulses, old_cells)[0])
+        assert np.array_equal(point_factors, np.concatenate([old_factors[0][:, 0], old_factors[1][:, 0, 0]]))
 
     @settings(max_examples=150, derandomize=True, deadline=None)
     @given(**sweep_points, phases=scan_phases)
     def test_cells_are_the_full_cells_summed_by_offset(self, n, r1_sq, t2_sq, alpha_sq, dets, phases):
         cfg, table, run = sweep_point(n, r1_sq, t2_sq, alpha_sq, dets)
         full = replace(run, phase_schedule=phases)
-        cells = _cell_probabilities(*branch_tables(full))
+        cells = oracles.program_cells(full)
         assert cells.shape == (len(phases), n, 16)
         all_pairs = oracles.cell_probabilities(full, oracles.branch_table(cfg, dets[0], dets[1]))
         m, d = np.arange(n)[:, None], np.arange(n)
